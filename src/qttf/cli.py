@@ -57,6 +57,11 @@ EXIT_USAGE = 1
 EXIT_NOT_IC = 2
 EXIT_BUDGET = 3
 
+MEMORY_BUDGET_HELP = (
+    "bytes the moment series may hold at once: the M**2 pair products, and at "
+    "order 4 its chunked operator stacks (exit code 3 if even one chunk does not fit)"
+)
+
 BUILTINS = {
     "sic2": lambda: sic_povm(2),
     "sic3": lambda: sic_povm(3),
@@ -580,7 +585,12 @@ def _build_parser() -> _Parser:
     qttf_parser.add_argument("--order", type=int, default=2)
     qttf_parser.add_argument("--samples", type=int, default=10000)
     qttf_parser.add_argument("--seed", type=int, default=0)
-    qttf_parser.add_argument("--memory-budget", type=int, default=DEFAULT_MEMORY_BUDGET)
+    qttf_parser.add_argument(
+        "--memory-budget",
+        type=int,
+        default=DEFAULT_MEMORY_BUDGET,
+        help=MEMORY_BUDGET_HELP,
+    )
     qttf_parser.add_argument("--out", default=None)
 
     cmp_parser = sub.add_parser("compare", help="tabulate conditioning against accuracy")
@@ -598,7 +608,12 @@ def _build_parser() -> _Parser:
     fig1_parser.add_argument("--n-poms", type=int, default=50)
     fig1_parser.add_argument("--n-haar", type=int, default=500)
     fig1_parser.add_argument("--seed", type=int, default=0)
-    fig1_parser.add_argument("--memory-budget", type=int, default=DEFAULT_MEMORY_BUDGET)
+    fig1_parser.add_argument(
+        "--memory-budget",
+        type=int,
+        default=DEFAULT_MEMORY_BUDGET,
+        help=MEMORY_BUDGET_HELP,
+    )
     fig1_parser.add_argument("--out", default=None)
 
     fig2_parser = sub.add_parser("fig2", help="finite-sample MSE against transfer values")

@@ -22,10 +22,8 @@ from .errors import (
     PomValidationError,
     UnsupportedDimensionError,
 )
-from .operators import _require_dim
+from .operators import EIGENVALUE_SLACK, HERMITIAN_TOL, _require_dim
 
-HERMITIAN_TOL = 1e-12
-EIGENVALUE_SLACK = 1e-10
 COMPLETENESS_TOL = 1e-10
 
 _PAULIS = np.array(
@@ -63,6 +61,9 @@ class Pom:
         if arr.shape[0] < 1:
             raise PomValidationError("a measurement needs at least one outcome")
         _require_dim(arr.shape[1])
+        if not np.isfinite(arr).all():
+            j = int(np.isfinite(arr).all(axis=(1, 2)).argmin())
+            raise PomValidationError(f"outcome {j} has a non-finite entry (NaN or inf)")
         herm_dev = np.abs(arr - arr.conj().transpose(0, 2, 1)).max(axis=(1, 2))
         if herm_dev.max() > HERMITIAN_TOL:
             j = int(herm_dev.argmax())

@@ -50,11 +50,10 @@ from .errors import (
     PathologicalPomError,
     UnsupportedOrderError,
 )
-from .fisher import measurement_matrices
+from .fisher import P_FLOOR, measurement_matrices
 from .operators import HermitianBasis, build_basis, haar_state_vectors
 from .pom import Pom
 
-P_FLOOR = 1e-12
 DEFAULT_MEMORY_BUDGET = 2**30  # bytes
 STRUCTURE_TOL = 1e-8
 KURTOSIS_FLAG = 100.0
@@ -195,6 +194,25 @@ def gram_tensors(pom: Pom, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> GramTe
     return GramTensors(g2=g2, g3=g3, g4=g4)
 
 
+def _quartic_bytes(m: int, dim: int, chunk: int) -> int:
+    """Working set of the order-4 contraction when it handles `chunk` d-values at once.
+
+    The M**2 cached pair products stay resident; every d in a chunk adds
+    four complex (M, dim, dim) slices (the stacks A and B and two products
+    of them) and one real M x M slice of a coefficient tensor.  A full
+    chunk (chunk = M) is 80 M**2 dim**2 + 8 M**3 bytes.
+    """
+    return 16 * m * m * dim * dim + chunk * (64 * m * dim * dim + 8 * m * m)
+
+
+def _weighted_sums(coefficients: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
+    """sum_a coefficients[..., a] Pi_a as one real (..., M) @ (M, 2 dim**2) matmul."""
+    m, dim = outcomes.shape[0], outcomes.shape[1]
+    flat = np.ascontiguousarray(outcomes).reshape(m, dim * dim).view(np.float64)
+    sums = coefficients.reshape(-1, m) @ flat
+    return sums.view(complex).reshape(coefficients.shape[:-1] + (dim, dim))
+
+
 def haar_moment_term(
     pom: Pom,
     basis: HermitianBasis,
@@ -212,9 +230,18 @@ def haar_moment_term(
 
     with D = dim, s2 = sum X_{ba} Y_{ab} G2_{ab}, s3 the X-Y-Y chain against
     Re G3, and s4 the X-Y-Y-Y cycle against the three inequivalent quartic
-    orderings plus the three pair-pair Gram products.  The quartic piece is
-    contracted from the materialized g4 tensor when it fits the budget and
-    streamed through cached pair products otherwise.
+    orderings plus the three pair-pair Gram products.  The quartic orderings
+    and the crossed pair-pair product are contracted through the operator
+    sums A_db = sum_a X_da Y_ab Pi_a and B_bd = sum_c Y_bc Y_cd Pi_c:
+
+        quartic = sum_{b,d} Tr(A_db Pi_b B_bd Pi_d) + Tr(A_db Pi_b Pi_d B_bd)
+                            + Tr(A_db B_bd Pi_b Pi_d),
+        crossed = sum_{b,d} G2_bd Tr(A_db B_bd),
+
+    which costs O(M**3 D**2) time.  The d index runs in chunks sized so
+    that _quartic_bytes stays within memory_budget; the value does not
+    depend on the budget unless chunking kicks in, and then only by
+    rounding.
     """
     if order not in (2, 3, 4):
         raise UnsupportedOrderError(f"moment term order must be 2, 3, or 4, got {order}")
@@ -237,21 +264,34 @@ def haar_moment_term(
         return 2 * (s2 + s3) / (dim * (dim + 1) * (dim + 2))
 
     m = pom.n_outcomes
-    if 16 * m**4 <= memory_budget:
-        g4 = np.einsum("abij,cdji->abcd", products, products)
-        orderings = g4 + g4.transpose(0, 1, 3, 2) + g4.transpose(0, 2, 1, 3)
-        quartic = complex(np.einsum("da,ab,bc,cd,abcd->", x, y, y, y, orderings, optimize=True))
-    else:
-        quartic = complex(
-            np.einsum("da,ab,bc,cd,abij,cdji->", x, y, y, y, products, products, optimize=True)
-            + np.einsum("da,ab,bc,cd,abij,dcji->", x, y, y, y, products, products, optimize=True)
-            + np.einsum("da,ab,bc,cd,acij,bdji->", x, y, y, y, products, products, optimize=True)
+    resident = _quartic_bytes(m, dim, 0)
+    chunk = min(m, (memory_budget - resident) // (_quartic_bytes(m, dim, 1) - resident))
+    if chunk < 1:
+        raise BudgetExceededError(
+            f"order-4 contraction needs {_quartic_bytes(m, dim, 1)} bytes > budget "
+            f"{memory_budget}; use qttf_monte_carlo for this measurement"
+        )
+    quartic = 0j
+    crossed = 0.0
+    for start in range(0, m, chunk):
+        ds = slice(start, start + chunk)
+        # stacks indexed [d, b]: A_db, B_bd, Pi_b Pi_d and G2_bd
+        a_sums = _weighted_sums(x[ds, None, :] * y.T[None, :, :], outcomes)
+        b_sums = _weighted_sums(y[None, :, :] * y.T[ds, None, :], outcomes)
+        pairs = products[:, ds].swapaxes(0, 1)
+        ab = a_sums @ b_sums
+        quartic += np.einsum("dbij,dbji->", ab, pairs)
+        crossed += float(np.einsum("db,dbii->", g2[:, ds].T, ab).real)
+        del ab  # at most four (d, b) stacks are alive, as _quartic_bytes counts
+        quartic += np.einsum("dbij,dbji->", b_sums @ a_sums, pairs)
+        quartic += np.einsum(
+            "dbij,dbji->", a_sums @ outcomes[None, :], b_sums @ outcomes[ds, None]
         )
     yg = y * g2
     xg = x * g2
     pairpair = float(
         np.einsum("da,ab,bc,cd->", x, yg, y, yg, optimize=True)
-        + np.einsum("da,ab,bc,cd,ac,bd->", x, y, y, y, g2, g2, optimize=True)
+        + crossed
         + np.einsum("da,ab,bc,cd->", xg, y, yg, y, optimize=True)
     )
     s4 = 2 * quartic.real + pairpair

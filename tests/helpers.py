@@ -146,8 +146,8 @@ def mc_series_terms(pom, basis, n_samples: int, rng, chunk: int = 100_000):
 
     Each Haar sample contributes Tr(X Delta (Y Delta)^{k-1}) with
     Delta = diag(p - pbar); the sample means estimate the analytic
-    haar_moment_term values.  Contractions run in chunks of states so the
-    intermediates stay small.
+    haar_moment_term values.  Each chunk of states forms the (s, M, M) stacks
+    X Delta and Y Delta and multiplies them out in a batched matmul chain.
     """
     aux = auxiliary_matrices(pom, basis)
     x, y = aux.x_matrix, aux.y_matrix
@@ -160,12 +160,14 @@ def mc_series_terms(pom, basis, n_samples: int, rng, chunk: int = 100_000):
         vecs = rng.normal(size=(size, dim)) + 1j * rng.normal(size=(size, dim))
         vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
         probs = np.einsum("si,mij,sj->sm", vecs.conj(), pom.outcomes, vecs).real
-        d = probs - aux.p_bar
-        parts2.append(np.einsum("ab,ba,sa,sb->s", x, y, d, d, optimize=True))
-        parts3.append(np.einsum("ab,bc,ca,sa,sb,sc->s", x, y, y, d, d, d, optimize=True))
-        parts4.append(
-            np.einsum("ab,bc,cd,da,sa,sb,sc,sd->s", x, y, y, y, d, d, d, d, optimize=True)
-        )
+        d = (probs - aux.p_bar)[:, None, :]
+        xd = x * d  # X Delta per state
+        yd = y * d  # Y Delta per state
+        chain = xd @ yd
+        parts2.append(np.trace(chain, axis1=1, axis2=2))
+        chain = chain @ yd
+        parts3.append(np.trace(chain, axis1=1, axis2=2))
+        parts4.append(np.einsum("sab,sba->s", chain, yd))
     out = []
     for parts in (parts2, parts3, parts4):
         values = np.concatenate(parts)

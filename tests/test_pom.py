@@ -1,5 +1,7 @@
 """Measurement container validation and JSON serialization."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,16 @@ def test_pom_rejects_nonhermitian_outcome():
     bad[2, 0, 1] += 0.05
     with pytest.raises(PomValidationError):
         Pom(bad)
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+def test_pom_rejects_non_finite_outcome(entry):
+    bad = qubit_sic().outcomes.copy()
+    bad[2, 0, 0] = entry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # rejected before any arithmetic on it
+        with pytest.raises(PomValidationError, match=r"outcome 2 has a non-finite entry"):
+            Pom(bad)
 
 
 def test_pom_rejects_bad_shapes():

@@ -337,6 +337,58 @@ def test_budget_failure_names_the_alternative():
         qttf_series(pom, BASIS2, alpha=0.2, max_order=4, memory_budget=1000)
 
 
+def test_quartic_value_ignores_the_old_g4_budget_trigger():
+    # 16 M^4 - 1 bytes used to switch the quartic from the materialized g4
+    # tensor to streamed einsums; the single contraction fits well below it
+    pom = random_pom(3, 18, 1, rng=np.random.default_rng(51))
+    m = pom.n_outcomes
+    default = haar_moment_term(pom, BASIS3, 4)
+    assert haar_moment_term(pom, BASIS3, 4, memory_budget=16 * m**4 - 1) == default
+
+
+def test_quartic_chunks_to_fit_a_tight_budget():
+    pom = random_pom(3, 18, 2, rng=np.random.default_rng(52))
+    m, dim = pom.n_outcomes, pom.dim
+    default = haar_moment_term(pom, BASIS3, 4)
+    pairs = 16 * m * m * dim * dim  # the pair-product cache alone
+    per_d = 64 * m * dim * dim + 8 * m * m
+    for chunk in (1, 5):
+        value = haar_moment_term(pom, BASIS3, 4, memory_budget=pairs + chunk * per_d)
+        assert abs(value - default) <= 1e-12 * abs(default)
+    with pytest.raises(BudgetExceededError, match="monte_carlo"):
+        haar_moment_term(pom, BASIS3, 4, memory_budget=pairs + per_d - 1)
+    # orders 2 and 3 need only the pair products
+    haar_moment_term(pom, BASIS3, 3, memory_budget=pairs)
+
+
+def _random_bases_pom(dim, rng):
+    """dim + 1 Haar-random orthonormal bases, each projector weighted 1/(dim + 1)."""
+    outcomes = []
+    for _ in range(dim + 1):
+        ginibre = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        unitary, _ = np.linalg.qr(ginibre)
+        outcomes.extend(np.outer(v, v.conj()) / (dim + 1) for v in unitary.T)
+    return Pom(np.array(outcomes))
+
+
+@pytest.mark.parametrize("dim", [4, 5])
+def test_order_four_series_equals_closed_forms_at_higher_dims(dim):
+    # the series terminates at second order for both structures, so the
+    # order-3 and order-4 terms must cancel to the exact closed form
+    rng = np.random.default_rng(60 + dim)
+    basis = build_basis(dim)
+    cases = [
+        (random_pom(dim, dim * dim, 1, rng=rng), qttf_closed_minimal),
+        (_random_bases_pom(dim, rng), qttf_closed_minimal_bases),
+    ]
+    for pom, closed_form in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConvergenceWarning)
+            series = qttf_series(pom, basis, alpha=1.0, max_order=4).value
+        exact = closed_form(pom, basis).value
+        assert abs(series - exact) <= 1e-9 * exact
+
+
 def test_spectral_radius_inside_convergence_region():
     rng = np.random.default_rng(50)
     for _ in range(5):
