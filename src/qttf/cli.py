@@ -503,6 +503,11 @@ def _cmd_fig1(args) -> int:
 
 
 def _cmd_fig2(args) -> int:
+    # checked before --search writes the pair files
+    minimums = (("--shots", args.shots, 1), ("--trials", args.trials, 2), ("--states", args.states, 1))
+    for flag, value, low in minimums:
+        if value < low:
+            raise _UsageError(f"{flag} must be >= {low}, got {value}")
     config = {
         "command": "fig2",
         "pom1": str(args.pom1),

@@ -1,20 +1,27 @@
 """Finite-sample estimation: click sampling, linear inversion, scaled-MSE experiments.
 
-Linear inversion reconstructs bloch coordinates from observed outcome
-frequencies.  Three flavors:
+Linear inversion reconstructs Bloch coordinates t over the traceless basis
+from observed outcome frequencies f by one least-squares solve,
 
-* `lin_estimator_reduced`: unweighted pseudoinverse over the traceless
-  basis, t = pinv(C) (f - pbar).  Exactly unbiased, but statistically
-  efficient only for minimally complete measurements.
-* `lin_estimator_full`: the same least-squares problem parametrized over
-  the full basis with an explicit unit-trace multiplier; agrees with the
-  reduced form on consistent data and keeps Tr(rho_hat) = 1 even when the
-  raw full-basis pseudoinverse would not.
+    (C^T W C) t = C^T W (f - pbar),
+
+which every estimator here shares:
+
+* `lin_estimator_reduced`: unweighted, W = 1.  Exactly unbiased, with unit
+  trace by construction, but statistically efficient only for minimally
+  complete measurements.  A full-basis fit that pins the identity
+  coefficient to 1/sqrt(dim) gives the same estimate, because the pinned
+  identity column contributes exactly pbar.
 * `weighted_linear_inversion`: generalized least squares with the inverse
-  observed frequencies as weights (floored at half a click).  This is the
-  optimal unbiased scheme in the large-sample limit: its scaled MSE
-  converges to Tr(F(rho)^{-1}) for any informationally complete
+  observed frequencies as weights, W = diag(1 / max(f, WEIGHT_FLOOR / N)).
+  This is the optimal unbiased scheme in the large-sample limit: its scaled
+  MSE converges to Tr(F(rho)^{-1}) for any informationally complete
   measurement, which the unweighted form misses when M > dim**2.
+
+`mse_experiment` runs the same solve over a batch of simulated click runs;
+its `weighting` picks the weighted scheme ("probability") or W = 1
+("none").  `haar_mse_sweep` repeats the weighted experiment over Haar-drawn
+states with the measurement built once.
 
 Estimates are returned as bare Hermitian unit-trace matrices; they may be
 non-positive for small samples, which is expected and not an error.
@@ -36,13 +43,15 @@ from .errors import (
 from .fisher import (
     P_FLOOR,
     TomographyMatrices,
-    accuracy,
+    accuracy_from_probabilities,
     measurement_matrices,
     probabilities,
 )
 from .operators import DensityMatrix, HermitianBasis, bloch_coords, haar_state_vectors, state_from_bloch
 from .pom import Pom
 from .transfer import QttfEstimate, qttf_monte_carlo, qttf_series
+
+WEIGHT_FLOOR = 0.5  # clicks: an empty cell is weighted as if half a click had landed in it
 
 
 @dataclass(frozen=True)
@@ -124,56 +133,89 @@ def _checked_matrices(pom: Pom, basis: HermitianBasis) -> TomographyMatrices:
     return matrices
 
 
+def _lsq_coords(
+    matrices: TomographyMatrices, freq: np.ndarray, n_total: int | None = None
+) -> np.ndarray:
+    """Solve (C^T W C) t = C^T W (f - pbar) for every row of freq (..., M).
+
+    With n_total None the fit is unweighted (W = 1); otherwise the rows are
+    frequencies of n_total clicks and W = diag(1 / max(f, WEIGHT_FLOOR / n_total)).
+    """
+    c_matrix = matrices.c_matrix
+    centered = freq - matrices.p_bar
+    if n_total is None:
+        design, rhs = c_matrix.T @ c_matrix, centered @ c_matrix
+    else:
+        weights = 1.0 / np.maximum(freq, WEIGHT_FLOOR / n_total)
+        design = c_matrix.T @ (weights[..., :, None] * c_matrix)
+        rhs = (weights * centered) @ c_matrix
+    return np.linalg.solve(design, rhs[..., None])[..., 0]
+
+
 def lin_estimator_reduced(clicks, pom: Pom, basis: HermitianBasis) -> np.ndarray:
-    """Unweighted pseudoinverse estimate over the traceless basis.
+    """Unweighted least-squares estimate over the traceless basis.
 
     `clicks` may be a ClickRecord or a bare frequency vector, so exact
     probabilities can be inverted directly (consistent data reproduces the
     state that generated it).
     """
     matrices = _checked_matrices(pom, basis)
-    centered = _frequencies(clicks, pom) - matrices.p_bar
-    coords = np.linalg.pinv(matrices.c_matrix) @ centered
-    return state_from_bloch(coords, basis)
+    return state_from_bloch(_lsq_coords(matrices, _frequencies(clicks, pom)), basis)
 
 
-def lin_estimator_full(clicks, pom: Pom, basis: HermitianBasis) -> np.ndarray:
-    """Full-basis least squares with an explicit unit-trace multiplier.
-
-    gamma = pinv(Ct) f + chi (Ct^T Ct)^{-1} e, where e selects the identity
-    coefficient and chi = (1 - sqrt(D) e^T (Ct^T Ct)^{-1} Ct^T f) /
-    (sqrt(D) e^T (Ct^T Ct)^{-1} e) enforces sqrt(D) gamma_0 = 1.
-    Accepts a ClickRecord or a bare frequency vector.
-    """
-    matrices = _checked_matrices(pom, basis)
-    c_tilde = matrices.c_tilde
-    freq = _frequencies(clicks, pom)
-    gram = c_tilde.T @ c_tilde
-    gram_inv = np.linalg.inv((gram + gram.T) / 2)
-    sqrt_d = np.sqrt(pom.dim)
-    lsq = gram_inv @ (c_tilde.T @ freq)
-    chi = (1.0 - sqrt_d * lsq[0]) / (sqrt_d * gram_inv[0, 0])
-    gamma = lsq + chi * gram_inv[:, 0]
-    return np.einsum("k,kij->ij", gamma, basis.full_ops)
-
-
-def weighted_linear_inversion(
-    clicks: ClickRecord, pom: Pom, basis: HermitianBasis, weight_floor: float = 0.5
-) -> np.ndarray:
+def weighted_linear_inversion(clicks: ClickRecord, pom: Pom, basis: HermitianBasis) -> np.ndarray:
     """Generalized least squares with inverse observed frequencies as weights.
 
-    Weights are 1 / max(f_j, weight_floor / n_total) so empty cells stay
-    finite.  Asymptotically efficient: the scaled MSE approaches
-    Tr(F(rho)^{-1}) as n_total grows.
+    Weights are 1 / max(f_j, WEIGHT_FLOOR / n_total) so empty cells stay
+    finite; `clicks` must therefore be a ClickRecord, which carries n_total.
+    Asymptotically efficient: the scaled MSE approaches Tr(F(rho)^{-1}) as
+    n_total grows.
     """
+    if not isinstance(clicks, ClickRecord):
+        raise TypeError(
+            "weighted_linear_inversion needs a ClickRecord: the weights depend on "
+            f"the click total n_total, which a {type(clicks).__name__} does not carry"
+        )
     matrices = _checked_matrices(pom, basis)
-    freq = _frequencies(clicks, pom)
-    weights = 1.0 / np.maximum(freq, weight_floor / clicks.n_total)
-    centered = freq - matrices.p_bar
-    design = matrices.c_matrix.T @ (weights[:, None] * matrices.c_matrix)
-    rhs = matrices.c_matrix.T @ (weights * centered)
-    coords = np.linalg.solve((design + design.T) / 2, rhs)
+    coords = _lsq_coords(matrices, _frequencies(clicks, pom), clicks.n_total)
     return state_from_bloch(coords, basis)
+
+
+def _experiment_matrices(
+    pom: Pom, basis: HermitianBasis, n_shots: int, n_trials: int
+) -> TomographyMatrices:
+    """Check the run sizes of an MSE experiment and build its measurement matrices."""
+    if n_shots < 1:
+        raise ValueError(f"n_shots must be >= 1, got {n_shots}")
+    if n_trials < 2:
+        raise ValueError(f"need at least 2 trials, got {n_trials}")
+    return _checked_matrices(pom, basis)
+
+
+def _scaled_mse(
+    rho,
+    pom: Pom,
+    basis: HermitianBasis,
+    matrices: TomographyMatrices,
+    n_shots: int,
+    n_trials: int,
+    rng: np.random.Generator,
+    weighted: bool,
+) -> tuple[np.ndarray, float]:
+    """Born probabilities at rho and n_shots * mean ||t_hat - t||^2 over n_trials runs."""
+    probs = probabilities(rho, pom)
+    bad = np.nonzero(probs <= P_FLOOR)[0]
+    if bad.size:
+        raise ZeroProbabilityError(
+            f"outcome {int(bad[0])} has probability {probs[bad[0]]:.3e}; "
+            "the experiment needs a full-rank state",
+            index=int(bad[0]),
+        )
+    target = bloch_coords(rho, basis)
+    counts = rng.multinomial(n_shots, probs / probs.sum(), size=n_trials)
+    coords = _lsq_coords(matrices, counts / n_shots, n_shots if weighted else None)
+    squared = ((coords - target) ** 2).sum(axis=1)
+    return probs, float(n_shots * squared.mean())
 
 
 def mse_experiment(
@@ -189,38 +231,16 @@ def mse_experiment(
 
     weighting="probability" uses the efficient weighted inversion (weights
     from observed frequencies); weighting="none" uses the plain
-    pseudoinverse, which is unbiased but generally not efficient.
+    least-squares inversion, which is unbiased but generally not efficient.
     """
-    if n_trials < 2:
-        raise ValueError(f"need at least 2 trials, got {n_trials}")
     if weighting not in ("probability", "none"):
         raise ValueError(f"unknown weighting {weighting!r}")
+    matrices = _experiment_matrices(pom, basis, n_shots, n_trials)
     rng = np.random.default_rng(rng)
-    matrices = measurement_matrices(pom, basis)
-    if not matrices.is_informationally_complete:
-        raise NotInformationallyCompleteError("measurement matrix is rank deficient")
-    probs = probabilities(rho, pom)
-    bad = np.nonzero(probs <= P_FLOOR)[0]
-    if bad.size:
-        raise ZeroProbabilityError(
-            f"outcome {int(bad[0])} has probability {probs[bad[0]]:.3e}; "
-            "the experiment needs a full-rank state",
-            index=int(bad[0]),
-        )
-    target = bloch_coords(rho, basis)
-    counts = rng.multinomial(n_shots, probs / probs.sum(), size=n_trials)
-    freq = counts / n_shots
-    centered = freq - matrices.p_bar
-    if weighting == "probability":
-        weights = 1.0 / np.maximum(freq, 0.5 / n_shots)
-        design = np.einsum("mk,tm,ml->tkl", matrices.c_matrix, weights, matrices.c_matrix)
-        rhs = np.einsum("mk,tm->tk", matrices.c_matrix, weights * centered)
-        coords = np.linalg.solve(design, rhs[:, :, None])[:, :, 0]
-    else:
-        coords = centered @ np.linalg.pinv(matrices.c_matrix).T
-    squared = ((coords - target) ** 2).sum(axis=1)
-    scaled_mse = float(n_shots * squared.mean())
-    predicted = accuracy(rho, pom, basis)
+    probs, scaled_mse = _scaled_mse(
+        rho, pom, basis, matrices, n_shots, n_trials, rng, weighted=weighting == "probability"
+    )
+    predicted = accuracy_from_probabilities(matrices, probs)
     return MseReport(
         n_total=int(n_shots),
         n_trials=int(n_trials),
@@ -247,12 +267,13 @@ def haar_mse_sweep(
     n_trials: int,
     rng=None,
     n_qttf_samples: int = 10000,
-    weighting: str = "probability",
 ) -> HaarSweepResult:
-    """Scaled MSE averaged over Haar states mixed down to purity purity_mix,
-    reported next to the Monte-Carlo and order-2 series transfer values."""
+    """Scaled MSE of the weighted inversion averaged over Haar states mixed
+    down to purity purity_mix, reported next to the Monte-Carlo and order-2
+    series transfer values."""
     if n_states < 1:
         raise ValueError(f"need at least 1 state, got {n_states}")
+    matrices = _experiment_matrices(pom, basis, n_shots, n_trials)
     rng = np.random.default_rng(rng)
     dim = pom.dim
     weight = mixing_weight_for_purity(purity_mix, dim)
@@ -262,8 +283,9 @@ def haar_mse_sweep(
         rho = DensityMatrix(
             weight * np.outer(vec, vec.conj()) + (1.0 - weight) * np.eye(dim) / dim
         )
-        report = mse_experiment(rho, pom, basis, n_shots, n_trials, rng, weighting=weighting)
-        per_state[i] = report.scaled_mse
+        _, per_state[i] = _scaled_mse(
+            rho, pom, basis, matrices, n_shots, n_trials, rng, weighted=True
+        )
     stderr = float(per_state.std(ddof=1) / np.sqrt(n_states)) if n_states > 1 else 0.0
     # The order-2 value at alpha = 1 is this sweep's definition of the series
     # comparator, so the generic alpha >= alpha0 caution is redundant here.

@@ -158,20 +158,6 @@ def auxiliary_matrices(pom: Pom, basis: HermitianBasis) -> AuxiliaryMatrices:
     )
 
 
-@dataclass(frozen=True)
-class GramTensors:
-    """Cyclic overlap traces of outcome operators.
-
-    g2[a, b] = Tr(Pi_a Pi_b) (real), g3[a, b, c] = Tr(Pi_a Pi_b Pi_c)
-    (complex), g4[a, b, c, d] = Tr(Pi_a Pi_b Pi_c Pi_d) (complex); g4 is
-    None when materializing M**4 entries would exceed the memory budget.
-    """
-
-    g2: np.ndarray
-    g3: np.ndarray
-    g4: np.ndarray | None
-
-
 def _pair_products(outcomes: np.ndarray, memory_budget: int) -> np.ndarray:
     m, dim = outcomes.shape[0], outcomes.shape[1]
     need = 16 * m * m * dim * dim
@@ -181,17 +167,6 @@ def _pair_products(outcomes: np.ndarray, memory_budget: int) -> np.ndarray:
             "use qttf_monte_carlo for this measurement"
         )
     return np.einsum("aij,bjk->abik", outcomes, outcomes)
-
-
-def gram_tensors(pom: Pom, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> GramTensors:
-    products = _pair_products(pom.outcomes, memory_budget)
-    g2 = np.einsum("abii->ab", products).real
-    g3 = np.einsum("abij,cji->abc", products, pom.outcomes)
-    m = pom.n_outcomes
-    g4 = None
-    if 16 * m**4 <= memory_budget:
-        g4 = np.einsum("abij,cdji->abcd", products, products)
-    return GramTensors(g2=g2, g3=g3, g4=g4)
 
 
 def _quartic_bytes(m: int, dim: int, chunk: int) -> int:
@@ -396,6 +371,8 @@ def qttf_closed_minimal_bases(pom: Pom, basis: HermitianBasis) -> QttfEstimate:
     Outcomes must come in dim+1 contiguous groups of dim rank-one operators,
     each group summing to identity/(dim+1); the Y matrix is then block
     diagonal with constant -(dim+1) blocks and the series again terminates.
+    Every outcome then has trace 1/(dim+1), so Fbar = dim (dim+1) C^T C and
+    the value equals Tr(Fbar^{-1}) dim / (dim+1).
     """
     dim = pom.dim
     n_bases = dim + 1
@@ -419,12 +396,8 @@ def qttf_closed_minimal_bases(pom: Pom, basis: HermitianBasis) -> QttfEstimate:
         raise NotMinimalBasesError(
             f"Y matrix lacks the {n_bases}-block structure (deviation {block_dev:.2e})"
         )
-    matrices = measurement_matrices(pom, basis)
-    gram = matrices.c_matrix.T @ matrices.c_matrix
-    evals = np.linalg.eigvalsh((gram + gram.T) / 2)
-    value = float(np.sum(1.0 / evals)) / n_bases**2
     return QttfEstimate(
-        value=value,
+        value=aux.tr_fbar_inv * dim / n_bases,
         method="closed_minimal_bases",
         params={"n_bases": n_bases, "y_block_deviation": block_dev},
     )

@@ -374,6 +374,20 @@ def test_fig2_search_persists_discordant_pair(tmp_path):
     assert config["search_info"]["attempts_used"] >= 1
 
 
+@pytest.mark.parametrize(
+    "flag,value", [("--shots", "0"), ("--shots", "-5"), ("--trials", "1"), ("--states", "0")]
+)
+def test_fig2_rejects_bad_counts_before_searching(tmp_path, capsys, flag, value):
+    first, second = tmp_path / "p1.json", tmp_path / "p2.json"
+    code, _ = _make(
+        tmp_path, "fig2", str(first), str(second), "--search", "--dim", "2",
+        "--attempts", "5", "--samples", "200", flag, value,
+    )
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: {flag} must be >= ")
+    assert not first.exists() and not second.exists()
+
+
 def test_fig2_mixed_dimensions_rejected(tmp_path):
     sic2 = _builtin_file(tmp_path, "sic2")
     sic3 = _builtin_file(tmp_path, "sic3")

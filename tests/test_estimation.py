@@ -16,7 +16,6 @@ from qttf import (
     build_basis,
     duplicate_outcome,
     haar_mse_sweep,
-    lin_estimator_full,
     lin_estimator_reduced,
     measurement_matrices,
     mixing_weight_for_purity,
@@ -90,31 +89,22 @@ def test_reduced_estimator_can_leave_the_state_space():
     assert smallest < -1e-3
 
 
-def test_full_estimator_agrees_on_consistent_data():
-    pom = random_pom(2, 7, 2, rng=np.random.default_rng(8))
-    rho = random_density(2, np.random.default_rng(9))
-    probs = probabilities(rho, pom)
-    full = lin_estimator_full(probs, pom, BASIS2)
-    reduced = lin_estimator_reduced(probs, pom, BASIS2)
-    np.testing.assert_allclose(full, reduced, atol=1e-10)
-    np.testing.assert_allclose(full, rho, atol=1e-10)
-
-
-def test_full_estimator_enforces_unit_trace_on_noisy_data():
+def test_reduced_estimator_keeps_unit_trace_on_noisy_overcomplete_data():
     pom = duplicate_outcome(qubit_sic(), 3, [0.7, 0.3])
     rho = random_density(2, np.random.default_rng(10))
     rng = np.random.default_rng(11)
     for _ in range(20):
         clicks = sample_clicks(rho, pom, 1000, rng)
-        estimate = lin_estimator_full(clicks, pom, BASIS2)
+        estimate = lin_estimator_reduced(clicks, pom, BASIS2)
         assert abs(np.trace(estimate).real - 1.0) < 1e-10
         np.testing.assert_allclose(estimate, estimate.conj().T, atol=1e-12)
 
 
 def test_raw_full_basis_pseudoinverse_loses_unit_trace():
-    # the constrained estimator exists because the plain pseudoinverse over
-    # the full basis drifts off trace whenever the all-ones vector leaves
-    # the measurement matrix column space (here: unequal duplication weights)
+    # the estimator fits the traceless coordinates only, because the plain
+    # pseudoinverse over the full basis drifts off trace whenever the
+    # all-ones vector leaves the measurement matrix column space (here:
+    # unequal duplication weights)
     pom = duplicate_outcome(qubit_sic(), 3, [0.7, 0.3])
     matrices = measurement_matrices(pom, BASIS2)
     pinv = np.linalg.pinv(matrices.c_tilde)
@@ -126,8 +116,8 @@ def test_raw_full_basis_pseudoinverse_loses_unit_trace():
         gamma = pinv @ clicks.frequencies
         raw_trace = np.sqrt(2.0) * gamma[0]
         violations.append(abs(raw_trace - 1.0))
-        constrained = lin_estimator_full(clicks, pom, BASIS2)
-        assert abs(np.trace(constrained).real - 1.0) < 1e-10
+        estimate = lin_estimator_reduced(clicks, pom, BASIS2)
+        assert abs(np.trace(estimate).real - 1.0) < 1e-10
     assert max(violations) > 1e-6
 
 
@@ -153,6 +143,9 @@ def test_estimators_reject_incomplete_or_mismatched_input():
         lin_estimator_reduced(np.array([0.5, 0.5]), qubit_sic(), BASIS2)
     with pytest.raises(ValueError):
         lin_estimator_reduced(np.array([0.9, 0.2, -0.05, -0.05]), qubit_sic(), BASIS2)
+    # the weights need the click total, which a bare frequency vector lacks
+    with pytest.raises(TypeError, match="n_total"):
+        weighted_linear_inversion(np.full(4, 0.25), qubit_sic(), BASIS2)
 
 
 def test_hilbert_schmidt_error_equals_coordinate_error():
@@ -231,6 +224,11 @@ def test_mse_experiment_validation():
         mse_experiment(rho, pom, BASIS2, 100, 1, rng=0)
     with pytest.raises(ValueError):
         mse_experiment(rho, pom, BASIS2, 100, 10, rng=0, weighting="inverse")
+    for n_shots in (0, -5):
+        with pytest.raises(ValueError, match="n_shots"):
+            mse_experiment(rho, pom, BASIS2, n_shots, 10, rng=0)
+        with pytest.raises(ValueError, match="n_shots"):
+            haar_mse_sweep(pom, BASIS2, 0.9, n_states=2, n_shots=n_shots, n_trials=10, rng=0)
     vec = np.linalg.eigh(pom.outcomes[0])[1][:, 0]
     pure = np.outer(vec, vec.conj())
     with pytest.raises(ZeroProbabilityError):

@@ -20,7 +20,6 @@ from qttf import (
     auxiliary_matrices,
     build_basis,
     duplicate_outcome,
-    gram_tensors,
     haar_moment_term,
     haar_pure_state,
     haar_state_vectors,
@@ -116,29 +115,6 @@ def test_reference_values_table():
         "covariant",
         "limit_rel_error",
     }
-
-
-def test_gram_tensors_match_direct_traces():
-    pom = random_pom(2, 5, 2, rng=np.random.default_rng(30))
-    tensors = gram_tensors(pom)
-    m = pom.n_outcomes
-    for a in range(m):
-        for b in range(m):
-            assert abs(tensors.g2[a, b] - np.trace(pom.outcomes[a] @ pom.outcomes[b]).real) < 1e-12
-            for c in range(m):
-                want = np.trace(pom.outcomes[a] @ pom.outcomes[b] @ pom.outcomes[c])
-                assert abs(tensors.g3[a, b, c] - want) < 1e-12
-    assert tensors.g4 is not None
-    want = np.trace(pom.outcomes[1] @ pom.outcomes[0] @ pom.outcomes[3] @ pom.outcomes[2])
-    assert abs(tensors.g4[1, 0, 3, 2] - want) < 1e-12
-
-
-def test_gram_tensors_budget_controls_quartic():
-    pom = random_pom(2, 8, 1, rng=np.random.default_rng(31))
-    small = gram_tensors(pom, memory_budget=16 * 8 * 8 * 2 * 2)  # pairs fit, quartic does not
-    assert small.g4 is None and small.g2 is not None
-    with pytest.raises(BudgetExceededError, match="monte_carlo"):
-        gram_tensors(pom, memory_budget=64)
 
 
 def test_series_terms_match_moment_oracle():
