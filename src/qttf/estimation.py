@@ -47,7 +47,7 @@ from .fisher import (
     measurement_matrices,
     probabilities,
 )
-from .operators import DensityMatrix, HermitianBasis, bloch_coords, haar_state_vectors, state_from_bloch
+from .operators import HermitianBasis, bloch_coords, haar_state_vectors, state_from_bloch
 from .pom import Pom
 from .transfer import QttfEstimate, qttf_monte_carlo, qttf_series
 
@@ -280,9 +280,8 @@ def haar_mse_sweep(
     vectors = haar_state_vectors(dim, n_states, rng)
     per_state = np.empty(n_states)
     for i, vec in enumerate(vectors):
-        rho = DensityMatrix(
-            weight * np.outer(vec, vec.conj()) + (1.0 - weight) * np.eye(dim) / dim
-        )
+        # a convex mix of a projector and identity/dim is a state by construction
+        rho = weight * np.outer(vec, vec.conj()) + (1.0 - weight) * np.eye(dim) / dim
         _, per_state[i] = _scaled_mse(
             rho, pom, basis, matrices, n_shots, n_trials, rng, weighted=True
         )

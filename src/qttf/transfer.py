@@ -57,6 +57,7 @@ from .pom import Pom
 DEFAULT_MEMORY_BUDGET = 2**30  # bytes
 STRUCTURE_TOL = 1e-8
 KURTOSIS_FLAG = 100.0
+MC_BATCH = 20000  # Haar states per Monte Carlo batch
 
 
 @dataclass(frozen=True)
@@ -408,14 +409,23 @@ def qttf_monte_carlo(
     basis: HermitianBasis,
     n_samples: int,
     rng=None,
-    p_floor: float = P_FLOOR,
-    batch_size: int = 20000,
 ) -> QttfEstimate:
     """Haar average of Tr(F(rho)^{-1}) over n_samples pure states.
 
-    States with any outcome probability at or below p_floor are redrawn and
+    States with any outcome probability at or below P_FLOOR are redrawn and
     the redraw rate is reported; a measurement rejecting more than half of
     all draws is refused as pathological.
+
+    States are drawn in batches of up to MC_BATCH.  With K = dim**2 - 1 and
+    the outer products c_m c_m^T of the rows of C tabulated once per call
+    as an (M, K**2) matrix, a batch of s states costs
+
+    * one real (s, 2 dim**2) @ (2 dim**2, M) matmul for the Born
+      probabilities p_m = Re sum_ij rho_ij conj(Pi_m)_ij over the float64
+      views of rho = v v^dag and of the outcomes,
+    * one (s, M) @ (M, K**2) matmul for the Fisher matrices
+      F = sum_m c_m c_m^T / p_m,
+    * one batched eigvalsh for Tr(F^{-1}) = sum 1 / lambda.
     """
     if n_samples < 2:
         raise ValueError(f"need at least 2 samples, got {n_samples}")
@@ -427,26 +437,30 @@ def qttf_monte_carlo(
         )
     seed = rng if isinstance(rng, (int, np.integer)) else None
     rng = np.random.default_rng(rng)
+    dim, m = pom.dim, pom.n_outcomes
     c_matrix = matrices.c_matrix
+    k = c_matrix.shape[1]
+    outer_table = (c_matrix[:, :, None] * c_matrix[:, None, :]).reshape(m, k * k)
+    flat_outcomes = np.ascontiguousarray(pom.outcomes).reshape(m, dim * dim).view(np.float64)
     values = np.empty(n_samples)
     filled = 0
     drawn = 0
     rejected = 0
     while filled < n_samples:
-        chunk = min(batch_size, max(n_samples - filled, 64))
-        vectors = haar_state_vectors(pom.dim, chunk, rng)
-        probs = np.einsum("si,mij,sj->sm", vectors.conj(), pom.outcomes, vectors).real
-        keep = probs.min(axis=1) > p_floor
+        chunk = min(MC_BATCH, max(n_samples - filled, 64))
+        vectors = haar_state_vectors(dim, chunk, rng)
+        states = vectors[:, :, None] * vectors[:, None, :].conj()
+        probs = states.reshape(chunk, dim * dim).view(np.float64) @ flat_outcomes.T
+        keep = probs.min(axis=1) > P_FLOOR
         drawn += chunk
         rejected += int(chunk - keep.sum())
         if drawn >= 100 and rejected > drawn / 2:
             raise PathologicalPomError(
-                f"{rejected}/{drawn} Haar draws hit the probability floor {p_floor}"
+                f"{rejected}/{drawn} Haar draws hit the probability floor {P_FLOOR}"
             )
         if not keep.any():
             continue
-        good = probs[keep]
-        fishers = np.einsum("mk,sm,ml->skl", c_matrix, 1.0 / good, c_matrix)
+        fishers = ((1.0 / probs[keep]) @ outer_table).reshape(-1, k, k)
         evals = np.linalg.eigvalsh(fishers)
         batch_vals = np.sum(1.0 / evals, axis=1)
         take = min(n_samples - filled, batch_vals.size)

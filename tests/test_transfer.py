@@ -287,6 +287,40 @@ def test_monte_carlo_agrees_with_accuracy_average():
     assert abs(est.value - direct.mean()) < 4 * stderr
 
 
+@pytest.mark.parametrize(
+    "dim, m, rank, seed",
+    [(2, 6, 1, 60), (2, 20, 2, 61), (3, 11, 2, 62), (3, 45, 1, 63), (4, 18, 1, 64), (4, 80, 2, 65)],
+)
+def test_monte_carlo_equals_accuracy_average_on_the_same_stream(dim, m, rank, seed):
+    # with no redraws the first batch is exactly haar_state_vectors(dim, n, rng),
+    # so replaying that stream through the pointwise accuracy must give the
+    # same mean up to summation order
+    basis = build_basis(dim)
+    pom = random_pom(dim, m, rank, rng=np.random.default_rng(seed))
+    n = 300
+    est = qttf_monte_carlo(pom, basis, n, rng=seed)
+    assert est.params["redraw_rate"] == 0.0
+    states = haar_state_vectors(dim, n, np.random.default_rng(seed))
+    oracle = np.mean([accuracy(np.outer(v, v.conj()), pom, basis) for v in states])
+    assert abs(est.value - oracle) <= 1e-12 * oracle
+
+
+def test_monte_carlo_redraws_states_under_the_floor():
+    # the 8e-12 copy of a SIC outcome falls under the floor on the quarter of
+    # the Bloch sphere where Tr(rho Pi_0) <= 1/8; the kept states still see
+    # the SIC's Fisher matrix, so every kept sample is exactly 4
+    pom = duplicate_outcome(qubit_sic(), 0, [8e-12, 1 - 8e-12])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = qttf_monte_carlo(pom, BASIS2, 4000, np.random.default_rng(66))
+    assert abs(est.value - 4.0) < 1e-9
+    assert est.std_error < 1e-12
+    assert est.params["kurtosis"] == 0.0
+    rate = est.params["redraw_rate"]
+    drawn = 4000 / (1 - rate)  # a lower bound: the last batch may keep more than it needs
+    assert abs(rate - 0.25) < 5 * np.sqrt(0.25 * 0.75 / drawn)
+
+
 def test_monte_carlo_rejects_pathological_measurement():
     # an outcome scaled down to the probability floor forces every draw
     # below the cutoff while the measurement stays formally complete
