@@ -8,7 +8,9 @@ Its evaluation routes:
   measurements made of dim+1 rank-one bases (e.g. mutually unbiased bases),
 * a moment series around the maximally mixed state, exact through fourth
   order in the probability fluctuations,
-* plain Monte-Carlo averaging over Haar states.
+* Monte-Carlo averaging over Haar states, with the first- and second-order
+  terms of the expansion below (whose Haar means are exact) as fitted
+  control variates.
 
 The series rests on the identity (with Pbar the diagonal matrix of
 maximally mixed probabilities, P the diagonal probability matrix at rho,
@@ -50,7 +52,7 @@ from .errors import (
     PathologicalPomError,
     UnsupportedOrderError,
 )
-from .fisher import P_FLOOR, measurement_matrices
+from .fisher import P_FLOOR, TomographyMatrices, measurement_matrices
 from .operators import HermitianBasis, build_basis, haar_state_vectors
 from .pom import Pom
 
@@ -128,7 +130,10 @@ class AuxiliaryMatrices:
 
 
 def auxiliary_matrices(pom: Pom, basis: HermitianBasis) -> AuxiliaryMatrices:
-    matrices = measurement_matrices(pom, basis)
+    return _auxiliary_from(pom, measurement_matrices(pom, basis))
+
+
+def _auxiliary_from(pom: Pom, matrices: TomographyMatrices) -> AuxiliaryMatrices:
     if not matrices.is_informationally_complete:
         raise NotInformationallyCompleteError(
             f"measurement matrix C is rank deficient "
@@ -265,10 +270,9 @@ def haar_moment_term(
         )
     yg = y * g2
     xg = x * g2
+    # Tr(x yg y yg) and Tr(xg y yg y) as traces of two matmul products
     pairpair = float(
-        np.einsum("da,ab,bc,cd->", x, yg, y, yg, optimize=True)
-        + crossed
-        + np.einsum("da,ab,bc,cd->", xg, y, yg, y, optimize=True)
+        np.sum((x @ yg) * (y @ yg).T) + crossed + np.sum((xg @ y) * (yg @ y).T)
     )
     s4 = 2 * quartic.real + pairpair
     denom = dim * (dim + 1) * (dim + 2) * (dim + 3)
@@ -416,16 +420,39 @@ def qttf_monte_carlo(
     the redraw rate is reported; a measurement rejecting more than half of
     all draws is refused as pathological.
 
-    States are drawn in batches of up to MC_BATCH.  With K = dim**2 - 1 and
-    the outer products c_m c_m^T of the rows of C tabulated once per call
-    as an (M, K**2) matrix, a batch of s states costs
+    Every kept sample v = Tr(F^{-1}) carries two control variates built from
+    its Bloch coordinates t (p - pbar = C t, K = dim**2 - 1), the first two
+    terms of the expansion in the module docstring at alpha = 1:
 
-    * one real (s, 2 dim**2) @ (2 dim**2, M) matmul for the Born
-      probabilities p_m = Re sum_ij rho_ij conj(Pi_m)_ij over the float64
-      views of rho = v v^dag and of the outcomes,
+    * linear, g1 = l . t with l = C^T diag(X), the term Tr(X D);
+    * quadratic, g2 = t^T Q t - Tr Q / (dim (dim+1)) with Q = C^T (X o Y) C,
+      the term Tr(X D Y D).
+
+    Both have Haar mean exactly 0, since E[t t^T] = I / (dim (dim+1)) for
+    pure states.  The value is mean(v - G beta), with beta the least-squares
+    fit of the centred samples on the centred controls (minimum norm, so a
+    constant control gets coefficient 0), and std_error comes from the
+    residuals with 3 degrees of freedom spent.  params["variance_reduction"]
+    is the raw over the residual sum of squares.  The fit is skipped, giving
+    the plain mean and a factor of exactly 1.0, when any draw was redrawn
+    (the conditioned distribution no longer has the known control means),
+    when n_samples <= 3, or when the samples have no spread.  The kurtosis
+    and HeavyTailWarning describe the raw samples.
+
+    States are drawn in batches of up to MC_BATCH.  With the outer products
+    c_m c_m^T of the rows of C tabulated once per call as an (M, K**2)
+    matrix, a batch of s states costs
+
+    * one real (s, 2 dim**2) @ (2 dim**2, M + K) matmul for the Born
+      probabilities p_m = Re sum_ij rho_ij conj(Pi_m)_ij and the Bloch
+      coordinates t_k = Re sum_ij rho_ij conj(B_k)_ij over the float64
+      views of rho = v v^dag, of the outcomes and of the traceless basis,
     * one (s, M) @ (M, K**2) matmul for the Fisher matrices
       F = sum_m c_m c_m^T / p_m,
-    * one batched eigvalsh for Tr(F^{-1}) = sum 1 / lambda.
+    * one batched eigvalsh for Tr(F^{-1}) = sum 1 / lambda,
+    * one (s, K) @ (K, K) matmul for the controls,
+
+    so each sample costs O(dim**2 K + K**2) on top of its eigvalsh.
     """
     if n_samples < 2:
         raise ValueError(f"need at least 2 samples, got {n_samples}")
@@ -435,14 +462,20 @@ def qttf_monte_carlo(
             f"measurement matrix C is rank deficient "
             f"(s_min {matrices.singular_values_c[-1]:.3e}); Tr(F^{{-1}}) does not exist"
         )
+    aux = _auxiliary_from(pom, matrices)
     seed = rng if isinstance(rng, (int, np.integer)) else None
     rng = np.random.default_rng(rng)
     dim, m = pom.dim, pom.n_outcomes
     c_matrix = matrices.c_matrix
     k = c_matrix.shape[1]
     outer_table = (c_matrix[:, :, None] * c_matrix[:, None, :]).reshape(m, k * k)
-    flat_outcomes = np.ascontiguousarray(pom.outcomes).reshape(m, dim * dim).view(np.float64)
+    operators = np.concatenate([pom.outcomes, basis.traceless_ops])
+    born_table = operators.reshape(m + k, dim * dim).view(np.float64)
+    linear = c_matrix.T @ np.diag(aux.x_matrix)
+    quadratic = c_matrix.T @ (aux.x_matrix * aux.y_matrix) @ c_matrix
+    quadratic_mean = np.trace(quadratic) / (dim * (dim + 1))
     values = np.empty(n_samples)
+    controls = np.empty((n_samples, 2))
     filled = 0
     drawn = 0
     rejected = 0
@@ -450,8 +483,8 @@ def qttf_monte_carlo(
         chunk = min(MC_BATCH, max(n_samples - filled, 64))
         vectors = haar_state_vectors(dim, chunk, rng)
         states = vectors[:, :, None] * vectors[:, None, :].conj()
-        probs = states.reshape(chunk, dim * dim).view(np.float64) @ flat_outcomes.T
-        keep = probs.min(axis=1) > P_FLOOR
+        born = states.reshape(chunk, dim * dim).view(np.float64) @ born_table.T
+        keep = born[:, :m].min(axis=1) > P_FLOOR
         drawn += chunk
         rejected += int(chunk - keep.sum())
         if drawn >= 100 and rejected > drawn / 2:
@@ -460,19 +493,23 @@ def qttf_monte_carlo(
             )
         if not keep.any():
             continue
-        fishers = ((1.0 / probs[keep]) @ outer_table).reshape(-1, k, k)
+        fishers = ((1.0 / born[keep, :m]) @ outer_table).reshape(-1, k, k)
         evals = np.linalg.eigvalsh(fishers)
         batch_vals = np.sum(1.0 / evals, axis=1)
         take = min(n_samples - filled, batch_vals.size)
+        coords = born[keep, m:][:take]
         values[filled : filled + take] = batch_vals[:take]
+        controls[filled : filled + take, 0] = coords @ linear
+        controls[filled : filled + take, 1] = np.sum((coords @ quadratic) * coords, axis=1)
         filled += take
+    controls[:, 1] -= quadratic_mean
     mean = float(values.mean())
-    std_error = float(values.std(ddof=1) / np.sqrt(n_samples))
     centered = values - mean
     second = float(np.mean(centered**2))
     # Zero spread (up to roundoff) means a state-independent Tr(F^{-1});
-    # the kurtosis diagnostic is meaningless there.
-    if second > (1e-9 * max(abs(mean), 1.0)) ** 2:
+    # the kurtosis diagnostic and the control fit are meaningless there.
+    spread = second > (1e-9 * max(abs(mean), 1.0)) ** 2
+    if spread:
         kurtosis = float(np.mean(centered**4) / second**2)
     else:
         kurtosis = 0.0
@@ -482,14 +519,28 @@ def qttf_monte_carlo(
             HeavyTailWarning,
             stacklevel=2,
         )
+    if spread and rejected == 0 and n_samples > 3:
+        control_means = controls.mean(axis=0)
+        shifted = controls - control_means
+        beta = np.linalg.lstsq(shifted, centered, rcond=None)[0]
+        residuals = centered - shifted @ beta
+        residual_ss = float(residuals @ residuals)
+        value = mean - float(control_means @ beta)
+        std_error = float(np.sqrt(residual_ss / ((n_samples - 3) * n_samples)))
+        reduction = second * n_samples / residual_ss
+    else:
+        value = mean
+        std_error = float(values.std(ddof=1) / np.sqrt(n_samples))
+        reduction = 1.0
     return QttfEstimate(
-        value=mean,
+        value=value,
         method="monte_carlo",
         params={
             "n_samples": int(n_samples),
             "seed": seed if seed is None else int(seed),
             "redraw_rate": rejected / drawn if drawn else 0.0,
             "kurtosis": kurtosis,
+            "variance_reduction": reduction,
         },
         std_error=std_error,
     )
@@ -503,7 +554,11 @@ def qttf_auto(
     memory_budget: int = DEFAULT_MEMORY_BUDGET,
 ) -> QttfEstimate:
     """Closed form when the structure allows it, otherwise order-2 series for
-    moderately sized measurements (M <= 4 dim**2), otherwise Monte Carlo."""
+    moderately sized measurements (M <= 4 dim**2), otherwise Monte Carlo.
+
+    Monte Carlo also stands in for the series when the series' pair-product
+    cache would exceed memory_budget.
+    """
     try:
         return qttf_closed_minimal(pom, basis)
     except NotMinimallyCompleteError:
@@ -513,7 +568,10 @@ def qttf_auto(
     except NotMinimalBasesError:
         pass
     if pom.n_outcomes <= 4 * pom.dim * pom.dim:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ConvergenceWarning)
-            return qttf_series(pom, basis, alpha=1.0, max_order=2, memory_budget=memory_budget)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ConvergenceWarning)
+                return qttf_series(pom, basis, alpha=1.0, max_order=2, memory_budget=memory_budget)
+        except BudgetExceededError:
+            pass
     return qttf_monte_carlo(pom, basis, n_samples, rng)

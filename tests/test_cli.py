@@ -200,6 +200,7 @@ def test_qttf_mc_is_reproducible(tmp_path):
     payload = json.loads(runs[0][1])
     assert payload["method"] == "monte_carlo"
     assert payload["std_error"] > 0
+    assert payload["params"]["variance_reduction"] >= 1.0
 
 
 def test_qttf_non_ic_exit_code(tmp_path):
@@ -218,6 +219,18 @@ def test_qttf_budget_exit_code(tmp_path):
         "--memory-budget", "2000",
     )
     assert code == EXIT_BUDGET
+
+
+def test_qttf_auto_falls_back_to_monte_carlo_over_budget(tmp_path):
+    pom_file = tmp_path / "rand.json"
+    _make(tmp_path, "pom", "random", "--dim", "2", "--m", "8", "--rank", "1",
+          "--seed", "2", "--out", str(pom_file))
+    code, out = _make(tmp_path, "qttf", str(pom_file), "--memory-budget", "1000",
+                      "--samples", "2000")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["method"] == "monte_carlo"
+    assert payload["std_error"] > 0
 
 
 # ---------------------------------------------------------------- compare

@@ -261,6 +261,7 @@ def test_monte_carlo_zero_variance_on_qubit_sic():
     assert abs(est.value - 4.0) < 1e-9
     assert est.std_error < 1e-12
     assert est.params["kurtosis"] == 0.0
+    assert est.params["variance_reduction"] == 1.0
 
 
 def test_monte_carlo_determinism_and_params():
@@ -293,15 +294,31 @@ def test_monte_carlo_agrees_with_accuracy_average():
 )
 def test_monte_carlo_equals_accuracy_average_on_the_same_stream(dim, m, rank, seed):
     # with no redraws the first batch is exactly haar_state_vectors(dim, n, rng),
-    # so replaying that stream through the pointwise accuracy must give the
-    # same mean up to summation order
+    # so replaying that stream through the pointwise accuracy, with the two
+    # control variates built in outcome space (the first two expansion terms
+    # Tr(X D) and Tr(X D Y D) minus their exact Haar means) and fitted by
+    # least squares, must give the same estimate up to summation order
     basis = build_basis(dim)
     pom = random_pom(dim, m, rank, rng=np.random.default_rng(seed))
     n = 300
     est = qttf_monte_carlo(pom, basis, n, rng=seed)
     assert est.params["redraw_rate"] == 0.0
-    states = haar_state_vectors(dim, n, np.random.default_rng(seed))
-    oracle = np.mean([accuracy(np.outer(v, v.conj()), pom, basis) for v in states])
+    aux = auxiliary_matrices(pom, basis)
+    f2 = haar_moment_term(pom, basis, 2)
+    vectors = haar_state_vectors(dim, n, np.random.default_rng(seed))
+    states = [np.outer(v, v.conj()) for v in vectors]
+    values = np.array([accuracy(rho, pom, basis) for rho in states])
+    deltas = np.array([probabilities(rho, pom) - aux.p_bar for rho in states])
+    controls = np.column_stack(
+        [
+            deltas @ np.diag(aux.x_matrix),
+            np.einsum("sa,ab,sb->s", deltas, aux.x_matrix * aux.y_matrix, deltas) - f2,
+        ]
+    )
+    beta = np.linalg.lstsq(
+        controls - controls.mean(axis=0), values - values.mean(), rcond=None
+    )[0]
+    oracle = np.mean(values - controls @ beta)
     assert abs(est.value - oracle) <= 1e-12 * oracle
 
 
@@ -316,9 +333,52 @@ def test_monte_carlo_redraws_states_under_the_floor():
     assert abs(est.value - 4.0) < 1e-9
     assert est.std_error < 1e-12
     assert est.params["kurtosis"] == 0.0
+    # redrawn states leave a conditioned distribution whose control means are
+    # unknown, so the estimate is the plain mean with no control fit
+    assert est.params["variance_reduction"] == 1.0
     rate = est.params["redraw_rate"]
     drawn = 4000 / (1 - rate)  # a lower bound: the last batch may keep more than it needs
     assert abs(rate - 0.25) < 5 * np.sqrt(0.25 * 0.75 / drawn)
+
+
+def test_monte_carlo_variance_reduction_is_recorded():
+    pom = random_pom(3, 18, 1, rng=np.random.default_rng(67))
+    est = qttf_monte_carlo(pom, BASIS3, 2000, rng=68)
+    assert est.params["variance_reduction"] > 1.0
+    # the smallest sample count with a residual degree of freedom left fits;
+    # below it the plain mean is returned
+    assert qttf_monte_carlo(pom, BASIS3, 4, rng=69).params["variance_reduction"] >= 1.0
+    assert qttf_monte_carlo(pom, BASIS3, 3, rng=69).params["variance_reduction"] == 1.0
+
+
+def test_monte_carlo_error_bars_cover_the_reference():
+    # 2-sigma intervals from n = 300 runs must cover a 4e5-sample reference
+    # about 95 % of the time: the fitted controls must not shrink the error
+    # bar below the actual scatter of the estimate
+    pom = random_pom(2, 8, 1, rng=np.random.default_rng(70))
+    reference = qttf_monte_carlo(pom, BASIS2, 400_000, rng=71).value
+    covered = 0
+    for seed in range(200):
+        est = qttf_monte_carlo(pom, BASIS2, 300, rng=1000 + seed)
+        covered += abs(est.value - reference) <= 2 * est.std_error
+    assert 0.90 <= covered / 200 <= 0.98
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_monte_carlo_matches_closed_forms_on_random_structured_measurements(dim):
+    # unlike the SIC/MUB anchors, Tr(F^{-1}) varies from state to state on
+    # these measurements, so the control fit actually acts on the samples
+    rng = np.random.default_rng(72 + dim)
+    basis = build_basis(dim)
+    cases = [
+        (random_pom(dim, dim * dim, 1, rng=rng), qttf_closed_minimal),
+        (_random_bases_pom(dim, rng), qttf_closed_minimal_bases),
+    ]
+    for pom, closed_form in cases:
+        exact = closed_form(pom, basis).value
+        est = qttf_monte_carlo(pom, basis, 20000, rng=rng)
+        assert est.params["redraw_rate"] == 0.0
+        assert abs(est.value - exact) <= 4 * est.std_error + 1e-9 * exact
 
 
 def test_monte_carlo_rejects_pathological_measurement():
@@ -345,6 +405,11 @@ def test_budget_failure_names_the_alternative():
         series_term_f4(pom, memory_budget=1000)
     with pytest.raises(BudgetExceededError):
         qttf_series(pom, BASIS2, alpha=0.2, max_order=4, memory_budget=1000)
+    # qttf_auto takes that alternative itself instead of raising
+    assert qttf_auto(pom, BASIS2).method == "series"
+    est = qttf_auto(pom, BASIS2, n_samples=2000, rng=3, memory_budget=1000)
+    assert est.method == "monte_carlo"
+    assert est.std_error > 0
 
 
 def test_quartic_value_ignores_the_old_g4_budget_trigger():
