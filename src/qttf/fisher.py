@@ -11,6 +11,7 @@ mean squared Hilbert-Schmidt error of unbiased estimation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,7 +35,8 @@ class TomographyMatrices:
 
     c_matrix is M x (dim**2 - 1) over the traceless basis operators; c_tilde
     is M x dim**2 with the identity column first; p_bar holds the outcome
-    probabilities at the maximally mixed state.
+    probabilities at the maximally mixed state.  The spectrum of C-tilde is
+    computed on first read, since only conditioning reports use it.
     """
 
     dim: int
@@ -42,7 +44,11 @@ class TomographyMatrices:
     c_tilde: np.ndarray
     p_bar: np.ndarray
     singular_values_c: np.ndarray  # descending
-    singular_values_c_tilde: np.ndarray  # descending
+
+    @cached_property
+    def singular_values_c_tilde(self) -> np.ndarray:
+        """Singular values of C-tilde, descending."""
+        return np.linalg.svd(self.c_tilde, compute_uv=False)
 
     @property
     def n_outcomes(self) -> int:
@@ -114,7 +120,6 @@ def measurement_matrices(pom: Pom, basis: HermitianBasis) -> TomographyMatrices:
         c_tilde=c_tilde,
         p_bar=p_bar,
         singular_values_c=np.linalg.svd(c_matrix, compute_uv=False),
-        singular_values_c_tilde=np.linalg.svd(c_tilde, compute_uv=False),
     )
 
 

@@ -8,9 +8,11 @@ Its evaluation routes:
   measurements made of dim+1 rank-one bases (e.g. mutually unbiased bases),
 * a moment series around the maximally mixed state, exact through fourth
   order in the probability fluctuations,
-* Monte-Carlo averaging over Haar states, with the first- and second-order
-  terms of the expansion below (whose Haar means are exact) as fitted
-  control variates.
+* Monte-Carlo averaging over Haar states, with Tr(F^{-1}) from a batched
+  Cholesky factorisation and the first-, second- and third-order terms of
+  the expansion below as fitted control variates.  Their Haar means, 0, F2
+  and F3, are exact; qttf_monte_carlo writes the three terms and their means
+  in the Bloch coordinates of the sampled state.
 
 The series rests on the identity (with Pbar the diagonal matrix of
 maximally mixed probabilities, P the diagonal probability matrix at rho,
@@ -37,8 +39,10 @@ of the untruncated series is guaranteed for alpha < alpha0 =
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -60,6 +64,7 @@ DEFAULT_MEMORY_BUDGET = 2**30  # bytes
 STRUCTURE_TOL = 1e-8
 KURTOSIS_FLAG = 100.0
 MC_BATCH = 20000  # Haar states per Monte Carlo batch
+CHOLESKY_BLOCK = 512  # Fisher matrices factored at once within a batch
 
 
 @dataclass(frozen=True)
@@ -119,21 +124,28 @@ class AuxiliaryMatrices:
     """Expansion matrices around the maximally mixed state.
 
     x_matrix is PSD, y_matrix is negative semidefinite, and alpha0 is the
-    guaranteed convergence radius of the moment series.
+    guaranteed convergence radius of the moment series, computed on first
+    read since only the series uses it.
     """
 
     x_matrix: np.ndarray  # Pbar^{-1} C Fbar^{-2} C^T Pbar^{-1}
     y_matrix: np.ndarray  # Pbar^{-1} C Fbar^{-1} C^T Pbar^{-1} - Pbar^{-1}
     p_bar: np.ndarray
     tr_fbar_inv: float
-    alpha0: float
+    dim: int
+
+    @cached_property
+    def alpha0(self) -> float:
+        """1 / (||Y||_2 max_j Tr Pi_j), with Tr Pi_j = dim * pbar_j."""
+        y_norm = float(np.abs(np.linalg.eigvalsh(self.y_matrix)).max())
+        return 1.0 / (y_norm * self.dim * float(self.p_bar.max()))
 
 
 def auxiliary_matrices(pom: Pom, basis: HermitianBasis) -> AuxiliaryMatrices:
-    return _auxiliary_from(pom, measurement_matrices(pom, basis))
+    return _auxiliary_from(measurement_matrices(pom, basis))
 
 
-def _auxiliary_from(pom: Pom, matrices: TomographyMatrices) -> AuxiliaryMatrices:
+def _auxiliary_from(matrices: TomographyMatrices) -> AuxiliaryMatrices:
     if not matrices.is_informationally_complete:
         raise NotInformationallyCompleteError(
             f"measurement matrix C is rank deficient "
@@ -153,14 +165,12 @@ def _auxiliary_from(pom: Pom, matrices: TomographyMatrices) -> AuxiliaryMatrices
     y_matrix = scaled @ inv1 @ scaled.T - np.diag(1.0 / pbar)
     x_matrix = (x_matrix + x_matrix.T) / 2
     y_matrix = (y_matrix + y_matrix.T) / 2
-    y_norm = float(np.abs(np.linalg.eigvalsh(y_matrix)).max())
-    alpha0 = 1.0 / (y_norm * float(pom.traces.max()))
     return AuxiliaryMatrices(
         x_matrix=x_matrix,
         y_matrix=y_matrix,
         p_bar=pbar,
         tr_fbar_inv=float(np.sum(1.0 / evals)),
-        alpha0=alpha0,
+        dim=matrices.dim,
     )
 
 
@@ -229,7 +239,7 @@ def haar_moment_term(
     if aux is None:
         aux = auxiliary_matrices(pom, basis)
     x, y = aux.x_matrix, aux.y_matrix
-    dim = pom.dim
+    dim, m = pom.dim, pom.n_outcomes
     outcomes = pom.outcomes
     products = _pair_products(outcomes, memory_budget)
     g2 = np.einsum("abii->ab", products).real
@@ -238,13 +248,24 @@ def haar_moment_term(
     if order == 2:
         return s2 / (dim * (dim + 1))
 
-    s3 = float(
-        np.einsum("ca,ab,bc,abij,cji->", x, y, y, products, outcomes, optimize=True).real
-    )
+    # s3 = sum_abc X_ca Y_ab Y_bc Re Tr(Pi_a Pi_b Pi_c).  The traces of a block
+    # of c values are one real (M**2, 2 dim**2) @ (2 dim**2, block) matmul over
+    # the float64 views; blocks of 2 dim**2 keep each (M, M, block) slab no
+    # larger than the pair products, and M <= 2 dim**2 takes a single block.
+    pair_flat = products.reshape(m * m, dim * dim).view(np.float64)
+    flat = np.ascontiguousarray(outcomes).reshape(m, dim * dim).view(np.float64)
+    step = 2 * dim * dim
+    s3 = 0.0
+    for start in range(0, m, step):
+        cs = slice(start, start + step)
+        triples = (pair_flat @ flat[cs].T).reshape(m, m, -1)  # [a, b, c]
+        triples *= y[:, cs]  # Y_bc
+        triples *= y[:, :, None]  # Y_ab
+        s3 += float(np.sum(triples.sum(axis=1) * x[cs].T))  # X_ca
+    del triples  # the order-4 working set in _quartic_bytes does not hold it
     if order == 3:
         return 2 * (s2 + s3) / (dim * (dim + 1) * (dim + 2))
 
-    m = pom.n_outcomes
     resident = _quartic_bytes(m, dim, 0)
     chunk = min(m, (memory_budget - resident) // (_quartic_bytes(m, dim, 1) - resident))
     if chunk < 1:
@@ -408,6 +429,46 @@ def qttf_closed_minimal_bases(pom: Pom, basis: HermitianBasis) -> QttfEstimate:
     )
 
 
+def _trace_inverse_stack(weights: np.ndarray, outer_table: np.ndarray) -> np.ndarray:
+    """Tr(F^{-1}) for every row w of weights, with F = sum_m w_m c_m c_m^T.
+
+    outer_table holds the outer products c_m c_m^T as an (M, K**2) matrix.
+    The rows go in blocks of CHOLESKY_BLOCK: a block's Fisher matrices are
+    one (block, M) @ (M, K**2) matmul, factored as F = L L^T by a batched
+    Cholesky, and L is inverted in place one row at a time (row i of L^{-1}
+    needs row i of L and the rows of L^{-1} above it), so that
+    Tr(F^{-1}) = ||L^{-1}||_F**2.  Only one (block, K, K) stack is kept.
+    """
+    k = math.isqrt(outer_table.shape[1])
+    traces = np.empty(weights.shape[0])
+    for start in range(0, weights.shape[0], CHOLESKY_BLOCK):
+        rows = slice(start, start + CHOLESKY_BLOCK)
+        try:
+            lower = np.linalg.cholesky((weights[rows] @ outer_table).reshape(-1, k, k))
+        except np.linalg.LinAlgError:
+            raise NotInformationallyCompleteError(
+                "Fisher matrix is not positive definite; Tr(F^{-1}) does not exist"
+            ) from None
+        for i in range(k):
+            diag = 1.0 / lower[:, i, i]
+            lower[:, i, :i] = (lower[:, i, None, :i] @ lower[:, :i, :i])[:, 0] * -diag[:, None]
+            lower[:, i, i] = diag
+        traces[rows] = np.einsum("sij,sij->s", lower, lower)
+    return traces
+
+
+def _cubic_form(coords: np.ndarray, tensor: np.ndarray) -> np.ndarray:
+    """sum_ijk tensor[j, i, k] t_i t_j t_k for every row t of coords.
+
+    One (s, K) @ (K, K) matmul per slab tensor[j], so O(K**3) per row and no
+    (s, K**2) temporary.
+    """
+    total = np.zeros(coords.shape[0])
+    for j, slab in enumerate(tensor):
+        total += coords[:, j] * np.einsum("si,si->s", coords @ slab, coords)
+    return total
+
+
 def qttf_monte_carlo(
     pom: Pom,
     basis: HermitianBasis,
@@ -420,24 +481,29 @@ def qttf_monte_carlo(
     the redraw rate is reported; a measurement rejecting more than half of
     all draws is refused as pathological.
 
-    Every kept sample v = Tr(F^{-1}) carries two control variates built from
-    its Bloch coordinates t (p - pbar = C t, K = dim**2 - 1), the first two
-    terms of the expansion in the module docstring at alpha = 1:
+    Every kept sample v = Tr(F^{-1}) carries three control variates built
+    from its Bloch coordinates t (p - pbar = C t, K = dim**2 - 1), the first
+    three terms of the expansion in the module docstring at alpha = 1:
 
     * linear, g1 = l . t with l = C^T diag(X), the term Tr(X D);
     * quadratic, g2 = t^T Q t - Tr Q / (dim (dim+1)) with Q = C^T (X o Y) C,
-      the term Tr(X D Y D).
+      the term Tr(X D Y D);
+    * cubic, g3 = sum_ijk T_ijk t_i t_j t_k - 2 sum_ijk T_ijk Re Tr(B_i B_j B_k)
+      / (dim (dim+1) (dim+2)) with T_ijk = sum_abc X_ca Y_ab Y_bc C_ai C_bj C_ck,
+      the term Tr(X D Y D Y D).
 
-    Both have Haar mean exactly 0, since E[t t^T] = I / (dim (dim+1)) for
-    pure states.  The value is mean(v - G beta), with beta the least-squares
-    fit of the centred samples on the centred controls (minimum norm, so a
-    constant control gets coefficient 0), and std_error comes from the
-    residuals with 3 degrees of freedom spent.  params["variance_reduction"]
-    is the raw over the residual sum of squares.  The fit is skipped, giving
-    the plain mean and a factor of exactly 1.0, when any draw was redrawn
-    (the conditioned distribution no longer has the known control means),
-    when n_samples <= 3, or when the samples have no spread.  The kurtosis
-    and HeavyTailWarning describe the raw samples.
+    All three have Haar mean exactly 0, because for pure states
+    E[t t^T] = I / (dim (dim+1)) and E[t_i t_j t_k] = 2 Re Tr(B_i B_j B_k) /
+    (dim (dim+1) (dim+2)) over the traceless basis B.  The value is
+    mean(v - G beta), with beta the least-squares fit of the centred samples
+    on the centred controls (minimum norm, so a constant control gets
+    coefficient 0), and std_error comes from the residuals with 4 degrees of
+    freedom spent.  params["variance_reduction"] is the raw over the
+    residual sum of squares.  The fit is skipped, giving the plain mean and
+    a factor of exactly 1.0, when any draw was redrawn (the conditioned
+    distribution no longer has the known control means), when
+    n_samples <= 4, or when the samples have no spread.  The kurtosis and
+    HeavyTailWarning describe the raw samples.
 
     States are drawn in batches of up to MC_BATCH.  With the outer products
     c_m c_m^T of the rows of C tabulated once per call as an (M, K**2)
@@ -448,11 +514,11 @@ def qttf_monte_carlo(
       coordinates t_k = Re sum_ij rho_ij conj(B_k)_ij over the float64
       views of rho = v v^dag, of the outcomes and of the traceless basis,
     * one (s, M) @ (M, K**2) matmul for the Fisher matrices
-      F = sum_m c_m c_m^T / p_m,
-    * one batched eigvalsh for Tr(F^{-1}) = sum 1 / lambda,
-    * one (s, K) @ (K, K) matmul for the controls,
+      F = sum_m c_m c_m^T / p_m, a batched Cholesky factorisation and an
+      in-place inversion of the factor for Tr(F^{-1}) (_trace_inverse_stack),
+    * K + 2 (s, K) @ (K, K) matmuls for the controls,
 
-    so each sample costs O(dim**2 K + K**2) on top of its eigvalsh.
+    so each sample costs its Cholesky factorisation plus O(dim**2 K + K**3).
     """
     if n_samples < 2:
         raise ValueError(f"need at least 2 samples, got {n_samples}")
@@ -462,20 +528,31 @@ def qttf_monte_carlo(
             f"measurement matrix C is rank deficient "
             f"(s_min {matrices.singular_values_c[-1]:.3e}); Tr(F^{{-1}}) does not exist"
         )
-    aux = _auxiliary_from(pom, matrices)
+    aux = _auxiliary_from(matrices)
     seed = rng if isinstance(rng, (int, np.integer)) else None
     rng = np.random.default_rng(rng)
     dim, m = pom.dim, pom.n_outcomes
     c_matrix = matrices.c_matrix
     k = c_matrix.shape[1]
     outer_table = (c_matrix[:, :, None] * c_matrix[:, None, :]).reshape(m, k * k)
-    operators = np.concatenate([pom.outcomes, basis.traceless_ops])
+    traceless = basis.traceless_ops
+    operators = np.concatenate([pom.outcomes, traceless])
     born_table = operators.reshape(m + k, dim * dim).view(np.float64)
-    linear = c_matrix.T @ np.diag(aux.x_matrix)
-    quadratic = c_matrix.T @ (aux.x_matrix * aux.y_matrix) @ c_matrix
+    x, y = aux.x_matrix, aux.y_matrix
+    linear = c_matrix.T @ np.diag(x)
+    quadratic = c_matrix.T @ (x * y) @ c_matrix
     quadratic_mean = np.trace(quadratic) / (dim * (dim + 1))
+    # cubic[j] = C^T (X o W_j) C with W_j = Y diag(C[:, j]) Y, i.e. T_ijk at [j, i, k]
+    cubic = c_matrix.T @ (x * (y @ (c_matrix.T[:, :, None] * y))) @ c_matrix
+    # Re Tr(B_i B_j B_k) as one real (K**2, 2 dim**2) @ (2 dim**2, K) matmul; it is
+    # symmetric in all three indices, so its layout need not match cubic's
+    pairs = (traceless[:, None] @ traceless[None, :]).reshape(k * k, dim * dim)
+    triples = pairs.view(np.float64) @ traceless.reshape(k, dim * dim).view(np.float64).T
+    cubic_mean = 2 * float(np.sum(cubic.ravel() * triples.ravel())) / (
+        dim * (dim + 1) * (dim + 2)
+    )
     values = np.empty(n_samples)
-    controls = np.empty((n_samples, 2))
+    controls = np.empty((n_samples, 3))
     filled = 0
     drawn = 0
     rejected = 0
@@ -491,18 +568,19 @@ def qttf_monte_carlo(
             raise PathologicalPomError(
                 f"{rejected}/{drawn} Haar draws hit the probability floor {P_FLOOR}"
             )
-        if not keep.any():
+        kept = born[keep][: n_samples - filled]
+        take = kept.shape[0]
+        if not take:
             continue
-        fishers = ((1.0 / born[keep, :m]) @ outer_table).reshape(-1, k, k)
-        evals = np.linalg.eigvalsh(fishers)
-        batch_vals = np.sum(1.0 / evals, axis=1)
-        take = min(n_samples - filled, batch_vals.size)
-        coords = born[keep, m:][:take]
-        values[filled : filled + take] = batch_vals[:take]
-        controls[filled : filled + take, 0] = coords @ linear
-        controls[filled : filled + take, 1] = np.sum((coords @ quadratic) * coords, axis=1)
+        coords = kept[:, m:]
+        rows = slice(filled, filled + take)
+        values[rows] = _trace_inverse_stack(1.0 / kept[:, :m], outer_table)
+        controls[rows, 0] = coords @ linear
+        controls[rows, 1] = np.sum((coords @ quadratic) * coords, axis=1)
+        controls[rows, 2] = _cubic_form(coords, cubic)
         filled += take
     controls[:, 1] -= quadratic_mean
+    controls[:, 2] -= cubic_mean
     mean = float(values.mean())
     centered = values - mean
     second = float(np.mean(centered**2))
@@ -519,14 +597,15 @@ def qttf_monte_carlo(
             HeavyTailWarning,
             stacklevel=2,
         )
-    if spread and rejected == 0 and n_samples > 3:
+    spent = 1 + controls.shape[1]  # the intercept and one coefficient per control
+    if spread and rejected == 0 and n_samples > spent:
         control_means = controls.mean(axis=0)
         shifted = controls - control_means
         beta = np.linalg.lstsq(shifted, centered, rcond=None)[0]
         residuals = centered - shifted @ beta
         residual_ss = float(residuals @ residuals)
         value = mean - float(control_means @ beta)
-        std_error = float(np.sqrt(residual_ss / ((n_samples - 3) * n_samples)))
+        std_error = float(np.sqrt(residual_ss / ((n_samples - spent) * n_samples)))
         reduction = second * n_samples / residual_ss
     else:
         value = mean

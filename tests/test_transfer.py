@@ -20,6 +20,7 @@ from qttf import (
     auxiliary_matrices,
     build_basis,
     duplicate_outcome,
+    fisher_from_probabilities,
     haar_moment_term,
     haar_pure_state,
     haar_state_vectors,
@@ -38,7 +39,9 @@ from qttf import (
     series_term_f3,
     series_term_f4,
     sic_povm,
+    trace_inverse,
 )
+from qttf.transfer import _trace_inverse_stack
 
 BASIS2 = build_basis(2)
 BASIS3 = build_basis(3)
@@ -294,25 +297,32 @@ def test_monte_carlo_agrees_with_accuracy_average():
 )
 def test_monte_carlo_equals_accuracy_average_on_the_same_stream(dim, m, rank, seed):
     # with no redraws the first batch is exactly haar_state_vectors(dim, n, rng),
-    # so replaying that stream through the pointwise accuracy, with the two
-    # control variates built in outcome space (the first two expansion terms
-    # Tr(X D) and Tr(X D Y D) minus their exact Haar means) and fitted by
-    # least squares, must give the same estimate up to summation order
+    # so replaying that stream through the pointwise accuracy, with the three
+    # control variates built in outcome space (the first three expansion terms
+    # Tr(X D), Tr(X D Y D) and Tr(X D Y D Y D) minus their exact Haar means)
+    # and fitted by least squares, must give the same estimate up to summation
+    # order
     basis = build_basis(dim)
     pom = random_pom(dim, m, rank, rng=np.random.default_rng(seed))
     n = 300
     est = qttf_monte_carlo(pom, basis, n, rng=seed)
     assert est.params["redraw_rate"] == 0.0
     aux = auxiliary_matrices(pom, basis)
+    x, y = aux.x_matrix, aux.y_matrix
     f2 = haar_moment_term(pom, basis, 2)
+    f3 = haar_moment_term(pom, basis, 3)
     vectors = haar_state_vectors(dim, n, np.random.default_rng(seed))
     states = [np.outer(v, v.conj()) for v in vectors]
     values = np.array([accuracy(rho, pom, basis) for rho in states])
     deltas = np.array([probabilities(rho, pom) - aux.p_bar for rho in states])
+    dx = deltas[:, :, None] * x  # D X per sample
+    dy = deltas[:, :, None] * y  # D Y per sample
     controls = np.column_stack(
         [
-            deltas @ np.diag(aux.x_matrix),
-            np.einsum("sa,ab,sb->s", deltas, aux.x_matrix * aux.y_matrix, deltas) - f2,
+            deltas @ np.diag(x),
+            np.einsum("sa,ab,sb->s", deltas, x * y, deltas) - f2,
+            # Tr(X D Y D Y D) = Tr(D X D Y D Y)
+            np.einsum("sab,sba->s", dx @ dy, dy) - f3,
         ]
     )
     beta = np.linalg.lstsq(
@@ -320,6 +330,37 @@ def test_monte_carlo_equals_accuracy_average_on_the_same_stream(dim, m, rank, se
     )[0]
     oracle = np.mean(values - controls @ beta)
     assert abs(est.value - oracle) <= 1e-12 * oracle
+
+
+def _outer_table(pom, basis):
+    c = measurement_matrices(pom, basis).c_matrix
+    k = c.shape[1]
+    return (c[:, :, None] * c[:, None, :]).reshape(pom.n_outcomes, k * k)
+
+
+def test_cholesky_trace_inverse_matches_eigendecomposition():
+    # half-mixed states keep every probability near pbar, so the Fisher
+    # matrices are well conditioned; 600 rows span a full and a partial block
+    pom = random_pom(3, 18, 1, rng=np.random.default_rng(80))
+    matrices = measurement_matrices(pom, BASIS3)
+    vectors = haar_state_vectors(3, 600, np.random.default_rng(81))
+    probs = np.array(
+        [probabilities(0.5 * np.outer(v, v.conj()) + np.eye(3) / 6, pom) for v in vectors]
+    )
+    got = _trace_inverse_stack(1.0 / probs, _outer_table(pom, BASIS3))
+    want = np.array(
+        [trace_inverse(fisher_from_probabilities(matrices, p)) for p in probs]
+    )
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_cholesky_trace_inverse_refuses_a_singular_fisher_matrix():
+    # a single basis measurement sees no coherences: its Fisher matrix has
+    # exactly zero rows, and the factorisation failure is reported as such
+    z_basis = Pom(np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]), label="z")
+    table = _outer_table(z_basis, BASIS2)
+    with pytest.raises(NotInformationallyCompleteError):
+        _trace_inverse_stack(np.full((3, 2), 2.0), table)
 
 
 def test_monte_carlo_redraws_states_under_the_floor():
@@ -345,9 +386,10 @@ def test_monte_carlo_variance_reduction_is_recorded():
     pom = random_pom(3, 18, 1, rng=np.random.default_rng(67))
     est = qttf_monte_carlo(pom, BASIS3, 2000, rng=68)
     assert est.params["variance_reduction"] > 1.0
-    # the smallest sample count with a residual degree of freedom left fits;
-    # below it the plain mean is returned
-    assert qttf_monte_carlo(pom, BASIS3, 4, rng=69).params["variance_reduction"] >= 1.0
+    # the smallest sample count with a residual degree of freedom left after
+    # the intercept and three controls fits; below it the plain mean is returned
+    assert qttf_monte_carlo(pom, BASIS3, 5, rng=69).params["variance_reduction"] > 1.0
+    assert qttf_monte_carlo(pom, BASIS3, 4, rng=69).params["variance_reduction"] == 1.0
     assert qttf_monte_carlo(pom, BASIS3, 3, rng=69).params["variance_reduction"] == 1.0
 
 
