@@ -74,6 +74,13 @@ class _UsageError(Exception):
     pass
 
 
+def _check_minimums(*minimums) -> None:
+    """Refuse any (flag, value, low) with value < low before the command does any work."""
+    for flag, value, low in minimums:
+        if value < low:
+            raise _UsageError(f"{flag} must be >= {low}, got {value}")
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
@@ -347,6 +354,7 @@ def _cmd_pom(args) -> int:
 
 
 def _cmd_qttf(args) -> int:
+    _check_minimums(("--samples", args.samples, 2))
     pom = _load(args.pom)
     basis = build_basis(pom.dim)
     if args.method == "auto":
@@ -383,6 +391,7 @@ def _cmd_qttf(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    _check_minimums(("--samples", args.samples, 2))
     if len(args.poms) < 2:
         raise _UsageError("compare needs at least two measurement files")
     poms = [_load(path) for path in args.poms]
@@ -504,10 +513,12 @@ def _cmd_fig1(args) -> int:
 
 def _cmd_fig2(args) -> int:
     # checked before --search writes the pair files
-    minimums = (("--shots", args.shots, 1), ("--trials", args.trials, 2), ("--states", args.states, 1))
-    for flag, value, low in minimums:
-        if value < low:
-            raise _UsageError(f"{flag} must be >= {low}, got {value}")
+    _check_minimums(
+        ("--shots", args.shots, 1),
+        ("--trials", args.trials, 2),
+        ("--states", args.states, 1),
+        ("--samples", args.samples, 2),
+    )
     config = {
         "command": "fig2",
         "pom1": str(args.pom1),

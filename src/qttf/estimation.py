@@ -20,8 +20,23 @@ which every estimator here shares:
 
 `mse_experiment` runs the same solve over a batch of simulated click runs;
 its `weighting` picks the weighted scheme ("probability") or W = 1
-("none").  `haar_mse_sweep` repeats the weighted experiment over Haar-drawn
+("none").  `haar_mse_sweep` runs the weighted experiment over Haar-drawn
 states with the measurement built once.
+
+Both share one batched path over a stack of S states.  The sweep gets the
+Born probabilities and Bloch coordinates of all its pure states from one real
+matmul on their float64 views (as qttf_monte_carlo does) and mixes them
+towards the maximally mixed state affinely.  The probability floor is checked
+on the whole stack before any click is drawn.  Clicks are then drawn and
+inverted in blocks of whole states holding at most MSE_BLOCK = 256 click runs
+(states x trials; a block is one state when n_trials exceeds it), in state
+order, by one `rng.multinomial` call per block.  This consumes the generator
+exactly as one call per state does, so seeded results do not depend on the
+block size.  Per click run the weighted fit costs one row of an
+(rows, M) @ (M, K**2) matmul against the outer products c_m c_m^T
+(TomographyMatrices.outer_table) for C^T W C, an O(M K) right-hand side and
+one K x K solve, K = dim**2 - 1.  The block size bounds the largest
+temporary, that stack of designs, to 256 K**2 doubles (450 KB at dim = 4).
 
 Estimates are returned as bare Hermitian unit-trace matrices; they may be
 non-positive for small samples, which is expected and not an error.
@@ -43,6 +58,8 @@ from .errors import (
 from .fisher import (
     P_FLOOR,
     TomographyMatrices,
+    _born_table,
+    _pure_state_born,
     accuracy_from_probabilities,
     measurement_matrices,
     probabilities,
@@ -52,6 +69,7 @@ from .pom import Pom
 from .transfer import QttfEstimate, qttf_monte_carlo, qttf_series
 
 WEIGHT_FLOOR = 0.5  # clicks: an empty cell is weighted as if half a click had landed in it
+MSE_BLOCK = 256  # click runs (states x trials) drawn and inverted at once
 
 
 @dataclass(frozen=True)
@@ -139,17 +157,19 @@ def _lsq_coords(
     """Solve (C^T W C) t = C^T W (f - pbar) for every row of freq (..., M).
 
     With n_total None the fit is unweighted (W = 1); otherwise the rows are
-    frequencies of n_total clicks and W = diag(1 / max(f, WEIGHT_FLOOR / n_total)).
+    frequencies of n_total clicks and W = diag(1 / max(f, WEIGHT_FLOOR / n_total)),
+    and the designs of all rows are one matmul against matrices.outer_table.
     """
     c_matrix = matrices.c_matrix
     centered = freq - matrices.p_bar
     if n_total is None:
-        design, rhs = c_matrix.T @ c_matrix, centered @ c_matrix
+        design = c_matrix.T @ c_matrix
     else:
-        weights = 1.0 / np.maximum(freq, WEIGHT_FLOOR / n_total)
-        design = c_matrix.T @ (weights[..., :, None] * c_matrix)
-        rhs = (weights * centered) @ c_matrix
-    return np.linalg.solve(design, rhs[..., None])[..., 0]
+        weights = np.reciprocal(np.maximum(freq, WEIGHT_FLOOR / n_total))
+        k = c_matrix.shape[1]
+        design = (weights @ matrices.outer_table).reshape(weights.shape[:-1] + (k, k))
+        centered *= weights
+    return np.linalg.solve(design, (centered @ c_matrix)[..., None])[..., 0]
 
 
 def lin_estimator_reduced(clicks, pom: Pom, basis: HermitianBasis) -> np.ndarray:
@@ -193,29 +213,40 @@ def _experiment_matrices(
 
 
 def _scaled_mse(
-    rho,
-    pom: Pom,
-    basis: HermitianBasis,
     matrices: TomographyMatrices,
+    probs: np.ndarray,
+    targets: np.ndarray,
     n_shots: int,
     n_trials: int,
     rng: np.random.Generator,
     weighted: bool,
-) -> tuple[np.ndarray, float]:
-    """Born probabilities at rho and n_shots * mean ||t_hat - t||^2 over n_trials runs."""
-    probs = probabilities(rho, pom)
-    bad = np.nonzero(probs <= P_FLOOR)[0]
-    if bad.size:
+) -> np.ndarray:
+    """n_shots * mean ||t_hat - t||^2 over n_trials click runs at each of S states.
+
+    probs (S, M) holds the Born probabilities and targets (S, K) the Bloch
+    coordinates of the states.  Clicks are drawn and inverted in blocks of
+    whole states holding at most MSE_BLOCK click runs (one state when
+    n_trials is larger), in state order.
+    """
+    state, outcome = np.nonzero(probs <= P_FLOOR)
+    if state.size:
+        s, j = int(state[0]), int(outcome[0])
         raise ZeroProbabilityError(
-            f"outcome {int(bad[0])} has probability {probs[bad[0]]:.3e}; "
+            f"outcome {j} has probability {probs[s, j]:.3e}; "
             "the experiment needs a full-rank state",
-            index=int(bad[0]),
+            index=j,
         )
-    target = bloch_coords(rho, basis)
-    counts = rng.multinomial(n_shots, probs / probs.sum(), size=n_trials)
-    coords = _lsq_coords(matrices, counts / n_shots, n_shots if weighted else None)
-    squared = ((coords - target) ** 2).sum(axis=1)
-    return probs, float(n_shots * squared.mean())
+    probs = probs / probs.sum(axis=1, keepdims=True)
+    per_block = max(1, MSE_BLOCK // n_trials)
+    scaled = np.empty(len(probs))
+    for start in range(0, len(probs), per_block):
+        block = slice(start, start + per_block)
+        block_probs = probs[block, None, :]
+        counts = rng.multinomial(n_shots, block_probs, size=(len(block_probs), n_trials))
+        coords = _lsq_coords(matrices, counts / n_shots, n_shots if weighted else None)
+        squared = ((coords - targets[block, None, :]) ** 2).sum(axis=2)
+        scaled[block] = n_shots * squared.mean(axis=1)
+    return scaled
 
 
 def mse_experiment(
@@ -237,8 +268,13 @@ def mse_experiment(
         raise ValueError(f"unknown weighting {weighting!r}")
     matrices = _experiment_matrices(pom, basis, n_shots, n_trials)
     rng = np.random.default_rng(rng)
-    probs, scaled_mse = _scaled_mse(
-        rho, pom, basis, matrices, n_shots, n_trials, rng, weighted=weighting == "probability"
+    probs = probabilities(rho, pom)
+    target = bloch_coords(rho, basis)
+    scaled_mse = float(
+        _scaled_mse(
+            matrices, probs[None], target[None], n_shots, n_trials, rng,
+            weighted=weighting == "probability",
+        )[0]
     )
     predicted = accuracy_from_probabilities(matrices, probs)
     return MseReport(
@@ -270,21 +306,33 @@ def haar_mse_sweep(
 ) -> HaarSweepResult:
     """Scaled MSE of the weighted inversion averaged over Haar states mixed
     down to purity purity_mix, reported next to the Monte-Carlo and order-2
-    series transfer values."""
+    series transfer values.
+
+    The states rho = w v v^dag + (1 - w) identity/dim are handled as one
+    stack: one real matmul gives the Born probabilities p_pure and Bloch
+    coordinates t_pure of all the pure states v, and then p = w p_pure +
+    (1 - w) pbar and t = w t_pure.  Clicks are drawn and inverted in blocks
+    of at most MSE_BLOCK click runs (states x trials), one multinomial call
+    per block in state order, which leaves the generator exactly where one
+    call per state leaves it; each click run costs one weighted K x K design
+    row, one right-hand side and one solve (see the module docstring).  The
+    Monte Carlo transfer value then continues the same stream.
+    """
     if n_states < 1:
         raise ValueError(f"need at least 1 state, got {n_states}")
+    if n_qttf_samples < 2:
+        raise ValueError(f"n_qttf_samples must be >= 2, got {n_qttf_samples}")
     matrices = _experiment_matrices(pom, basis, n_shots, n_trials)
     rng = np.random.default_rng(rng)
-    dim = pom.dim
-    weight = mixing_weight_for_purity(purity_mix, dim)
-    vectors = haar_state_vectors(dim, n_states, rng)
-    per_state = np.empty(n_states)
-    for i, vec in enumerate(vectors):
-        # a convex mix of a projector and identity/dim is a state by construction
-        rho = weight * np.outer(vec, vec.conj()) + (1.0 - weight) * np.eye(dim) / dim
-        _, per_state[i] = _scaled_mse(
-            rho, pom, basis, matrices, n_shots, n_trials, rng, weighted=True
-        )
+    weight = mixing_weight_for_purity(purity_mix, pom.dim)
+    vectors = haar_state_vectors(pom.dim, n_states, rng)
+    born = _pure_state_born(vectors, _born_table(pom, basis))
+    m = pom.n_outcomes
+    # Tr(identity Pi_m) / dim = pbar_m and Tr(identity B_k) = 0
+    probs = weight * born[:, :m] + (1.0 - weight) * matrices.p_bar
+    per_state = _scaled_mse(
+        matrices, probs, weight * born[:, m:], n_shots, n_trials, rng, weighted=True
+    )
     stderr = float(per_state.std(ddof=1) / np.sqrt(n_states)) if n_states > 1 else 0.0
     # The order-2 value at alpha = 1 is this sweep's definition of the series
     # comparator, so the generic alpha >= alpha0 caution is redundant here.

@@ -36,7 +36,8 @@ class TomographyMatrices:
     c_matrix is M x (dim**2 - 1) over the traceless basis operators; c_tilde
     is M x dim**2 with the identity column first; p_bar holds the outcome
     probabilities at the maximally mixed state.  The spectrum of C-tilde is
-    computed on first read, since only conditioning reports use it.
+    computed on first read, since only conditioning reports use it, and so
+    is the outer-product table, which only weighted designs use.
     """
 
     dim: int
@@ -49,6 +50,18 @@ class TomographyMatrices:
     def singular_values_c_tilde(self) -> np.ndarray:
         """Singular values of C-tilde, descending."""
         return np.linalg.svd(self.c_tilde, compute_uv=False)
+
+    @cached_property
+    def outer_table(self) -> np.ndarray:
+        """Outer products c_m c_m^T of the rows of C as an (M, K**2) matrix.
+
+        For weights w (..., M), C^T diag(w) C is w @ outer_table reshaped to
+        (..., K, K): one matmul for a whole stack of weight vectors.
+        """
+        c_matrix = self.c_matrix
+        table = (c_matrix[:, :, None] * c_matrix[:, None, :]).reshape(c_matrix.shape[0], -1)
+        table.flags.writeable = False  # shared by every reader of this instance
+        return table
 
     @property
     def n_outcomes(self) -> int:
@@ -132,6 +145,24 @@ def probabilities(rho, pom: Pom) -> np.ndarray:
     if np.abs(probs.imag).max() > 1e-10:
         raise PomValidationError("Born probabilities have a non-real entry")
     return probs.real
+
+
+def _born_table(pom: Pom, basis: HermitianBasis) -> np.ndarray:
+    """The outcomes, then the traceless basis operators, as rows of one real
+    (M + K, 2 dim**2) matrix: the float64 views of the flattened operators."""
+    operators = np.concatenate([pom.outcomes, basis.traceless_ops])
+    return operators.reshape(len(operators), pom.dim * pom.dim).view(np.float64)
+
+
+def _pure_state_born(vectors: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Born probabilities and Bloch coordinates (s, M + K) of the pure states
+    v v^dag, one per row v of vectors (s, dim), given table = _born_table(...).
+
+    One real (s, 2 dim**2) @ (2 dim**2, M + K) matmul: over the float64 views,
+    Re sum_ij rho_ij conj(O)_ij = Tr(rho O) for every Hermitian operator O.
+    """
+    states = vectors[:, :, None] * vectors[:, None, :].conj()
+    return states.reshape(len(vectors), -1).view(np.float64) @ table.T
 
 
 def fisher_from_probabilities(matrices: TomographyMatrices, probs) -> np.ndarray:

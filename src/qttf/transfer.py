@@ -56,7 +56,13 @@ from .errors import (
     PathologicalPomError,
     UnsupportedOrderError,
 )
-from .fisher import P_FLOOR, TomographyMatrices, measurement_matrices
+from .fisher import (
+    P_FLOOR,
+    TomographyMatrices,
+    _born_table,
+    _pure_state_born,
+    measurement_matrices,
+)
 from .operators import HermitianBasis, build_basis, haar_state_vectors
 from .pom import Pom
 
@@ -507,12 +513,13 @@ def qttf_monte_carlo(
 
     States are drawn in batches of up to MC_BATCH.  With the outer products
     c_m c_m^T of the rows of C tabulated once per call as an (M, K**2)
-    matrix, a batch of s states costs
+    matrix (TomographyMatrices.outer_table), a batch of s states costs
 
     * one real (s, 2 dim**2) @ (2 dim**2, M + K) matmul for the Born
       probabilities p_m = Re sum_ij rho_ij conj(Pi_m)_ij and the Bloch
       coordinates t_k = Re sum_ij rho_ij conj(B_k)_ij over the float64
-      views of rho = v v^dag, of the outcomes and of the traceless basis,
+      views of rho = v v^dag, of the outcomes and of the traceless basis
+      (fisher._pure_state_born),
     * one (s, M) @ (M, K**2) matmul for the Fisher matrices
       F = sum_m c_m c_m^T / p_m, a batched Cholesky factorisation and an
       in-place inversion of the factor for Tr(F^{-1}) (_trace_inverse_stack),
@@ -534,10 +541,8 @@ def qttf_monte_carlo(
     dim, m = pom.dim, pom.n_outcomes
     c_matrix = matrices.c_matrix
     k = c_matrix.shape[1]
-    outer_table = (c_matrix[:, :, None] * c_matrix[:, None, :]).reshape(m, k * k)
     traceless = basis.traceless_ops
-    operators = np.concatenate([pom.outcomes, traceless])
-    born_table = operators.reshape(m + k, dim * dim).view(np.float64)
+    born_table = _born_table(pom, basis)
     x, y = aux.x_matrix, aux.y_matrix
     linear = c_matrix.T @ np.diag(x)
     quadratic = c_matrix.T @ (x * y) @ c_matrix
@@ -559,8 +564,7 @@ def qttf_monte_carlo(
     while filled < n_samples:
         chunk = min(MC_BATCH, max(n_samples - filled, 64))
         vectors = haar_state_vectors(dim, chunk, rng)
-        states = vectors[:, :, None] * vectors[:, None, :].conj()
-        born = states.reshape(chunk, dim * dim).view(np.float64) @ born_table.T
+        born = _pure_state_born(vectors, born_table)
         keep = born[:, :m].min(axis=1) > P_FLOOR
         drawn += chunk
         rejected += int(chunk - keep.sum())
@@ -574,7 +578,7 @@ def qttf_monte_carlo(
             continue
         coords = kept[:, m:]
         rows = slice(filled, filled + take)
-        values[rows] = _trace_inverse_stack(1.0 / kept[:, :m], outer_table)
+        values[rows] = _trace_inverse_stack(1.0 / kept[:, :m], matrices.outer_table)
         controls[rows, 0] = coords @ linear
         controls[rows, 1] = np.sum((coords @ quadratic) * coords, axis=1)
         controls[rows, 2] = _cubic_form(coords, cubic)

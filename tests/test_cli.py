@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -203,6 +204,19 @@ def test_qttf_mc_is_reproducible(tmp_path):
     assert payload["params"]["variance_reduction"] >= 1.0
 
 
+@pytest.mark.parametrize(
+    "command,builtins,flags",
+    [("qttf", ["sic2"], ["--method", "mc"]), ("compare", ["sic2", "mub2"], [])],
+)
+def test_too_few_samples_is_a_usage_error(tmp_path, capsys, command, builtins, flags):
+    files = [str(_builtin_file(tmp_path, name)) for name in builtins]
+    capsys.readouterr()
+    code, out = _make(tmp_path, command, *files, *flags, "--samples", "1")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert capsys.readouterr().err == "error: --samples must be >= 2, got 1\n"
+
+
 def test_qttf_non_ic_exit_code(tmp_path):
     trivial = tmp_path / "trivial.json"
     save_pom(Pom(np.eye(2)[None], label="trivial"), trivial)
@@ -388,7 +402,8 @@ def test_fig2_search_persists_discordant_pair(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "flag,value", [("--shots", "0"), ("--shots", "-5"), ("--trials", "1"), ("--states", "0")]
+    "flag,value",
+    [("--shots", "0"), ("--shots", "-5"), ("--trials", "1"), ("--states", "0"), ("--samples", "1")],
 )
 def test_fig2_rejects_bad_counts_before_searching(tmp_path, capsys, flag, value):
     first, second = tmp_path / "p1.json", tmp_path / "p2.json"
@@ -430,9 +445,11 @@ def test_no_arguments_is_usage_error(tmp_path):
 
 
 def test_console_script_runs_end_to_end(tmp_path):
+    # the subprocess imports qttf from the source tree, as an install would provide it
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     result = subprocess.run(
         [sys.executable, "-m", "qttf.cli", "pom", "builtin", "sic2"],
-        capture_output=True, text=True, check=False,
+        capture_output=True, text=True, check=False, env=env,
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["dim"] == 2

@@ -16,12 +16,14 @@ from qttf import (
     build_basis,
     duplicate_outcome,
     haar_mse_sweep,
+    haar_state_vectors,
     lin_estimator_reduced,
     measurement_matrices,
     mixing_weight_for_purity,
     mse_experiment,
     mub_povm,
     probabilities,
+    qttf_monte_carlo,
     qubit_sic,
     random_pom,
     sample_clicks,
@@ -233,6 +235,12 @@ def test_mse_experiment_validation():
     pure = np.outer(vec, vec.conj())
     with pytest.raises(ZeroProbabilityError):
         mse_experiment(pure, pom, BASIS2, 100, 10, rng=0)
+    # refused before any state is drawn
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="n_qttf_samples"):
+        haar_mse_sweep(pom, BASIS2, 0.9, 2, 100, 10, rng=rng, n_qttf_samples=1)
+    assert rng.bit_generator.state == before
 
 
 def test_mixing_weight_reaches_target_purity():
@@ -269,3 +277,43 @@ def test_haar_mse_sweep_tracks_transfer_value():
     assert abs(result.qttf_mc.value - 4.0) < 1e-9
     assert abs(result.qttf_series2.value - 4.0) < 1e-9
     assert abs(result.mean_scaled_mse - 4.0) < 0.4
+
+
+@pytest.mark.parametrize(
+    "dim,rank,n_states,n_trials",
+    [
+        (2, 1, 6, 40),  # one block of 240 click runs
+        (3, 2, 23, 50),  # blocks of 5 states and a remainder of 3
+        (4, 1, 12, 50),  # K = 15: blocks of 5, 5 and 2 states
+        (4, 2, 3, 100),  # blocks of 2 and 1 states
+        (2, 2, 2, 600),  # more trials than a block holds: one state per block
+        (3, 1, 2, 600),
+    ],
+)
+def test_haar_mse_sweep_matches_a_per_state_replay(dim, rank, n_states, n_trials):
+    # Replays the sweep's stream one state at a time: the Haar draw, then per
+    # state Born probabilities, Bloch target and clicks, each click run
+    # inverted by a least-squares solve on sqrt(W) C, then the Monte Carlo.
+    pom = random_pom(dim, 2 * dim * dim + 1, rank, rng=np.random.default_rng(40 + dim))
+    basis = build_basis(dim)
+    n_shots, purity, n_samples, seed = 700, 0.8, 40, 50 + dim
+    result = haar_mse_sweep(
+        pom, basis, purity, n_states, n_shots, n_trials, seed, n_qttf_samples=n_samples
+    )
+    c_matrix = np.einsum("mij,kji->mk", pom.outcomes, basis.traceless_ops).real
+    p_bar = np.einsum("mii->m", pom.outcomes).real / dim
+    weight = mixing_weight_for_purity(purity, dim)
+    rng = np.random.default_rng(seed)
+    expected = []
+    for vec in haar_state_vectors(dim, n_states, rng):
+        rho = weight * np.outer(vec, vec.conj()) + (1 - weight) * np.eye(dim) / dim
+        probs = probabilities(rho, pom)
+        target = bloch_coords(rho, basis)
+        squared = []
+        for freq in rng.multinomial(n_shots, probs / probs.sum(), size=n_trials) / n_shots:
+            root_w = 1.0 / np.sqrt(np.maximum(freq, 0.5 / n_shots))
+            coords = np.linalg.lstsq(root_w[:, None] * c_matrix, root_w * (freq - p_bar))[0]
+            squared.append(np.sum((coords - target) ** 2))
+        expected.append(n_shots * np.mean(squared))
+    np.testing.assert_allclose(result.per_state, expected, rtol=1e-12, atol=0)
+    assert result.qttf_mc.value == qttf_monte_carlo(pom, basis, n_samples, rng).value

@@ -14,12 +14,17 @@ from helpers import random_density
 from qttf import (
     ClickRecord,
     Pom,
+    accuracy,
     build_basis,
+    duplicate_outcome,
     lin_estimator_reduced,
+    mub_povm,
     probabilities,
+    qttf_closed_minimal,
     qttf_closed_minimal_bases,
     qttf_series,
     random_pom,
+    sic_povm,
     weighted_linear_inversion,
 )
 
@@ -92,3 +97,38 @@ def test_bases_closed_form_ignores_the_order_of_bases_and_outcomes(dim, seed):
     shuffled = np.array([group[rng.permutation(dim)] for group in shuffled])
     again = qttf_closed_minimal_bases(Pom(shuffled.reshape(-1, dim, dim)), basis).value
     assert abs(again - value) <= 1e-9 * value
+
+
+@SETTINGS
+@given(measurements(), st.integers(2, 3))
+def test_splitting_an_outcome_changes_neither_accuracy_nor_the_series(case, parts):
+    # A split outcome carries the same information: every order of the
+    # expansion of Tr F^{-1} in p - pbar is unchanged, not only the sum.
+    pom, rng = case
+    basis = build_basis(pom.dim)
+    weights = rng.uniform(0.2, 1.0, size=parts)
+    weights /= weights.sum()
+    split = duplicate_outcome(pom, int(rng.integers(pom.n_outcomes)), weights)
+    rho = random_density(pom.dim, rng)
+    value = accuracy(rho, pom, basis)
+    assert abs(accuracy(rho, split, basis) - value) <= 1e-9 * value
+    series = qttf_series(pom, basis, alpha=1.0, max_order=4).value
+    assert abs(qttf_series(split, basis, alpha=1.0, max_order=4).value - series) <= 1e-9 * series
+
+
+@SETTINGS
+@given(st.sampled_from(["sic", "mub"]), st.integers(2, 3), SEEDS)
+def test_order_four_series_equals_the_closed_forms_with_permuted_outcomes(kind, dim, seed):
+    # SIC: dim**2 + dim - 2; dim + 1 mutually unbiased bases: dim**2 - 1.  The
+    # bases closed form reads the outcomes basis by basis, so it is evaluated
+    # on the unpermuted measurement; the series sees the permuted one.
+    pom, closed, expected = {
+        "sic": (sic_povm(dim), qttf_closed_minimal, dim * dim + dim - 2),
+        "mub": (mub_povm(dim), qttf_closed_minimal_bases, dim * dim - 1),
+    }[kind]
+    basis = build_basis(dim)
+    assert abs(closed(pom, basis).value - expected) <= 1e-9 * expected
+    rng = np.random.default_rng(seed)
+    permuted = Pom(pom.outcomes[rng.permutation(pom.n_outcomes)])
+    value = qttf_series(permuted, basis, alpha=1.0, max_order=4).value
+    assert abs(value - expected) <= 1e-9 * expected
