@@ -49,16 +49,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConvergenceWarning,
-    DimensionMismatchError,
-    NotInformationallyCompleteError,
-    ZeroProbabilityError,
-)
+from .errors import ConvergenceWarning, DimensionMismatchError, ZeroProbabilityError
 from .fisher import (
     P_FLOOR,
     TomographyMatrices,
-    _born_table,
     _pure_state_born,
     accuracy_from_probabilities,
     measurement_matrices,
@@ -142,15 +136,6 @@ def _frequencies(clicks, pom: Pom) -> np.ndarray:
     return freq
 
 
-def _checked_matrices(pom: Pom, basis: HermitianBasis) -> TomographyMatrices:
-    matrices = measurement_matrices(pom, basis)
-    if not matrices.is_informationally_complete:
-        raise NotInformationallyCompleteError(
-            "measurement matrix is rank deficient; linear inversion is not unique"
-        )
-    return matrices
-
-
 def _lsq_coords(
     matrices: TomographyMatrices, freq: np.ndarray, n_total: int | None = None
 ) -> np.ndarray:
@@ -179,7 +164,7 @@ def lin_estimator_reduced(clicks, pom: Pom, basis: HermitianBasis) -> np.ndarray
     probabilities can be inverted directly (consistent data reproduces the
     state that generated it).
     """
-    matrices = _checked_matrices(pom, basis)
+    matrices = measurement_matrices(pom, basis).checked()
     return state_from_bloch(_lsq_coords(matrices, _frequencies(clicks, pom)), basis)
 
 
@@ -196,7 +181,7 @@ def weighted_linear_inversion(clicks: ClickRecord, pom: Pom, basis: HermitianBas
             "weighted_linear_inversion needs a ClickRecord: the weights depend on "
             f"the click total n_total, which a {type(clicks).__name__} does not carry"
         )
-    matrices = _checked_matrices(pom, basis)
+    matrices = measurement_matrices(pom, basis).checked()
     coords = _lsq_coords(matrices, _frequencies(clicks, pom), clicks.n_total)
     return state_from_bloch(coords, basis)
 
@@ -209,7 +194,7 @@ def _experiment_matrices(
         raise ValueError(f"n_shots must be >= 1, got {n_shots}")
     if n_trials < 2:
         raise ValueError(f"need at least 2 trials, got {n_trials}")
-    return _checked_matrices(pom, basis)
+    return measurement_matrices(pom, basis).checked()
 
 
 def _scaled_mse(
@@ -326,7 +311,7 @@ def haar_mse_sweep(
     rng = np.random.default_rng(rng)
     weight = mixing_weight_for_purity(purity_mix, pom.dim)
     vectors = haar_state_vectors(pom.dim, n_states, rng)
-    born = _pure_state_born(vectors, _born_table(pom, basis))
+    born = _pure_state_born(vectors, matrices.born_table)
     m = pom.n_outcomes
     # Tr(identity Pi_m) / dim = pbar_m and Tr(identity B_k) = 0
     probs = weight * born[:, :m] + (1.0 - weight) * matrices.p_bar

@@ -31,13 +31,30 @@ EIG_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class TomographyMatrices:
-    """Measurement matrices C and C-tilde with their singular spectra.
+    """The per-measurement model: everything derived from a measurement and a
+    basis alone, each quantity computed once per instance.
 
-    c_matrix is M x (dim**2 - 1) over the traceless basis operators; c_tilde
-    is M x dim**2 with the identity column first; p_bar holds the outcome
-    probabilities at the maximally mixed state.  The spectrum of C-tilde is
-    computed on first read, since only conditioning reports use it, and so
-    is the outer-product table, which only weighted designs use.
+    Set by measurement_matrices:
+
+    * c_matrix, M x (dim**2 - 1): C_jk = Tr(Pi_j B_k) over the traceless
+      basis operators;
+    * c_tilde, M x dim**2: C with the identity column first;
+    * p_bar: the outcome probabilities at the maximally mixed state;
+    * singular_values_c: the spectrum of C, descending;
+    * outcomes and traceless_ops: the outcome operators and the traceless
+      basis operators C was built from.
+
+    Computed on first read, since only some callers need them:
+
+    * singular_values_c_tilde, for conditioning reports;
+    * born_table and outer_table, for Haar sampling and weighted designs;
+    * tr_fbar_inv, x_matrix and y_matrix, the expansion around the
+      maximally mixed state (see qttf.transfer), from one shared
+      eigendecomposition of Fbar = C^T Pbar^{-1} C;
+    * alpha0, the convergence radius of the moment series.
+
+    The expansion needs an informationally complete measurement; checked()
+    returns the model only if it is one.
     """
 
     dim: int
@@ -45,11 +62,20 @@ class TomographyMatrices:
     c_tilde: np.ndarray
     p_bar: np.ndarray
     singular_values_c: np.ndarray  # descending
+    outcomes: np.ndarray
+    traceless_ops: np.ndarray
 
     @cached_property
     def singular_values_c_tilde(self) -> np.ndarray:
         """Singular values of C-tilde, descending."""
         return np.linalg.svd(self.c_tilde, compute_uv=False)
+
+    @cached_property
+    def born_table(self) -> np.ndarray:
+        """The outcomes, then the traceless basis operators, as the rows of one
+        real (M + K, 2 dim**2) matrix of their float64 views (_pure_state_born)."""
+        operators = np.concatenate([self.outcomes, self.traceless_ops])
+        return operators.reshape(len(operators), self.dim * self.dim).view(np.float64)
 
     @cached_property
     def outer_table(self) -> np.ndarray:
@@ -62,6 +88,54 @@ class TomographyMatrices:
         table = (c_matrix[:, :, None] * c_matrix[:, None, :]).reshape(c_matrix.shape[0], -1)
         table.flags.writeable = False  # shared by every reader of this instance
         return table
+
+    @cached_property
+    def _fbar_eigh(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Pbar^{-1} C and the eigenvalues and eigenvectors of Fbar.
+
+        This is the one informational-completeness check: it refuses a
+        rank-deficient C, and an Fbar too ill conditioned to invert.
+        """
+        scaled = self.c_matrix / self.p_bar[:, None]  # Pbar^{-1} C
+        fbar = self.c_matrix.T @ scaled
+        fbar = (fbar + fbar.T) / 2
+        evals, evecs = np.linalg.eigh(fbar)
+        if not (self.is_informationally_complete and evals[0] > EIG_RTOL * evals[-1]):
+            s = self.singular_values_c
+            raise NotInformationallyCompleteError(
+                f"measurement matrix C is rank deficient (s_min {s[-1]:.3e}, s_max {s[0]:.3e})"
+            )
+        return scaled, evals, evecs
+
+    def checked(self) -> TomographyMatrices:
+        """This model; raises NotInformationallyCompleteError if C is rank deficient."""
+        self._fbar_eigh  # the first read runs the check
+        return self
+
+    @cached_property
+    def tr_fbar_inv(self) -> float:
+        """Tr Fbar^{-1}, the zeroth-order term of the series."""
+        return float(np.sum(1.0 / self._fbar_eigh[1]))
+
+    @cached_property
+    def x_matrix(self) -> np.ndarray:
+        """X = Pbar^{-1} C Fbar^{-2} C^T Pbar^{-1}, positive semidefinite."""
+        scaled, evals, evecs = self._fbar_eigh
+        x_matrix = scaled @ ((evecs / evals**2) @ evecs.T) @ scaled.T
+        return (x_matrix + x_matrix.T) / 2
+
+    @cached_property
+    def y_matrix(self) -> np.ndarray:
+        """Y = Pbar^{-1} C Fbar^{-1} C^T Pbar^{-1} - Pbar^{-1}, negative semidefinite."""
+        scaled, evals, evecs = self._fbar_eigh
+        y_matrix = scaled @ ((evecs / evals) @ evecs.T) @ scaled.T - np.diag(1.0 / self.p_bar)
+        return (y_matrix + y_matrix.T) / 2
+
+    @cached_property
+    def alpha0(self) -> float:
+        """1 / (||Y||_2 max_j Tr Pi_j), with Tr Pi_j = dim * pbar_j."""
+        y_norm = float(np.abs(np.linalg.eigvalsh(self.y_matrix)).max())
+        return 1.0 / (y_norm * self.dim * float(self.p_bar.max()))
 
     @property
     def n_outcomes(self) -> int:
@@ -133,6 +207,8 @@ def measurement_matrices(pom: Pom, basis: HermitianBasis) -> TomographyMatrices:
         c_tilde=c_tilde,
         p_bar=p_bar,
         singular_values_c=np.linalg.svd(c_matrix, compute_uv=False),
+        outcomes=pom.outcomes,
+        traceless_ops=basis.traceless_ops,
     )
 
 
@@ -147,16 +223,9 @@ def probabilities(rho, pom: Pom) -> np.ndarray:
     return probs.real
 
 
-def _born_table(pom: Pom, basis: HermitianBasis) -> np.ndarray:
-    """The outcomes, then the traceless basis operators, as rows of one real
-    (M + K, 2 dim**2) matrix: the float64 views of the flattened operators."""
-    operators = np.concatenate([pom.outcomes, basis.traceless_ops])
-    return operators.reshape(len(operators), pom.dim * pom.dim).view(np.float64)
-
-
 def _pure_state_born(vectors: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Born probabilities and Bloch coordinates (s, M + K) of the pure states
-    v v^dag, one per row v of vectors (s, dim), given table = _born_table(...).
+    v v^dag, one per row v of vectors (s, dim), given the model's born_table.
 
     One real (s, 2 dim**2) @ (2 dim**2, M + K) matmul: over the float64 views,
     Re sum_ij rho_ij conj(O)_ij = Tr(rho O) for every Hermitian operator O.

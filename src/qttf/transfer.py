@@ -32,9 +32,10 @@ parts of D leaves one additive contribution per expansion order:
     order 4   : alpha**3 * (F4 - 2 F3 + F2) + 2 alpha**2 * (F3 - F2) + alpha * F2
 
 where F_k = E[Tr(X d (Y d)^{k-1})] with d = diag(p - pbar) is the pure
-k-th central-moment contraction (series_term_f2/f3/f4 below).  Convergence
+k-th central-moment contraction (haar_moment_term below).  Convergence
 of the untruncated series is guaranteed for alpha < alpha0 =
-1 / (||Y||_2 * max_j Tr Pi_j).
+1 / (||Y||_2 * max_j Tr Pi_j).  X, Y, Tr Fbar^{-1} and alpha0 are fields of
+the measurement model fisher.TomographyMatrices.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -56,14 +56,8 @@ from .errors import (
     PathologicalPomError,
     UnsupportedOrderError,
 )
-from .fisher import (
-    P_FLOOR,
-    TomographyMatrices,
-    _born_table,
-    _pure_state_born,
-    measurement_matrices,
-)
-from .operators import HermitianBasis, build_basis, haar_state_vectors
+from .fisher import P_FLOOR, TomographyMatrices, _pure_state_born, measurement_matrices
+from .operators import HermitianBasis, haar_state_vectors
 from .pom import Pom
 
 DEFAULT_MEMORY_BUDGET = 2**30  # bytes
@@ -125,59 +119,9 @@ def reference_values(dim: int) -> ReferenceValues:
     )
 
 
-@dataclass(frozen=True)
-class AuxiliaryMatrices:
-    """Expansion matrices around the maximally mixed state.
-
-    x_matrix is PSD, y_matrix is negative semidefinite, and alpha0 is the
-    guaranteed convergence radius of the moment series, computed on first
-    read since only the series uses it.
-    """
-
-    x_matrix: np.ndarray  # Pbar^{-1} C Fbar^{-2} C^T Pbar^{-1}
-    y_matrix: np.ndarray  # Pbar^{-1} C Fbar^{-1} C^T Pbar^{-1} - Pbar^{-1}
-    p_bar: np.ndarray
-    tr_fbar_inv: float
-    dim: int
-
-    @cached_property
-    def alpha0(self) -> float:
-        """1 / (||Y||_2 max_j Tr Pi_j), with Tr Pi_j = dim * pbar_j."""
-        y_norm = float(np.abs(np.linalg.eigvalsh(self.y_matrix)).max())
-        return 1.0 / (y_norm * self.dim * float(self.p_bar.max()))
-
-
-def auxiliary_matrices(pom: Pom, basis: HermitianBasis) -> AuxiliaryMatrices:
-    return _auxiliary_from(measurement_matrices(pom, basis))
-
-
-def _auxiliary_from(matrices: TomographyMatrices) -> AuxiliaryMatrices:
-    if not matrices.is_informationally_complete:
-        raise NotInformationallyCompleteError(
-            f"measurement matrix C is rank deficient "
-            f"(s_min {matrices.singular_values_c[-1]:.3e}, "
-            f"s_max {matrices.singular_values_c[0]:.3e})"
-        )
-    pbar = matrices.p_bar
-    scaled = matrices.c_matrix / pbar[:, None]  # Pbar^{-1} C
-    fbar = matrices.c_matrix.T @ scaled
-    fbar = (fbar + fbar.T) / 2
-    evals, evecs = np.linalg.eigh(fbar)
-    if evals[0] <= 1e-12 * evals[-1]:
-        raise NotInformationallyCompleteError("Fisher matrix at the mixed state is singular")
-    inv1 = (evecs / evals) @ evecs.T
-    inv2 = (evecs / evals**2) @ evecs.T
-    x_matrix = scaled @ inv2 @ scaled.T
-    y_matrix = scaled @ inv1 @ scaled.T - np.diag(1.0 / pbar)
-    x_matrix = (x_matrix + x_matrix.T) / 2
-    y_matrix = (y_matrix + y_matrix.T) / 2
-    return AuxiliaryMatrices(
-        x_matrix=x_matrix,
-        y_matrix=y_matrix,
-        p_bar=pbar,
-        tr_fbar_inv=float(np.sum(1.0 / evals)),
-        dim=matrices.dim,
-    )
+def auxiliary_matrices(pom: Pom, basis: HermitianBasis) -> TomographyMatrices:
+    """The measurement model, refused unless the measurement is informationally complete."""
+    return measurement_matrices(pom, basis).checked()
 
 
 def _pair_products(outcomes: np.ndarray, memory_budget: int) -> np.ndarray:
@@ -215,7 +159,6 @@ def haar_moment_term(
     basis: HermitianBasis,
     order: int,
     memory_budget: int = DEFAULT_MEMORY_BUDGET,
-    aux: AuxiliaryMatrices | None = None,
 ) -> float:
     """Central-moment contraction F_k = E[Tr(X d (Y d)^{k-1})], k in {2, 3, 4}.
 
@@ -242,17 +185,26 @@ def haar_moment_term(
     """
     if order not in (2, 3, 4):
         raise UnsupportedOrderError(f"moment term order must be 2, 3, or 4, got {order}")
-    if aux is None:
-        aux = auxiliary_matrices(pom, basis)
-    x, y = aux.x_matrix, aux.y_matrix
+    return _moment_terms(pom, auxiliary_matrices(pom, basis), order, memory_budget)[-1]
+
+
+def _moment_terms(
+    pom: Pom, model: TomographyMatrices, order: int, memory_budget: int
+) -> list[float]:
+    """[F2, ..., F_order] for order in {2, 3, 4}, as in haar_moment_term.
+
+    One pass: the pair products, s2 and s3 are built once for every order.
+    """
+    x, y = model.x_matrix, model.y_matrix
     dim, m = pom.dim, pom.n_outcomes
     outcomes = pom.outcomes
     products = _pair_products(outcomes, memory_budget)
     g2 = np.einsum("abii->ab", products).real
 
     s2 = float(np.sum(x * y * g2))
+    terms = [s2 / (dim * (dim + 1))]
     if order == 2:
-        return s2 / (dim * (dim + 1))
+        return terms
 
     # s3 = sum_abc X_ca Y_ab Y_bc Re Tr(Pi_a Pi_b Pi_c).  The traces of a block
     # of c values are one real (M**2, 2 dim**2) @ (2 dim**2, block) matmul over
@@ -269,8 +221,9 @@ def haar_moment_term(
         triples *= y[:, :, None]  # Y_ab
         s3 += float(np.sum(triples.sum(axis=1) * x[cs].T))  # X_ca
     del triples  # the order-4 working set in _quartic_bytes does not hold it
+    terms.append(2 * (s2 + s3) / (dim * (dim + 1) * (dim + 2)))
     if order == 3:
-        return 2 * (s2 + s3) / (dim * (dim + 1) * (dim + 2))
+        return terms
 
     resident = _quartic_bytes(m, dim, 0)
     chunk = min(m, (memory_budget - resident) // (_quartic_bytes(m, dim, 1) - resident))
@@ -303,22 +256,8 @@ def haar_moment_term(
     )
     s4 = 2 * quartic.real + pairpair
     denom = dim * (dim + 1) * (dim + 2) * (dim + 3)
-    return ((6 - dim) * s2 + 12 * s3 + s4) / denom
-
-
-def series_term_f2(pom: Pom, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> float:
-    """Second-order moment term; equals 1/dim - 1 for minimally complete POMs."""
-    return haar_moment_term(pom, build_basis(pom.dim), 2, memory_budget)
-
-
-def series_term_f3(pom: Pom, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> float:
-    """Third-order moment term E[Tr(X d Y d Y d)]."""
-    return haar_moment_term(pom, build_basis(pom.dim), 3, memory_budget)
-
-
-def series_term_f4(pom: Pom, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> float:
-    """Fourth-order moment term E[Tr(X d (Y d)^3)]."""
-    return haar_moment_term(pom, build_basis(pom.dim), 4, memory_budget)
+    terms.append(((6 - dim) * s2 + 12 * s3 + s4) / denom)
+    return terms
 
 
 def qttf_series(
@@ -339,8 +278,8 @@ def qttf_series(
         raise ValueError(f"alpha must be positive, got {alpha}")
     if not isinstance(max_order, (int, np.integer)) or not 0 <= max_order <= 4:
         raise UnsupportedOrderError(f"max_order must be an integer in [0, 4], got {max_order!r}")
-    aux = auxiliary_matrices(pom, basis)
-    if alpha >= aux.alpha0:
+    model = auxiliary_matrices(pom, basis)
+    if alpha >= model.alpha0:
         warnings.warn(
             "series scale factor alpha is at or beyond the guaranteed convergence "
             "radius alpha0; the truncation remains a controlled approximation "
@@ -348,15 +287,16 @@ def qttf_series(
             ConvergenceWarning,
             stacklevel=2,
         )
-    contributions = [aux.tr_fbar_inv]
+    contributions = [model.tr_fbar_inv]
     if max_order >= 2:
-        f2 = haar_moment_term(pom, basis, 2, memory_budget, aux)
+        terms = _moment_terms(pom, model, max_order, memory_budget)
+        f2 = terms[0]
         contributions.append(alpha * f2)
     if max_order >= 3:
-        f3 = haar_moment_term(pom, basis, 3, memory_budget, aux)
+        f3 = terms[1]
         contributions.append(alpha**2 * (f3 - f2) + alpha * f2)
     if max_order >= 4:
-        f4 = haar_moment_term(pom, basis, 4, memory_budget, aux)
+        f4 = terms[2]
         contributions.append(
             alpha**3 * (f4 - 2 * f3 + f2) + 2 * alpha**2 * (f3 - f2) + alpha * f2
         )
@@ -366,7 +306,7 @@ def qttf_series(
         params={
             "order": int(max_order),
             "alpha": float(alpha),
-            "alpha0": aux.alpha0,
+            "alpha0": model.alpha0,
             "contributions": [float(c) for c in contributions],
         },
     )
@@ -384,27 +324,29 @@ def qttf_closed_minimal(pom: Pom, basis: HermitianBasis) -> QttfEstimate:
         raise NotMinimallyCompleteError(
             f"minimally complete needs {dim * dim} outcomes, got {pom.n_outcomes}"
         )
-    aux = auxiliary_matrices(pom, basis)
-    deviation = float(np.abs(aux.y_matrix + 1.0).max())
+    model = auxiliary_matrices(pom, basis)
+    deviation = float(np.abs(model.y_matrix + 1.0).max())
     if deviation > STRUCTURE_TOL:
         raise NotMinimallyCompleteError(
             f"Y matrix deviates from the all-(-1) matrix by {deviation:.2e}"
         )
     return QttfEstimate(
-        value=aux.tr_fbar_inv - 1.0 + 1.0 / dim,
+        value=model.tr_fbar_inv - 1.0 + 1.0 / dim,
         method="closed_minimal",
-        params={"tr_fbar_inv": aux.tr_fbar_inv, "y_deviation": deviation},
+        params={"tr_fbar_inv": model.tr_fbar_inv, "y_deviation": deviation},
     )
 
 
 def qttf_closed_minimal_bases(pom: Pom, basis: HermitianBasis) -> QttfEstimate:
     """Closed form Tr[(C^T C)^{-1}] / (dim+1)**2 for dim+1 rank-one bases.
 
-    Outcomes must come in dim+1 contiguous groups of dim rank-one operators,
-    each group summing to identity/(dim+1); the Y matrix is then block
-    diagonal with constant -(dim+1) blocks and the series again terminates.
-    Every outcome then has trace 1/(dim+1), so Fbar = dim (dim+1) C^T C and
-    the value equals Tr(Fbar^{-1}) dim / (dim+1).
+    Outcomes must be rank one and fall into dim+1 groups of dim, each group
+    summing to identity/(dim+1); the Y matrix is then block diagonal with
+    constant -(dim+1) blocks and the series again terminates.  The groups
+    are read from Y (a and b share a basis iff Y_ab = -(dim+1)), so the
+    outcomes may be listed in any order.  Every outcome has trace
+    1/(dim+1), so Fbar = dim (dim+1) C^T C and the value equals
+    Tr(Fbar^{-1}) dim / (dim+1).
     """
     dim = pom.dim
     n_bases = dim + 1
@@ -412,24 +354,27 @@ def qttf_closed_minimal_bases(pom: Pom, basis: HermitianBasis) -> QttfEstimate:
         raise NotMinimalBasesError(
             f"expected {dim * n_bases} outcomes ({n_bases} bases of {dim}), got {pom.n_outcomes}"
         )
-    grouped = pom.outcomes.reshape(n_bases, dim, dim, dim)
+    evals = np.linalg.eigvalsh(pom.outcomes)
+    if evals[:, :-1].max() > STRUCTURE_TOL:
+        raise NotMinimalBasesError("outcomes are not all rank one")
+    model = auxiliary_matrices(pom, basis)
+    # list the outcomes group by group, each group at the place of its first outcome
+    same_basis = np.abs(model.y_matrix + n_bases) <= STRUCTURE_TOL
+    order = np.argsort(same_basis.argmax(axis=1), kind="stable")
+    grouped = pom.outcomes[order].reshape(n_bases, dim, dim, dim)
     group_dev = np.abs(grouped.sum(axis=1) - np.eye(dim) / n_bases).max()
     if group_dev > STRUCTURE_TOL:
         raise NotMinimalBasesError(
             f"outcome groups do not sum to identity/{n_bases} (deviation {group_dev:.2e})"
         )
-    evals = np.linalg.eigvalsh(pom.outcomes)
-    if evals[:, :-1].max() > STRUCTURE_TOL:
-        raise NotMinimalBasesError("outcomes are not all rank one")
-    aux = auxiliary_matrices(pom, basis)
     expected = np.kron(np.eye(n_bases), -(n_bases) * np.ones((dim, dim)))
-    block_dev = float(np.abs(aux.y_matrix - expected).max())
+    block_dev = float(np.abs(model.y_matrix[np.ix_(order, order)] - expected).max())
     if block_dev > STRUCTURE_TOL:
         raise NotMinimalBasesError(
             f"Y matrix lacks the {n_bases}-block structure (deviation {block_dev:.2e})"
         )
     return QttfEstimate(
-        value=aux.tr_fbar_inv * dim / n_bases,
+        value=model.tr_fbar_inv * dim / n_bases,
         method="closed_minimal_bases",
         params={"n_bases": n_bases, "y_block_deviation": block_dev},
     )
@@ -529,21 +474,14 @@ def qttf_monte_carlo(
     """
     if n_samples < 2:
         raise ValueError(f"need at least 2 samples, got {n_samples}")
-    matrices = measurement_matrices(pom, basis)
-    if not matrices.is_informationally_complete:
-        raise NotInformationallyCompleteError(
-            f"measurement matrix C is rank deficient "
-            f"(s_min {matrices.singular_values_c[-1]:.3e}); Tr(F^{{-1}}) does not exist"
-        )
-    aux = _auxiliary_from(matrices)
+    model = auxiliary_matrices(pom, basis)
     seed = rng if isinstance(rng, (int, np.integer)) else None
     rng = np.random.default_rng(rng)
     dim, m = pom.dim, pom.n_outcomes
-    c_matrix = matrices.c_matrix
+    c_matrix = model.c_matrix
     k = c_matrix.shape[1]
     traceless = basis.traceless_ops
-    born_table = _born_table(pom, basis)
-    x, y = aux.x_matrix, aux.y_matrix
+    x, y = model.x_matrix, model.y_matrix
     linear = c_matrix.T @ np.diag(x)
     quadratic = c_matrix.T @ (x * y) @ c_matrix
     quadratic_mean = np.trace(quadratic) / (dim * (dim + 1))
@@ -564,7 +502,7 @@ def qttf_monte_carlo(
     while filled < n_samples:
         chunk = min(MC_BATCH, max(n_samples - filled, 64))
         vectors = haar_state_vectors(dim, chunk, rng)
-        born = _pure_state_born(vectors, born_table)
+        born = _pure_state_born(vectors, model.born_table)
         keep = born[:, :m].min(axis=1) > P_FLOOR
         drawn += chunk
         rejected += int(chunk - keep.sum())
@@ -578,7 +516,7 @@ def qttf_monte_carlo(
             continue
         coords = kept[:, m:]
         rows = slice(filled, filled + take)
-        values[rows] = _trace_inverse_stack(1.0 / kept[:, :m], matrices.outer_table)
+        values[rows] = _trace_inverse_stack(1.0 / kept[:, :m], model.outer_table)
         controls[rows, 0] = coords @ linear
         controls[rows, 1] = np.sum((coords @ quadratic) * coords, axis=1)
         controls[rows, 2] = _cubic_form(coords, cubic)

@@ -19,6 +19,7 @@ from qttf import (
     auxiliary_matrices,
     build_basis,
     duplicate_outcome,
+    haar_moment_term,
     load_pom,
     measurement_matrices,
     mub_povm,
@@ -31,7 +32,6 @@ from qttf import (
 )
 from qttf.cli import bootstrap_ci, main, run_fig1
 from qttf.estimation import haar_mse_sweep
-from qttf.transfer import series_term_f2, series_term_f3, series_term_f4
 
 
 def _timed():
@@ -137,7 +137,7 @@ def test_criterion_4_series_vs_oracle_equivalence():
     ]
     mc_rng = np.random.default_rng(29)
     for pom in poms:
-        implemented = [series_term_f2(pom), series_term_f3(pom), series_term_f4(pom)]
+        implemented = [haar_moment_term(pom, build_basis(pom.dim), k) for k in (2, 3, 4)]
         oracle = helpers.oracle_series_terms(pom, basis)
         for value, reference in zip(implemented, oracle):
             assert abs(value - reference) <= 1e-9

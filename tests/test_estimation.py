@@ -24,6 +24,7 @@ from qttf import (
     mub_povm,
     probabilities,
     qttf_monte_carlo,
+    qttf_series,
     qubit_sic,
     random_pom,
     sample_clicks,
@@ -31,6 +32,26 @@ from qttf import (
 )
 
 BASIS2 = build_basis(2)
+
+
+# Every route that needs the expansion or a unique inversion refuses a
+# rank-deficient measurement through the one check on the measurement model.
+_RANK_DEFICIENT_ROUTES = {
+    "qttf_monte_carlo": lambda pom: qttf_monte_carlo(pom, BASIS2, 100, rng=1),
+    "qttf_series": lambda pom: qttf_series(pom, BASIS2, max_order=4),
+    "lin_estimator_reduced": lambda pom: lin_estimator_reduced(
+        np.full(pom.n_outcomes, 1 / pom.n_outcomes), pom, BASIS2
+    ),
+    "mse_experiment": lambda pom: mse_experiment(np.eye(2) / 2, pom, BASIS2, 100, 5, rng=1),
+}
+
+
+@pytest.mark.parametrize("route", sorted(_RANK_DEFICIENT_ROUTES))
+def test_routes_refuse_a_rank_deficient_measurement(route):
+    # four outcomes, as many as a minimal measurement, but all diagonal: C has rank 1
+    z_split = Pom(np.array([np.diag([0.5, 0.0]), np.diag([0.0, 0.5])] * 2), label="z split")
+    with pytest.raises(NotInformationallyCompleteError, match="s_min"):
+        _RANK_DEFICIENT_ROUTES[route](z_split)
 
 
 def test_sample_clicks_counts_and_determinism():

@@ -119,16 +119,15 @@ def test_splitting_an_outcome_changes_neither_accuracy_nor_the_series(case, part
 @SETTINGS
 @given(st.sampled_from(["sic", "mub"]), st.integers(2, 3), SEEDS)
 def test_order_four_series_equals_the_closed_forms_with_permuted_outcomes(kind, dim, seed):
-    # SIC: dim**2 + dim - 2; dim + 1 mutually unbiased bases: dim**2 - 1.  The
-    # bases closed form reads the outcomes basis by basis, so it is evaluated
-    # on the unpermuted measurement; the series sees the permuted one.
+    # SIC: dim**2 + dim - 2; dim + 1 mutually unbiased bases: dim**2 - 1.  Both
+    # the closed form and the series see the permuted measurement.
     pom, closed, expected = {
         "sic": (sic_povm(dim), qttf_closed_minimal, dim * dim + dim - 2),
         "mub": (mub_povm(dim), qttf_closed_minimal_bases, dim * dim - 1),
     }[kind]
     basis = build_basis(dim)
-    assert abs(closed(pom, basis).value - expected) <= 1e-9 * expected
     rng = np.random.default_rng(seed)
     permuted = Pom(pom.outcomes[rng.permutation(pom.n_outcomes)])
+    assert abs(closed(permuted, basis).value - expected) <= 1e-9 * expected
     value = qttf_series(permuted, basis, alpha=1.0, max_order=4).value
     assert abs(value - expected) <= 1e-9 * expected

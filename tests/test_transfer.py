@@ -35,9 +35,6 @@ from qttf import (
     qubit_sic,
     random_pom,
     reference_values,
-    series_term_f2,
-    series_term_f3,
-    series_term_f4,
     sic_povm,
     trace_inverse,
 )
@@ -122,24 +119,25 @@ def test_reference_values_table():
 
 def test_series_terms_match_moment_oracle():
     pom = random_pom(2, 5, 1, rng=np.random.default_rng(32))
-    lib = (series_term_f2(pom), series_term_f3(pom), series_term_f4(pom))
+    lib = tuple(haar_moment_term(pom, build_basis(pom.dim), k) for k in (2, 3, 4))
     oracle = oracle_series_terms(pom, BASIS2)
     np.testing.assert_allclose(lib, oracle, atol=1e-9)
 
 
 def test_series_terms_match_moment_oracle_with_nonzero_f3():
     pom = random_pom(3, 10, 2, rng=np.random.default_rng(9))
-    lib = (series_term_f2(pom), series_term_f3(pom), series_term_f4(pom))
+    lib = tuple(haar_moment_term(pom, build_basis(pom.dim), k) for k in (2, 3, 4))
     oracle = oracle_series_terms(pom, BASIS3)
     assert abs(lib[1]) > 1e-3  # this draw exercises the odd-order path
     np.testing.assert_allclose(lib, oracle, atol=1e-9)
 
 
 def test_series_term_anchors():
-    assert abs(series_term_f2(qubit_sic()) + 0.5) < 1e-12
-    assert abs(series_term_f3(qubit_sic())) < 1e-10
-    assert abs(series_term_f4(qubit_sic())) < 1e-10
-    assert abs(series_term_f2(mub_povm(2)) + 1.5) < 1e-12
+    sic, mub = qubit_sic(), mub_povm(2)
+    assert abs(haar_moment_term(sic, build_basis(sic.dim), 2) + 0.5) < 1e-12
+    assert abs(haar_moment_term(sic, build_basis(sic.dim), 3)) < 1e-10
+    assert abs(haar_moment_term(sic, build_basis(sic.dim), 4)) < 1e-10
+    assert abs(haar_moment_term(mub, build_basis(mub.dim), 2) + 1.5) < 1e-12
 
 
 def test_second_order_term_is_never_positive():
@@ -148,7 +146,7 @@ def test_second_order_term_is_never_positive():
         dim = int(rng.integers(2, 4))
         m = int(rng.integers(dim * dim, 3 * dim * dim))
         pom = random_pom(dim, m, int(rng.integers(1, dim + 1)), rng=rng)
-        assert series_term_f2(pom) <= 1e-12
+        assert haar_moment_term(pom, build_basis(pom.dim), 2) <= 1e-12
 
 
 def test_moment_term_rejects_bad_order():
@@ -245,6 +243,26 @@ def test_closed_minimal_bases_equals_series_order_two():
             warnings.simplefilter("ignore", ConvergenceWarning)
             series = qttf_series(mub_povm(dim), basis, alpha=1.0, max_order=2)
         assert abs(closed.value - series.value) < 1e-9
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_bases_closed_form_finds_bases_in_permuted_outcomes(dim):
+    # the bases are read from Y, so listing the outcomes out of basis order
+    # keeps the exact closed form instead of falling back to the series
+    pom = mub_povm(dim)
+    permuted = Pom(pom.outcomes[np.random.default_rng(1).permutation(pom.n_outcomes)])
+    estimate = qttf_auto(permuted, build_basis(dim))
+    assert estimate.method == "closed_minimal_bases"
+    assert abs(estimate.value - (dim * dim - 1)) <= 1e-12
+
+
+def test_auto_refuses_incomplete_measurements_with_structured_counts():
+    # dim**2 and dim (dim + 1) rank-one outcomes that see no coherences
+    z_basis = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+    for copies in (2, 3):
+        pom = Pom(np.array(z_basis * copies) / copies)
+        with pytest.raises(NotInformationallyCompleteError, match="s_min"):
+            qttf_auto(pom, BASIS2)
 
 
 def test_closed_minimal_bases_rejects_unstructured_input():
@@ -444,7 +462,7 @@ def test_auto_selects_method_by_structure():
 def test_budget_failure_names_the_alternative():
     pom = random_pom(2, 8, 1, rng=np.random.default_rng(49))
     with pytest.raises(BudgetExceededError, match="monte_carlo"):
-        series_term_f4(pom, memory_budget=1000)
+        haar_moment_term(pom, build_basis(pom.dim), 4, memory_budget=1000)
     with pytest.raises(BudgetExceededError):
         qttf_series(pom, BASIS2, alpha=0.2, max_order=4, memory_budget=1000)
     # qttf_auto takes that alternative itself instead of raising
@@ -476,6 +494,32 @@ def test_quartic_chunks_to_fit_a_tight_budget():
         haar_moment_term(pom, BASIS3, 4, memory_budget=pairs + per_d - 1)
     # orders 2 and 3 need only the pair products
     haar_moment_term(pom, BASIS3, 3, memory_budget=pairs)
+    # the series computes its terms in one pass under the same budget
+    qttf_series(pom, BASIS3, max_order=3, memory_budget=pairs)
+    with pytest.raises(BudgetExceededError, match="monte_carlo"):
+        qttf_series(pom, BASIS3, max_order=4, memory_budget=pairs + per_d - 1)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.3])
+@pytest.mark.parametrize("rank", [1, 2])
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_one_pass_series_equals_the_lower_order_calls(dim, rank, alpha):
+    # F2 and F3 from the order-4 pass must be the very numbers the order-2 and
+    # order-3 passes and the single-term calls produce, not merely close to them
+    basis = build_basis(dim)
+    pom = random_pom(dim, 2 * dim * dim, rank, rng=np.random.default_rng(90 + 10 * dim + rank))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConvergenceWarning)
+        series = [
+            qttf_series(pom, basis, alpha=alpha, max_order=order).params["contributions"]
+            for order in (2, 3, 4)
+        ]
+    f2, f3, f4 = (haar_moment_term(pom, basis, k) for k in (2, 3, 4))
+    assert series[0] == [auxiliary_matrices(pom, basis).tr_fbar_inv, alpha * f2]
+    assert series[1] == series[0] + [alpha**2 * (f3 - f2) + alpha * f2]
+    assert series[2] == series[1] + [
+        alpha**3 * (f4 - 2 * f3 + f2) + 2 * alpha**2 * (f3 - f2) + alpha * f2
+    ]
 
 
 def _random_bases_pom(dim, rng):
