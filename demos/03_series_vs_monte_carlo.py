@@ -10,12 +10,9 @@ averages sit at alpha = 1, usually beyond it, where truncation still works
 but the tail is no longer certified.
 """
 
-import warnings
-
 import numpy as np
 
 from qttf import (
-    ConvergenceWarning,
     auxiliary_matrices,
     build_basis,
     qttf_monte_carlo,
@@ -37,14 +34,12 @@ for order in (2, 3, 4):
     contrib = ", ".join(f"{c:+.5f}" for c in est.params["contributions"])
     print(f"  order {order}: value {est.value:.6f}   contributions [{contrib}]")
 
-# At alpha = 1 the library raises ConvergenceWarning to flag that the
-# certificate no longer applies; the order-2 truncation is the standard
+# At alpha = 1 the certificate no longer applies, as params shows by
+# recording alpha against alpha0; the order-2 truncation is the standard
 # working approximation there.
-with warnings.catch_warnings(record=True) as caught:
-    warnings.simplefilter("always")
-    series2 = qttf_series(pom, basis, alpha=1.0, max_order=2)
-warned = any(issubclass(w.category, ConvergenceWarning) for w in caught)
-print(f"\nalpha = 1 order-2 value: {series2.value:.4f} (warned: {warned})")
+series2 = qttf_series(pom, basis, alpha=1.0, max_order=2)
+radius = f"alpha = {series2.params['alpha']:g} against alpha0 = {series2.params['alpha0']:.4f}"
+print(f"\nalpha = 1 order-2 value: {series2.value:.4f} ({radius})")
 
 mc = qttf_monte_carlo(pom, basis, 200_000, rng=9)
 print(f"Monte Carlo, 200k states: {mc.value:.4f} +- {mc.std_error:.4f}")

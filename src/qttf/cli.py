@@ -15,14 +15,12 @@ import csv
 import io
 import json
 import sys
-import warnings
 from dataclasses import asdict
 
 import numpy as np
 
 from .errors import (
     BudgetExceededError,
-    ConvergenceWarning,
     NotInformationallyCompleteError,
     PomSchemaError,
     QttfError,
@@ -195,11 +193,9 @@ def run_fig1(
                     )
                     pom = admix_white_noise(base, epsilon) if epsilon > 0 else base
                     try:
-                        with warnings.catch_warnings():
-                            warnings.simplefilter("ignore", ConvergenceWarning)
-                            aq = qttf_series(
-                                pom, basis, alpha=1.0, max_order=2, memory_budget=memory_budget
-                            ).value
+                        aq = qttf_series(
+                            pom, basis, alpha=1.0, max_order=2, memory_budget=memory_budget
+                        ).value
                     except BudgetExceededError as exc:
                         print(f"fig1 cell skipped: {exc}", file=sys.stderr)
                         skipped = True
@@ -403,9 +399,7 @@ def _cmd_compare(args) -> int:
     for pom in poms:
         matrices = measurement_matrices(pom, basis)
         estimate = qttf_auto(pom, basis, n_samples=args.samples, rng=args.seed)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ConvergenceWarning)
-            aq = qttf_series(pom, basis, alpha=1.0, max_order=2)
+        aq = qttf_series(pom, basis, alpha=1.0, max_order=2)
         rows.append(
             {
                 "label": pom.label,

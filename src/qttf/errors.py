@@ -65,9 +65,5 @@ class SearchTimeoutError(QttfError, RuntimeError):
     """Random search exhausted its attempt budget without finding a pair."""
 
 
-class ConvergenceWarning(RuntimeWarning):
-    """Series scale factor is at or beyond the guaranteed convergence radius."""
-
-
 class HeavyTailWarning(RuntimeWarning):
     """Monte-Carlo sample distribution is heavy tailed; more samples advised."""

@@ -44,12 +44,11 @@ non-positive for small samples, which is expected and not an error.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceWarning, DimensionMismatchError, ZeroProbabilityError
+from .errors import DimensionMismatchError, ZeroProbabilityError
 from .fisher import (
     P_FLOOR,
     TomographyMatrices,
@@ -58,7 +57,13 @@ from .fisher import (
     measurement_matrices,
     probabilities,
 )
-from .operators import HermitianBasis, bloch_coords, haar_state_vectors, state_from_bloch
+from .operators import (
+    HermitianBasis,
+    _density_matrix,
+    bloch_coords,
+    haar_state_vectors,
+    state_from_bloch,
+)
 from .pom import Pom
 from .transfer import QttfEstimate, qttf_monte_carlo, qttf_series
 
@@ -111,6 +116,7 @@ class HaarSweepResult:
 
 def sample_clicks(rho, pom: Pom, n_shots: int, rng=None) -> ClickRecord:
     """One multinomial draw of n_shots clicks over the outcome probabilities."""
+    rho = _density_matrix(rho)
     if n_shots < 1:
         raise ValueError(f"n_shots must be >= 1, got {n_shots}")
     rng = np.random.default_rng(rng)
@@ -249,6 +255,7 @@ def mse_experiment(
     from observed frequencies); weighting="none" uses the plain
     least-squares inversion, which is unbiased but generally not efficient.
     """
+    rho = _density_matrix(rho)
     if weighting not in ("probability", "none"):
         raise ValueError(f"unknown weighting {weighting!r}")
     matrices = _experiment_matrices(pom, basis, n_shots, n_trials)
@@ -319,11 +326,7 @@ def haar_mse_sweep(
         matrices, probs, weight * born[:, m:], n_shots, n_trials, rng, weighted=True
     )
     stderr = float(per_state.std(ddof=1) / np.sqrt(n_states)) if n_states > 1 else 0.0
-    # The order-2 value at alpha = 1 is this sweep's definition of the series
-    # comparator, so the generic alpha >= alpha0 caution is redundant here.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ConvergenceWarning)
-        series2 = qttf_series(pom, basis, alpha=1.0, max_order=2)
+    series2 = qttf_series(pom, basis, alpha=1.0, max_order=2)
     return HaarSweepResult(
         mean_scaled_mse=float(per_state.mean()),
         scaled_mse_stderr=stderr,

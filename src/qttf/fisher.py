@@ -21,7 +21,7 @@ from .errors import (
     PomValidationError,
     ZeroProbabilityError,
 )
-from .operators import DensityMatrix, HermitianBasis, _as_matrix
+from .operators import HermitianBasis, _as_matrix, _density_matrix
 from .pom import Pom
 
 P_FLOOR = 1e-12
@@ -157,35 +157,6 @@ class TomographyMatrices:
         return bool(s[0] > 0 and s[-1] > RANK_RTOL * s[0])
 
 
-@dataclass(frozen=True)
-class FisherMatrix:
-    """Scaled Fisher matrix F = C^T diag(p)^{-1} C at a fixed state."""
-
-    matrix: np.ndarray
-    at_state: DensityMatrix | None = None
-    pom_label: str = ""
-
-    def __post_init__(self):
-        mat = self.matrix
-        if np.abs(mat - mat.T).max() > 1e-10:
-            raise PomValidationError("Fisher matrix is not symmetric")
-        if np.linalg.eigvalsh(mat)[0] < -1e-10:
-            raise PomValidationError("Fisher matrix has a negative eigenvalue")
-
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.matrix))
-
-
-@dataclass(frozen=True)
-class FisherTraceBound:
-    """Tr(F) at the maximally mixed state against its dimensional ceiling."""
-
-    tr_fbar: float
-    bound: float
-    satisfied: bool
-
-
 def measurement_matrices(pom: Pom, basis: HermitianBasis) -> TomographyMatrices:
     if pom.dim != basis.dim:
         raise DimensionMismatchError(f"pom dimension {pom.dim} != basis dimension {basis.dim}")
@@ -257,16 +228,6 @@ def fisher_from_probabilities(matrices: TomographyMatrices, probs) -> np.ndarray
     return (fisher + fisher.T) / 2
 
 
-def fisher_matrix(rho, pom: Pom, basis: HermitianBasis) -> FisherMatrix:
-    matrices = measurement_matrices(pom, basis)
-    probs = probabilities(rho, pom)
-    return FisherMatrix(
-        matrix=fisher_from_probabilities(matrices, probs),
-        at_state=rho if isinstance(rho, DensityMatrix) else DensityMatrix(rho),
-        pom_label=pom.label,
-    )
-
-
 def trace_inverse(fisher: np.ndarray) -> float:
     """Tr(F^{-1}) through a symmetric eigendecomposition.
 
@@ -284,17 +245,9 @@ def trace_inverse(fisher: np.ndarray) -> float:
 
 def accuracy(rho, pom: Pom, basis: HermitianBasis) -> float:
     """Optimal scaled estimation error Tr(F(rho)^{-1}) at a single state."""
-    return trace_inverse(fisher_matrix(rho, pom, basis).matrix)
+    rho = _density_matrix(rho)
+    return accuracy_from_probabilities(measurement_matrices(pom, basis), probabilities(rho, pom))
 
 
 def accuracy_from_probabilities(matrices: TomographyMatrices, probs) -> float:
     return trace_inverse(fisher_from_probabilities(matrices, probs))
-
-
-def fisher_trace_bound_check(pom: Pom, basis: HermitianBasis) -> FisherTraceBound:
-    """Tr(F) at the maximally mixed state; bounded above by dim * (dim - 1)."""
-    matrices = measurement_matrices(pom, basis)
-    fbar = fisher_from_probabilities(matrices, matrices.p_bar)
-    tr_fbar = float(np.trace(fbar))
-    bound = float(pom.dim * (pom.dim - 1))
-    return FisherTraceBound(tr_fbar=tr_fbar, bound=bound, satisfied=tr_fbar <= bound + 1e-9)

@@ -11,15 +11,10 @@ matrix decomposes as rho = identity/dim + sum_k t_k B_k with real t_k.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    InvalidDimensionError,
-    UnsupportedOrderError,
-)
+from .errors import DimensionMismatchError, InvalidDimensionError
 
 HERMITIAN_TOL = 1e-12
 EIGENVALUE_SLACK = 1e-10
@@ -87,6 +82,11 @@ class DensityMatrix:
         return float(np.real(np.trace(self.matrix @ self.matrix)))
 
 
+def _density_matrix(rho) -> DensityMatrix:
+    """Accept a DensityMatrix as is; validate a bare square array as one."""
+    return rho if isinstance(rho, DensityMatrix) else DensityMatrix(rho)
+
+
 def build_basis(dim: int) -> HermitianBasis:
     """Generalized Gell-Mann basis: symmetric pairs, antisymmetric pairs, diagonal ladder."""
     dim = _require_dim(dim)
@@ -146,57 +146,3 @@ def haar_pure_state(dim: int, rng=None) -> DensityMatrix:
     """Rank-one projector onto a Haar-random pure state."""
     vec = haar_state_vectors(dim, 1, rng)[0]
     return DensityMatrix(np.outer(vec, vec.conj()))
-
-
-def _cycle_decomposition(perm):
-    n = len(perm)
-    seen = [False] * n
-    cycles = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        cyc = []
-        pos = start
-        while not seen[pos]:
-            seen[pos] = True
-            cyc.append(pos)
-            pos = perm[pos]
-        cycles.append(cyc)
-    return cycles
-
-
-def haar_probability_moment(indices, pom) -> float:
-    """Exact pure-state Haar average E[p_{j1} * ... * p_{jn}] for n <= 4.
-
-    Averaging the n-fold tensor power of a Haar pure state projects onto the
-    symmetric subspace, so the moment is a sum over permutations: each
-    permutation contributes the product, over its cycles, of the trace of the
-    cycle-ordered product of outcome operators, and the total is divided by
-    dim * (dim+1) * ... * (dim+n-1).
-    """
-    idx = [int(j) for j in indices]
-    n = len(idx)
-    if not 1 <= n <= 4:
-        raise UnsupportedOrderError(f"moment order must be between 1 and 4, got {n}")
-    outcomes = pom.outcomes
-    n_outcomes = outcomes.shape[0]
-    for j in idx:
-        if not 0 <= j < n_outcomes:
-            raise IndexError(f"outcome index {j} out of range for {n_outcomes} outcomes")
-    mats = [outcomes[j] for j in idx]
-    total = 0.0 + 0.0j
-    for perm in permutations(range(n)):
-        contrib = 1.0 + 0.0j
-        for cyc in _cycle_decomposition(perm):
-            prod = mats[cyc[0]]
-            for pos in cyc[1:]:
-                prod = prod @ mats[pos]
-            contrib *= np.trace(prod)
-        total += contrib
-    denom = 1.0
-    for k in range(n):
-        denom *= pom.dim + k
-    value = total / denom
-    if abs(value.imag) > 1e-10 * max(1.0, abs(value.real)):
-        raise ArithmeticError(f"moment has non-negligible imaginary part {value.imag}")
-    return float(value.real)

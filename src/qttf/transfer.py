@@ -48,7 +48,6 @@ import numpy as np
 
 from .errors import (
     BudgetExceededError,
-    ConvergenceWarning,
     HeavyTailWarning,
     NotInformationallyCompleteError,
     NotMinimalBasesError,
@@ -273,20 +272,17 @@ def qttf_series(
     alpha-weighted groupings documented in the module docstring.  The result
     for alpha < 1 is the alpha-deformed truncation; at alpha = 1 it is the
     plain truncated moment series.
+
+    params records alpha next to the convergence radius alpha0.  The
+    untruncated series is certified to converge only for alpha < alpha0; the
+    physical Haar average (alpha = 1) usually lies beyond it, where the
+    truncation is still the working approximation but its tail is uncertified.
     """
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     if not isinstance(max_order, (int, np.integer)) or not 0 <= max_order <= 4:
         raise UnsupportedOrderError(f"max_order must be an integer in [0, 4], got {max_order!r}")
     model = auxiliary_matrices(pom, basis)
-    if alpha >= model.alpha0:
-        warnings.warn(
-            "series scale factor alpha is at or beyond the guaranteed convergence "
-            "radius alpha0; the truncation remains a controlled approximation "
-            "but the untruncated series may diverge",
-            ConvergenceWarning,
-            stacklevel=2,
-        )
     contributions = [model.tr_fbar_inv]
     if max_order >= 2:
         terms = _moment_terms(pom, model, max_order, memory_budget)
@@ -590,9 +586,7 @@ def qttf_auto(
         pass
     if pom.n_outcomes <= 4 * pom.dim * pom.dim:
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", ConvergenceWarning)
-                return qttf_series(pom, basis, alpha=1.0, max_order=2, memory_budget=memory_budget)
+            return qttf_series(pom, basis, alpha=1.0, max_order=2, memory_budget=memory_budget)
         except BudgetExceededError:
             pass
     return qttf_monte_carlo(pom, basis, n_samples, rng)

@@ -1,19 +1,20 @@
 """Independent oracles used by the test suite.
 
 Everything here is written against first principles rather than the library
-internals: raw Haar moments come from qttf.haar_probability_moment (itself
-exercised against explicit integrals in test_operators), centered moments
-follow by inclusion-exclusion, and the series terms are contracted directly
-from tensors, without the grouped closed forms used by the package.
+internals: raw Haar moments come from haar_probability_moment below, a sum
+over permutations of operator traces (checked against explicit integrals in
+test_operators), centered moments follow by inclusion-exclusion, and the
+series terms are contracted directly from tensors, without the grouped
+closed forms used by the package.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 
-from qttf import auxiliary_matrices, haar_probability_moment, measurement_matrices
+from qttf import auxiliary_matrices, measurement_matrices
 
 
 def random_density(dim: int, rng) -> np.ndarray:
@@ -22,6 +23,60 @@ def random_density(dim: int, rng) -> np.ndarray:
     rho = a @ a.conj().T
     rho += 0.05 * np.eye(dim)  # keep eigenvalues away from 0
     return rho / np.trace(rho).real
+
+
+def _cycle_decomposition(perm):
+    n = len(perm)
+    seen = [False] * n
+    cycles = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        cyc = []
+        pos = start
+        while not seen[pos]:
+            seen[pos] = True
+            cyc.append(pos)
+            pos = perm[pos]
+        cycles.append(cyc)
+    return cycles
+
+
+def haar_probability_moment(indices, pom) -> float:
+    """Exact pure-state Haar average E[p_{j1} * ... * p_{jn}] for n <= 4.
+
+    Averaging the n-fold tensor power of a Haar pure state projects onto the
+    symmetric subspace, so the moment is a sum over permutations: each
+    permutation contributes the product, over its cycles, of the trace of the
+    cycle-ordered product of outcome operators, and the total is divided by
+    dim * (dim+1) * ... * (dim+n-1).
+    """
+    idx = [int(j) for j in indices]
+    n = len(idx)
+    if not 1 <= n <= 4:
+        raise ValueError(f"moment order must be between 1 and 4, got {n}")
+    outcomes = pom.outcomes
+    n_outcomes = outcomes.shape[0]
+    for j in idx:
+        if not 0 <= j < n_outcomes:
+            raise IndexError(f"outcome index {j} out of range for {n_outcomes} outcomes")
+    mats = [outcomes[j] for j in idx]
+    total = 0.0 + 0.0j
+    for perm in permutations(range(n)):
+        contrib = 1.0 + 0.0j
+        for cyc in _cycle_decomposition(perm):
+            prod = mats[cyc[0]]
+            for pos in cyc[1:]:
+                prod = prod @ mats[pos]
+            contrib *= np.trace(prod)
+        total += contrib
+    denom = 1.0
+    for k in range(n):
+        denom *= pom.dim + k
+    value = total / denom
+    if abs(value.imag) > 1e-10 * max(1.0, abs(value.real)):
+        raise ArithmeticError(f"moment has non-negligible imaginary part {value.imag}")
+    return float(value.real)
 
 
 class MomentOracle:

@@ -7,14 +7,12 @@ bit-for-bit reproducible.
 
 import json
 import time
-import warnings
 
 import numpy as np
 import pytest
 
 import helpers
 from qttf import (
-    ConvergenceWarning,
     accuracy,
     auxiliary_matrices,
     build_basis,
@@ -155,9 +153,7 @@ def test_criterion_4_series_vs_oracle_equivalence():
     ]
     for pom, closed_form in closed_cases:
         pom_basis = build_basis(pom.dim)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ConvergenceWarning)
-            series2 = qttf_series(pom, pom_basis, alpha=1.0, max_order=2)
+        series2 = qttf_series(pom, pom_basis, alpha=1.0, max_order=2)
         assert abs(series2.value - closed_form(pom, pom_basis).value) <= 1e-9
     assert elapsed() < 300.0
     print("criterion 4 (series terms vs oracle and 1e6-sample MC): PASS")

@@ -187,6 +187,24 @@ def test_qttf_series_matches_closed_form_for_mub(tmp_path):
     assert payload["params"]["order"] == 2
 
 
+def test_qttf_series_beyond_convergence_radius_keeps_stderr_empty(tmp_path):
+    # alpha = 1 lies beyond alpha0 for this measurement; the JSON record
+    # carries both numbers, and nothing is printed on stderr
+    pom_file = tmp_path / "r.json"
+    _make(tmp_path, "pom", "random", "--dim", "2", "--m", "6", "--rank", "1",
+          "--seed", "3", "--out", str(pom_file))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    result = subprocess.run(
+        [sys.executable, "-m", "qttf.cli", "qttf", str(pom_file), "--method", "series",
+         "--order", "4"],
+        capture_output=True, text=True, check=False, env=env,
+    )
+    assert result.returncode == EXIT_OK
+    assert result.stderr == ""
+    params = json.loads(result.stdout)["params"]
+    assert params["alpha"] > params["alpha0"]
+
+
 def test_qttf_mc_is_reproducible(tmp_path):
     pom_file = tmp_path / "rand.json"
     _make(tmp_path, "pom", "random", "--dim", "2", "--m", "20", "--rank", "1",

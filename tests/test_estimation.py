@@ -54,6 +54,32 @@ def test_routes_refuse_a_rank_deficient_measurement(route):
         _RANK_DEFICIENT_ROUTES[route](z_split)
 
 
+# States that fail one DensityMatrix check each, with that check's message.
+_BAD_STATES = {
+    "non-PSD": (np.diag([1.2, -0.2]), "eigenvalue below"),
+    "trace-2": (np.eye(2), "trace must be 1"),
+    "non-Hermitian": (np.array([[0.5, 0.1], [0.0, 0.5]]), "not Hermitian"),
+}
+_STATE_CONSUMERS = {
+    "accuracy": lambda rho, pom, rng: accuracy(rho, pom, BASIS2),
+    "mse_experiment": lambda rho, pom, rng: mse_experiment(rho, pom, BASIS2, 1000, 20, rng),
+    "sample_clicks": lambda rho, pom, rng: sample_clicks(rho, pom, 100, rng),
+}
+
+
+@pytest.mark.parametrize("state", sorted(_BAD_STATES))
+@pytest.mark.parametrize("function", sorted(_STATE_CONSUMERS))
+def test_state_is_validated_before_any_work(function, state):
+    # the state is checked first: the error names the state, not the
+    # measurement or a probability cell, and no click is drawn
+    rho, message = _BAD_STATES[state]
+    rng = np.random.default_rng(5)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=message):
+        _STATE_CONSUMERS[function](rho, random_pom(2, 6, 1, 3), rng)
+    assert rng.bit_generator.state == before
+
+
 def test_sample_clicks_counts_and_determinism():
     pom = qubit_sic()
     rho = random_density(2, np.random.default_rng(1))

@@ -15,8 +15,6 @@ from qttf import (
     build_basis,
     duplicate_outcome,
     fisher_from_probabilities,
-    fisher_matrix,
-    fisher_trace_bound_check,
     haar_pure_state,
     measurement_matrices,
     mub_povm,
@@ -28,6 +26,16 @@ from qttf import (
 
 BASIS2 = build_basis(2)
 BASIS3 = build_basis(3)
+
+
+def _fisher(rho, pom, basis):
+    return fisher_from_probabilities(measurement_matrices(pom, basis), probabilities(rho, pom))
+
+
+def _tr_fbar(pom, basis):
+    """Tr F at the maximally mixed state, whose probabilities are pbar."""
+    matrices = measurement_matrices(pom, basis)
+    return float(np.trace(fisher_from_probabilities(matrices, matrices.p_bar)))
 
 
 def test_qubit_sic_c_tilde_entries():
@@ -103,23 +111,21 @@ def test_probabilities_dimension_mismatch():
 def test_fisher_matrix_definition_and_shape():
     pom = random_pom(2, 6, rank=1, rng=np.random.default_rng(3))
     rho = random_density(2, np.random.default_rng(4))
-    fisher = fisher_matrix(rho, pom, BASIS2)
-    assert fisher.matrix.shape == (3, 3)
-    assert fisher.pom_label == pom.label
-    assert fisher.at_state is not None
+    fisher = _fisher(rho, pom, BASIS2)
+    assert fisher.shape == (3, 3)
     matrices = measurement_matrices(pom, BASIS2)
     probs = probabilities(rho, pom)
     direct = matrices.c_matrix.T @ np.diag(1.0 / probs) @ matrices.c_matrix
-    np.testing.assert_allclose(fisher.matrix, direct, atol=1e-12)
-    assert abs(fisher.trace - np.trace(direct)) < 1e-12
+    np.testing.assert_allclose(fisher, direct, atol=1e-12)
+    assert abs(np.trace(fisher) - np.trace(direct)) < 1e-12
 
 
 def test_fisher_invariant_under_duplication():
     pom = qubit_sic()
     dup = duplicate_outcome(pom, 1, [0.3, 0.45, 0.25])
     rho = random_density(2, np.random.default_rng(11))
-    base = fisher_matrix(rho, pom, BASIS2).matrix
-    split = fisher_matrix(rho, dup, BASIS2).matrix
+    base = _fisher(rho, pom, BASIS2)
+    split = _fisher(rho, dup, BASIS2)
     np.testing.assert_allclose(split, base, atol=1e-10)
 
 
@@ -149,11 +155,8 @@ def test_accuracy_rejects_incomplete_measurement():
 
 def test_trace_bound_saturated_by_rank_one_outcomes():
     for pom, basis in [(qubit_sic(), BASIS2), (mub_povm(2), BASIS2), (sic_povm(3), BASIS3)]:
-        check = fisher_trace_bound_check(pom, basis)
         dim = pom.dim
-        assert abs(check.bound - dim * (dim - 1)) < 1e-14
-        assert abs(check.tr_fbar - check.bound) < 1e-9
-        assert check.satisfied
+        assert abs(_tr_fbar(pom, basis) - dim * (dim - 1)) < 1e-9
 
 
 def test_trace_bound_strict_for_mixed_rank():
@@ -162,9 +165,8 @@ def test_trace_bound_strict_for_mixed_rank():
         basis = build_basis(dim)
         for _ in range(10):
             pom = random_pom(dim, 2 * dim * dim, rank=dim, rng=rng)
-            check = fisher_trace_bound_check(pom, basis)
-            assert check.satisfied
-            assert check.tr_fbar < check.bound - 1e-6  # full-rank outcomes lose information
+            # full-rank outcomes lose information
+            assert _tr_fbar(pom, basis) < dim * (dim - 1) - 1e-6
 
 
 def test_trace_bound_holds_for_random_rank_one():
@@ -172,9 +174,7 @@ def test_trace_bound_holds_for_random_rank_one():
     for _ in range(20):
         dim = int(rng.integers(2, 4))
         pom = random_pom(dim, int(rng.integers(dim * dim, 3 * dim * dim)), rank=1, rng=rng)
-        check = fisher_trace_bound_check(pom, build_basis(dim))
-        assert check.satisfied
-        assert check.tr_fbar <= check.bound + 1e-9
+        assert _tr_fbar(pom, build_basis(dim)) <= dim * (dim - 1) + 1e-9
 
 
 def test_pure_state_fisher_needs_probability_floor():
@@ -182,8 +182,9 @@ def test_pure_state_fisher_needs_probability_floor():
     pom = qubit_sic()
     vec = np.linalg.eigh(pom.outcomes[0])[1][:, 0]  # null vector of outcome 0
     rho = np.outer(vec, vec.conj())
-    with pytest.raises(ZeroProbabilityError):
-        fisher_matrix(rho, pom, BASIS2)
+    with pytest.raises(ZeroProbabilityError) as info:
+        accuracy(rho, pom, BASIS2)
+    assert info.value.index == 0
 
 
 def test_haar_states_give_valid_fisher():
@@ -191,6 +192,5 @@ def test_haar_states_give_valid_fisher():
     rng = np.random.default_rng(15)
     for _ in range(5):
         rho = 0.97 * haar_pure_state(3, rng).matrix + 0.03 * np.eye(3) / 3
-        fisher = fisher_matrix(rho, pom, BASIS3)
-        eigs = np.linalg.eigvalsh(fisher.matrix)
+        eigs = np.linalg.eigvalsh(_fisher(rho, pom, BASIS3))
         assert eigs[0] > 0

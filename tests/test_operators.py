@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from helpers import haar_probability_moment
+
 from qttf import (
     DensityMatrix,
     InvalidDimensionError,
@@ -12,7 +14,6 @@ from qttf import (
     bloch_coords,
     build_basis,
     duplicate_outcome,
-    haar_probability_moment,
     haar_pure_state,
     haar_state_vectors,
     mub_povm,

@@ -9,7 +9,6 @@ from helpers import identity_rhs, oracle_series_terms
 
 from qttf import (
     BudgetExceededError,
-    ConvergenceWarning,
     NotInformationallyCompleteError,
     NotMinimalBasesError,
     NotMinimallyCompleteError,
@@ -159,9 +158,7 @@ def test_series_contributions_are_additive_per_order():
     terms = [haar_moment_term(pom, BASIS2, k) for k in (2, 3, 4)]
     values = {}
     for order in (0, 1, 2, 3, 4):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ConvergenceWarning)
-            est = qttf_series(pom, BASIS2, alpha=1.0, max_order=order)
+        est = qttf_series(pom, BASIS2, alpha=1.0, max_order=order)
         assert abs(est.value - sum(est.params["contributions"])) < 1e-12
         values[order] = est.value
     # at alpha = 1 the order-k increment recovers the raw moment term
@@ -189,14 +186,24 @@ def test_series_matches_exact_identity_average():
     assert abs(truncated.mean() - exact.mean()) < 0.2 * abs(exact.mean())
 
 
-def test_series_warns_beyond_convergence_radius():
+def test_series_records_alpha_against_convergence_radius():
     pom = random_pom(2, 6, 1, rng=np.random.default_rng(37))
     aux = auxiliary_matrices(pom, BASIS2)
-    with pytest.warns(ConvergenceWarning):
-        qttf_series(pom, BASIS2, alpha=aux.alpha0 * 1.01, max_order=2)
+    for alpha in (aux.alpha0 * 1.01, aux.alpha0 * 0.5):
+        params = qttf_series(pom, BASIS2, alpha=alpha, max_order=2).params
+        assert params["alpha"] == alpha
+        assert params["alpha0"] == aux.alpha0
+
+
+def test_series_beyond_convergence_radius_is_silent():
+    # the physical average alpha = 1 lies beyond alpha0 here; the record says
+    # so through params, and nothing is warned
+    pom = random_pom(2, 6, 1, rng=np.random.default_rng(37))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        qttf_series(pom, BASIS2, alpha=aux.alpha0 * 0.5, max_order=2)
+        estimate = qttf_series(pom, BASIS2, max_order=4)
+    assert estimate.params["alpha"] == 1.0
+    assert estimate.params["alpha"] > estimate.params["alpha0"]
 
 
 def test_series_rejects_bad_order():
@@ -215,9 +222,7 @@ def test_closed_minimal_anchors():
 def test_closed_minimal_on_generic_four_outcome_measurement():
     pom = random_pom(2, 4, 2, rng=np.random.default_rng(38))
     closed = qttf_closed_minimal(pom, BASIS2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ConvergenceWarning)
-        series = qttf_series(pom, BASIS2, alpha=1.0, max_order=2)
+    series = qttf_series(pom, BASIS2, alpha=1.0, max_order=2)
     assert abs(closed.value - series.value) < 1e-9
     mc = qttf_monte_carlo(pom, BASIS2, 20000, np.random.default_rng(39))
     assert abs(closed.value - mc.value) < 4 * mc.std_error + 1e-9
@@ -239,9 +244,7 @@ def test_closed_minimal_bases_equals_series_order_two():
     for dim in (2, 3):
         basis = build_basis(dim)
         closed = qttf_closed_minimal_bases(mub_povm(dim), basis)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ConvergenceWarning)
-            series = qttf_series(mub_povm(dim), basis, alpha=1.0, max_order=2)
+        series = qttf_series(mub_povm(dim), basis, alpha=1.0, max_order=2)
         assert abs(closed.value - series.value) < 1e-9
 
 
@@ -508,12 +511,10 @@ def test_one_pass_series_equals_the_lower_order_calls(dim, rank, alpha):
     # order-3 passes and the single-term calls produce, not merely close to them
     basis = build_basis(dim)
     pom = random_pom(dim, 2 * dim * dim, rank, rng=np.random.default_rng(90 + 10 * dim + rank))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ConvergenceWarning)
-        series = [
-            qttf_series(pom, basis, alpha=alpha, max_order=order).params["contributions"]
-            for order in (2, 3, 4)
-        ]
+    series = [
+        qttf_series(pom, basis, alpha=alpha, max_order=order).params["contributions"]
+        for order in (2, 3, 4)
+    ]
     f2, f3, f4 = (haar_moment_term(pom, basis, k) for k in (2, 3, 4))
     assert series[0] == [auxiliary_matrices(pom, basis).tr_fbar_inv, alpha * f2]
     assert series[1] == series[0] + [alpha**2 * (f3 - f2) + alpha * f2]
@@ -543,9 +544,7 @@ def test_order_four_series_equals_closed_forms_at_higher_dims(dim):
         (_random_bases_pom(dim, rng), qttf_closed_minimal_bases),
     ]
     for pom, closed_form in cases:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ConvergenceWarning)
-            series = qttf_series(pom, basis, alpha=1.0, max_order=4).value
+        series = qttf_series(pom, basis, alpha=1.0, max_order=4).value
         exact = closed_form(pom, basis).value
         assert abs(series - exact) <= 1e-9 * exact
 
