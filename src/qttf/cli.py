@@ -56,8 +56,8 @@ EXIT_NOT_IC = 2
 EXIT_BUDGET = 3
 
 MEMORY_BUDGET_HELP = (
-    "bytes the moment series may hold at once: the M**2 pair products, and at "
-    "order 4 its chunked operator stacks (exit code 3 if even one chunk does not fit)"
+    "bytes the order-4 moment term may hold at once: the M**2 pair products and "
+    "its chunked operator stacks (exit code 3 if even one chunk does not fit)"
 )
 
 BUILTINS = {
@@ -165,7 +165,6 @@ def run_fig1(
     n_poms: int,
     n_haar: int,
     seed: int,
-    memory_budget: int = DEFAULT_MEMORY_BUDGET,
 ) -> list[dict]:
     """Halved relative error of the order-2 series against Monte Carlo.
 
@@ -186,34 +185,17 @@ def run_fig1(
                     continue
                 mu_key = int(round(mu * 1000))
                 values = []
-                skipped = False
                 for index in range(n_poms):
                     base = random_pom(
                         dim, n_outcomes, rank, _cell_rng(seed, dim, mu_key, rank, index)
                     )
                     pom = admix_white_noise(base, epsilon) if epsilon > 0 else base
-                    try:
-                        aq = qttf_series(
-                            pom, basis, alpha=1.0, max_order=2, memory_budget=memory_budget
-                        ).value
-                    except BudgetExceededError as exc:
-                        print(f"fig1 cell skipped: {exc}", file=sys.stderr)
-                        skipped = True
-                        break
+                    aq = qttf_series(pom, basis, alpha=1.0, max_order=2).value
                     mc = qttf_monte_carlo(
                         pom, basis, n_haar, _cell_rng(seed, dim, mu_key, rank, index, 1)
                     )
                     values.append((aq - mc.value) / (2.0 * mc.value))
-                if skipped:
-                    row_vals = {"halved_rel_err": float("nan"), "ci_lo": float("nan"), "ci_hi": float("nan")}
-                    values = []
-                else:
-                    lo, hi = bootstrap_ci(values, _cell_rng(seed, dim, mu_key, rank, 999983))
-                    row_vals = {
-                        "halved_rel_err": float(np.mean(values)),
-                        "ci_lo": lo,
-                        "ci_hi": hi,
-                    }
+                lo, hi = bootstrap_ci(values, _cell_rng(seed, dim, mu_key, rank, 999983))
                 rows.append(
                     {
                         "D": dim,
@@ -223,7 +205,9 @@ def run_fig1(
                         "limit": dim / (2.0 * (dim + 2)),
                         # Per-measurement samples, for paired analyses; not a CSV column.
                         "values": [float(v) for v in values],
-                        **row_vals,
+                        "halved_rel_err": float(np.mean(values)),
+                        "ci_lo": lo,
+                        "ci_hi": hi,
                     }
                 )
     return rows
@@ -354,9 +338,7 @@ def _cmd_qttf(args) -> int:
     pom = _load(args.pom)
     basis = build_basis(pom.dim)
     if args.method == "auto":
-        estimate = qttf_auto(
-            pom, basis, n_samples=args.samples, rng=args.seed, memory_budget=args.memory_budget
-        )
+        estimate = qttf_auto(pom, basis, n_samples=args.samples, rng=args.seed)
     elif args.method == "closed":
         try:
             estimate = qttf_closed_minimal(pom, basis)
@@ -488,7 +470,6 @@ def _cmd_fig1(args) -> int:
         n_poms=args.n_poms,
         n_haar=args.n_haar,
         seed=args.seed,
-        memory_budget=args.memory_budget,
     )
     config = {
         "command": "fig1",
@@ -618,12 +599,6 @@ def _build_parser() -> _Parser:
     fig1_parser.add_argument("--n-poms", type=int, default=50)
     fig1_parser.add_argument("--n-haar", type=int, default=500)
     fig1_parser.add_argument("--seed", type=int, default=0)
-    fig1_parser.add_argument(
-        "--memory-budget",
-        type=int,
-        default=DEFAULT_MEMORY_BUDGET,
-        help=MEMORY_BUDGET_HELP,
-    )
     fig1_parser.add_argument("--out", default=None)
 
     fig2_parser = sub.add_parser("fig2", help="finite-sample MSE against transfer values")
@@ -671,9 +646,6 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except SearchTimeoutError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except QttfError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

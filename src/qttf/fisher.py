@@ -36,13 +36,12 @@ class TomographyMatrices:
 
     Set by measurement_matrices:
 
-    * c_matrix, M x (dim**2 - 1): C_jk = Tr(Pi_j B_k) over the traceless
-      basis operators;
+    * c_matrix, M x K with K = dim**2 - 1: C_jk = Tr(Pi_j B_k) over the
+      traceless basis operators;
     * c_tilde, M x dim**2: C with the identity column first;
     * p_bar: the outcome probabilities at the maximally mixed state;
     * singular_values_c: the spectrum of C, descending;
-    * outcomes and traceless_ops: the outcome operators and the traceless
-      basis operators C was built from.
+    * outcomes and basis: the outcome operators and the basis C was built from.
 
     Computed on first read, since only some callers need them:
 
@@ -51,7 +50,15 @@ class TomographyMatrices:
     * tr_fbar_inv, x_matrix and y_matrix, the expansion around the
       maximally mixed state (see qttf.transfer), from one shared
       eigendecomposition of Fbar = C^T Pbar^{-1} C;
-    * alpha0, the convergence radius of the moment series.
+    * alpha0, the convergence radius of the moment series;
+    * quadratic_form, cubic_form, f2 and f3, the second- and third-order
+      expansion terms in Bloch coordinates and their exact Haar means.
+
+    With d = diag(p - pbar) = diag(C t) at a state with Bloch coordinates t,
+    Tr(X d Y d) = t^T Q t and Tr(X d Y d Y d) = sum_ijk T_ijk t_i t_j t_k.
+    For Haar pure states E[t t^T] = I / (dim (dim+1)) and E[t_i t_j t_k] =
+    2 Re Tr(B_i B_j B_k) / (dim (dim+1) (dim+2)), so F2 and F3 need no
+    products of outcome operators and hold O(M**2 + K**3).
 
     The expansion needs an informationally complete measurement; checked()
     returns the model only if it is one.
@@ -63,7 +70,7 @@ class TomographyMatrices:
     p_bar: np.ndarray
     singular_values_c: np.ndarray  # descending
     outcomes: np.ndarray
-    traceless_ops: np.ndarray
+    basis: HermitianBasis
 
     @cached_property
     def singular_values_c_tilde(self) -> np.ndarray:
@@ -74,7 +81,7 @@ class TomographyMatrices:
     def born_table(self) -> np.ndarray:
         """The outcomes, then the traceless basis operators, as the rows of one
         real (M + K, 2 dim**2) matrix of their float64 views (_pure_state_born)."""
-        operators = np.concatenate([self.outcomes, self.traceless_ops])
+        operators = np.concatenate([self.outcomes, self.basis.traceless_ops])
         return operators.reshape(len(operators), self.dim * self.dim).view(np.float64)
 
     @cached_property
@@ -137,6 +144,39 @@ class TomographyMatrices:
         y_norm = float(np.abs(np.linalg.eigvalsh(self.y_matrix)).max())
         return 1.0 / (y_norm * self.dim * float(self.p_bar.max()))
 
+    @cached_property
+    def quadratic_form(self) -> np.ndarray:
+        """Q = C^T (X o Y) C, so that Tr(X d Y d) = t^T Q t."""
+        return self.c_matrix.T @ (self.x_matrix * self.y_matrix) @ self.c_matrix
+
+    @cached_property
+    def cubic_form(self) -> np.ndarray:
+        """T with T[j, i, k] = T_ijk = sum_abc X_ca Y_ab Y_bc C_ai C_bj C_ck.
+
+        Slab j is C^T (X o (Y diag(C[:, j]) Y)) C, built one slab at a time so
+        that the working set stays O(M**2 + K**3).  T_ijk = T_kji.
+        """
+        c_matrix, x, y = self.c_matrix, self.x_matrix, self.y_matrix
+        k = c_matrix.shape[1]
+        tensor = np.empty((k, k, k))
+        for j in range(k):
+            tensor[j] = c_matrix.T @ (x * (y @ (c_matrix[:, j, None] * y))) @ c_matrix
+        return tensor
+
+    @cached_property
+    def f2(self) -> float:
+        """F2 = E[Tr(X d Y d)] = Tr Q / (dim (dim+1))."""
+        return float(np.trace(self.quadratic_form) / (self.dim * (self.dim + 1)))
+
+    @cached_property
+    def f3(self) -> float:
+        """F3 = E[Tr(X d Y d Y d)]
+        = 2 sum_ijk T_ijk Re Tr(B_i B_j B_k) / (dim (dim+1) (dim+2))."""
+        # the triple traces are symmetric in all three indices, so their layout
+        # need not match the cubic form's
+        contraction = float(np.sum(self.cubic_form.ravel() * self.basis.triple_traces.ravel()))
+        return 2 * contraction / (self.dim * (self.dim + 1) * (self.dim + 2))
+
     @property
     def n_outcomes(self) -> int:
         return self.c_matrix.shape[0]
@@ -179,7 +219,7 @@ def measurement_matrices(pom: Pom, basis: HermitianBasis) -> TomographyMatrices:
         p_bar=p_bar,
         singular_values_c=np.linalg.svd(c_matrix, compute_uv=False),
         outcomes=pom.outcomes,
-        traceless_ops=basis.traceless_ops,
+        basis=basis,
     )
 
 
@@ -190,7 +230,8 @@ def probabilities(rho, pom: Pom) -> np.ndarray:
         raise DimensionMismatchError(f"state dimension {mat.shape[0]} != pom dimension {pom.dim}")
     probs = np.einsum("ij,mji->m", mat, pom.outcomes)
     if np.abs(probs.imag).max() > 1e-10:
-        raise PomValidationError("Born probabilities have a non-real entry")
+        # a validated Pom is Hermitian, so only the state can make this complex
+        raise ValueError("state is not Hermitian: Born probabilities have a non-real entry")
     return probs.real
 
 

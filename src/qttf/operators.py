@@ -11,6 +11,7 @@ matrix decomposes as rho = identity/dim + sum_k t_k B_k with real t_k.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,6 +52,22 @@ class HermitianBasis:
     def full_ops(self) -> np.ndarray:
         """All dim**2 basis operators, identity component first."""
         return np.concatenate([self.identity_op[None, :, :], self.traceless_ops])
+
+    @cached_property
+    def triple_traces(self) -> np.ndarray:
+        """Re Tr(B_i B_j B_k) over the traceless operators, as a (K, K, K) array.
+
+        One real (K**2, 2 dim**2) @ (2 dim**2, K) matmul over the float64 views
+        of the pair products B_i B_j and of the B_k.  Symmetric in all three
+        indices, and computed once per basis.
+        """
+        ops = self.traceless_ops
+        k, dim = ops.shape[0], self.dim
+        pairs = (ops[:, None] @ ops[None, :]).reshape(k * k, dim * dim)
+        table = pairs.view(np.float64) @ ops.reshape(k, dim * dim).view(np.float64).T
+        table = table.reshape(k, k, k)
+        table.flags.writeable = False  # shared by every model built on this basis
+        return table
 
 
 @dataclass(frozen=True)

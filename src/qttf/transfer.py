@@ -10,9 +10,8 @@ Its evaluation routes:
   order in the probability fluctuations,
 * Monte-Carlo averaging over Haar states, with Tr(F^{-1}) from a batched
   Cholesky factorisation and the first-, second- and third-order terms of
-  the expansion below as fitted control variates.  Their Haar means, 0, F2
-  and F3, are exact; qttf_monte_carlo writes the three terms and their means
-  in the Bloch coordinates of the sampled state.
+  the expansion below as fitted control variates, with their exact Haar
+  means 0, F2 and F3.
 
 The series rests on the identity (with Pbar the diagonal matrix of
 maximally mixed probabilities, P the diagonal probability matrix at rho,
@@ -34,8 +33,14 @@ parts of D leaves one additive contribution per expansion order:
 where F_k = E[Tr(X d (Y d)^{k-1})] with d = diag(p - pbar) is the pure
 k-th central-moment contraction (haar_moment_term below).  Convergence
 of the untruncated series is guaranteed for alpha < alpha0 =
-1 / (||Y||_2 * max_j Tr Pi_j).  X, Y, Tr Fbar^{-1} and alpha0 are fields of
-the measurement model fisher.TomographyMatrices.
+1 / (||Y||_2 * max_j Tr Pi_j).
+
+X, Y, Tr Fbar^{-1}, alpha0, F2 and F3 are fields of the measurement model
+fisher.TomographyMatrices.  F2 and F3 come from the expansion terms written
+in Bloch coordinates, the quadratic form Q and the cubic form T, whose Haar
+means are exact; the series and the Monte Carlo controls read the same
+fields.  Only F4 is contracted here, through the M**2 pair products
+Pi_a Pi_b, and memory_budget bounds that contraction alone.
 """
 
 from __future__ import annotations
@@ -123,17 +128,6 @@ def auxiliary_matrices(pom: Pom, basis: HermitianBasis) -> TomographyMatrices:
     return measurement_matrices(pom, basis).checked()
 
 
-def _pair_products(outcomes: np.ndarray, memory_budget: int) -> np.ndarray:
-    m, dim = outcomes.shape[0], outcomes.shape[1]
-    need = 16 * m * m * dim * dim
-    if need > memory_budget:
-        raise BudgetExceededError(
-            f"pair-product cache needs {need} bytes > budget {memory_budget}; "
-            "use qttf_monte_carlo for this measurement"
-        )
-    return np.einsum("aij,bjk->abik", outcomes, outcomes)
-
-
 def _quartic_bytes(m: int, dim: int, chunk: int) -> int:
     """Working set of the order-4 contraction when it handles `chunk` d-values at once.
 
@@ -161,7 +155,10 @@ def haar_moment_term(
 ) -> float:
     """Central-moment contraction F_k = E[Tr(X d (Y d)^{k-1})], k in {2, 3, 4}.
 
-    Written out with the Haar probability moments and the matrix identities,
+    F2 and F3 are the model's fields (fisher.TomographyMatrices.f2, .f3):
+    the traces of the quadratic and cubic forms in Bloch coordinates against
+    the Haar moments of t.  Written with the Haar probability moments and the
+    matrix identities instead,
 
         F2 = (1 / (D(D+1))) s2
         F3 = (2 / (D(D+1)(D+2))) (s2 + s3)
@@ -169,9 +166,10 @@ def haar_moment_term(
 
     with D = dim, s2 = sum X_{ba} Y_{ab} G2_{ab}, s3 the X-Y-Y chain against
     Re G3, and s4 the X-Y-Y-Y cycle against the three inequivalent quartic
-    orderings plus the three pair-pair Gram products.  The quartic orderings
-    and the crossed pair-pair product are contracted through the operator
-    sums A_db = sum_a X_da Y_ab Pi_a and B_bd = sum_c Y_bc Y_cd Pi_c:
+    orderings plus the three pair-pair Gram products; F4 takes s2 and s3
+    from F2 and F3.  The quartic orderings and the crossed pair-pair product
+    are contracted through the operator sums A_db = sum_a X_da Y_ab Pi_a and
+    B_bd = sum_c Y_bc Y_cd Pi_c:
 
         quartic = sum_{b,d} Tr(A_db Pi_b B_bd Pi_d) + Tr(A_db Pi_b Pi_d B_bd)
                             + Tr(A_db B_bd Pi_b Pi_d),
@@ -180,50 +178,22 @@ def haar_moment_term(
     which costs O(M**3 D**2) time.  The d index runs in chunks sized so
     that _quartic_bytes stays within memory_budget; the value does not
     depend on the budget unless chunking kicks in, and then only by
-    rounding.
+    rounding.  Orders 2 and 3 build no pair products, hold O(M**2 + K**3)
+    with K = dim**2 - 1, and ignore the budget.
     """
     if order not in (2, 3, 4):
         raise UnsupportedOrderError(f"moment term order must be 2, 3, or 4, got {order}")
-    return _moment_terms(pom, auxiliary_matrices(pom, basis), order, memory_budget)[-1]
-
-
-def _moment_terms(
-    pom: Pom, model: TomographyMatrices, order: int, memory_budget: int
-) -> list[float]:
-    """[F2, ..., F_order] for order in {2, 3, 4}, as in haar_moment_term.
-
-    One pass: the pair products, s2 and s3 are built once for every order.
-    """
-    x, y = model.x_matrix, model.y_matrix
-    dim, m = pom.dim, pom.n_outcomes
-    outcomes = pom.outcomes
-    products = _pair_products(outcomes, memory_budget)
-    g2 = np.einsum("abii->ab", products).real
-
-    s2 = float(np.sum(x * y * g2))
-    terms = [s2 / (dim * (dim + 1))]
+    model = auxiliary_matrices(pom, basis)
     if order == 2:
-        return terms
-
-    # s3 = sum_abc X_ca Y_ab Y_bc Re Tr(Pi_a Pi_b Pi_c).  The traces of a block
-    # of c values are one real (M**2, 2 dim**2) @ (2 dim**2, block) matmul over
-    # the float64 views; blocks of 2 dim**2 keep each (M, M, block) slab no
-    # larger than the pair products, and M <= 2 dim**2 takes a single block.
-    pair_flat = products.reshape(m * m, dim * dim).view(np.float64)
-    flat = np.ascontiguousarray(outcomes).reshape(m, dim * dim).view(np.float64)
-    step = 2 * dim * dim
-    s3 = 0.0
-    for start in range(0, m, step):
-        cs = slice(start, start + step)
-        triples = (pair_flat @ flat[cs].T).reshape(m, m, -1)  # [a, b, c]
-        triples *= y[:, cs]  # Y_bc
-        triples *= y[:, :, None]  # Y_ab
-        s3 += float(np.sum(triples.sum(axis=1) * x[cs].T))  # X_ca
-    del triples  # the order-4 working set in _quartic_bytes does not hold it
-    terms.append(2 * (s2 + s3) / (dim * (dim + 1) * (dim + 2)))
+        return model.f2
     if order == 3:
-        return terms
+        return model.f3
+    return _quartic_term(model, memory_budget)
 
+
+def _quartic_term(model: TomographyMatrices, memory_budget: int) -> float:
+    """F4 as in haar_moment_term, within memory_budget bytes or not at all."""
+    dim, m = model.dim, model.n_outcomes
     resident = _quartic_bytes(m, dim, 0)
     chunk = min(m, (memory_budget - resident) // (_quartic_bytes(m, dim, 1) - resident))
     if chunk < 1:
@@ -231,6 +201,12 @@ def _moment_terms(
             f"order-4 contraction needs {_quartic_bytes(m, dim, 1)} bytes > budget "
             f"{memory_budget}; use qttf_monte_carlo for this measurement"
         )
+    x, y = model.x_matrix, model.y_matrix
+    outcomes = model.outcomes
+    products = np.einsum("aij,bjk->abik", outcomes, outcomes)
+    g2 = np.einsum("abii->ab", products).real
+    s2 = dim * (dim + 1) * model.f2
+    s3 = dim * (dim + 1) * (dim + 2) * model.f3 / 2 - s2
     quartic = 0j
     crossed = 0.0
     for start in range(0, m, chunk):
@@ -255,8 +231,7 @@ def _moment_terms(
     )
     s4 = 2 * quartic.real + pairpair
     denom = dim * (dim + 1) * (dim + 2) * (dim + 3)
-    terms.append(((6 - dim) * s2 + 12 * s3 + s4) / denom)
-    return terms
+    return ((6 - dim) * s2 + 12 * s3 + s4) / denom
 
 
 def qttf_series(
@@ -271,7 +246,8 @@ def qttf_series(
     Orders 0 and 1 collapse to Tr(Fbar^{-1}); orders 2 through 4 add the
     alpha-weighted groupings documented in the module docstring.  The result
     for alpha < 1 is the alpha-deformed truncation; at alpha = 1 it is the
-    plain truncated moment series.
+    plain truncated moment series.  memory_budget bounds the order-4 term
+    only (haar_moment_term).
 
     params records alpha next to the convergence radius alpha0.  The
     untruncated series is certified to converge only for alpha < alpha0; the
@@ -285,14 +261,13 @@ def qttf_series(
     model = auxiliary_matrices(pom, basis)
     contributions = [model.tr_fbar_inv]
     if max_order >= 2:
-        terms = _moment_terms(pom, model, max_order, memory_budget)
-        f2 = terms[0]
+        f2 = model.f2
         contributions.append(alpha * f2)
     if max_order >= 3:
-        f3 = terms[1]
+        f3 = model.f3
         contributions.append(alpha**2 * (f3 - f2) + alpha * f2)
     if max_order >= 4:
-        f4 = terms[2]
+        f4 = _quartic_term(model, memory_budget)
         contributions.append(
             alpha**3 * (f4 - 2 * f3 + f2) + 2 * alpha**2 * (f3 - f2) + alpha * f2
         )
@@ -433,19 +408,16 @@ def qttf_monte_carlo(
     three terms of the expansion in the module docstring at alpha = 1:
 
     * linear, g1 = l . t with l = C^T diag(X), the term Tr(X D);
-    * quadratic, g2 = t^T Q t - Tr Q / (dim (dim+1)) with Q = C^T (X o Y) C,
-      the term Tr(X D Y D);
-    * cubic, g3 = sum_ijk T_ijk t_i t_j t_k - 2 sum_ijk T_ijk Re Tr(B_i B_j B_k)
-      / (dim (dim+1) (dim+2)) with T_ijk = sum_abc X_ca Y_ab Y_bc C_ai C_bj C_ck,
-      the term Tr(X D Y D Y D).
+    * quadratic, g2 = t^T Q t - F2, the term Tr(X D Y D);
+    * cubic, g3 = sum_ijk T_ijk t_i t_j t_k - F3, the term Tr(X D Y D Y D);
 
-    All three have Haar mean exactly 0, because for pure states
-    E[t t^T] = I / (dim (dim+1)) and E[t_i t_j t_k] = 2 Re Tr(B_i B_j B_k) /
-    (dim (dim+1) (dim+2)) over the traceless basis B.  The value is
-    mean(v - G beta), with beta the least-squares fit of the centred samples
-    on the centred controls (minimum norm, so a constant control gets
-    coefficient 0), and std_error comes from the residuals with 4 degrees of
-    freedom spent.  params["variance_reduction"] is the raw over the
+    with Q, T and their exact Haar means F2 and F3 read from the measurement
+    model (fisher.TomographyMatrices), so all three have Haar mean exactly 0.
+
+    The value is mean(v - G beta), with beta the least-squares fit of the
+    centred samples on the centred controls (minimum norm, so a constant
+    control gets coefficient 0), and std_error comes from the residuals with
+    4 degrees of freedom spent.  params["variance_reduction"] is the raw over the
     residual sum of squares.  The fit is skipped, giving the plain mean and
     a factor of exactly 1.0, when any draw was redrawn (the conditioned
     distribution no longer has the known control means), when
@@ -474,22 +446,8 @@ def qttf_monte_carlo(
     seed = rng if isinstance(rng, (int, np.integer)) else None
     rng = np.random.default_rng(rng)
     dim, m = pom.dim, pom.n_outcomes
-    c_matrix = model.c_matrix
-    k = c_matrix.shape[1]
-    traceless = basis.traceless_ops
-    x, y = model.x_matrix, model.y_matrix
-    linear = c_matrix.T @ np.diag(x)
-    quadratic = c_matrix.T @ (x * y) @ c_matrix
-    quadratic_mean = np.trace(quadratic) / (dim * (dim + 1))
-    # cubic[j] = C^T (X o W_j) C with W_j = Y diag(C[:, j]) Y, i.e. T_ijk at [j, i, k]
-    cubic = c_matrix.T @ (x * (y @ (c_matrix.T[:, :, None] * y))) @ c_matrix
-    # Re Tr(B_i B_j B_k) as one real (K**2, 2 dim**2) @ (2 dim**2, K) matmul; it is
-    # symmetric in all three indices, so its layout need not match cubic's
-    pairs = (traceless[:, None] @ traceless[None, :]).reshape(k * k, dim * dim)
-    triples = pairs.view(np.float64) @ traceless.reshape(k, dim * dim).view(np.float64).T
-    cubic_mean = 2 * float(np.sum(cubic.ravel() * triples.ravel())) / (
-        dim * (dim + 1) * (dim + 2)
-    )
+    linear = model.c_matrix.T @ np.diag(model.x_matrix)
+    quadratic, cubic = model.quadratic_form, model.cubic_form
     values = np.empty(n_samples)
     controls = np.empty((n_samples, 3))
     filled = 0
@@ -517,8 +475,8 @@ def qttf_monte_carlo(
         controls[rows, 1] = np.sum((coords @ quadratic) * coords, axis=1)
         controls[rows, 2] = _cubic_form(coords, cubic)
         filled += take
-    controls[:, 1] -= quadratic_mean
-    controls[:, 2] -= cubic_mean
+    controls[:, 1] -= model.f2
+    controls[:, 2] -= model.f3
     mean = float(values.mean())
     centered = values - mean
     second = float(np.mean(centered**2))
@@ -568,14 +526,9 @@ def qttf_auto(
     basis: HermitianBasis,
     n_samples: int = 10000,
     rng=None,
-    memory_budget: int = DEFAULT_MEMORY_BUDGET,
 ) -> QttfEstimate:
     """Closed form when the structure allows it, otherwise order-2 series for
-    moderately sized measurements (M <= 4 dim**2), otherwise Monte Carlo.
-
-    Monte Carlo also stands in for the series when the series' pair-product
-    cache would exceed memory_budget.
-    """
+    moderately sized measurements (M <= 4 dim**2), otherwise Monte Carlo."""
     try:
         return qttf_closed_minimal(pom, basis)
     except NotMinimallyCompleteError:
@@ -585,8 +538,5 @@ def qttf_auto(
     except NotMinimalBasesError:
         pass
     if pom.n_outcomes <= 4 * pom.dim * pom.dim:
-        try:
-            return qttf_series(pom, basis, alpha=1.0, max_order=2, memory_budget=memory_budget)
-        except BudgetExceededError:
-            pass
+        return qttf_series(pom, basis, alpha=1.0, max_order=2)
     return qttf_monte_carlo(pom, basis, n_samples, rng)

@@ -102,17 +102,10 @@ class MomentOracle:
             self.raw4[a, b, c, d] = haar_probability_moment([a, b, c, d], pom)
 
     def centered2(self) -> np.ndarray:
-        p = self.p_bar
-        return self.raw2 - np.einsum("a,b->ab", p, p)
+        return _centered2(self.p_bar, self.raw2)
 
     def centered3(self) -> np.ndarray:
-        p = self.p_bar
-        out = self.raw3.copy()
-        out -= np.einsum("a,bc->abc", p, self.raw2)
-        out -= np.einsum("b,ac->abc", p, self.raw2)
-        out -= np.einsum("c,ab->abc", p, self.raw2)
-        out += 2 * np.einsum("a,b,c->abc", p, p, p)
-        return out
+        return _centered3(self.p_bar, self.raw2, self.raw3)
 
     def centered4(self) -> np.ndarray:
         p = self.p_bar
@@ -129,6 +122,50 @@ class MomentOracle:
         out += np.einsum("c,d,ab->abcd", p, p, self.raw2)
         out -= 3 * np.einsum("a,b,c,d->abcd", p, p, p, p)
         return out
+
+
+def _centered2(p, raw2) -> np.ndarray:
+    return raw2 - np.einsum("a,b->ab", p, p)
+
+
+def _centered3(p, raw2, raw3) -> np.ndarray:
+    out = raw3.copy()
+    out -= np.einsum("a,bc->abc", p, raw2)
+    out -= np.einsum("b,ac->abc", p, raw2)
+    out -= np.einsum("c,ab->abc", p, raw2)
+    out += 2 * np.einsum("a,b,c->abc", p, p, p)
+    return out
+
+
+def centered_moments_23(pom) -> tuple[np.ndarray, np.ndarray]:
+    """Centered Haar moments E[d_a d_b] and E[d_a d_b d_c], d = p - pbar, as whole tables.
+
+    The n = 2 and n = 3 permutation sums of haar_probability_moment, written
+    for all outcome indices at once.  With t_a = Tr Pi_a, g_ab = Tr(Pi_a Pi_b)
+    and h_abc = Re Tr(Pi_a Pi_b Pi_c) (the two 3-cycles add up to 2 h_abc),
+
+        E[p_a p_b] = (t_a t_b + g_ab) / (D(D+1)),
+        E[p_a p_b p_c] = (t_a t_b t_c + t_a g_bc + t_b g_ac + t_c g_ab + 2 h_abc)
+                         / (D(D+1)(D+2)),
+
+    centered by the same inclusion-exclusion as MomentOracle.  Vectorised, so
+    it serves outcome counts where MomentOracle's entrywise tables are too slow.
+    """
+    dim, ops = pom.dim, pom.outcomes
+    t = np.einsum("aii->a", ops).real
+    pairs = np.einsum("aij,bjk->abik", ops, ops)
+    g = np.einsum("abii->ab", pairs).real
+    h = np.einsum("abij,cji->abc", pairs, ops).real
+    raw2 = (np.einsum("a,b->ab", t, t) + g) / (dim * (dim + 1))
+    raw3 = (
+        np.einsum("a,b,c->abc", t, t, t)
+        + np.einsum("a,bc->abc", t, g)
+        + np.einsum("b,ac->abc", t, g)
+        + np.einsum("c,ab->abc", t, g)
+        + 2 * h
+    ) / (dim * (dim + 1) * (dim + 2))
+    p = t / dim
+    return _centered2(p, raw2), _centered3(p, raw2, raw3)
 
 
 def oracle_series_terms(pom, basis) -> tuple[float, float, float]:

@@ -253,16 +253,18 @@ def test_qttf_budget_exit_code(tmp_path):
     assert code == EXIT_BUDGET
 
 
-def test_qttf_auto_falls_back_to_monte_carlo_over_budget(tmp_path):
+def test_qttf_auto_ignores_the_memory_budget(tmp_path):
+    # the budget bounds only the order-4 term, which the auto route never runs
     pom_file = tmp_path / "rand.json"
     _make(tmp_path, "pom", "random", "--dim", "2", "--m", "8", "--rank", "1",
           "--seed", "2", "--out", str(pom_file))
-    code, out = _make(tmp_path, "qttf", str(pom_file), "--memory-budget", "1000",
-                      "--samples", "2000")
+    code, out = _make(tmp_path, "qttf", str(pom_file), "--memory-budget", "1000")
     assert code == EXIT_OK
     payload = json.loads(out)
-    assert payload["method"] == "monte_carlo"
-    assert payload["std_error"] > 0
+    assert payload["method"] == "series"
+    assert payload["std_error"] == 0
+    _, unbounded = _make(tmp_path, "qttf", str(pom_file))
+    assert payload["value"] == json.loads(unbounded)["value"]
 
 
 # ---------------------------------------------------------------- compare
@@ -356,6 +358,13 @@ def test_fig1_empty_run_emits_header_only(tmp_path):
 def test_fig1_rejects_fractional_outcome_counts(tmp_path):
     code, _ = _make(tmp_path, "fig1", "--dims", "2", "--mus", "1.3", "--n-poms", "1")
     assert code == EXIT_USAGE
+
+
+def test_fig1_takes_no_memory_budget(tmp_path):
+    # fig1 runs only the order-2 series, which no memory budget bounds
+    code, out = _make(tmp_path, "fig1", "--n-poms", "1", "--memory-budget", "1")
+    assert code == EXIT_USAGE
+    assert out == ""
 
 
 def test_fig1_pairs_measurements_across_epsilon():

@@ -9,6 +9,7 @@ from qttf import (
     DimensionMismatchError,
     NotInformationallyCompleteError,
     Pom,
+    PomValidationError,
     ZeroProbabilityError,
     accuracy,
     accuracy_from_probabilities,
@@ -106,6 +107,11 @@ def test_probabilities_match_born_rule():
 def test_probabilities_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         probabilities(np.eye(3) / 3, qubit_sic())
+    # a validated measurement is Hermitian, so complex probabilities are the
+    # state's fault and the error names the state, not the measurement
+    with pytest.raises(ValueError, match="state is not Hermitian") as caught:
+        probabilities(np.array([[0.5, 0.1], [0.0, 0.5]]), random_pom(2, 6, 1, 3))
+    assert not isinstance(caught.value, PomValidationError)
 
 
 def test_fisher_matrix_definition_and_shape():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import haar_probability_moment
+from helpers import MomentOracle, centered_moments_23, haar_probability_moment
 
 from qttf import (
     DensityMatrix,
@@ -156,6 +156,16 @@ def test_haar_moment_is_symmetric_in_indices():
     reference = haar_probability_moment([0, 1, 2, 1], pom)
     for perm in ([1, 0, 1, 2], [2, 1, 1, 0], [1, 1, 2, 0]):
         assert abs(haar_probability_moment(perm, pom) - reference) < 1e-15
+
+
+def test_vectorised_central_moments_match_the_permutation_sums():
+    # centered_moments_23 serves as an oracle at outcome counts where the
+    # entrywise MomentOracle is too slow, so it must agree with it exactly
+    pom = random_pom(3, 6, rank=2, rng=np.random.default_rng(12))
+    oracle = MomentOracle(pom)
+    c2, c3 = centered_moments_23(pom)
+    np.testing.assert_allclose(c2, oracle.centered2(), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(c3, oracle.centered3(), rtol=0, atol=1e-15)
 
 
 def test_haar_moment_against_monte_carlo():

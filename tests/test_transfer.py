@@ -1,11 +1,12 @@
 """Haar-averaged transfer values: auxiliary identities, series, closed forms, MC."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from helpers import identity_rhs, oracle_series_terms
+from helpers import centered_moments_23, identity_rhs, oracle_series_terms
 
 from qttf import (
     BudgetExceededError,
@@ -320,8 +321,9 @@ def test_monte_carlo_equals_accuracy_average_on_the_same_stream(dim, m, rank, se
     # with no redraws the first batch is exactly haar_state_vectors(dim, n, rng),
     # so replaying that stream through the pointwise accuracy, with the three
     # control variates built in outcome space (the first three expansion terms
-    # Tr(X D), Tr(X D Y D) and Tr(X D Y D Y D) minus their exact Haar means)
-    # and fitted by least squares, must give the same estimate up to summation
+    # Tr(X D), Tr(X D Y D) and Tr(X D Y D Y D) minus their exact Haar means,
+    # taken from the centered-moment oracle rather than the library) and
+    # fitted by least squares, must give the same estimate up to summation
     # order
     basis = build_basis(dim)
     pom = random_pom(dim, m, rank, rng=np.random.default_rng(seed))
@@ -330,8 +332,9 @@ def test_monte_carlo_equals_accuracy_average_on_the_same_stream(dim, m, rank, se
     assert est.params["redraw_rate"] == 0.0
     aux = auxiliary_matrices(pom, basis)
     x, y = aux.x_matrix, aux.y_matrix
-    f2 = haar_moment_term(pom, basis, 2)
-    f3 = haar_moment_term(pom, basis, 3)
+    centered2, centered3 = centered_moments_23(pom)
+    f2 = np.einsum("ab,ba,ab->", x, y, centered2)
+    f3 = np.einsum("ab,bc,ca,abc->", x, y, y, centered3)
     vectors = haar_state_vectors(dim, n, np.random.default_rng(seed))
     states = [np.outer(v, v.conj()) for v in vectors]
     values = np.array([accuracy(rho, pom, basis) for rho in states])
@@ -466,13 +469,8 @@ def test_budget_failure_names_the_alternative():
     pom = random_pom(2, 8, 1, rng=np.random.default_rng(49))
     with pytest.raises(BudgetExceededError, match="monte_carlo"):
         haar_moment_term(pom, build_basis(pom.dim), 4, memory_budget=1000)
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError, match="monte_carlo"):
         qttf_series(pom, BASIS2, alpha=0.2, max_order=4, memory_budget=1000)
-    # qttf_auto takes that alternative itself instead of raising
-    assert qttf_auto(pom, BASIS2).method == "series"
-    est = qttf_auto(pom, BASIS2, n_samples=2000, rng=3, memory_budget=1000)
-    assert est.method == "monte_carlo"
-    assert est.std_error > 0
 
 
 def test_quartic_value_ignores_the_old_g4_budget_trigger():
@@ -495,12 +493,28 @@ def test_quartic_chunks_to_fit_a_tight_budget():
         assert abs(value - default) <= 1e-12 * abs(default)
     with pytest.raises(BudgetExceededError, match="monte_carlo"):
         haar_moment_term(pom, BASIS3, 4, memory_budget=pairs + per_d - 1)
-    # orders 2 and 3 need only the pair products
-    haar_moment_term(pom, BASIS3, 3, memory_budget=pairs)
-    # the series computes its terms in one pass under the same budget
-    qttf_series(pom, BASIS3, max_order=3, memory_budget=pairs)
+    # orders 2 and 3 build no pair products, so no budget binds them
+    for order in (2, 3):
+        tight = haar_moment_term(pom, BASIS3, order, memory_budget=1)
+        assert tight == haar_moment_term(pom, BASIS3, order)
+    tight = qttf_series(pom, BASIS3, max_order=3, memory_budget=1)
+    assert tight == qttf_series(pom, BASIS3, max_order=3)
     with pytest.raises(BudgetExceededError, match="monte_carlo"):
         qttf_series(pom, BASIS3, max_order=4, memory_budget=pairs + per_d - 1)
+
+
+def test_third_order_series_holds_no_pair_products():
+    # F2 and F3 come from the M x M model matrices; the M**2 pair products
+    # Pi_a Pi_b (16 M**2 D**2 bytes) belong to the order-4 term alone
+    pom = random_pom(3, 200, 1, rng=np.random.default_rng(53))
+    m, dim = pom.n_outcomes, pom.dim
+    tracemalloc.start()
+    try:
+        qttf_series(pom, BASIS3, max_order=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * m * m * dim * dim / 4
 
 
 @pytest.mark.parametrize("alpha", [1.0, 0.3])
