@@ -22,6 +22,8 @@ import numpy as np
 from .errors import (
     BudgetExceededError,
     NotInformationallyCompleteError,
+    NotMinimalBasesError,
+    NotMinimallyCompleteError,
     PomSchemaError,
     QttfError,
     SearchTimeoutError,
@@ -42,13 +44,11 @@ from .pom import (
 )
 from .transfer import (
     DEFAULT_MEMORY_BUDGET,
+    _closed_form,
     qttf_auto,
-    qttf_closed_minimal,
-    qttf_closed_minimal_bases,
     qttf_monte_carlo,
     qttf_series,
 )
-from .errors import NotMinimalBasesError, NotMinimallyCompleteError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -90,14 +90,8 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(rows, columns, config, out_path=None) -> None:
-    buffer = io.StringIO()
-    buffer.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_fmt(row[col]) for col in columns])
-    text = buffer.getvalue()
+def _write_text(text: str, out_path=None) -> None:
+    """Write text to out_path as given, or to stdout when out_path is empty."""
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
@@ -105,13 +99,18 @@ def _write_csv(rows, columns, config, out_path=None) -> None:
         sys.stdout.write(text)
 
 
+def _write_csv(rows, columns, config, out_path=None) -> None:
+    buffer = io.StringIO()
+    buffer.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([_fmt(row[col]) for col in columns])
+    _write_text(buffer.getvalue(), out_path)
+
+
 def _emit_json(payload, out_path=None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", out_path)
 
 
 def _output_pom(pom: Pom, out_path=None) -> None:
@@ -341,12 +340,9 @@ def _cmd_qttf(args) -> int:
         estimate = qttf_auto(pom, basis, n_samples=args.samples, rng=args.seed)
     elif args.method == "closed":
         try:
-            estimate = qttf_closed_minimal(pom, basis)
-        except NotMinimallyCompleteError:
-            try:
-                estimate = qttf_closed_minimal_bases(pom, basis)
-            except NotMinimalBasesError as exc:
-                raise _UsageError(f"no closed form applies: {exc}") from exc
+            estimate = _closed_form(pom, basis)
+        except (NotMinimallyCompleteError, NotMinimalBasesError) as exc:
+            raise _UsageError(f"no closed form applies: {exc}") from exc
     elif args.method == "series":
         estimate = qttf_series(
             pom, basis, alpha=args.alpha, max_order=args.order, memory_budget=args.memory_budget
@@ -446,12 +442,7 @@ def _cmd_compare(args) -> int:
         for row in rows:
             lines.append("  ".join(_table_cell(row[col]).ljust(widths[col]) for col in columns))
         lines.extend(notes)
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        else:
-            sys.stdout.write(text)
+        _write_text("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 

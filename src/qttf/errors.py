@@ -46,7 +46,7 @@ class ZeroProbabilityError(QttfError, ValueError):
 
 
 class NotMinimallyCompleteError(QttfError, ValueError):
-    """Closed form requires exactly dim**2 outcomes with full-rank measurement matrix."""
+    """Closed form requires exactly dim**2 outcomes."""
 
 
 class NotMinimalBasesError(QttfError, ValueError):

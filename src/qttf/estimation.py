@@ -34,7 +34,7 @@ order, by one `rng.multinomial` call per block.  This consumes the generator
 exactly as one call per state does, so seeded results do not depend on the
 block size.  Per click run the weighted fit costs one row of an
 (rows, M) @ (M, K**2) matmul against the outer products c_m c_m^T
-(TomographyMatrices.outer_table) for C^T W C, an O(M K) right-hand side and
+(TomographyMatrices.fisher) for C^T W C, an O(M K) right-hand side and
 one K x K solve, K = dim**2 - 1.  The block size bounds the largest
 temporary, that stack of designs, to 256 K**2 doubles (450 KB at dim = 4).
 
@@ -53,9 +53,9 @@ from .fisher import (
     P_FLOOR,
     TomographyMatrices,
     _pure_state_born,
-    accuracy_from_probabilities,
     measurement_matrices,
     probabilities,
+    trace_inverse,
 )
 from .operators import (
     HermitianBasis,
@@ -149,7 +149,7 @@ def _lsq_coords(
 
     With n_total None the fit is unweighted (W = 1); otherwise the rows are
     frequencies of n_total clicks and W = diag(1 / max(f, WEIGHT_FLOOR / n_total)),
-    and the designs of all rows are one matmul against matrices.outer_table.
+    and the designs of all rows are one matmul (TomographyMatrices.fisher).
     """
     c_matrix = matrices.c_matrix
     centered = freq - matrices.p_bar
@@ -157,8 +157,7 @@ def _lsq_coords(
         design = c_matrix.T @ c_matrix
     else:
         weights = np.reciprocal(np.maximum(freq, WEIGHT_FLOOR / n_total))
-        k = c_matrix.shape[1]
-        design = (weights @ matrices.outer_table).reshape(weights.shape[:-1] + (k, k))
+        design = matrices.fisher(weights)
         centered *= weights
     return np.linalg.solve(design, (centered @ c_matrix)[..., None])[..., 0]
 
@@ -268,7 +267,7 @@ def mse_experiment(
             weighted=weighting == "probability",
         )[0]
     )
-    predicted = accuracy_from_probabilities(matrices, probs)
+    predicted = trace_inverse(matrices.fisher(1.0 / probs))
     return MseReport(
         n_total=int(n_shots),
         n_trials=int(n_trials),

@@ -5,7 +5,8 @@ C_{jk} = Tr(Pi_j B_k) over the traceless operators; C-tilde prepends the
 column Tr(Pi_j)/sqrt(dim) for the identity component.  At a state with
 outcome probabilities p the scaled Fisher matrix of the multinomial model is
 F = C^T diag(p)^{-1} C, and Tr(F^{-1}) is the optimal (Cramer-Rao) scaled
-mean squared Hilbert-Schmidt error of unbiased estimation.
+mean squared Hilbert-Schmidt error of unbiased estimation.  One method,
+TomographyMatrices.fisher, assembles F for any stack of probability vectors.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ class TomographyMatrices:
     Computed on first read, since only some callers need them:
 
     * singular_values_c_tilde, for conditioning reports;
-    * born_table and outer_table, for Haar sampling and weighted designs;
+    * born_table and outer_table, for Haar sampling and the Fisher matrices
+      and weighted designs that fisher() assembles;
     * tr_fbar_inv, x_matrix and y_matrix, the expansion around the
       maximally mixed state (see qttf.transfer), from one shared
       eigendecomposition of Fbar = C^T Pbar^{-1} C;
@@ -86,15 +88,18 @@ class TomographyMatrices:
 
     @cached_property
     def outer_table(self) -> np.ndarray:
-        """Outer products c_m c_m^T of the rows of C as an (M, K**2) matrix.
-
-        For weights w (..., M), C^T diag(w) C is w @ outer_table reshaped to
-        (..., K, K): one matmul for a whole stack of weight vectors.
-        """
+        """Outer products c_m c_m^T of the rows of C as an (M, K**2) matrix."""
         c_matrix = self.c_matrix
         table = (c_matrix[:, :, None] * c_matrix[:, None, :]).reshape(c_matrix.shape[0], -1)
         table.flags.writeable = False  # shared by every reader of this instance
         return table
+
+    def fisher(self, weights: np.ndarray) -> np.ndarray:
+        """C^T diag(w) C, shape (..., K, K), for every row w of weights (..., M),
+        as one matmul against outer_table: the Fisher matrix F for w = 1/p, and
+        the weighted least-squares designs of qttf.estimation."""
+        k = self.c_matrix.shape[1]
+        return (weights @ self.outer_table).reshape(weights.shape[:-1] + (k, k))
 
     @cached_property
     def _fbar_eigh(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -198,6 +203,8 @@ class TomographyMatrices:
 
 
 def measurement_matrices(pom: Pom, basis: HermitianBasis) -> TomographyMatrices:
+    """The measurement model of pom over basis, not yet checked for
+    informational completeness (see TomographyMatrices.checked)."""
     if pom.dim != basis.dim:
         raise DimensionMismatchError(f"pom dimension {pom.dim} != basis dimension {basis.dim}")
     raw = np.einsum("mij,kji->mk", pom.outcomes, basis.full_ops)
@@ -246,29 +253,6 @@ def _pure_state_born(vectors: np.ndarray, table: np.ndarray) -> np.ndarray:
     return states.reshape(len(vectors), -1).view(np.float64) @ table.T
 
 
-def fisher_from_probabilities(matrices: TomographyMatrices, probs) -> np.ndarray:
-    """F = C^T diag(p)^{-1} C for an explicit probability vector.
-
-    This is also the evaluation mode behind the scaling law F(alpha * rho) =
-    F(rho) / alpha: scaling the probability vector scales F inversely.
-    """
-    probs = np.asarray(probs, dtype=float)
-    if probs.shape != (matrices.n_outcomes,):
-        raise DimensionMismatchError(
-            f"expected {matrices.n_outcomes} probabilities, got shape {probs.shape}"
-        )
-    bad = np.nonzero(probs <= P_FLOOR)[0]
-    if bad.size:
-        j = int(bad[0])
-        raise ZeroProbabilityError(
-            f"outcome {j} has probability {probs[j]:.3e} at or below the floor {P_FLOOR}",
-            index=j,
-        )
-    weighted = matrices.c_matrix / probs[:, None]
-    fisher = matrices.c_matrix.T @ weighted
-    return (fisher + fisher.T) / 2
-
-
 def trace_inverse(fisher: np.ndarray) -> float:
     """Tr(F^{-1}) through a symmetric eigendecomposition.
 
@@ -285,10 +269,16 @@ def trace_inverse(fisher: np.ndarray) -> float:
 
 
 def accuracy(rho, pom: Pom, basis: HermitianBasis) -> float:
-    """Optimal scaled estimation error Tr(F(rho)^{-1}) at a single state."""
+    """Optimal scaled estimation error Tr(F(rho)^{-1}) at a single state; refuses
+    an incomplete measurement and an outcome probability at or below P_FLOOR."""
     rho = _density_matrix(rho)
-    return accuracy_from_probabilities(measurement_matrices(pom, basis), probabilities(rho, pom))
-
-
-def accuracy_from_probabilities(matrices: TomographyMatrices, probs) -> float:
-    return trace_inverse(fisher_from_probabilities(matrices, probs))
+    model = measurement_matrices(pom, basis).checked()
+    probs = probabilities(rho, pom)
+    bad = np.nonzero(probs <= P_FLOOR)[0]
+    if bad.size:
+        j = int(bad[0])
+        raise ZeroProbabilityError(
+            f"outcome {j} has probability {probs[j]:.3e} at or below the floor {P_FLOOR}",
+            index=j,
+        )
+    return trace_inverse(model.fisher(1.0 / probs))

@@ -278,12 +278,15 @@ def pom_from_dict(data) -> Pom:
 
 
 def save_pom(pom: Pom, path) -> None:
+    """Write pom to path as indented JSON in the pom_to_dict form."""
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(pom_to_dict(pom), handle, indent=2)
         handle.write("\n")
 
 
 def load_pom(path) -> Pom:
+    """Read and validate a measurement file written by save_pom; PomSchemaError
+    if it is not valid JSON or not a valid measurement."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)

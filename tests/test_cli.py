@@ -170,12 +170,15 @@ def test_qttf_auto_mub3_uses_bases_form(tmp_path):
     assert payload["method"] == "closed_minimal_bases"
 
 
-def test_qttf_closed_fails_cleanly_without_structure(tmp_path):
-    pom_file = tmp_path / "rand.json"
-    _make(tmp_path, "pom", "random", "--dim", "2", "--m", "6", "--rank", "2",
-          "--seed", "3", "--out", str(pom_file))
-    code, _ = _make(tmp_path, "qttf", str(pom_file), "--method", "closed")
-    assert code == EXIT_USAGE
+def test_qttf_closed_fails_cleanly_without_structure(tmp_path, capsys):
+    # the count of dim + 1 bases without the bases, and a count no closed form takes
+    for m in (6, 5):
+        pom_file = tmp_path / f"rand{m}.json"
+        _make(tmp_path, "pom", "random", "--dim", "2", "--m", str(m), "--rank", "2",
+              "--seed", "3", "--out", str(pom_file))
+        code, _ = _make(tmp_path, "qttf", str(pom_file), "--method", "closed")
+        assert code == EXIT_USAGE
+        assert "no closed form applies" in capsys.readouterr().err
 
 
 def test_qttf_series_matches_closed_form_for_mub(tmp_path):

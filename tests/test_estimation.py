@@ -37,6 +37,7 @@ BASIS2 = build_basis(2)
 # Every route that needs the expansion or a unique inversion refuses a
 # rank-deficient measurement through the one check on the measurement model.
 _RANK_DEFICIENT_ROUTES = {
+    "accuracy": lambda pom: accuracy(np.eye(2) / 2, pom, BASIS2),
     "qttf_monte_carlo": lambda pom: qttf_monte_carlo(pom, BASIS2, 100, rng=1),
     "qttf_series": lambda pom: qttf_series(pom, BASIS2, max_order=4),
     "lin_estimator_reduced": lambda pom: lin_estimator_reduced(

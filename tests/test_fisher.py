@@ -12,10 +12,8 @@ from qttf import (
     PomValidationError,
     ZeroProbabilityError,
     accuracy,
-    accuracy_from_probabilities,
     build_basis,
     duplicate_outcome,
-    fisher_from_probabilities,
     haar_pure_state,
     measurement_matrices,
     mub_povm,
@@ -23,20 +21,26 @@ from qttf import (
     qubit_sic,
     random_pom,
     sic_povm,
+    trace_inverse,
 )
 
 BASIS2 = build_basis(2)
 BASIS3 = build_basis(3)
 
 
+def _direct_fisher(pom, basis, probs):
+    """C^T diag(1/p) C assembled here, without the library's assembly."""
+    c = measurement_matrices(pom, basis).c_matrix
+    return c.T @ np.diag(1.0 / probs) @ c
+
+
 def _fisher(rho, pom, basis):
-    return fisher_from_probabilities(measurement_matrices(pom, basis), probabilities(rho, pom))
+    return _direct_fisher(pom, basis, probabilities(rho, pom))
 
 
 def _tr_fbar(pom, basis):
     """Tr F at the maximally mixed state, whose probabilities are pbar."""
-    matrices = measurement_matrices(pom, basis)
-    return float(np.trace(fisher_from_probabilities(matrices, matrices.p_bar)))
+    return float(np.trace(_direct_fisher(pom, basis, measurement_matrices(pom, basis).p_bar)))
 
 
 def test_qubit_sic_c_tilde_entries():
@@ -117,10 +121,10 @@ def test_probabilities_dimension_mismatch():
 def test_fisher_matrix_definition_and_shape():
     pom = random_pom(2, 6, rank=1, rng=np.random.default_rng(3))
     rho = random_density(2, np.random.default_rng(4))
-    fisher = _fisher(rho, pom, BASIS2)
-    assert fisher.shape == (3, 3)
     matrices = measurement_matrices(pom, BASIS2)
     probs = probabilities(rho, pom)
+    fisher = matrices.fisher(1.0 / probs)
+    assert fisher.shape == (3, 3)
     direct = matrices.c_matrix.T @ np.diag(1.0 / probs) @ matrices.c_matrix
     np.testing.assert_allclose(fisher, direct, atol=1e-12)
     assert abs(np.trace(fisher) - np.trace(direct)) < 1e-12
@@ -135,21 +139,13 @@ def test_fisher_invariant_under_duplication():
     np.testing.assert_allclose(split, base, atol=1e-10)
 
 
-def test_fisher_from_probabilities_rejects_zero_cells():
-    matrices = measurement_matrices(qubit_sic(), BASIS2)
-    probs = np.array([0.5, 0.5, 0.0, 0.0])
-    with pytest.raises(ZeroProbabilityError) as info:
-        fisher_from_probabilities(matrices, probs)
-    assert info.value.index == 2
-
-
 def test_accuracy_is_trace_of_inverse_fisher():
     pom = random_pom(2, 5, rank=2, rng=np.random.default_rng(8))
     rho = random_density(2, np.random.default_rng(9))
     value = accuracy(rho, pom, BASIS2)
     probs = probabilities(rho, pom)
     assert abs(value - chain_fisher_trace_inverse(pom, BASIS2, probs)) < 1e-10
-    assert abs(value - accuracy_from_probabilities(measurement_matrices(pom, BASIS2), probs)) < 1e-12
+    assert abs(value - trace_inverse(_direct_fisher(pom, BASIS2, probs))) < 1e-12
 
 
 def test_accuracy_rejects_incomplete_measurement():
@@ -191,6 +187,12 @@ def test_pure_state_fisher_needs_probability_floor():
     with pytest.raises(ZeroProbabilityError) as info:
         accuracy(rho, pom, BASIS2)
     assert info.value.index == 0
+    # the error names the first vanishing cell: the y- eigenstate of the
+    # qubit MUB (outcome 3) is orthogonal to outcome 2 alone
+    mub = mub_povm(2)
+    with pytest.raises(ZeroProbabilityError) as info:
+        accuracy(3 * mub.outcomes[3], mub, BASIS2)
+    assert info.value.index == 2
 
 
 def test_haar_states_give_valid_fisher():

@@ -20,7 +20,6 @@ from qttf import (
     auxiliary_matrices,
     build_basis,
     duplicate_outcome,
-    fisher_from_probabilities,
     haar_moment_term,
     haar_pure_state,
     haar_state_vectors,
@@ -260,6 +259,32 @@ def test_bases_closed_form_finds_bases_in_permuted_outcomes(dim):
     assert abs(estimate.value - (dim * dim - 1)) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "dim, seed, structure",
+    [
+        (4, 40082, "closed_minimal"),
+        (3, 65, "closed_minimal_bases"),
+        (3, 292, "closed_minimal_bases"),
+        (5, 36, "closed_minimal_bases"),
+    ],
+)
+def test_closed_forms_hold_on_ill_conditioned_measurements(dim, seed, structure):
+    # kappa(C) of order 1e4: the computed Y misses its exact form by more
+    # than STRUCTURE_TOL through roundoff in Fbar^{-1}, while the outcome
+    # operators have the structure exactly, so the closed form still applies
+    basis = build_basis(dim)
+    if structure == "closed_minimal":
+        pom = random_pom(dim, dim * dim, 1, seed)
+    else:
+        rng = np.random.default_rng(seed)
+        bases = _random_bases_pom(dim, rng)
+        pom = Pom(bases.outcomes[rng.permutation(bases.n_outcomes)])
+    estimate = qttf_auto(pom, basis)
+    assert estimate.method == structure
+    series = qttf_series(pom, basis, max_order=4).value
+    assert abs(estimate.value - series) <= 1e-8 * series
+
+
 def test_auto_refuses_incomplete_measurements_with_structured_counts():
     # dim**2 and dim (dim + 1) rank-one outcomes that see no coherences
     z_basis = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
@@ -272,9 +297,16 @@ def test_auto_refuses_incomplete_measurements_with_structured_counts():
 def test_closed_minimal_bases_rejects_unstructured_input():
     with pytest.raises(NotMinimalBasesError):
         qttf_closed_minimal_bases(qubit_sic(), BASIS2)
-    pom = random_pom(2, 6, 1, rng=np.random.default_rng(40))
-    with pytest.raises(NotMinimalBasesError):
-        qttf_closed_minimal_bases(pom, BASIS2)
+    # rank-one, informationally complete, dim (dim + 1) outcomes, no bases
+    for dim in (2, 3):
+        pom = random_pom(dim, dim * (dim + 1), 1, rng=np.random.default_rng(40))
+        with pytest.raises(NotMinimalBasesError):
+            qttf_closed_minimal_bases(pom, build_basis(dim))
+    # three qubit bases, but weighted 0.5, 0.3, 0.2 instead of 1/3 each
+    mub = mub_povm(2)
+    unequal = Pom(mub.outcomes * np.repeat([1.5, 0.9, 0.6], 2)[:, None, None])
+    with pytest.raises(NotMinimalBasesError, match="do not sum"):
+        qttf_closed_minimal_bases(unequal, BASIS2)
 
 
 def test_monte_carlo_zero_variance_on_qubit_sic():
@@ -356,12 +388,6 @@ def test_monte_carlo_equals_accuracy_average_on_the_same_stream(dim, m, rank, se
     assert abs(est.value - oracle) <= 1e-12 * oracle
 
 
-def _outer_table(pom, basis):
-    c = measurement_matrices(pom, basis).c_matrix
-    k = c.shape[1]
-    return (c[:, :, None] * c[:, None, :]).reshape(pom.n_outcomes, k * k)
-
-
 def test_cholesky_trace_inverse_matches_eigendecomposition():
     # half-mixed states keep every probability near pbar, so the Fisher
     # matrices are well conditioned; 600 rows span a full and a partial block
@@ -371,10 +397,9 @@ def test_cholesky_trace_inverse_matches_eigendecomposition():
     probs = np.array(
         [probabilities(0.5 * np.outer(v, v.conj()) + np.eye(3) / 6, pom) for v in vectors]
     )
-    got = _trace_inverse_stack(1.0 / probs, _outer_table(pom, BASIS3))
-    want = np.array(
-        [trace_inverse(fisher_from_probabilities(matrices, p)) for p in probs]
-    )
+    got = _trace_inverse_stack(matrices, 1.0 / probs)
+    c = matrices.c_matrix
+    want = np.array([trace_inverse(c.T @ np.diag(1.0 / p) @ c) for p in probs])
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
@@ -382,9 +407,8 @@ def test_cholesky_trace_inverse_refuses_a_singular_fisher_matrix():
     # a single basis measurement sees no coherences: its Fisher matrix has
     # exactly zero rows, and the factorisation failure is reported as such
     z_basis = Pom(np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]), label="z")
-    table = _outer_table(z_basis, BASIS2)
     with pytest.raises(NotInformationallyCompleteError):
-        _trace_inverse_stack(np.full((3, 2), 2.0), table)
+        _trace_inverse_stack(measurement_matrices(z_basis, BASIS2), np.full((3, 2), 2.0))
 
 
 def test_monte_carlo_redraws_states_under_the_floor():
