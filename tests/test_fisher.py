@@ -187,8 +187,12 @@ def test_pure_state_fisher_needs_probability_floor():
     with pytest.raises(ZeroProbabilityError) as info:
         accuracy(rho, pom, BASIS2)
     assert info.value.index == 0
-    # the error names the first vanishing cell: the y- eigenstate of the
-    # qubit MUB (outcome 3) is orthogonal to outcome 2 alone
+
+
+def test_fisher_from_probabilities_rejects_zero_cells():
+    # the Fisher matrix is built from 1/p, so a vanishing cell is refused and
+    # the error names the first one: the y- eigenstate of the qubit MUB
+    # (outcome 3) is orthogonal to outcome 2 alone
     mub = mub_povm(2)
     with pytest.raises(ZeroProbabilityError) as info:
         accuracy(3 * mub.outcomes[3], mub, BASIS2)
