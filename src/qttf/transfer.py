@@ -321,7 +321,10 @@ def qttf_closed_minimal_bases(pom: Pom, basis: HermitianBasis) -> QttfEstimate:
     series again terminates.  The groups are read from Y, whose entries are
     -(dim+1) within a basis and 0 across, by the midpoint -(dim+1)/2, so the
     outcomes may be listed in any order; the count, the ranks and the group
-    sums are then checked on the outcome operators.  The largest deviation of
+    sums are then checked on the outcome operators.  Y only proposes the
+    partition: misgrouping a true bases measurement would take a roundoff of
+    (dim+1)/2 in Y, and a wrong partition cannot be accepted, because every
+    refusal is decided on the operators.  The largest deviation of
     Y from the block form, params["y_block_deviation"], is a roundoff
     diagnostic, not a test.  Every outcome has trace 1/(dim+1), so
     Fbar = dim (dim+1) C^T C and the value equals Tr(Fbar^{-1}) dim / (dim+1).

@@ -191,11 +191,14 @@ def test_pure_state_fisher_needs_probability_floor():
 
 def test_fisher_from_probabilities_rejects_zero_cells():
     # the Fisher matrix is built from 1/p, so a vanishing cell is refused and
-    # the error names the first one: the y- eigenstate of the qubit MUB
-    # (outcome 3) is orthogonal to outcome 2 alone
+    # the error names the first one: with the y+ outcome of the qubit MUB
+    # split in two (outcomes 2 and 3), the y- eigenstate zeroes both copies
     mub = mub_povm(2)
+    split = duplicate_outcome(mub, 2, [0.5, 0.5])
+    rho = 3 * mub.outcomes[3]
+    assert np.allclose(probabilities(rho, split), [1 / 6, 1 / 6, 0, 0, 1 / 3, 1 / 6, 1 / 6])
     with pytest.raises(ZeroProbabilityError) as info:
-        accuracy(3 * mub.outcomes[3], mub, BASIS2)
+        accuracy(rho, split, BASIS2)
     assert info.value.index == 2
 
 
