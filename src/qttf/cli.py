@@ -3,9 +3,10 @@
 Exit codes: 0 success, 1 usage or input problems, 2 measurement not
 informationally complete, 3 memory budget exceeded.  Every emitted file
 embeds the run configuration (JSON field, or a leading ``# config:`` comment
-line in CSV) and the seed, so runs can be reproduced exactly.  Execution is
-sequential and single threaded; results depend only on the seed and the cell
-or sample index, never on scheduling.
+line in CSV): every parsed argument except ``--out``, the seed included, so
+runs can be reproduced exactly.  Execution is sequential and single
+threaded; results depend only on the seed and the cell or sample index,
+never on scheduling.
 """
 
 from __future__ import annotations
@@ -72,16 +73,27 @@ class _UsageError(Exception):
     pass
 
 
-def _check_minimums(*minimums) -> None:
-    """Refuse any (flag, value, low) with value < low before the command does any work."""
-    for flag, value, low in minimums:
-        if value < low:
-            raise _UsageError(f"{flag} must be >= {low}, got {value}")
+class _AtLeast(argparse.Action):
+    """Store a flag's value, refusing one below `low` at parse time, before any command runs."""
+
+    def __init__(self, option_strings, dest, low, **kwargs):
+        super().__init__(option_strings, dest, **kwargs)
+        self.low = low
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value < self.low:
+            raise _UsageError(f"{option_string} must be >= {self.low}, got {value}")
+        setattr(namespace, self.dest, value)
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+
+def _config(args) -> dict:
+    """The run configuration a result file embeds: every parsed argument except out."""
+    return {key: value for key, value in vars(args).items() if key != "out"}
 
 
 def _fmt(value) -> str:
@@ -188,7 +200,7 @@ def run_fig1(
                     base = random_pom(
                         dim, n_outcomes, rank, _cell_rng(seed, dim, mu_key, rank, index)
                     )
-                    pom = admix_white_noise(base, epsilon) if epsilon > 0 else base
+                    pom = admix_white_noise(base, epsilon)
                     aq = qttf_series(pom, basis, alpha=1.0, max_order=2).value
                     mc = qttf_monte_carlo(
                         pom, basis, n_haar, _cell_rng(seed, dim, mu_key, rank, index, 1)
@@ -219,14 +231,13 @@ def search_counterexample_pair(
     attempts: int,
     n_samples: int,
     seed: int,
-    gap_sigmas: float = 5.0,
 ):
     """Random search for measurements where conditioning and accuracy disagree.
 
     Returns (pom_low_kappa, pom_high_kappa, info) with
-    kappa(first) < kappa(second) while qttf(first) - qttf(second) exceeds
-    gap_sigmas combined standard errors: the better-conditioned measurement
-    is tomographically worse.
+    kappa(first) < kappa(second) while qttf(first) - qttf(second) is at
+    least five combined standard errors: the better-conditioned measurement
+    is tomographically worse.  Each pair is checked once, ordered by kappa.
     """
     basis = build_basis(dim)
     m_choices = list(m_choices)
@@ -242,24 +253,22 @@ def search_counterexample_pair(
         )
         kappa = measurement_matrices(pom, basis).kappa_c_tilde
         estimate = qttf_monte_carlo(pom, basis, n_samples, _cell_rng(seed, index, 1))
-        for other_pom, other_kappa, other_est in candidates:
-            for (p1, k1, e1), (p2, k2, e2) in (
-                ((pom, kappa, estimate), (other_pom, other_kappa, other_est)),
-                ((other_pom, other_kappa, other_est), (pom, kappa, estimate)),
-            ):
-                sigma = float(np.hypot(e1.std_error, e2.std_error))
-                if k1 < k2 - 1e-6 and e1.value - e2.value >= gap_sigmas * sigma:
-                    info = {
-                        "kappa_1": k1,
-                        "kappa_2": k2,
-                        "qttf_1": e1.value,
-                        "qttf_2": e2.value,
-                        "qttf_gap": e1.value - e2.value,
-                        "combined_stderr": sigma,
-                        "attempts_used": index + 1,
-                    }
-                    return p1, p2, info
-        candidates.append((pom, kappa, estimate))
+        current = (pom, kappa, estimate)
+        for other in candidates:
+            (p1, k1, e1), (p2, k2, e2) = sorted((current, other), key=lambda c: c[1])
+            sigma = float(np.hypot(e1.std_error, e2.std_error))
+            if k1 < k2 - 1e-6 and e1.value - e2.value >= 5.0 * sigma:
+                info = {
+                    "kappa_1": k1,
+                    "kappa_2": k2,
+                    "qttf_1": e1.value,
+                    "qttf_2": e2.value,
+                    "qttf_gap": e1.value - e2.value,
+                    "combined_stderr": sigma,
+                    "attempts_used": index + 1,
+                }
+                return p1, p2, info
+        candidates.append(current)
     raise SearchTimeoutError(
         f"no conditioning/accuracy counterexample found in {attempts} attempts"
     )
@@ -325,15 +334,12 @@ def _cmd_pom(args) -> int:
         except ValueError as exc:
             raise _UsageError(str(exc)) from exc
     if args.epsilon is not None:
-        if args.epsilon < 0:
-            raise _UsageError("--epsilon must be >= 0")
         pom = admix_white_noise(pom, args.epsilon)
     _output_pom(pom, args.out)
     return EXIT_OK
 
 
 def _cmd_qttf(args) -> int:
-    _check_minimums(("--samples", args.samples, 2))
     pom = _load(args.pom)
     basis = build_basis(pom.dim)
     if args.method == "auto":
@@ -350,22 +356,13 @@ def _cmd_qttf(args) -> int:
     else:
         estimate = qttf_monte_carlo(pom, basis, args.samples, args.seed)
     payload = asdict(estimate)
-    payload["config"] = {
-        "command": "qttf",
-        "pom": str(args.pom),
-        "method": args.method,
-        "alpha": args.alpha,
-        "order": args.order,
-        "samples": args.samples,
-        "memory_budget": args.memory_budget,
-    }
+    payload["config"] = _config(args)
     payload["seed"] = args.seed
     _emit_json(payload, args.out)
     return EXIT_OK
 
 
 def _cmd_compare(args) -> int:
-    _check_minimums(("--samples", args.samples, 2))
     if len(args.poms) < 2:
         raise _UsageError("compare needs at least two measurement files")
     poms = [_load(path) for path in args.poms]
@@ -415,12 +412,7 @@ def _cmd_compare(args) -> int:
                     f"{a['kappa_c_tilde']:.4f} vs {b['kappa_c_tilde']:.4f}; conditioning "
                     "is not a tomographic ranking"
                 )
-    config = {
-        "command": "compare",
-        "poms": [str(p) for p in args.poms],
-        "samples": args.samples,
-        "seed": args.seed,
-    }
+    config = _config(args)
     columns = [
         "label",
         "m",
@@ -462,41 +454,13 @@ def _cmd_fig1(args) -> int:
         n_haar=args.n_haar,
         seed=args.seed,
     )
-    config = {
-        "command": "fig1",
-        "dims": args.dims,
-        "mus": args.mus,
-        "ranks": args.ranks,
-        "epsilon": args.epsilon,
-        "n_poms": args.n_poms,
-        "n_haar": args.n_haar,
-        "seed": args.seed,
-    }
     columns = ["D", "mu", "rank", "epsilon", "halved_rel_err", "ci_lo", "ci_hi", "limit"]
-    _write_csv(rows, columns, config, args.out)
+    _write_csv(rows, columns, _config(args), args.out)
     return EXIT_OK
 
 
 def _cmd_fig2(args) -> int:
-    # checked before --search writes the pair files
-    _check_minimums(
-        ("--shots", args.shots, 1),
-        ("--trials", args.trials, 2),
-        ("--states", args.states, 1),
-        ("--samples", args.samples, 2),
-    )
-    config = {
-        "command": "fig2",
-        "pom1": str(args.pom1),
-        "pom2": str(args.pom2),
-        "search": bool(args.search),
-        "purity": args.purity,
-        "states": args.states,
-        "shots": args.shots,
-        "trials": args.trials,
-        "samples": args.samples,
-        "seed": args.seed,
-    }
+    config = _config(args)
     if args.search:
         if args.dim is None:
             raise _UsageError("--search requires --dim")
@@ -557,7 +521,9 @@ def _build_parser() -> _Parser:
     trans.add_argument("input")
     trans.add_argument("--duplicate", type=int, default=None, help="outcome number (1-based)")
     trans.add_argument("--weights", default=None, help="comma-separated split weights")
-    trans.add_argument("--epsilon", type=float, default=None, help="white-noise admixture")
+    trans.add_argument(
+        "--epsilon", type=float, default=None, action=_AtLeast, low=0, help="white-noise admixture"
+    )
     trans.add_argument("--out", default=None)
 
     qttf_parser = sub.add_parser("qttf", help="evaluate the transfer function")
@@ -565,7 +531,7 @@ def _build_parser() -> _Parser:
     qttf_parser.add_argument("--method", choices=["auto", "closed", "series", "mc"], default="auto")
     qttf_parser.add_argument("--alpha", type=float, default=1.0)
     qttf_parser.add_argument("--order", type=int, default=2)
-    qttf_parser.add_argument("--samples", type=int, default=10000)
+    qttf_parser.add_argument("--samples", type=int, default=10000, action=_AtLeast, low=2)
     qttf_parser.add_argument("--seed", type=int, default=0)
     qttf_parser.add_argument(
         "--memory-budget",
@@ -577,7 +543,7 @@ def _build_parser() -> _Parser:
 
     cmp_parser = sub.add_parser("compare", help="tabulate conditioning against accuracy")
     cmp_parser.add_argument("poms", nargs="+")
-    cmp_parser.add_argument("--samples", type=int, default=10000)
+    cmp_parser.add_argument("--samples", type=int, default=10000, action=_AtLeast, low=2)
     cmp_parser.add_argument("--seed", type=int, default=0)
     cmp_parser.add_argument("--format", choices=["table", "json", "csv"], default="table")
     cmp_parser.add_argument("--out", default=None)
@@ -586,9 +552,9 @@ def _build_parser() -> _Parser:
     fig1_parser.add_argument("--dims", default="2", help="dims whose mu*dim**2 are all integral")
     fig1_parser.add_argument("--mus", default="1.25,1.5,2,3", help="outcome counts as mu*dim**2")
     fig1_parser.add_argument("--ranks", default="1")
-    fig1_parser.add_argument("--epsilon", type=float, default=0.0)
-    fig1_parser.add_argument("--n-poms", type=int, default=50)
-    fig1_parser.add_argument("--n-haar", type=int, default=500)
+    fig1_parser.add_argument("--epsilon", type=float, default=0.0, action=_AtLeast, low=0)
+    fig1_parser.add_argument("--n-poms", type=int, default=50, action=_AtLeast, low=0)
+    fig1_parser.add_argument("--n-haar", type=int, default=500, action=_AtLeast, low=2)
     fig1_parser.add_argument("--seed", type=int, default=0)
     fig1_parser.add_argument("--out", default=None)
 
@@ -601,10 +567,10 @@ def _build_parser() -> _Parser:
     fig2_parser.add_argument("--rank", type=int, default=1)
     fig2_parser.add_argument("--attempts", type=int, default=200)
     fig2_parser.add_argument("--purity", type=float, default=0.99)
-    fig2_parser.add_argument("--states", type=int, default=10)
-    fig2_parser.add_argument("--shots", type=int, default=10000)
-    fig2_parser.add_argument("--trials", type=int, default=50)
-    fig2_parser.add_argument("--samples", type=int, default=4000)
+    fig2_parser.add_argument("--states", type=int, default=10, action=_AtLeast, low=1)
+    fig2_parser.add_argument("--shots", type=int, default=10000, action=_AtLeast, low=1)
+    fig2_parser.add_argument("--trials", type=int, default=50, action=_AtLeast, low=2)
+    fig2_parser.add_argument("--samples", type=int, default=4000, action=_AtLeast, low=2)
     fig2_parser.add_argument("--seed", type=int, default=0)
     fig2_parser.add_argument("--out", default=None)
 

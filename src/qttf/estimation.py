@@ -48,11 +48,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ZeroProbabilityError
+from .errors import DimensionMismatchError
 from .fisher import (
-    P_FLOOR,
     TomographyMatrices,
     _pure_state_born,
+    _require_above_floor,
     measurement_matrices,
     probabilities,
     trace_inverse,
@@ -218,14 +218,7 @@ def _scaled_mse(
     whole states holding at most MSE_BLOCK click runs (one state when
     n_trials is larger), in state order.
     """
-    state, outcome = np.nonzero(probs <= P_FLOOR)
-    if state.size:
-        s, j = int(state[0]), int(outcome[0])
-        raise ZeroProbabilityError(
-            f"outcome {j} has probability {probs[s, j]:.3e}; "
-            "the experiment needs a full-rank state",
-            index=j,
-        )
+    _require_above_floor(probs)
     probs = probs / probs.sum(axis=1, keepdims=True)
     per_block = max(1, MSE_BLOCK // n_trials)
     scaled = np.empty(len(probs))

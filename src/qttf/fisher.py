@@ -253,6 +253,19 @@ def _pure_state_born(vectors: np.ndarray, table: np.ndarray) -> np.ndarray:
     return states.reshape(len(vectors), -1).view(np.float64) @ table.T
 
 
+def _require_above_floor(probs: np.ndarray) -> None:
+    """Refuse outcome probabilities (..., M) with a cell at or below P_FLOOR,
+    naming the outcome of the first such cell in row-major order."""
+    low = np.argwhere(probs <= P_FLOOR)
+    if low.size:
+        cell = tuple(low[0])
+        j = int(cell[-1])
+        raise ZeroProbabilityError(
+            f"outcome {j} has probability {probs[cell]:.3e} at or below the floor {P_FLOOR}",
+            index=j,
+        )
+
+
 def trace_inverse(fisher: np.ndarray) -> float:
     """Tr(F^{-1}) through a symmetric eigendecomposition.
 
@@ -274,11 +287,5 @@ def accuracy(rho, pom: Pom, basis: HermitianBasis) -> float:
     rho = _density_matrix(rho)
     model = measurement_matrices(pom, basis).checked()
     probs = probabilities(rho, pom)
-    bad = np.nonzero(probs <= P_FLOOR)[0]
-    if bad.size:
-        j = int(bad[0])
-        raise ZeroProbabilityError(
-            f"outcome {j} has probability {probs[j]:.3e} at or below the floor {P_FLOOR}",
-            index=j,
-        )
+    _require_above_floor(probs)
     return trace_inverse(model.fisher(1.0 / probs))

@@ -196,20 +196,16 @@ def random_pom(dim: int, n_outcomes: int, rank: int, rng=None, label: str | None
 def admix_white_noise(pom: Pom, epsilon: float = 0.05) -> Pom:
     """Mix trace-weighted white noise into every outcome.
 
-    B_j = Pi_j + epsilon * Tr(Pi_j)/dim * identity, renormalized through the
-    S^{-1/2} sandwich, so epsilon = 0 reproduces the input and epsilon -> inf
-    drives each outcome to Tr(Pi_j)/dim times the identity.
+    B_j = Pi_j + epsilon * Tr(Pi_j)/dim * identity, divided by 1 + epsilon:
+    the added noise sums to epsilon * identity, so the S^{-1/2} sandwich with
+    S = sum_j B_j = (1 + epsilon) * identity is that division.  epsilon = 0
+    reproduces the input and epsilon -> inf drives each outcome to
+    Tr(Pi_j)/dim times the identity.
     """
     if epsilon < 0:
         raise PomValidationError(f"epsilon must be >= 0, got {epsilon}")
-    dim = pom.dim
-    blocks = pom.outcomes + epsilon * pom.traces[:, None, None] * np.eye(dim) / dim
-    total = blocks.sum(axis=0)
-    evals, evecs = np.linalg.eigh(total)
-    inv_sqrt = (evecs / np.sqrt(evals)) @ evecs.conj().T
-    outcomes = np.einsum("ij,mjk,kl->mil", inv_sqrt, blocks, inv_sqrt)
-    outcomes = (outcomes + outcomes.conj().transpose(0, 2, 1)) / 2
-    return Pom(outcomes, label=f"{pom.label}+noise({epsilon:g})")
+    noise = epsilon * pom.traces[:, None, None] * np.eye(pom.dim) / pom.dim
+    return Pom((pom.outcomes + noise) / (1 + epsilon), label=f"{pom.label}+noise({epsilon:g})")
 
 
 def duplicate_outcome(pom: Pom, index: int, weights) -> Pom:

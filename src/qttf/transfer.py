@@ -102,16 +102,6 @@ class ReferenceValues:
     covariant: float  # many-outcome covariant limit
     limit_rel_error: float  # limiting relative error of the order-2 series
 
-    def as_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "sic": self.sic,
-            "mub": self.mub,
-            "zeroth_bound": self.zeroth_bound,
-            "covariant": self.covariant,
-            "limit_rel_error": self.limit_rel_error,
-        }
-
 
 def reference_values(dim: int) -> ReferenceValues:
     """The dimension-only reference points (ReferenceValues) for dim >= 2."""

@@ -17,6 +17,7 @@ from qttf.cli import (
     EXIT_NOT_IC,
     EXIT_OK,
     EXIT_USAGE,
+    _build_parser,
     bootstrap_ci,
     main,
     run_fig1,
@@ -292,6 +293,24 @@ def test_compare_flags_conditioning_inversion(tmp_path):
     assert "conditioning is not a tomographic ranking" in out
 
 
+def test_compare_inversion_names_the_better_conditioned_first(tmp_path):
+    # the split MUB is listed first but is the worse conditioned, so the note swaps
+    # the pair; both values are exact (closed form and order-2 series)
+    mub = _builtin_file(tmp_path, "mub2")
+    sic = _builtin_file(tmp_path, "sic2")
+    split = tmp_path / "split.json"
+    _make(tmp_path, "pom", "transform", str(mub), "--duplicate", "1",
+          "--weights", "0.5,0.5", "--out", str(split))
+    code, out = _make(tmp_path, "compare", str(split), str(sic), "--format", "json")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert [row["qttf_stderr"] for row in payload["rows"]] == [0, 0]
+    assert payload["notes"][1:] == [
+        "inversion: sic2 (kappa=1.7321) is better conditioned than mub2+dup(1;0.5,0.5) "
+        "(kappa=1.9663) but tomographically worse (qttf 4.0000 vs 3.0000)"
+    ]
+
+
 def test_compare_json_format(tmp_path):
     sic = _builtin_file(tmp_path, "sic2")
     mub = _builtin_file(tmp_path, "mub2")
@@ -363,6 +382,22 @@ def test_fig1_rejects_fractional_outcome_counts(tmp_path):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "flag,value,message",
+    [
+        ("--n-haar", "1", "--n-haar must be >= 2, got 1"),
+        ("--n-poms", "-1", "--n-poms must be >= 0, got -1"),
+        ("--epsilon", "-0.1", "--epsilon must be >= 0, got -0.1"),
+        ("--dims", "2,x", "expected a comma-separated integer list, got '2,x'"),
+    ],
+)
+def test_fig1_refuses_bad_flags(tmp_path, capsys, flag, value, message):
+    code, out = _make(tmp_path, "fig1", "--mus", "2", "--n-haar", "20", flag, value)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_fig1_takes_no_memory_budget(tmp_path):
     # fig1 runs only the order-2 series, which no memory budget bounds
     code, out = _make(tmp_path, "fig1", "--n-poms", "1", "--memory-budget", "1")
@@ -429,6 +464,24 @@ def test_fig2_search_persists_discordant_pair(tmp_path):
     assert e1.value - e2.value > 3 * np.hypot(e1.std_error, e2.std_error)
     config, _ = _csv_rows(out.read_text(encoding="utf-8"))
     assert config["search_info"]["attempts_used"] >= 1
+    # the header names the search that found the pair
+    assert {key: config[key] for key in ("dim", "m", "rank", "attempts")} == {
+        "dim": 2, "m": "6,8", "rank": 1, "attempts": 60,
+    }
+
+
+def test_fig2_search_timeout_writes_no_pair(tmp_path, capsys):
+    first, second = tmp_path / "p1.json", tmp_path / "p2.json"
+    code, out = _make(
+        tmp_path, "fig2", str(first), str(second), "--search", "--dim", "2",
+        "--attempts", "1", "--samples", "200",
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert capsys.readouterr().err == (
+        "error: no conditioning/accuracy counterexample found in 1 attempts\n"
+    )
+    assert not first.exists() and not second.exists()
 
 
 @pytest.mark.parametrize(
@@ -452,6 +505,33 @@ def test_fig2_mixed_dimensions_rejected(tmp_path):
     code, _ = _make(tmp_path, "fig2", str(sic2), str(sic3), "--states", "2",
                     "--trials", "4", "--shots", "200")
     assert code == EXIT_USAGE
+
+
+# ---------------------------------------------------------------- config
+
+
+@pytest.mark.parametrize("command", ["qttf", "compare", "fig1", "fig2 --search"])
+def test_config_holds_every_parsed_argument_but_out(tmp_path, command):
+    sic = str(_builtin_file(tmp_path, "sic2"))
+    mub = str(_builtin_file(tmp_path, "mub2"))
+    out = tmp_path / "result"
+    argv = {
+        "qttf": ["qttf", sic, "--method", "series", "--seed", "3"],
+        "compare": ["compare", sic, mub, "--format", "json", "--samples", "500"],
+        "fig1": ["fig1", "--mus", "2", "--n-poms", "1", "--n-haar", "20"],
+        "fig2 --search": [
+            "fig2", str(tmp_path / "p1.json"), str(tmp_path / "p2.json"), "--search",
+            "--dim", "2", "--attempts", "60", "--samples", "500", "--states", "2",
+            "--shots", "200", "--trials", "4", "--seed", "1",
+        ],
+    }[command] + ["--out", str(out)]
+    assert _make(tmp_path, *argv)[0] == EXIT_OK
+    text = out.read_text(encoding="utf-8")
+    config = json.loads(text)["config"] if text.startswith("{") else _csv_rows(text)[0]
+    config.pop("search_info", None)  # the search's result, not an argument
+    parsed = vars(_build_parser().parse_args(argv))
+    del parsed["out"]
+    assert config == parsed
 
 
 # ---------------------------------------------------------------- helpers

@@ -202,6 +202,13 @@ def test_fisher_from_probabilities_rejects_zero_cells():
     assert info.value.index == 2
 
 
+def test_trace_inverse_refuses_a_singular_matrix():
+    # a zero matrix, an exactly singular one, and one below the eigenvalue ratio
+    for fisher in (np.zeros((3, 3)), np.diag([2.0, 1.0, 0.0]), np.diag([1.0, 1e-13])):
+        with pytest.raises(NotInformationallyCompleteError, match="Fisher matrix is singular"):
+            trace_inverse(fisher)
+
+
 def test_haar_states_give_valid_fisher():
     pom = mub_povm(3)
     rng = np.random.default_rng(15)

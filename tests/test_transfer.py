@@ -2,6 +2,7 @@
 
 import tracemalloc
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -106,7 +107,7 @@ def test_reference_values_table():
     assert abs(ref3.mub - 8.0) < 1e-14
     assert abs(ref3.zeroth_bound - 32.0 / 3.0) < 1e-14
     assert abs(ref3.covariant - 4.0) < 1e-14
-    assert set(ref3.as_dict()) == {
+    assert set(asdict(ref3)) == {
         "dim",
         "sic",
         "mub",
