@@ -12,6 +12,7 @@ never on scheduling.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -91,6 +92,18 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@contextlib.contextmanager
+def _argument_errors():
+    """Report a plain ValueError, the library's refusal of an argument value,
+    as a usage error; the library's own error types keep their exit codes."""
+    try:
+        yield
+    except QttfError:
+        raise
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
+
+
 def _config(args) -> dict:
     """The run configuration a result file embeds: every parsed argument except out."""
     return {key: value for key, value in vars(args).items() if key != "out"}
@@ -134,16 +147,22 @@ def _output_pom(pom: Pom, out_path=None) -> None:
 
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part]
-    except ValueError as exc:
-        raise _UsageError(f"expected a comma-separated integer list, got {text!r}") from exc
+        values = [int(part) for part in text.split(",") if part]
+    except ValueError:
+        values = []
+    if not values:
+        raise _UsageError(f"expected a comma-separated integer list, got {text!r}")
+    return values
 
 
 def _float_list(text: str) -> list[float]:
     try:
-        return [float(part) for part in text.split(",") if part]
-    except ValueError as exc:
-        raise _UsageError(f"expected a comma-separated number list, got {text!r}") from exc
+        values = [float(part) for part in text.split(",") if part]
+    except ValueError:
+        values = []
+    if not values:
+        raise _UsageError(f"expected a comma-separated number list, got {text!r}")
+    return values
 
 
 def _load(path) -> Pom:
@@ -329,10 +348,9 @@ def _cmd_pom(args) -> int:
             raise _UsageError(
                 f"--duplicate outcome number must be in [1, {pom.n_outcomes}] (1-based)"
             )
-        try:
-            pom = duplicate_outcome(pom, args.duplicate - 1, _float_list(args.weights))
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from exc
+        weights = _float_list(args.weights)
+        with _argument_errors():
+            pom = duplicate_outcome(pom, args.duplicate - 1, weights)
     if args.epsilon is not None:
         pom = admix_white_noise(pom, args.epsilon)
     _output_pom(pom, args.out)
@@ -350,9 +368,10 @@ def _cmd_qttf(args) -> int:
         except (NotMinimallyCompleteError, NotMinimalBasesError) as exc:
             raise _UsageError(f"no closed form applies: {exc}") from exc
     elif args.method == "series":
-        estimate = qttf_series(
-            pom, basis, alpha=args.alpha, max_order=args.order, memory_budget=args.memory_budget
-        )
+        with _argument_errors():
+            estimate = qttf_series(
+                pom, basis, alpha=args.alpha, max_order=args.order, memory_budget=args.memory_budget
+            )
     else:
         estimate = qttf_monte_carlo(pom, basis, args.samples, args.seed)
     payload = asdict(estimate)
@@ -487,16 +506,17 @@ def _cmd_fig2(args) -> int:
     if pom1.dim != pom2.dim:
         raise _UsageError(f"measurements have mixed dimensions {pom1.dim} and {pom2.dim}")
     basis = build_basis(pom1.dim)
-    rows = run_fig2_rows(
-        [pom1, pom2],
-        basis,
-        purity=args.purity,
-        n_states=args.states,
-        n_shots=args.shots,
-        n_trials=args.trials,
-        n_samples=args.samples,
-        seed=args.seed,
-    )
+    with _argument_errors():
+        rows = run_fig2_rows(
+            [pom1, pom2],
+            basis,
+            purity=args.purity,
+            n_states=args.states,
+            n_shots=args.shots,
+            n_trials=args.trials,
+            n_samples=args.samples,
+            seed=args.seed,
+        )
     columns = ["label", "m", "kappa_c_tilde", "qttf_mc", "qttf_mc_stderr", "aqttf", "scaled_mse"]
     _write_csv(rows, columns, config, args.out)
     return EXIT_OK

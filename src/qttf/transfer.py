@@ -12,7 +12,10 @@ Its evaluation routes:
 * Monte-Carlo averaging over Haar states, with Tr(F^{-1}) from a batched
   Cholesky factorisation and the first-, second- and third-order terms of
   the expansion below as fitted control variates, with their exact Haar
-  means 0, F2 and F3.
+  means 0, F2 and F3.  When every outcome is rank one, three more controls
+  follow the kink of Tr(F^{-1}) where an outcome's probability vanishes:
+  x_m = p_m / Tr Pi_m is then exactly Beta(1, dim-1) distributed, so sums of
+  x_m**(1/2) and x_m**(3/2) have exact Haar means too.
 
 The series rests on the identity (with Pbar the diagonal matrix of
 maximally mixed probabilities, P the diagonal probability matrix at rho,
@@ -50,6 +53,7 @@ ill-conditioned but valid measurement its roundoff can exceed any tolerance.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -325,8 +329,7 @@ def qttf_closed_minimal_bases(pom: Pom, basis: HermitianBasis) -> QttfEstimate:
         raise NotMinimalBasesError(
             f"expected {dim * n_bases} outcomes ({n_bases} bases of {dim}), got {pom.n_outcomes}"
         )
-    evals = np.linalg.eigvalsh(pom.outcomes)
-    if evals[:, :-1].max() > STRUCTURE_TOL:
+    if not _all_rank_one(pom):
         raise NotMinimalBasesError("outcomes are not all rank one")
     model = auxiliary_matrices(pom, basis)
     # list the outcomes group by group, each group at the place of its first outcome
@@ -345,6 +348,19 @@ def qttf_closed_minimal_bases(pom: Pom, basis: HermitianBasis) -> QttfEstimate:
         method="closed_minimal_bases",
         params={"n_bases": n_bases, "y_block_deviation": block_dev},
     )
+
+
+def _all_rank_one(pom: Pom) -> bool:
+    """Whether every outcome is rank one: all eigenvalues but the largest
+    within STRUCTURE_TOL of zero."""
+    return bool(np.linalg.eigvalsh(pom.outcomes)[:, :-1].max() <= STRUCTURE_TOL)
+
+
+def _beta_moment(dim: int, power: float) -> float:
+    """E[x**power] = Gamma(1 + power) Gamma(dim) / Gamma(dim + power) for
+    x ~ Beta(1, dim-1), the law of |<phi|psi>|**2 for a unit phi and a Haar
+    pure state psi."""
+    return math.exp(math.lgamma(1 + power) + math.lgamma(dim) - math.lgamma(dim + power))
 
 
 def _closed_form(pom: Pom, basis: HermitianBasis) -> QttfEstimate:
@@ -416,16 +432,28 @@ def qttf_monte_carlo(
 
     with Q, T and their exact Haar means F2 and F3 read from the measurement
     model (fisher.TomographyMatrices), so all three have Haar mean exactly 0.
+    When every outcome is rank one (_all_rank_one), x_m = p_m / Tr Pi_m is
+    Beta(1, dim-1) distributed with E[x**a] = e(a) = Gamma(1+a) Gamma(dim) /
+    Gamma(dim+a), and three more controls follow Tr(F^{-1}) near an outcome's
+    zero, where the polynomial ones cannot:
+
+    * h1 = sum_m x_m**(1/2) - M e(1/2);
+    * h2 = sum_m X_mm x_m**(1/2) - (sum_m X_mm) e(1/2);
+    * h3 = sum_m X_mm x_m**(3/2) - (sum_m X_mm) e(3/2).
 
     The value is mean(v - G beta), with beta the least-squares fit of the
     centred samples on the centred controls (minimum norm, so a constant
     control gets coefficient 0), and std_error comes from the residuals with
-    4 degrees of freedom spent.  params["variance_reduction"] is the raw over the
-    residual sum of squares.  The fit is skipped, giving the plain mean and
-    a factor of exactly 1.0, when any draw was redrawn (the conditioned
-    distribution no longer has the known control means), when
-    n_samples <= 4, or when the samples have no spread.  The kurtosis and
-    HeavyTailWarning describe the raw samples.
+    one degree of freedom spent per control and one for the intercept: 4, or
+    7 with the rank-one controls.  params["controls"] is the number of
+    controls fitted, params["variance_reduction"] the raw over the residual
+    sum of squares and params["residual_kurtosis"] the kurtosis of the
+    residuals.  The fit is skipped, giving the plain mean, a factor of
+    exactly 1.0 and 0 controls, when any draw was redrawn (the conditioned
+    distribution no longer has the known control means), when n_samples
+    does not exceed the degrees of freedom spent, or when the samples have
+    no spread.  params["kurtosis"] and HeavyTailWarning describe the raw
+    samples.
 
     States are drawn in batches of up to MC_BATCH.  With the outer products
     c_m c_m^T of the rows of C tabulated once per model as an (M, K**2)
@@ -440,9 +468,13 @@ def qttf_monte_carlo(
       F = sum_m c_m c_m^T / p_m (TomographyMatrices.fisher), a batched
       Cholesky factorisation and an in-place inversion of the factor for
       Tr(F^{-1}) (_trace_inverse_stack),
-    * K + 2 (s, K) @ (K, K) matmuls for the controls,
+    * K + 2 (s, K) @ (K, K) matmuls for the polynomial controls,
+    * for rank-one outcomes, one square root of the (s, M) probabilities,
+      one (s, M) @ (M, 2) matmul against [w**(1/2), X_mm w**(1/2)] with
+      w_m = 1 / Tr Pi_m, the product p**(1/2) * p in place and one matvec
+      against X_mm w**(3/2),
 
-    so each sample costs its Cholesky factorisation plus O(dim**2 K + K**3).
+    so each sample costs its Cholesky factorisation plus O(dim**2 K + K**3 + M).
     """
     if n_samples < 2:
         raise ValueError(f"need at least 2 samples, got {n_samples}")
@@ -452,8 +484,17 @@ def qttf_monte_carlo(
     dim, m = pom.dim, pom.n_outcomes
     linear = model.c_matrix.T @ np.diag(model.x_matrix)
     quadratic, cubic = model.quadratic_form, model.cubic_form
+    control_means = [0.0, model.f2, model.f3]
+    rank_one = _all_rank_one(pom)
+    if rank_one:
+        x_diag = np.diag(model.x_matrix)
+        root_weights = np.sqrt(1.0 / pom.traces)
+        root_table = np.column_stack([root_weights, x_diag * root_weights])
+        cube_weights = x_diag * root_weights**3
+        half, three_halves = _beta_moment(dim, 0.5), _beta_moment(dim, 1.5)
+        control_means += [m * half, x_diag.sum() * half, x_diag.sum() * three_halves]
     values = np.empty(n_samples)
-    controls = np.empty((n_samples, 3))
+    controls = np.empty((n_samples, len(control_means)))
     filled = 0
     drawn = 0
     rejected = 0
@@ -468,19 +509,24 @@ def qttf_monte_carlo(
             raise PathologicalPomError(
                 f"{rejected}/{drawn} Haar draws hit the probability floor {P_FLOOR}"
             )
-        kept = born[keep][: n_samples - filled]
+        # a view, not a copy, when no draw fell under the floor (the usual case)
+        kept = (born if keep.all() else born[keep])[: n_samples - filled]
         take = kept.shape[0]
         if not take:
             continue
-        coords = kept[:, m:]
+        probs, coords = kept[:, :m], kept[:, m:]
         rows = slice(filled, filled + take)
-        values[rows] = _trace_inverse_stack(model, 1.0 / kept[:, :m])
+        values[rows] = _trace_inverse_stack(model, 1.0 / probs)
+        if rank_one:
+            roots = np.sqrt(probs)
+            controls[rows, 3:5] = roots @ root_table
+            roots *= probs
+            controls[rows, 5] = roots @ cube_weights
         controls[rows, 0] = coords @ linear
         controls[rows, 1] = np.sum((coords @ quadratic) * coords, axis=1)
         controls[rows, 2] = _cubic_form(coords, cubic)
         filled += take
-    controls[:, 1] -= model.f2
-    controls[:, 2] -= model.f3
+    controls -= control_means
     mean = float(values.mean())
     centered = values - mean
     second = float(np.mean(centered**2))
@@ -499,18 +545,22 @@ def qttf_monte_carlo(
         )
     spent = 1 + controls.shape[1]  # the intercept and one coefficient per control
     if spread and rejected == 0 and n_samples > spent:
-        control_means = controls.mean(axis=0)
-        shifted = controls - control_means
+        sample_means = controls.mean(axis=0)
+        shifted = controls - sample_means
         beta = np.linalg.lstsq(shifted, centered, rcond=None)[0]
         residuals = centered - shifted @ beta
         residual_ss = float(residuals @ residuals)
-        value = mean - float(control_means @ beta)
+        value = mean - float(sample_means @ beta)
         std_error = float(np.sqrt(residual_ss / ((n_samples - spent) * n_samples)))
         reduction = second * n_samples / residual_ss
+        fitted = controls.shape[1]
+        residual_kurtosis = float(np.mean(residuals**4) / (residual_ss / n_samples) ** 2)
     else:
         value = mean
         std_error = float(values.std(ddof=1) / np.sqrt(n_samples))
         reduction = 1.0
+        fitted = 0
+        residual_kurtosis = 0.0
     return QttfEstimate(
         value=value,
         method="monte_carlo",
@@ -520,6 +570,8 @@ def qttf_monte_carlo(
             "redraw_rate": rejected / drawn if drawn else 0.0,
             "kurtosis": kurtosis,
             "variance_reduction": reduction,
+            "controls": fitted,
+            "residual_kurtosis": residual_kurtosis,
         },
         std_error=std_error,
     )

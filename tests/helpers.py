@@ -226,6 +226,23 @@ def mc_truncated_identity(pom, basis, alpha, max_order, n_samples, rng):
     return float(values.mean()), float(values.std(ddof=1) / np.sqrt(n_samples))
 
 
+def rank_one_overlap_moment(dim: int, power: float) -> float:
+    """E[x**power] for x = |<phi|psi>|**2, phi a unit vector and psi a Haar
+    pure state in dimension dim, by Gauss-Legendre quadrature.
+
+    x has the Beta(1, dim-1) density (dim-1) (1-x)**(dim-2) on [0, 1].  After
+    x = u**2 the integrand 2 (dim-1) u**(2 power + 1) (1-u**2)**(dim-2) is a
+    polynomial of degree 2 power + 2 dim - 3 whenever 2 power is an integer
+    >= -1, so a rule with ceil(power) + dim nodes on [0, 1] is exact.
+    """
+    if 2 * power != int(2 * power) or power < -0.5:
+        raise ValueError(f"2 * power must be an integer >= -1, got power {power}")
+    nodes, weights = np.polynomial.legendre.leggauss(int(np.ceil(power)) + dim)
+    u = (nodes + 1) / 2
+    integrand = 2 * (dim - 1) * u ** int(2 * power + 1) * (1 - u * u) ** (dim - 2)
+    return float(np.sum(weights * integrand) / 2)
+
+
 def chain_fisher_trace_inverse(pom, basis, probs: np.ndarray) -> float:
     """Tr((C^T diag(p)^{-1} C)^{-1}) assembled without the library helpers."""
     c = measurement_matrices(pom, basis).c_matrix

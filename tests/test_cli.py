@@ -244,6 +244,9 @@ def test_qttf_non_ic_exit_code(tmp_path):
     save_pom(Pom(np.eye(2)[None], label="trivial"), trivial)
     code, _ = _make(tmp_path, "qttf", str(trivial))
     assert code == EXIT_NOT_IC
+    # the series call reports plain ValueErrors as usage errors, but not this one
+    code, _ = _make(tmp_path, "qttf", str(trivial), "--method", "series")
+    assert code == EXIT_NOT_IC
 
 
 def test_qttf_budget_exit_code(tmp_path):
@@ -389,6 +392,8 @@ def test_fig1_rejects_fractional_outcome_counts(tmp_path):
         ("--n-poms", "-1", "--n-poms must be >= 0, got -1"),
         ("--epsilon", "-0.1", "--epsilon must be >= 0, got -0.1"),
         ("--dims", "2,x", "expected a comma-separated integer list, got '2,x'"),
+        ("--dims", "", "expected a comma-separated integer list, got ''"),
+        ("--mus", ",", "expected a comma-separated number list, got ','"),
     ],
 )
 def test_fig1_refuses_bad_flags(tmp_path, capsys, flag, value, message):
@@ -497,6 +502,39 @@ def test_fig2_rejects_bad_counts_before_searching(tmp_path, capsys, flag, value)
     assert code == EXIT_USAGE
     assert capsys.readouterr().err.startswith(f"error: {flag} must be >= ")
     assert not first.exists() and not second.exists()
+
+
+def test_fig2_search_refuses_an_empty_count_list(tmp_path, capsys):
+    first, second = tmp_path / "p1.json", tmp_path / "p2.json"
+    code, out = _make(
+        tmp_path, "fig2", str(first), str(second), "--search", "--dim", "2", "--m", "",
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert capsys.readouterr().err == "error: expected a comma-separated integer list, got ''\n"
+    assert not first.exists() and not second.exists()
+
+
+@pytest.mark.parametrize(
+    "command,flags,message",
+    [
+        ("qttf", ["--method", "series", "--alpha", "-1"], "alpha must be positive, got -1.0"),
+        (
+            "fig2",
+            ["--purity", "1.5", "--states", "2", "--trials", "4", "--shots", "200"],
+            "target purity must lie in [1/dim, 1) = [0.5, 1), got 1.5",
+        ),
+    ],
+)
+def test_library_refusals_of_flag_values_are_usage_errors(
+    tmp_path, capsys, command, flags, message
+):
+    files = [str(_builtin_file(tmp_path, "sic2"))] * (1 if command == "qttf" else 2)
+    capsys.readouterr()
+    code, out = _make(tmp_path, command, *files, *flags)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_fig2_mixed_dimensions_rejected(tmp_path):

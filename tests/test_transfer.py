@@ -7,7 +7,12 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from helpers import centered_moments_23, identity_rhs, oracle_series_terms
+from helpers import (
+    centered_moments_23,
+    identity_rhs,
+    oracle_series_terms,
+    rank_one_overlap_moment,
+)
 
 from qttf import (
     BudgetExceededError,
@@ -357,7 +362,8 @@ def test_monte_carlo_equals_accuracy_average_on_the_same_stream(dim, m, rank, se
     # Tr(X D), Tr(X D Y D) and Tr(X D Y D Y D) minus their exact Haar means,
     # taken from the centered-moment oracle rather than the library) and
     # fitted by least squares, must give the same estimate up to summation
-    # order
+    # order.  Rank-one outcomes add three controls in x_m = p_m / Tr Pi_m,
+    # centred by the quadrature moments of its Beta(1, dim-1) law.
     basis = build_basis(dim)
     pom = random_pom(dim, m, rank, rng=np.random.default_rng(seed))
     n = 300
@@ -371,17 +377,27 @@ def test_monte_carlo_equals_accuracy_average_on_the_same_stream(dim, m, rank, se
     vectors = haar_state_vectors(dim, n, np.random.default_rng(seed))
     states = [np.outer(v, v.conj()) for v in vectors]
     values = np.array([accuracy(rho, pom, basis) for rho in states])
-    deltas = np.array([probabilities(rho, pom) - aux.p_bar for rho in states])
+    probs = np.array([probabilities(rho, pom) for rho in states])
+    deltas = probs - aux.p_bar
     dx = deltas[:, :, None] * x  # D X per sample
     dy = deltas[:, :, None] * y  # D Y per sample
-    controls = np.column_stack(
-        [
-            deltas @ np.diag(x),
-            np.einsum("sa,ab,sb->s", deltas, x * y, deltas) - f2,
-            # Tr(X D Y D Y D) = Tr(D X D Y D Y)
-            np.einsum("sab,sba->s", dx @ dy, dy) - f3,
+    columns = [
+        deltas @ np.diag(x),
+        np.einsum("sa,ab,sb->s", deltas, x * y, deltas) - f2,
+        # Tr(X D Y D Y D) = Tr(D X D Y D Y)
+        np.einsum("sab,sba->s", dx @ dy, dy) - f3,
+    ]
+    if rank == 1:
+        overlaps = probs / np.trace(pom.outcomes, axis1=1, axis2=2).real
+        half = rank_one_overlap_moment(dim, 0.5)
+        three_halves = rank_one_overlap_moment(dim, 1.5)
+        columns += [
+            np.sqrt(overlaps).sum(axis=1) - m * half,
+            np.sqrt(overlaps) @ np.diag(x) - np.trace(x) * half,
+            overlaps**1.5 @ np.diag(x) - np.trace(x) * three_halves,
         ]
-    )
+    controls = np.column_stack(columns)
+    assert est.params["controls"] == controls.shape[1]
     beta = np.linalg.lstsq(
         controls - controls.mean(axis=0), values - values.mean(), rcond=None
     )[0]
@@ -432,14 +448,60 @@ def test_monte_carlo_redraws_states_under_the_floor():
 
 
 def test_monte_carlo_variance_reduction_is_recorded():
-    pom = random_pom(3, 18, 1, rng=np.random.default_rng(67))
-    est = qttf_monte_carlo(pom, BASIS3, 2000, rng=68)
-    assert est.params["variance_reduction"] > 1.0
-    # the smallest sample count with a residual degree of freedom left after
-    # the intercept and three controls fits; below it the plain mean is returned
-    assert qttf_monte_carlo(pom, BASIS3, 5, rng=69).params["variance_reduction"] > 1.0
-    assert qttf_monte_carlo(pom, BASIS3, 4, rng=69).params["variance_reduction"] == 1.0
-    assert qttf_monte_carlo(pom, BASIS3, 3, rng=69).params["variance_reduction"] == 1.0
+    # rank-one outcomes: the intercept and six controls spend 7 degrees of
+    # freedom, so 8 samples are the fewest the fit runs on
+    rank_one = random_pom(3, 18, 1, rng=np.random.default_rng(67))
+    assert qttf_monte_carlo(rank_one, BASIS3, 2000, rng=68).params["variance_reduction"] > 1.0
+    assert qttf_monte_carlo(rank_one, BASIS3, 8, rng=69).params["variance_reduction"] > 1.0
+    assert qttf_monte_carlo(rank_one, BASIS3, 7, rng=69).params["variance_reduction"] == 1.0
+    # rank-two outcomes keep the three polynomial controls: the smallest
+    # sample count with a residual degree of freedom left after the intercept
+    # and three controls fits; below it the plain mean is returned
+    rank_two = random_pom(3, 18, 2, rng=np.random.default_rng(67))
+    assert qttf_monte_carlo(rank_two, BASIS3, 2000, rng=68).params["variance_reduction"] > 1.0
+    assert qttf_monte_carlo(rank_two, BASIS3, 5, rng=69).params["variance_reduction"] > 1.0
+    assert qttf_monte_carlo(rank_two, BASIS3, 4, rng=69).params["variance_reduction"] == 1.0
+    assert qttf_monte_carlo(rank_two, BASIS3, 3, rng=69).params["variance_reduction"] == 1.0
+
+
+def test_monte_carlo_reports_the_controls_it_fitted():
+    rank_one = random_pom(3, 18, 1, rng=np.random.default_rng(67))
+    rank_two = random_pom(3, 18, 2, rng=np.random.default_rng(67))
+    for pom, fitted, threshold in ((rank_one, 6, 7), (rank_two, 3, 4)):
+        params = qttf_monte_carlo(pom, BASIS3, 500, rng=70).params
+        assert params["controls"] == fitted
+        assert params["residual_kurtosis"] > 1.0  # a kurtosis is at least 1
+        below = qttf_monte_carlo(pom, BASIS3, threshold, rng=70).params
+        assert below["controls"] == 0
+        assert below["residual_kurtosis"] == 0.0
+    # no spread, no fit: the qubit SIC's Tr(F^{-1}) is constant
+    sic = qttf_monte_carlo(qubit_sic(), BASIS2, 500, rng=70).params
+    assert sic["controls"] == 0 and sic["residual_kurtosis"] == 0.0
+
+
+def test_rank_one_control_means_match_the_beta_law():
+    # for rank-one outcomes x_m = p_m / Tr Pi_m is Beta(1, D-1) distributed, so
+    # over many Haar states the three rank-one controls average to their
+    # quadrature means
+    dim, n = 3, 200_000
+    pom = random_pom(dim, 18, 1, rng=np.random.default_rng(90))
+    x_diag = np.diag(auxiliary_matrices(pom, BASIS3).x_matrix)
+    traces = np.trace(pom.outcomes, axis1=1, axis2=2).real
+    vectors = haar_state_vectors(dim, n, np.random.default_rng(91))
+    probs = np.einsum("si,mij,sj->sm", vectors.conj(), pom.outcomes, vectors).real
+    overlaps = probs / traces
+    samples = np.column_stack(
+        [
+            np.sqrt(overlaps).sum(axis=1),
+            np.sqrt(overlaps) @ x_diag,
+            overlaps**1.5 @ x_diag,
+        ]
+    )
+    half = rank_one_overlap_moment(dim, 0.5)
+    three_halves = rank_one_overlap_moment(dim, 1.5)
+    want = np.array([18 * half, x_diag.sum() * half, x_diag.sum() * three_halves])
+    sigma = samples.std(axis=0, ddof=1) / np.sqrt(n)
+    assert np.all(np.abs(samples.mean(axis=0) - want) < 4 * sigma)
 
 
 def test_monte_carlo_error_bars_cover_the_reference():
