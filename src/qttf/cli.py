@@ -30,7 +30,7 @@ from .errors import (
     QttfError,
     SearchTimeoutError,
 )
-from .estimation import haar_mse_sweep
+from .estimation import haar_mse_sweep, mixing_weight_for_purity
 from .fisher import measurement_matrices
 from .operators import build_basis
 from .pom import (
@@ -483,6 +483,8 @@ def _cmd_fig2(args) -> int:
     if args.search:
         if args.dim is None:
             raise _UsageError("--search requires --dim")
+        with _argument_errors():  # before the search, which writes the pair files
+            mixing_weight_for_purity(args.purity, args.dim)
         pom1, pom2, info = search_counterexample_pair(
             dim=args.dim,
             m_choices=_int_list(args.m),

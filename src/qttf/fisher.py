@@ -5,8 +5,9 @@ C_{jk} = Tr(Pi_j B_k) over the traceless operators; C-tilde prepends the
 column Tr(Pi_j)/sqrt(dim) for the identity component.  At a state with
 outcome probabilities p the scaled Fisher matrix of the multinomial model is
 F = C^T diag(p)^{-1} C, and Tr(F^{-1}) is the optimal (Cramer-Rao) scaled
-mean squared Hilbert-Schmidt error of unbiased estimation.  One method,
-TomographyMatrices.fisher, assembles F for any stack of probability vectors.
+mean squared Hilbert-Schmidt error of unbiased estimation.  F sums rows of
+TomographyMatrices.outer_table: fisher() reads it batch-first for LAPACK, the
+Monte Carlo kernel batch-last into reused blocks (fresh ones cost it 10 %).
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ class TomographyMatrices:
 
     * singular_values_c_tilde, for conditioning reports;
     * born_table and outer_table, for Haar sampling and the Fisher matrices
-      and weighted designs that fisher() assembles;
+      and weighted designs that fisher() and the Monte Carlo kernel assemble;
     * tr_fbar_inv, x_matrix and y_matrix, the expansion around the
       maximally mixed state (see qttf.transfer), from one shared
       eigendecomposition of Fbar = C^T Pbar^{-1} C;

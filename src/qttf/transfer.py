@@ -9,10 +9,10 @@ Its evaluation routes:
   selected by the outcome count and decided on the outcome operators,
 * a moment series around the maximally mixed state, exact through fourth
   order in the probability fluctuations,
-* Monte-Carlo averaging over Haar states, with Tr(F^{-1}) from a batched
-  Cholesky factorisation and the first-, second- and third-order terms of
-  the expansion below as fitted control variates, with their exact Haar
-  means 0, F2 and F3.  When every outcome is rank one, three more controls
+* Monte-Carlo averaging over Haar states, with Tr(F^{-1}) from one fused
+  batch-last factor-and-invert pass and the first-, second- and third-order
+  terms of the expansion below as fitted control variates, with their exact
+  Haar means 0, F2 and F3.  When every outcome is rank one, three more controls
   follow the kink of Tr(F^{-1}) where an outcome's probability vanishes:
   x_m = p_m / Tr Pi_m is then exactly Beta(1, dim-1) distributed, so sums of
   x_m**(1/2) and x_m**(3/2) have exact Haar means too.
@@ -76,7 +76,7 @@ DEFAULT_MEMORY_BUDGET = 2**30  # bytes
 STRUCTURE_TOL = 1e-8
 KURTOSIS_FLAG = 100.0
 MC_BATCH = 20000  # Haar states per Monte Carlo batch
-CHOLESKY_BLOCK = 512  # Fisher matrices factored at once within a batch
+CHOLESKY_BLOCK = 512  # Fisher matrices assembled, factored and inverted in one batch-last pass
 
 
 @dataclass(frozen=True)
@@ -374,27 +374,41 @@ def _closed_form(pom: Pom, basis: HermitianBasis) -> QttfEstimate:
 def _trace_inverse_stack(model: TomographyMatrices, weights: np.ndarray) -> np.ndarray:
     """Tr(F^{-1}) for every row w of weights, with F = C^T diag(w) C.
 
-    The rows go in blocks of CHOLESKY_BLOCK: a block's Fisher matrices are
-    one matmul (TomographyMatrices.fisher), factored as F = L L^T by a
-    batched Cholesky, and L is inverted in place one row at a time (row i of
-    L^{-1} needs row i of L and the rows of L^{-1} above it), so that
-    Tr(F^{-1}) = ||L^{-1}||_F**2.  Only one (block, K, K) stack is kept.
+    The rows go in blocks of CHOLESKY_BLOCK.  A block's Fisher matrices A are
+    one matmul against the model's outer_table, written batch-last into a
+    (K**2, s) buffer read as (K, K, s).  One loop over i then factors A = L L^T
+    row by row (up-looking Cholesky) and builds Z = L^{-1} alongside,
+
+        L[i, :i] = Z[:i, :i] A[i, :i],   L_ii**2 = A_ii - ||L[i, :i]||**2,
+        Z[i, :i] = -(L[i, :i] Z[:i, :i]) / L_ii,   Z_ii = 1 / L_ii,
+
+    each step an einsum over the contiguous batch axis, and Tr(F^{-1}) =
+    ||Z||_F**2: K**3 / 3 multiply-adds per matrix in K vectorised steps (twice
+    that with the zero upper triangle of Z, which the dense steps multiply).
+    A pivot that is not positive (NaN included) is refused.  Both buffers
+    serve every block; Z's upper triangle is never written, so it stays zero.
     """
-    k = model.c_matrix.shape[1]
-    traces = np.empty(weights.shape[0])
-    for start in range(0, weights.shape[0], CHOLESKY_BLOCK):
-        rows = slice(start, start + CHOLESKY_BLOCK)
-        try:
-            lower = np.linalg.cholesky(model.fisher(weights[rows]))
-        except np.linalg.LinAlgError:
-            raise NotInformationallyCompleteError(
-                "Fisher matrix is not positive definite; Tr(F^{-1}) does not exist"
-            ) from None
+    n, k = weights.shape[0], model.c_matrix.shape[1]
+    block = min(CHOLESKY_BLOCK, n)
+    fisher, inverse = np.empty((k * k, block)), np.zeros((k, k, block))
+    traces = np.empty(n)
+    for start in range(0, n, CHOLESKY_BLOCK):
+        rows = weights[start : start + CHOLESKY_BLOCK]
+        s = rows.shape[0]
+        a = np.matmul(model.outer_table.T, rows.T, out=fisher[:, :s]).reshape(k, k, s)
+        z = inverse[:, :, :s]
         for i in range(k):
-            diag = 1.0 / lower[:, i, i]
-            lower[:, i, :i] = (lower[:, i, None, :i] @ lower[:, :i, :i])[:, 0] * -diag[:, None]
-            lower[:, i, i] = diag
-        traces[rows] = np.einsum("sij,sij->s", lower, lower)
+            lower = np.einsum("jks,ks->js", z[:i, :i], a[i, :i])
+            pivot = a[i, i] - np.einsum("js,js->s", lower, lower)
+            if not (pivot > 0).all():
+                raise NotInformationallyCompleteError(
+                    "Fisher matrix is not positive definite; Tr(F^{-1}) does not exist"
+                )
+            scale = -1.0 / np.sqrt(pivot)
+            lower *= scale
+            np.einsum("js,jks->ks", lower, z[:i, :i], out=z[i, :i])
+            z[i, i] = -scale
+        traces[start : start + s] = np.einsum("jks,jks->s", z, z)
     return traces
 
 
@@ -464,17 +478,17 @@ def qttf_monte_carlo(
       coordinates t_k = Re sum_ij rho_ij conj(B_k)_ij over the float64
       views of rho = v v^dag, of the outcomes and of the traceless basis
       (fisher._pure_state_born),
-    * one (s, M) @ (M, K**2) matmul for the Fisher matrices
-      F = sum_m c_m c_m^T / p_m (TomographyMatrices.fisher), a batched
-      Cholesky factorisation and an in-place inversion of the factor for
-      Tr(F^{-1}) (_trace_inverse_stack),
+    * per block of CHOLESKY_BLOCK states, one (K**2, M) @ (M, s) matmul
+      that writes the Fisher matrices F = sum_m c_m c_m^T / p_m batch-last,
+      then one loop of K vectorised steps that factors F = L L^T and
+      inverts L together, for Tr(F^{-1}) (_trace_inverse_stack),
     * K + 2 (s, K) @ (K, K) matmuls for the polynomial controls,
     * for rank-one outcomes, one square root of the (s, M) probabilities,
       one (s, M) @ (M, 2) matmul against [w**(1/2), X_mm w**(1/2)] with
       w_m = 1 / Tr Pi_m, the product p**(1/2) * p in place and one matvec
       against X_mm w**(3/2),
 
-    so each sample costs its Cholesky factorisation plus O(dim**2 K + K**3 + M).
+    so each sample costs O(dim**2 (M + K) + M K**2), plus K**3 / 3 multiply-adds in the fused loop.
     """
     if n_samples < 2:
         raise ValueError(f"need at least 2 samples, got {n_samples}")

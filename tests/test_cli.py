@@ -515,6 +515,19 @@ def test_fig2_search_refuses_an_empty_count_list(tmp_path, capsys):
     assert not first.exists() and not second.exists()
 
 
+def test_fig2_search_refuses_the_purity_before_searching(tmp_path, capsys):
+    first, second = tmp_path / "p1.json", tmp_path / "p2.json"
+    code, out = _make(
+        tmp_path, "fig2", str(first), str(second), "--search", "--dim", "2", "--purity", "1.5",
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err == "error: target purity must lie in [1/dim, 1) = [0.5, 1), got 1.5\n"
+    assert "found pair" not in err
+    assert not first.exists() and not second.exists()
+
+
 @pytest.mark.parametrize(
     "command,flags,message",
     [

@@ -1,6 +1,13 @@
-"""The public surface: every callable in qttf.__all__ documents itself."""
+"""The public surface: every callable in qttf.__all__ documents itself, and
+every tolerance is defined once."""
+
+import re
+from collections import Counter
+from pathlib import Path
 
 import qttf
+
+TOLERANCE = re.compile(r"^([A-Z_]*(?:TOL|FLOOR|SLACK|RTOL)) =", re.MULTILINE)
 
 
 def test_every_public_callable_has_its_own_docstring():
@@ -13,3 +20,15 @@ def test_every_public_callable_has_its_own_docstring():
         if callable(obj) and (not doc or doc.startswith(f"{obj.__name__}(")):
             missing.append(name)
     assert not missing
+
+
+def test_every_tolerance_is_assigned_in_one_module_only():
+    # a module-level NAME = ... whose name ends in TOL, FLOOR, SLACK or RTOL
+    # is a tolerance; other modules import it instead of restating it
+    assignments = Counter(
+        name
+        for path in sorted(Path(qttf.__file__).parent.glob("*.py"))
+        for name in TOLERANCE.findall(path.read_text(encoding="utf-8"))
+    )
+    assert {"P_FLOOR", "RANK_RTOL", "STRUCTURE_TOL", "WEIGHT_FLOOR"} <= set(assignments)
+    assert [name for name, count in assignments.items() if count > 1] == []

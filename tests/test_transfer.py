@@ -43,7 +43,7 @@ from qttf import (
     sic_povm,
     trace_inverse,
 )
-from qttf.transfer import _trace_inverse_stack
+from qttf.transfer import CHOLESKY_BLOCK, _trace_inverse_stack
 
 BASIS2 = build_basis(2)
 BASIS3 = build_basis(3)
@@ -426,6 +426,46 @@ def test_cholesky_trace_inverse_refuses_a_singular_fisher_matrix():
     z_basis = Pom(np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]), label="z")
     with pytest.raises(NotInformationallyCompleteError):
         _trace_inverse_stack(measurement_matrices(z_basis, BASIS2), np.full((3, 2), 2.0))
+
+
+def _pure_state_weights(dim):
+    """1/p for 2 CHOLESKY_BLOCK + 37 Haar pure states, two full blocks and a
+    remainder, on a rank-one measurement with 2 dim**2 outcomes."""
+    pom = random_pom(dim, 2 * dim * dim, 1, rng=np.random.default_rng(90 + dim))
+    vectors = haar_state_vectors(dim, 2 * CHOLESKY_BLOCK + 37, np.random.default_rng(95 + dim))
+    probs = np.array([probabilities(np.outer(v, v.conj()), pom) for v in vectors])
+    return measurement_matrices(pom, build_basis(dim)), 1.0 / probs
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_trace_inverse_stack_matches_eigendecomposition_on_pure_states(dim):
+    # pure states reach p_min ~ 2e-7 here, so the Fisher matrices are far less
+    # well conditioned than the half-mixed ones above; a per-matrix LAPACK
+    # Cholesky meets 8.5e-13 on these stacks
+    matrices, weights = _pure_state_weights(dim)
+    c = matrices.c_matrix
+    want = np.array([trace_inverse(c.T @ np.diag(w) @ c) for w in weights])
+    np.testing.assert_allclose(_trace_inverse_stack(matrices, weights), want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("bad", [0.0, np.nan])
+def test_trace_inverse_stack_refuses_a_singular_row_in_the_last_partial_block(bad):
+    # every earlier block factors, so only the check on the remainder can refuse
+    matrices, weights = _pure_state_weights(3)
+    weights[-5] = bad
+    with pytest.raises(NotInformationallyCompleteError, match="not positive definite"):
+        _trace_inverse_stack(matrices, weights)
+
+
+@pytest.mark.parametrize("dim", [3, 5])
+def test_trace_inverse_stack_rows_do_not_depend_on_their_block(dim):
+    # a row factored alone shares no buffer contents with any other row, so
+    # stale values left by an earlier block would show as O(1) differences;
+    # the one-row assembly is a matrix-vector product with its own summation
+    # order, which on these stacks moves the values by at most 1.2e-12
+    matrices, weights = _pure_state_weights(dim)
+    alone = [_trace_inverse_stack(matrices, weights[i : i + 1])[0] for i in range(len(weights))]
+    np.testing.assert_allclose(_trace_inverse_stack(matrices, weights), alone, rtol=1e-11, atol=0)
 
 
 def test_monte_carlo_redraws_states_under_the_floor():
