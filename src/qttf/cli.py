@@ -58,8 +58,8 @@ EXIT_NOT_IC = 2
 EXIT_BUDGET = 3
 
 MEMORY_BUDGET_HELP = (
-    "bytes the order-4 moment term may hold at once: the M**2 pair products and "
-    "its chunked operator stacks (exit code 3 if even one chunk does not fit)"
+    "bytes the order-4 moment term may hold at once: about 64 M**2 dim**2 for its "
+    "operator stacks, less in chunks (exit code 3 if even one chunk does not fit)"
 )
 
 BUILTINS = {

@@ -43,8 +43,8 @@ X, Y, Tr Fbar^{-1}, alpha0, F2 and F3 are fields of the measurement model
 fisher.TomographyMatrices.  F2 and F3 come from the expansion terms written
 in Bloch coordinates, the quadratic form Q and the cubic form T, whose Haar
 means are exact; the series and the Monte Carlo controls read the same
-fields.  Only F4 is contracted here, through the M**2 pair products
-Pi_a Pi_b, and memory_budget bounds that contraction alone.
+fields.  Only F4 is contracted here, from operator stacks times single
+outcomes ("half-products"), and memory_budget bounds that contraction alone.
 
 The closed forms refuse only on the outcome count and on checks of the
 outcome operators, never on Y: Y passes through Fbar^{-1}, so on an
@@ -128,22 +128,18 @@ def auxiliary_matrices(pom: Pom, basis: HermitianBasis) -> TomographyMatrices:
 
 
 def _quartic_bytes(m: int, dim: int, chunk: int) -> int:
-    """Working set of the order-4 contraction when it handles `chunk` d-values at once.
-
-    The M**2 cached pair products stay resident; every d in a chunk adds
-    four complex (M, dim, dim) slices (the stacks A and B and two products
-    of them) and one real M x M slice of a coefficient tensor.  A full
-    chunk (chunk = M) is 80 M**2 dim**2 + 8 M**3 bytes.
-    """
-    return 16 * m * m * dim * dim + chunk * (64 * m * dim * dim + 8 * m * m)
+    """Working set of the order-4 contraction when it handles `chunk` d-values at once:
+    five real M x M matrices and 4 KiB of array headers and einsum scratch, plus four
+    complex (M, dim, dim) slices and two real length-M rows per d."""
+    return 40 * m * m + 4096 + chunk * (64 * m * dim * dim + 16 * m)
 
 
-def _weighted_sums(coefficients: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
-    """sum_a coefficients[..., a] Pi_a as one real (..., M) @ (M, 2 dim**2) matmul."""
-    m, dim = outcomes.shape[0], outcomes.shape[1]
-    flat = np.ascontiguousarray(outcomes).reshape(m, dim * dim).view(np.float64)
-    sums = coefficients.reshape(-1, m) @ flat
-    return sums.view(complex).reshape(coefficients.shape[:-1] + (dim, dim))
+def _times_outcomes(stack: np.ndarray, outcomes: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[p, q] = stack[p, q] @ outcomes[p] on (P, Q, 2 dim**2) float64 views of
+    complex stacks: one (Q dim, dim) @ (dim, dim) matmul per p."""
+    shape = (stack.shape[0], -1, outcomes.shape[1])
+    np.matmul(stack.view(complex).reshape(shape), outcomes, out=out.view(complex).reshape(shape))
+    return out
 
 
 def haar_moment_term(
@@ -172,13 +168,14 @@ def haar_moment_term(
 
         quartic = sum_{b,d} Tr(A_db Pi_b B_bd Pi_d) + Tr(A_db Pi_b Pi_d B_bd)
                             + Tr(A_db B_bd Pi_b Pi_d),
-        crossed = sum_{b,d} G2_bd Tr(A_db B_bd),
+        crossed = sum_{b,d} G2_bd Tr(A_db B_bd).
 
-    which costs O(M**3 D**2) time.  The d index runs in chunks sized so
-    that _quartic_bytes stays within memory_budget; the value does not
-    depend on the budget unless chunking kicks in, and then only by
-    rounding.  Orders 2 and 3 build no pair products, hold O(M**2 + K**3)
-    with K = dim**2 - 1, and ignore the budget.
+    A and B are Hermitian, so each trace is an elementwise sum of two half-products
+    (a stack times one outcome), e.g. Tr(A Pi_b Pi_d B) = sum (A Pi_b) o conj(B Pi_d);
+    no pair product Pi_a Pi_b is formed.  Time is O(M**3 D**2) and memory about
+    64 M**2 D**2 bytes when one chunk holds every d; chunks sized by _quartic_bytes
+    to fit memory_budget change the value only by rounding.  Orders 2 and 3 build no
+    operator stacks, hold O(M**2 + K**3) with K = dim**2 - 1, and ignore the budget.
     """
     if order not in (2, 3, 4):
         raise UnsupportedOrderError(f"moment term order must be 2, 3, or 4, got {order}")
@@ -201,36 +198,38 @@ def _quartic_term(model: TomographyMatrices, memory_budget: int) -> float:
             f"{memory_budget}; use qttf_monte_carlo for this measurement"
         )
     x, y = model.x_matrix, model.y_matrix
-    outcomes = model.outcomes
-    products = outcomes[:, None] @ outcomes[None, :]
-    g2 = np.einsum("abii->ab", products).real
+    outcomes = np.ascontiguousarray(model.outcomes)
+    flat = outcomes.reshape(m, dim * dim).view(np.float64)
+    g2 = flat @ flat.T  # Tr(Pi_a Pi_b) of Hermitian outcomes
     s2 = dim * (dim + 1) * model.f2
     s3 = dim * (dim + 1) * (dim + 2) * model.f3 / 2 - s2
-    quartic = 0j
-    crossed = 0.0
+    yg, xg = y * g2, x * g2
+    # the pair-pair terms Tr(x yg y yg) + Tr(xg y yg y), every factor being symmetric
+    s4 = float(np.vdot(x @ yg, yg @ y) + np.vdot(xg @ y, y @ yg))
+    buffers = np.empty((4, 2 * chunk * m * dim * dim))  # float64 views of complex stacks
     for start in range(0, m, chunk):
-        ds = slice(start, start + chunk)
-        # stacks indexed [d, b]: A_db, B_bd, Pi_b Pi_d and G2_bd
-        a_sums = _weighted_sums(x[ds, None, :] * y.T[None, :, :], outcomes)
-        b_sums = _weighted_sums(y[None, :, :] * y.T[ds, None, :], outcomes)
-        pairs = products[:, ds].swapaxes(0, 1)
-        ab = a_sums @ b_sums
-        quartic += np.einsum("dbij,dbji->", ab, pairs)
-        crossed += float(np.einsum("db,dbii->", g2[:, ds].T, ab).real)
-        del ab  # at most four (d, b) stacks are alive, as _quartic_bytes counts
-        quartic += np.einsum("dbij,dbji->", b_sums @ a_sums, pairs)
-        quartic += np.einsum(
-            "dbij,dbji->", a_sums @ outcomes[None, :], b_sums @ outcomes[ds, None]
-        )
-    yg = y * g2
-    xg = x * g2
-    # Tr(x yg y yg) and Tr(xg y yg y) as traces of two matmul products
-    pairpair = float(
-        np.sum((x @ yg) * (y @ yg).T) + crossed + np.sum((xg @ y) * (yg @ y).T)
-    )
-    s4 = 2 * quartic.real + pairpair
-    denom = dim * (dim + 1) * (dim + 2) * (dim + 3)
-    return ((6 - dim) * s2 + 12 * s3 + s4) / denom
+        ds, n = slice(start, start + chunk), min(chunk, m - start)
+        db = (n, m, -1)  # the [d, b] layout; the buffers hold [b, d] stacks
+        scaled, a_bd, b_bd, a_pi_b = buffers[:, : 2 * m * n * dim**2].reshape(4, m, n, -1)
+        # A_db = sum_a Y_ba X_ad Pi_a and B_bd = sum_c Y_bc Y_cd Pi_c, real matmuls by Y
+        for coefficients, stack in ((x, a_bd), (y, b_bd)):
+            np.einsum("ad,ak->adk", coefficients[:, ds], flat, out=scaled)
+            np.matmul(y, scaled.reshape(m, -1), out=stack.reshape(m, -1))
+        s4 += np.vdot(np.einsum("bdk,bdk->bd", a_bd, b_bd), g2[:, ds])  # G2_bd Tr(A B)
+        # half-products; the Pi_d ones act on [d, b] transposed copies of the stacks
+        np.copyto(scaled.reshape(db), a_bd.swapaxes(0, 1))
+        _times_outcomes(a_bd, outcomes, a_pi_b)
+        a_pi_d = _times_outcomes(scaled.reshape(db), outcomes[ds], a_bd.reshape(db))
+        b_pi_b = _times_outcomes(b_bd, outcomes, scaled)
+        s4 += 2 * np.einsum("dbk,bdk->", a_pi_d, b_pi_b)  # Tr(A B Pi_b Pi_d)
+        np.copyto(a_bd.reshape(db), b_bd.swapaxes(0, 1))
+        b_pi_d = _times_outcomes(a_bd.reshape(db), outcomes[ds], scaled.reshape(db))
+        s4 += 2 * np.einsum("bdk,dbk->", a_pi_b, b_pi_d)  # Tr(A Pi_b Pi_d B)
+        # Tr(A Pi_b B Pi_d) = sum (A Pi_b) o (B Pi_d)^T, the transpose copied to [b, d]
+        transposed = a_bd.view(complex).reshape(m, n, dim, dim)
+        np.copyto(transposed, b_pi_d.view(complex).reshape(n, m, dim, dim).transpose(1, 0, 3, 2))
+        s4 += 2 * np.dot(transposed.ravel(), a_pi_b.view(complex).ravel()).real
+    return ((6 - dim) * s2 + 12 * s3 + s4) / (dim * (dim + 1) * (dim + 2) * (dim + 3))
 
 
 def qttf_series(
@@ -253,9 +252,10 @@ def qttf_series(
     physical Haar average (alpha = 1) usually lies beyond it, where the
     truncation is still the working approximation but its tail is uncertified.
     """
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    if not isinstance(max_order, (int, np.integer)) or not 0 <= max_order <= 4:
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be {'finite' if alpha > 0 else 'positive'}, got {alpha}")
+    integral = isinstance(max_order, (int, np.integer)) and not isinstance(max_order, bool)
+    if not (integral and 0 <= max_order <= 4):
         raise UnsupportedOrderError(f"max_order must be an integer in [0, 4], got {max_order!r}")
     model = auxiliary_matrices(pom, basis)
     contributions = [model.tr_fbar_inv]

@@ -10,7 +10,7 @@ closed forms used by the package.
 
 from __future__ import annotations
 
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
@@ -79,27 +79,36 @@ def haar_probability_moment(indices, pom) -> float:
     return float(value.real)
 
 
+def _raw_moment_table(pom, n: int) -> np.ndarray:
+    """E[p_{j1} ... p_{jn}] for every index tuple, by haar_probability_moment.
+
+    A moment is a product of commuting probabilities, so it is evaluated once
+    per multiset of indices and copied to every ordering of that multiset.
+    """
+    m = pom.n_outcomes
+    table = np.zeros((m,) * n)
+    for indices in combinations_with_replacement(range(m), n):
+        value = haar_probability_moment(indices, pom)
+        for ordering in set(permutations(indices)):
+            table[ordering] = value
+    return table
+
+
 class MomentOracle:
     """Centered Haar moments E[prod (p_j - pbar_j)] up to fourth order.
 
-    Raw moments are tabulated entrywise with haar_probability_moment; the
-    centered tensors come from the inclusion-exclusion expansion.  Intended
-    for small outcome counts (cost grows like M**4 moment evaluations).
+    Raw moments are tabulated with haar_probability_moment; the centered
+    tensors come from the inclusion-exclusion expansion.  Intended for small
+    outcome counts (cost grows like M**4 / 24 moment evaluations).
     """
 
     def __init__(self, pom):
         self.pom = pom
         m = pom.n_outcomes
         self.p_bar = np.array([haar_probability_moment([j], pom) for j in range(m)])
-        self.raw2 = np.array(
-            [[haar_probability_moment([a, b], pom) for b in range(m)] for a in range(m)]
-        )
-        self.raw3 = np.zeros((m, m, m))
-        for a, b, c in product(range(m), repeat=3):
-            self.raw3[a, b, c] = haar_probability_moment([a, b, c], pom)
-        self.raw4 = np.zeros((m, m, m, m))
-        for a, b, c, d in product(range(m), repeat=4):
-            self.raw4[a, b, c, d] = haar_probability_moment([a, b, c, d], pom)
+        self.raw2 = _raw_moment_table(pom, 2)
+        self.raw3 = _raw_moment_table(pom, 3)
+        self.raw4 = _raw_moment_table(pom, 4)
 
     def centered2(self) -> np.ndarray:
         return _centered2(self.p_bar, self.raw2)

@@ -537,6 +537,7 @@ def test_fig2_search_refuses_the_purity_before_searching(tmp_path, capsys):
             ["--purity", "1.5", "--states", "2", "--trials", "4", "--shots", "200"],
             "target purity must lie in [1/dim, 1) = [0.5, 1), got 1.5",
         ),
+        ("qttf", ["--method", "series", "--alpha", "inf"], "alpha must be finite, got inf"),
     ],
 )
 def test_library_refusals_of_flag_values_are_usage_errors(

@@ -43,7 +43,7 @@ from qttf import (
     sic_povm,
     trace_inverse,
 )
-from qttf.transfer import CHOLESKY_BLOCK, _trace_inverse_stack
+from qttf.transfer import CHOLESKY_BLOCK, _quartic_bytes, _quartic_term, _trace_inverse_stack
 
 BASIS2 = build_basis(2)
 BASIS3 = build_basis(3)
@@ -122,19 +122,21 @@ def test_reference_values_table():
     }
 
 
-def test_series_terms_match_moment_oracle():
-    pom = random_pom(2, 5, 1, rng=np.random.default_rng(32))
-    lib = tuple(haar_moment_term(pom, build_basis(pom.dim), k) for k in (2, 3, 4))
-    oracle = oracle_series_terms(pom, BASIS2)
+@pytest.mark.parametrize(
+    ("dim", "m", "rank", "seed"),
+    [(2, 5, 1, 32), (2, 5, 2, 31), (3, 10, 1, 8), (3, 10, 2, 9), (3, 10, 3, 10)],
+)
+def test_series_terms_match_moment_oracle(dim, m, rank, seed):
+    pom = random_pom(dim, m, rank, rng=np.random.default_rng(seed))
+    basis = build_basis(dim)
+    lib = tuple(haar_moment_term(pom, basis, k) for k in (2, 3, 4))
+    oracle = oracle_series_terms(pom, basis)
+    if dim == 3:
+        assert abs(lib[1]) > 1e-3  # this draw exercises the odd-order path
     np.testing.assert_allclose(lib, oracle, atol=1e-9)
-
-
-def test_series_terms_match_moment_oracle_with_nonzero_f3():
-    pom = random_pom(3, 10, 2, rng=np.random.default_rng(9))
-    lib = tuple(haar_moment_term(pom, build_basis(pom.dim), k) for k in (2, 3, 4))
-    oracle = oracle_series_terms(pom, BASIS3)
-    assert abs(lib[1]) > 1e-3  # this draw exercises the odd-order path
-    np.testing.assert_allclose(lib, oracle, atol=1e-9)
+    # chunks of three d-values, so the last chunk is short
+    chunked = haar_moment_term(pom, basis, 4, memory_budget=_quartic_bytes(m, dim, 3))
+    np.testing.assert_allclose(chunked, oracle[2], atol=1e-9)
 
 
 def test_series_term_anchors():
@@ -215,6 +217,17 @@ def test_series_beyond_convergence_radius_is_silent():
 def test_series_rejects_bad_order():
     with pytest.raises(UnsupportedOrderError):
         qttf_series(qubit_sic(), BASIS2, max_order=5)
+
+
+def test_series_rejects_a_boolean_order_and_a_non_finite_alpha():
+    # True is an int to isinstance, and an infinite alpha used to fail only
+    # when the result came out as -inf
+    with pytest.raises(UnsupportedOrderError) as order_error:
+        qttf_series(qubit_sic(), BASIS2, max_order=True)
+    assert str(order_error.value) == "max_order must be an integer in [0, 4], got True"
+    with pytest.raises(ValueError) as alpha_error:
+        qttf_series(qubit_sic(), BASIS2, alpha=float("inf"))
+    assert str(alpha_error.value) == "alpha must be finite, got inf"
 
 
 def test_closed_minimal_anchors():
@@ -613,26 +626,44 @@ def test_quartic_chunks_to_fit_a_tight_budget():
     pom = random_pom(3, 18, 2, rng=np.random.default_rng(52))
     m, dim = pom.n_outcomes, pom.dim
     default = haar_moment_term(pom, BASIS3, 4)
-    pairs = 16 * m * m * dim * dim  # the pair-product cache alone
-    per_d = 64 * m * dim * dim + 8 * m * m
+    resident = 40 * m * m + 4096  # G2, the pair-pair products, headers and scratch
+    per_d = 64 * m * dim * dim + 16 * m  # four complex (M, D, D) slices and two rows
     for chunk in (1, 5):
-        value = haar_moment_term(pom, BASIS3, 4, memory_budget=pairs + chunk * per_d)
+        value = haar_moment_term(pom, BASIS3, 4, memory_budget=resident + chunk * per_d)
         assert abs(value - default) <= 1e-12 * abs(default)
     with pytest.raises(BudgetExceededError, match="monte_carlo"):
-        haar_moment_term(pom, BASIS3, 4, memory_budget=pairs + per_d - 1)
-    # orders 2 and 3 build no pair products, so no budget binds them
+        haar_moment_term(pom, BASIS3, 4, memory_budget=resident + per_d - 1)
+    # orders 2 and 3 build no operator stacks, so no budget binds them
     for order in (2, 3):
         tight = haar_moment_term(pom, BASIS3, order, memory_budget=1)
         assert tight == haar_moment_term(pom, BASIS3, order)
     tight = qttf_series(pom, BASIS3, max_order=3, memory_budget=1)
     assert tight == qttf_series(pom, BASIS3, max_order=3)
     with pytest.raises(BudgetExceededError, match="monte_carlo"):
-        qttf_series(pom, BASIS3, max_order=4, memory_budget=pairs + per_d - 1)
+        qttf_series(pom, BASIS3, max_order=4, memory_budget=resident + per_d - 1)
+
+
+@pytest.mark.parametrize(("dim", "m", "rank"), [(3, 18, 1), (3, 18, 2), (4, 32, 1), (4, 32, 2)])
+@pytest.mark.parametrize("chunk", [1, 5, "all"])
+def test_quartic_peak_memory_stays_within_its_budget(dim, m, rank, chunk):
+    # _quartic_bytes is the budget the contraction sizes its chunk by, so the
+    # traced peak of the contraction (model fields already computed) is below it
+    pom = random_pom(dim, m, rank, rng=np.random.default_rng(54 + rank))
+    model = auxiliary_matrices(pom, build_basis(dim))
+    model.f2, model.f3  # the model fields are computed before tracing starts
+    budget = _quartic_bytes(m, dim, m if chunk == "all" else chunk)
+    tracemalloc.start()
+    try:
+        _quartic_term(model, budget)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= budget
 
 
 def test_third_order_series_holds_no_pair_products():
-    # F2 and F3 come from the M x M model matrices; the M**2 pair products
-    # Pi_a Pi_b (16 M**2 D**2 bytes) belong to the order-4 term alone
+    # F2 and F3 come from the M x M model matrices; stacks of M**2 complex
+    # D x D operators (16 M**2 D**2 bytes each) belong to the order-4 term alone
     pom = random_pom(3, 200, 1, rng=np.random.default_rng(53))
     m, dim = pom.n_outcomes, pom.dim
     tracemalloc.start()
