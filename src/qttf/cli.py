@@ -145,23 +145,14 @@ def _output_pom(pom: Pom, out_path=None) -> None:
         _emit_json(pom_to_dict(pom))
 
 
-def _int_list(text: str) -> list[int]:
+def _number_list(text: str, kind: type) -> list:
     try:
-        values = [int(part) for part in text.split(",") if part]
+        values = [kind(part) for part in text.split(",") if part]
     except ValueError:
         values = []
     if not values:
-        raise _UsageError(f"expected a comma-separated integer list, got {text!r}")
-    return values
-
-
-def _float_list(text: str) -> list[float]:
-    try:
-        values = [float(part) for part in text.split(",") if part]
-    except ValueError:
-        values = []
-    if not values:
-        raise _UsageError(f"expected a comma-separated number list, got {text!r}")
+        noun = "integer" if kind is int else "number"
+        raise _UsageError(f"expected a comma-separated {noun} list, got {text!r}")
     return values
 
 
@@ -348,7 +339,7 @@ def _cmd_pom(args) -> int:
             raise _UsageError(
                 f"--duplicate outcome number must be in [1, {pom.n_outcomes}] (1-based)"
             )
-        weights = _float_list(args.weights)
+        weights = _number_list(args.weights, float)
         with _argument_errors():
             pom = duplicate_outcome(pom, args.duplicate - 1, weights)
     if args.epsilon is not None:
@@ -465,9 +456,9 @@ def _table_cell(value) -> str:
 
 def _cmd_fig1(args) -> int:
     rows = run_fig1(
-        dims=_int_list(args.dims),
-        mus=_float_list(args.mus),
-        ranks=_int_list(args.ranks),
+        dims=_number_list(args.dims, int),
+        mus=_number_list(args.mus, float),
+        ranks=_number_list(args.ranks, int),
         epsilon=args.epsilon,
         n_poms=args.n_poms,
         n_haar=args.n_haar,
@@ -487,7 +478,7 @@ def _cmd_fig2(args) -> int:
             mixing_weight_for_purity(args.purity, args.dim)
         pom1, pom2, info = search_counterexample_pair(
             dim=args.dim,
-            m_choices=_int_list(args.m),
+            m_choices=_number_list(args.m, int),
             rank=args.rank,
             attempts=args.attempts,
             n_samples=args.samples,

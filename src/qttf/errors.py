@@ -57,10 +57,6 @@ class BudgetExceededError(QttfError, RuntimeError):
     """A tensor contraction would exceed the configured memory budget."""
 
 
-class PathologicalPomError(QttfError, RuntimeError):
-    """Monte-Carlo sampling rejected more than half of the drawn states."""
-
-
 class SearchTimeoutError(QttfError, RuntimeError):
     """Random search exhausted its attempt budget without finding a pair."""
 

@@ -55,7 +55,6 @@ from .fisher import (
     _require_above_floor,
     measurement_matrices,
     probabilities,
-    trace_inverse,
 )
 from .operators import (
     HermitianBasis,
@@ -260,7 +259,7 @@ def mse_experiment(
             weighted=weighting == "probability",
         )[0]
     )
-    predicted = trace_inverse(matrices.fisher(1.0 / probs))
+    predicted = float(matrices.trace_inverse(probs[None])[0])
     return MseReport(
         n_total=int(n_shots),
         n_trials=int(n_trials),

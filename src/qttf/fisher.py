@@ -7,7 +7,9 @@ outcome probabilities p the scaled Fisher matrix of the multinomial model is
 F = C^T diag(p)^{-1} C, and Tr(F^{-1}) is the optimal (Cramer-Rao) scaled
 mean squared Hilbert-Schmidt error of unbiased estimation.  F sums rows of
 TomographyMatrices.outer_table: fisher() reads it batch-first for LAPACK, the
-Monte Carlo kernel batch-last into reused blocks (fresh ones cost it 10 %).
+trace-inverse kernel batch-last into reused blocks (fresh ones cost it 10 %).
+TomographyMatrices.trace_inverse is the one evaluation of Tr(F^{-1}): accuracy,
+the MSE experiments and Monte Carlo all call it.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ from .pom import Pom
 P_FLOOR = 1e-12
 RANK_RTOL = 1e-10
 EIG_RTOL = 1e-12
+CHOLESKY_RTOL = 1e-10  # relative roundoff accepted from the Cholesky kernel
+CHOLESKY_BLOCK = 512  # Fisher matrices assembled, factored and inverted in one batch-last pass
 
 
 @dataclass(frozen=True)
@@ -49,7 +53,7 @@ class TomographyMatrices:
 
     * singular_values_c_tilde, for conditioning reports;
     * born_table and outer_table, for Haar sampling and the Fisher matrices
-      and weighted designs that fisher() and the Monte Carlo kernel assemble;
+      and weighted designs that fisher() and trace_inverse() assemble;
     * tr_fbar_inv, x_matrix and y_matrix, the expansion around the
       maximally mixed state (see qttf.transfer), from one shared
       eigendecomposition of Fbar = C^T Pbar^{-1} C;
@@ -101,6 +105,59 @@ class TomographyMatrices:
         the weighted least-squares designs of qttf.estimation."""
         k = self.c_matrix.shape[1]
         return (weights @ self.outer_table).reshape(weights.shape[:-1] + (k, k))
+
+    def trace_inverse(self, probs: np.ndarray) -> np.ndarray:
+        """Tr(F^{-1}) for every row p of probs (n, M), with F = C^T diag(p)^{-1} C.
+
+        The rows go in blocks of CHOLESKY_BLOCK.  A block's Fisher matrices A are
+        one matmul of outer_table against 1/p, written batch-last into a
+        (K**2, s) buffer read as (K, K, s).  One loop over i then factors A = L L^T
+        row by row (up-looking Cholesky) and builds Z = L^{-1} alongside,
+
+            L[i, :i] = Z[:i, :i] A[i, :i],   L_ii**2 = A_ii - ||L[i, :i]||**2,
+            Z[i, :i] = -(L[i, :i] Z[:i, :i]) / L_ii,   Z_ii = 1 / L_ii,
+
+        each step an einsum over the contiguous batch axis, and Tr(F^{-1}) =
+        ||Z||_F**2: K**3 / 3 multiply-adds per matrix in K vectorised steps (twice
+        that with the zero upper triangle of Z, which the dense steps multiply).
+        Both buffers serve every block; Z's upper triangle is never written, so it
+        stays zero.  A pivot that is not positive leaves its row NaN.
+
+        The kernel's relative error grows like eps kappa(F), and kappa(F) lies
+        within a factor K of Tr(F^{-1}) max_i F_ii either way; on pure states of
+        rank-one measurements at dim = 2..5 the error stayed under 1.2 eps
+        Tr(F^{-1}) max_i F_ii.  A row whose
+        estimate eps Tr(F^{-1}) max_i F_ii exceeds CHOLESKY_RTOL, or is NaN, is
+        evaluated again from the Householder QR of diag(p)^{-1/2} C with its rows
+        sorted by norm, which is stable under row scaling (Cox & Higham, BIT
+        1998), as ||R^{-1}||_F**2 (_qr_trace_inverse).  Tr(F^{-1}) is analytic
+        where an outcome's probability vanishes, so the QR path needs no floor on
+        p; only a row it cannot evaluate is refused.
+        """
+        n, k = probs.shape[0], self.c_matrix.shape[1]
+        block = min(CHOLESKY_BLOCK, n)
+        fisher, inverse = np.empty((k * k, block)), np.zeros((k, k, block))
+        traces, estimates = np.empty(n), np.empty(n)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            weights = 1.0 / probs
+            for start in range(0, n, CHOLESKY_BLOCK):
+                rows = weights[start : start + CHOLESKY_BLOCK]
+                s = rows.shape[0]
+                a = np.matmul(self.outer_table.T, rows.T, out=fisher[:, :s]).reshape(k, k, s)
+                z = inverse[:, :, :s]
+                for i in range(k):
+                    lower = np.einsum("jks,ks->js", z[:i, :i], a[i, :i])
+                    scale = -1.0 / np.sqrt(a[i, i] - np.einsum("js,js->s", lower, lower))
+                    lower *= scale
+                    np.einsum("js,jks->ks", lower, z[:i, :i], out=z[i, :i])
+                    z[i, i] = -scale
+                traces[start : start + s] = np.einsum("jks,jks->s", z, z)
+                np.max(fisher[:: k + 1, :s], axis=0, out=estimates[start : start + s])
+            estimates *= traces
+            rescue = np.flatnonzero(~(np.finfo(float).eps * estimates <= CHOLESKY_RTOL))
+        if rescue.size:
+            traces[rescue] = _qr_trace_inverse(self.c_matrix, probs[rescue])
+        return traces
 
     @cached_property
     def _fbar_eigh(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -267,19 +324,25 @@ def _require_above_floor(probs: np.ndarray) -> None:
         )
 
 
-def trace_inverse(fisher: np.ndarray) -> float:
-    """Tr(F^{-1}) through a symmetric eigendecomposition.
+def _qr_trace_inverse(c_matrix: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Tr(F^{-1}) = ||R^{-1}||_F**2 for every row p of probs (n, M), with R from the
+    Householder QR of diag(p)^{-1/2} C, its rows sorted by decreasing norm.
 
-    Eigenvalues below 1e-12 of the largest are treated as rank deficiency
-    rather than inverted into garbage.
+    Refuses a row with a probability that is not positive or an R that is singular.
     """
-    evals = np.linalg.eigvalsh(fisher)
-    top = evals[-1]
-    if top <= 0 or evals[0] <= EIG_RTOL * top:
-        raise NotInformationallyCompleteError(
-            f"Fisher matrix is singular (eigenvalue range [{evals[0]:.3e}, {top:.3e}])"
-        )
-    return float(np.sum(1.0 / evals))
+    if probs.min() > 0:  # False for a NaN row
+        scaled = c_matrix / np.sqrt(probs)[:, :, None]
+        order = np.argsort(-np.einsum("smk,smk->sm", scaled, scaled), axis=1)
+        r = np.linalg.qr(np.take_along_axis(scaled, order[:, :, None], axis=1), mode="r")
+        pivots = np.abs(np.diagonal(r, axis1=1, axis2=2))
+        if r.shape[1] == r.shape[2] and pivots.min() > 0:
+            inverse = np.linalg.inv(r)
+            traces = np.einsum("sjk,sjk->s", inverse, inverse)
+            if np.isfinite(traces).all():
+                return traces
+    raise NotInformationallyCompleteError(
+        "Fisher matrix is not positive definite; Tr(F^{-1}) does not exist"
+    )
 
 
 def accuracy(rho, pom: Pom, basis: HermitianBasis) -> float:
@@ -289,4 +352,4 @@ def accuracy(rho, pom: Pom, basis: HermitianBasis) -> float:
     model = measurement_matrices(pom, basis).checked()
     probs = probabilities(rho, pom)
     _require_above_floor(probs)
-    return trace_inverse(model.fisher(1.0 / probs))
+    return float(model.trace_inverse(probs[None])[0])

@@ -21,8 +21,8 @@ from qttf import (
     qubit_sic,
     random_pom,
     sic_povm,
-    trace_inverse,
 )
+from qttf.fisher import P_FLOOR
 
 BASIS2 = build_basis(2)
 BASIS3 = build_basis(3)
@@ -145,7 +145,7 @@ def test_accuracy_is_trace_of_inverse_fisher():
     value = accuracy(rho, pom, BASIS2)
     probs = probabilities(rho, pom)
     assert abs(value - chain_fisher_trace_inverse(pom, BASIS2, probs)) < 1e-10
-    assert abs(value - trace_inverse(_direct_fisher(pom, BASIS2, probs))) < 1e-12
+    assert abs(value - np.sum(1.0 / np.linalg.eigvalsh(_direct_fisher(pom, BASIS2, probs)))) < 1e-12
 
 
 def test_accuracy_rejects_incomplete_measurement():
@@ -203,10 +203,48 @@ def test_fisher_from_probabilities_rejects_zero_cells():
 
 
 def test_trace_inverse_refuses_a_singular_matrix():
-    # a zero matrix, an exactly singular one, and one below the eigenvalue ratio
-    for fisher in (np.zeros((3, 3)), np.diag([2.0, 1.0, 0.0]), np.diag([1.0, 1e-13])):
-        with pytest.raises(NotInformationallyCompleteError, match="Fisher matrix is singular"):
-            trace_inverse(fisher)
+    # a zero, a negative or a NaN probability leaves no positive definite
+    # Fisher matrix, on the Cholesky path and on the QR path alike
+    model = measurement_matrices(qubit_sic(), BASIS2)
+    for bad in (0.0, -1e-3, np.nan):
+        with pytest.raises(NotInformationallyCompleteError, match="not positive definite"):
+            model.trace_inverse(np.array([[bad, 0.25, 0.25, 0.5]]))
+
+
+@pytest.mark.parametrize("dim, m, seed", [(2, 8, 1), (5, 25, 1058713047)])
+def test_trace_inverse_matches_sherman_morrison_next_to_an_outcome_zero(dim, m, seed):
+    # pure states next to the zero of a rank-one outcome j: its null vector
+    # plus a random component of size 10**-6.3 ... 10**-4.4, kept where
+    # P_FLOOR < p_j <= 1e-9, then a dozen of size 10**-14 ... 10**-7, kept
+    # where 0 < p_j <= P_FLOOR, which accuracy refuses.  With G the inverse
+    # Fisher matrix of the other outcomes and c = c_j, Sherman-Morrison gives
+    # Tr F^{-1} = Tr G - c^T G^2 c / (p_j + c^T G c), and G stays well
+    # conditioned as p_j vanishes
+    pom = random_pom(dim, m, 1, rng=seed)
+    basis = build_basis(dim)
+    model = measurement_matrices(pom, basis)
+    c = model.c_matrix
+    rng = np.random.default_rng(7)
+    checked = 0
+    while checked < 24:
+        deep = checked >= 12
+        j = int(rng.integers(m))
+        kick = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        size = 10 ** rng.uniform(-14, -7) if deep else 10 ** rng.uniform(-6.3, -4.4)
+        vec = np.linalg.eigh(pom.outcomes[j])[1][:, 0] + size * kick / np.linalg.norm(kick)
+        rho = np.outer(vec, vec.conj()) / np.vdot(vec, vec).real
+        probs = probabilities(rho, pom)
+        low, high = (0.0, P_FLOOR) if deep else (P_FLOOR, 1e-9)
+        if not (low < probs[j] <= high and probs.argmin() == j):
+            continue
+        rest = np.arange(m) != j
+        g = np.linalg.inv(c[rest].T @ np.diag(1.0 / probs[rest]) @ c[rest])
+        want = np.trace(g) - c[j] @ g @ g @ c[j] / (probs[j] + c[j] @ g @ c[j])
+        value = model.trace_inverse(probs[None])[0]
+        assert abs(value - want) <= 1e-10 * want
+        if not deep:
+            assert accuracy(rho, pom, basis) == value
+        checked += 1
 
 
 def test_haar_states_give_valid_fisher():

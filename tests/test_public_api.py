@@ -30,5 +30,6 @@ def test_every_tolerance_is_assigned_in_one_module_only():
         for path in sorted(Path(qttf.__file__).parent.glob("*.py"))
         for name in TOLERANCE.findall(path.read_text(encoding="utf-8"))
     )
-    assert {"P_FLOOR", "RANK_RTOL", "STRUCTURE_TOL", "WEIGHT_FLOOR"} <= set(assignments)
+    required = {"P_FLOOR", "RANK_RTOL", "CHOLESKY_RTOL", "STRUCTURE_TOL", "WEIGHT_FLOOR"}
+    assert required <= set(assignments)
     assert [name for name, count in assignments.items() if count > 1] == []

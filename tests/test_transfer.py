@@ -19,7 +19,6 @@ from qttf import (
     NotInformationallyCompleteError,
     NotMinimalBasesError,
     NotMinimallyCompleteError,
-    PathologicalPomError,
     Pom,
     UnsupportedOrderError,
     accuracy,
@@ -41,9 +40,9 @@ from qttf import (
     random_pom,
     reference_values,
     sic_povm,
-    trace_inverse,
 )
-from qttf.transfer import CHOLESKY_BLOCK, _quartic_bytes, _quartic_term, _trace_inverse_stack
+from qttf.fisher import CHOLESKY_BLOCK, CHOLESKY_RTOL
+from qttf.transfer import _quartic_bytes, _quartic_term
 
 BASIS2 = build_basis(2)
 BASIS3 = build_basis(3)
@@ -348,7 +347,6 @@ def test_monte_carlo_determinism_and_params():
     assert a.method == "monte_carlo"
     assert a.params["seed"] == 77
     assert a.params["n_samples"] == 3000
-    assert 0.0 <= a.params["redraw_rate"] < 0.5
     c = qttf_monte_carlo(pom, BASIS2, 3000, rng=78)
     assert c.value != a.value
 
@@ -369,8 +367,8 @@ def test_monte_carlo_agrees_with_accuracy_average():
     [(2, 6, 1, 60), (2, 20, 2, 61), (3, 11, 2, 62), (3, 45, 1, 63), (4, 18, 1, 64), (4, 80, 2, 65)],
 )
 def test_monte_carlo_equals_accuracy_average_on_the_same_stream(dim, m, rank, seed):
-    # with no redraws the first batch is exactly haar_state_vectors(dim, n, rng),
-    # so replaying that stream through the pointwise accuracy, with the three
+    # the first batch is exactly haar_state_vectors(dim, n, rng), so replaying
+    # that stream through Tr(F^{-1}) from eigenvalues, with the three
     # control variates built in outcome space (the first three expansion terms
     # Tr(X D), Tr(X D Y D) and Tr(X D Y D Y D) minus their exact Haar means,
     # taken from the centered-moment oracle rather than the library) and
@@ -381,7 +379,6 @@ def test_monte_carlo_equals_accuracy_average_on_the_same_stream(dim, m, rank, se
     pom = random_pom(dim, m, rank, rng=np.random.default_rng(seed))
     n = 300
     est = qttf_monte_carlo(pom, basis, n, rng=seed)
-    assert est.params["redraw_rate"] == 0.0
     aux = auxiliary_matrices(pom, basis)
     x, y = aux.x_matrix, aux.y_matrix
     centered2, centered3 = centered_moments_23(pom)
@@ -389,8 +386,9 @@ def test_monte_carlo_equals_accuracy_average_on_the_same_stream(dim, m, rank, se
     f3 = np.einsum("ab,bc,ca,abc->", x, y, y, centered3)
     vectors = haar_state_vectors(dim, n, np.random.default_rng(seed))
     states = [np.outer(v, v.conj()) for v in vectors]
-    values = np.array([accuracy(rho, pom, basis) for rho in states])
     probs = np.array([probabilities(rho, pom) for rho in states])
+    c = aux.c_matrix
+    values = np.array([np.sum(1.0 / np.linalg.eigvalsh(c.T @ np.diag(1.0 / p) @ c)) for p in probs])
     deltas = probs - aux.p_bar
     dx = deltas[:, :, None] * x  # D X per sample
     dy = deltas[:, :, None] * y  # D Y per sample
@@ -427,27 +425,28 @@ def test_cholesky_trace_inverse_matches_eigendecomposition():
     probs = np.array(
         [probabilities(0.5 * np.outer(v, v.conj()) + np.eye(3) / 6, pom) for v in vectors]
     )
-    got = _trace_inverse_stack(matrices, 1.0 / probs)
+    got = matrices.trace_inverse(probs)
     c = matrices.c_matrix
-    want = np.array([trace_inverse(c.T @ np.diag(1.0 / p) @ c) for p in probs])
+    want = np.array([np.sum(1.0 / np.linalg.eigvalsh(c.T @ np.diag(1.0 / p) @ c)) for p in probs])
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 def test_cholesky_trace_inverse_refuses_a_singular_fisher_matrix():
     # a single basis measurement sees no coherences: its Fisher matrix has
-    # exactly zero rows, and the factorisation failure is reported as such
+    # exactly zero rows, which neither the factorisation nor the QR path
+    # can invert
     z_basis = Pom(np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]), label="z")
     with pytest.raises(NotInformationallyCompleteError):
-        _trace_inverse_stack(measurement_matrices(z_basis, BASIS2), np.full((3, 2), 2.0))
+        measurement_matrices(z_basis, BASIS2).trace_inverse(np.full((3, 2), 0.5))
 
 
-def _pure_state_weights(dim):
-    """1/p for 2 CHOLESKY_BLOCK + 37 Haar pure states, two full blocks and a
+def _pure_state_probabilities(dim):
+    """p for 2 CHOLESKY_BLOCK + 37 Haar pure states, two full blocks and a
     remainder, on a rank-one measurement with 2 dim**2 outcomes."""
     pom = random_pom(dim, 2 * dim * dim, 1, rng=np.random.default_rng(90 + dim))
     vectors = haar_state_vectors(dim, 2 * CHOLESKY_BLOCK + 37, np.random.default_rng(95 + dim))
     probs = np.array([probabilities(np.outer(v, v.conj()), pom) for v in vectors])
-    return measurement_matrices(pom, build_basis(dim)), 1.0 / probs
+    return measurement_matrices(pom, build_basis(dim)), probs
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])
@@ -455,19 +454,20 @@ def test_trace_inverse_stack_matches_eigendecomposition_on_pure_states(dim):
     # pure states reach p_min ~ 2e-7 here, so the Fisher matrices are far less
     # well conditioned than the half-mixed ones above; a per-matrix LAPACK
     # Cholesky meets 8.5e-13 on these stacks
-    matrices, weights = _pure_state_weights(dim)
+    matrices, probs = _pure_state_probabilities(dim)
     c = matrices.c_matrix
-    want = np.array([trace_inverse(c.T @ np.diag(w) @ c) for w in weights])
-    np.testing.assert_allclose(_trace_inverse_stack(matrices, weights), want, rtol=1e-12, atol=0)
+    want = np.array([np.sum(1.0 / np.linalg.eigvalsh(c.T @ np.diag(1.0 / p) @ c)) for p in probs])
+    np.testing.assert_allclose(matrices.trace_inverse(probs), want, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("bad", [0.0, np.nan])
 def test_trace_inverse_stack_refuses_a_singular_row_in_the_last_partial_block(bad):
-    # every earlier block factors, so only the check on the remainder can refuse
-    matrices, weights = _pure_state_weights(3)
-    weights[-5] = bad
+    # every earlier block factors, so only the remainder holds a row that
+    # neither the Cholesky kernel nor the QR path can evaluate
+    matrices, probs = _pure_state_probabilities(3)
+    probs[-5] = bad
     with pytest.raises(NotInformationallyCompleteError, match="not positive definite"):
-        _trace_inverse_stack(matrices, weights)
+        matrices.trace_inverse(probs)
 
 
 @pytest.mark.parametrize("dim", [3, 5])
@@ -476,28 +476,47 @@ def test_trace_inverse_stack_rows_do_not_depend_on_their_block(dim):
     # stale values left by an earlier block would show as O(1) differences;
     # the one-row assembly is a matrix-vector product with its own summation
     # order, which on these stacks moves the values by at most 1.2e-12
-    matrices, weights = _pure_state_weights(dim)
-    alone = [_trace_inverse_stack(matrices, weights[i : i + 1])[0] for i in range(len(weights))]
-    np.testing.assert_allclose(_trace_inverse_stack(matrices, weights), alone, rtol=1e-11, atol=0)
+    matrices, probs = _pure_state_probabilities(dim)
+    alone = [matrices.trace_inverse(probs[i : i + 1])[0] for i in range(len(probs))]
+    np.testing.assert_allclose(matrices.trace_inverse(probs), alone, rtol=1e-11, atol=0)
 
 
-def test_monte_carlo_redraws_states_under_the_floor():
-    # the 8e-12 copy of a SIC outcome falls under the floor on the quarter of
-    # the Bloch sphere where Tr(rho Pi_0) <= 1/8; the kept states still see
-    # the SIC's Fisher matrix, so every kept sample is exactly 4
-    pom = duplicate_outcome(qubit_sic(), 0, [8e-12, 1 - 8e-12])
+@pytest.mark.parametrize("weight", [8e-12, 1e-12])
+def test_monte_carlo_on_a_split_sic_is_four_at_every_state(weight):
+    # a SIC outcome split off with a tiny weight leaves the SIC's Fisher
+    # matrix at every state, so every sample is exactly 4, also on the states
+    # where the copy's probability falls far under 1e-12
+    pom = duplicate_outcome(qubit_sic(), 0, [weight, 1 - weight])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         est = qttf_monte_carlo(pom, BASIS2, 4000, np.random.default_rng(66))
     assert abs(est.value - 4.0) < 1e-9
     assert est.std_error < 1e-12
     assert est.params["kurtosis"] == 0.0
-    # redrawn states leave a conditioned distribution whose control means are
-    # unknown, so the estimate is the plain mean with no control fit
-    assert est.params["variance_reduction"] == 1.0
-    rate = est.params["redraw_rate"]
-    drawn = 4000 / (1 - rate)  # a lower bound: the last batch may keep more than it needs
-    assert abs(rate - 0.25) < 5 * np.sqrt(0.25 * 0.75 / drawn)
+
+
+def test_monte_carlo_through_the_qr_path_matches_the_closed_form():
+    # kappa(C) = 1.6e4: eps Tr(F^{-1}) max_i F_ii exceeds CHOLESKY_RTOL at
+    # every state of this minimal measurement, so every sample is evaluated
+    # by the QR path, and the estimate must still meet the exact value
+    basis = build_basis(4)
+    pom = random_pom(4, 16, 1, rng=40082)
+    model = measurement_matrices(pom, basis)
+    c = model.c_matrix
+    vectors = haar_state_vectors(4, 200, np.random.default_rng(5))
+    for v in vectors:
+        fisher = c.T @ np.diag(1.0 / probabilities(np.outer(v, v.conj()), pom)) @ c
+        estimate = np.sum(1.0 / np.linalg.eigvalsh(fisher)) * np.diag(fisher).max()
+        assert np.finfo(float).eps * estimate > CHOLESKY_RTOL
+    # Tr(F^{-1}) is quadratic in t here, so the controls leave only roundoff
+    # in the error bar: take the closed form Tr Fbar^{-1} - 1 + 1/dim from the
+    # singular values of Pbar^{-1/2} C, which keeps kappa(C) unsquared
+    # (qttf_closed_minimal's eigh of Fbar is off by 1.3e-9 relative here)
+    scaled = c / np.sqrt(model.p_bar)[:, None]
+    exact = np.sum(np.linalg.svd(scaled, compute_uv=False) ** -2.0) - 1 + 1 / 4
+    assert abs(qttf_closed_minimal(pom, basis).value - exact) <= 1e-8 * exact
+    est = qttf_monte_carlo(pom, basis, 20000, rng=40083)
+    assert abs(est.value - exact) <= 4 * est.std_error
 
 
 def test_monte_carlo_variance_reduction_is_recorded():
@@ -583,16 +602,7 @@ def test_monte_carlo_matches_closed_forms_on_random_structured_measurements(dim)
     for pom, closed_form in cases:
         exact = closed_form(pom, basis).value
         est = qttf_monte_carlo(pom, basis, 20000, rng=rng)
-        assert est.params["redraw_rate"] == 0.0
         assert abs(est.value - exact) <= 4 * est.std_error + 1e-9 * exact
-
-
-def test_monte_carlo_rejects_pathological_measurement():
-    # an outcome scaled down to the probability floor forces every draw
-    # below the cutoff while the measurement stays formally complete
-    pom = duplicate_outcome(qubit_sic(), 0, [1e-12, 1.0 - 1e-12])
-    with pytest.raises(PathologicalPomError):
-        qttf_monte_carlo(pom, BASIS2, 1000, np.random.default_rng(46))
 
 
 def test_auto_selects_method_by_structure():
