@@ -7,6 +7,11 @@ line in CSV): every parsed argument except ``--out``, the seed included, so
 runs can be reproduced exactly.  Execution is sequential and single
 threaded; results depend only on the seed and the cell or sample index,
 never on scheduling.
+
+main() may be called repeatedly in one process: the argument parser is built
+on the first call and reused, since parsing keeps no state between calls, and
+each command builds the measurement model of each measurement it evaluates
+once, for its condition numbers and all of its transfer values.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import sys
@@ -30,7 +36,7 @@ from .errors import (
     QttfError,
     SearchTimeoutError,
 )
-from .estimation import haar_mse_sweep, mixing_weight_for_purity
+from .estimation import _sweep, mixing_weight_for_purity
 from .fisher import measurement_matrices
 from .operators import build_basis
 from .pom import (
@@ -46,7 +52,10 @@ from .pom import (
 )
 from .transfer import (
     DEFAULT_MEMORY_BUDGET,
+    _auto,
     _closed_form,
+    _monte_carlo,
+    _series,
     qttf_auto,
     qttf_monte_carlo,
     qttf_series,
@@ -210,10 +219,10 @@ def run_fig1(
                     base = random_pom(
                         dim, n_outcomes, rank, _cell_rng(seed, dim, mu_key, rank, index)
                     )
-                    pom = admix_white_noise(base, epsilon)
-                    aq = qttf_series(pom, basis, alpha=1.0, max_order=2).value
-                    mc = qttf_monte_carlo(
-                        pom, basis, n_haar, _cell_rng(seed, dim, mu_key, rank, index, 1)
+                    model = measurement_matrices(admix_white_noise(base, epsilon), basis)
+                    aq = _series(model, alpha=1.0, max_order=2).value
+                    mc = _monte_carlo(
+                        model, n_haar, _cell_rng(seed, dim, mu_key, rank, index, 1)
                     )
                     values.append((aq - mc.value) / (2.0 * mc.value))
                 lo, hi = bootstrap_ci(values, _cell_rng(seed, dim, mu_key, rank, 999983))
@@ -248,9 +257,17 @@ def search_counterexample_pair(
     kappa(first) < kappa(second) while qttf(first) - qttf(second) is at
     least five combined standard errors: the better-conditioned measurement
     is tomographically worse.  Each pair is checked once, ordered by kappa.
+    An outcome count below dim**2, which no informationally complete
+    measurement has, is refused with ValueError before the first attempt.
     """
     basis = build_basis(dim)
     m_choices = list(m_choices)
+    too_few = [m for m in m_choices if m < dim * dim]
+    if too_few:
+        raise ValueError(
+            f"outcome counts {too_few} are below dim**2 = {dim * dim}: "
+            "no such measurement is informationally complete"
+        )
     candidates = []
     for index in range(attempts):
         n_outcomes = m_choices[index % len(m_choices)]
@@ -261,9 +278,9 @@ def search_counterexample_pair(
             _cell_rng(seed, index),
             label=f"search(dim={dim},m={n_outcomes},rank={rank},seed={seed},index={index})",
         )
-        kappa = measurement_matrices(pom, basis).kappa_c_tilde
-        estimate = qttf_monte_carlo(pom, basis, n_samples, _cell_rng(seed, index, 1))
-        current = (pom, kappa, estimate)
+        model = measurement_matrices(pom, basis)
+        estimate = _monte_carlo(model, n_samples, _cell_rng(seed, index, 1))
+        current = (pom, model.kappa_c_tilde, estimate)
         for other in candidates:
             (p1, k1, e1), (p2, k2, e2) = sorted((current, other), key=lambda c: c[1])
             sigma = float(np.hypot(e1.std_error, e2.std_error))
@@ -297,9 +314,8 @@ def run_fig2_rows(
     rows = []
     for index, pom in enumerate(poms):
         matrices = measurement_matrices(pom, basis)
-        sweep = haar_mse_sweep(
-            pom,
-            basis,
+        sweep = _sweep(
+            matrices,
             purity,
             n_states,
             n_shots,
@@ -355,7 +371,7 @@ def _cmd_qttf(args) -> int:
         estimate = qttf_auto(pom, basis, n_samples=args.samples, rng=args.seed)
     elif args.method == "closed":
         try:
-            estimate = _closed_form(pom, basis)
+            estimate = _closed_form(measurement_matrices(pom, basis))
         except (NotMinimallyCompleteError, NotMinimalBasesError) as exc:
             raise _UsageError(f"no closed form applies: {exc}") from exc
     elif args.method == "series":
@@ -383,8 +399,8 @@ def _cmd_compare(args) -> int:
     rows = []
     for pom in poms:
         matrices = measurement_matrices(pom, basis)
-        estimate = qttf_auto(pom, basis, n_samples=args.samples, rng=args.seed)
-        aq = qttf_series(pom, basis, alpha=1.0, max_order=2)
+        estimate = _auto(matrices, n_samples=args.samples, rng=args.seed)
+        aq = _series(matrices, alpha=1.0, max_order=2)
         rows.append(
             {
                 "label": pom.label,
@@ -474,16 +490,16 @@ def _cmd_fig2(args) -> int:
     if args.search:
         if args.dim is None:
             raise _UsageError("--search requires --dim")
-        with _argument_errors():  # before the search, which writes the pair files
+        with _argument_errors():  # the purity before the search, which writes the pair files
             mixing_weight_for_purity(args.purity, args.dim)
-        pom1, pom2, info = search_counterexample_pair(
-            dim=args.dim,
-            m_choices=_number_list(args.m, int),
-            rank=args.rank,
-            attempts=args.attempts,
-            n_samples=args.samples,
-            seed=args.seed,
-        )
+            pom1, pom2, info = search_counterexample_pair(
+                dim=args.dim,
+                m_choices=_number_list(args.m, int),
+                rank=args.rank,
+                attempts=args.attempts,
+                n_samples=args.samples,
+                seed=args.seed,
+            )
         save_pom(pom1, args.pom1)
         save_pom(pom2, args.pom2)
         config["search_info"] = info
@@ -515,6 +531,7 @@ def _cmd_fig2(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="qttf", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -578,7 +595,7 @@ def _build_parser() -> _Parser:
     fig2_parser.add_argument("--dim", type=int, default=None)
     fig2_parser.add_argument("--m", default="6,8", help="outcome counts tried by --search")
     fig2_parser.add_argument("--rank", type=int, default=1)
-    fig2_parser.add_argument("--attempts", type=int, default=200)
+    fig2_parser.add_argument("--attempts", type=int, default=200, action=_AtLeast, low=1)
     fig2_parser.add_argument("--purity", type=float, default=0.99)
     fig2_parser.add_argument("--states", type=int, default=10, action=_AtLeast, low=1)
     fig2_parser.add_argument("--shots", type=int, default=10000, action=_AtLeast, low=1)

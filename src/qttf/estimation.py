@@ -21,7 +21,11 @@ which every estimator here shares:
 `mse_experiment` runs the same solve over a batch of simulated click runs;
 its `weighting` picks the weighted scheme ("probability") or W = 1
 ("none").  `haar_mse_sweep` runs the weighted experiment over Haar-drawn
-states with the measurement built once.
+states.  It is a wrapper over the private core `_sweep`, which takes the
+measurement model: the core draws the clicks and evaluates both transfer
+values through the model-taking cores of qttf.transfer, so one sweep builds
+the model once, and a caller that already holds the model (the CLI's fig2)
+passes it in.
 
 Both share one batched path over a stack of S states.  The sweep gets the
 Born probabilities and Bloch coordinates of all its pure states from one real
@@ -64,7 +68,7 @@ from .operators import (
     state_from_bloch,
 )
 from .pom import Pom
-from .transfer import QttfEstimate, qttf_monte_carlo, qttf_series
+from .transfer import QttfEstimate, _monte_carlo, _series
 
 WEIGHT_FLOOR = 0.5  # clicks: an empty cell is weighted as if half a click had landed in it
 MSE_BLOCK = 256  # click runs (states x trials) drawn and inverted at once
@@ -191,14 +195,14 @@ def weighted_linear_inversion(clicks: ClickRecord, pom: Pom, basis: HermitianBas
 
 
 def _experiment_matrices(
-    pom: Pom, basis: HermitianBasis, n_shots: int, n_trials: int
+    matrices: TomographyMatrices, n_shots: int, n_trials: int
 ) -> TomographyMatrices:
-    """Check the run sizes of an MSE experiment and build its measurement matrices."""
+    """Check the run sizes of an MSE experiment, then its measurement's completeness."""
     if n_shots < 1:
         raise ValueError(f"n_shots must be >= 1, got {n_shots}")
     if n_trials < 2:
         raise ValueError(f"need at least 2 trials, got {n_trials}")
-    return measurement_matrices(pom, basis).checked()
+    return matrices.checked()
 
 
 def _scaled_mse(
@@ -249,7 +253,7 @@ def mse_experiment(
     rho = _density_matrix(rho)
     if weighting not in ("probability", "none"):
         raise ValueError(f"unknown weighting {weighting!r}")
-    matrices = _experiment_matrices(pom, basis, n_shots, n_trials)
+    matrices = _experiment_matrices(measurement_matrices(pom, basis), n_shots, n_trials)
     rng = np.random.default_rng(rng)
     probs = probabilities(rho, pom)
     target = bloch_coords(rho, basis)
@@ -301,27 +305,43 @@ def haar_mse_sweep(
     row, one right-hand side and one solve (see the module docstring).  The
     Monte Carlo transfer value then continues the same stream.
     """
+    return _sweep(
+        measurement_matrices(pom, basis), purity_mix, n_states, n_shots, n_trials, rng,
+        n_qttf_samples,
+    )
+
+
+def _sweep(
+    matrices: TomographyMatrices,
+    purity_mix: float,
+    n_states: int,
+    n_shots: int,
+    n_trials: int,
+    rng=None,
+    n_qttf_samples: int = 10000,
+) -> HaarSweepResult:
+    """haar_mse_sweep on the measurement model."""
     if n_states < 1:
         raise ValueError(f"need at least 1 state, got {n_states}")
     if n_qttf_samples < 2:
         raise ValueError(f"n_qttf_samples must be >= 2, got {n_qttf_samples}")
-    matrices = _experiment_matrices(pom, basis, n_shots, n_trials)
+    matrices = _experiment_matrices(matrices, n_shots, n_trials)
     rng = np.random.default_rng(rng)
-    weight = mixing_weight_for_purity(purity_mix, pom.dim)
-    vectors = haar_state_vectors(pom.dim, n_states, rng)
+    weight = mixing_weight_for_purity(purity_mix, matrices.dim)
+    vectors = haar_state_vectors(matrices.dim, n_states, rng)
     born = _pure_state_born(vectors, matrices.born_table)
-    m = pom.n_outcomes
+    m = matrices.n_outcomes
     # Tr(identity Pi_m) / dim = pbar_m and Tr(identity B_k) = 0
     probs = weight * born[:, :m] + (1.0 - weight) * matrices.p_bar
     per_state = _scaled_mse(
         matrices, probs, weight * born[:, m:], n_shots, n_trials, rng, weighted=True
     )
     stderr = float(per_state.std(ddof=1) / np.sqrt(n_states)) if n_states > 1 else 0.0
-    series2 = qttf_series(pom, basis, alpha=1.0, max_order=2)
+    series2 = _series(matrices, alpha=1.0, max_order=2)
     return HaarSweepResult(
         mean_scaled_mse=float(per_state.mean()),
         scaled_mse_stderr=stderr,
-        qttf_mc=qttf_monte_carlo(pom, basis, n_qttf_samples, rng),
+        qttf_mc=_monte_carlo(matrices, n_qttf_samples, rng),
         qttf_series2=series2,
         per_state=per_state,
     )

@@ -49,6 +49,14 @@ means are exact; the series and the Monte Carlo controls read the same
 fields.  Only F4 is contracted here, from operator stacks times single
 outcomes ("half-products"), and memory_budget bounds that contraction alone.
 
+Each public route takes (pom, basis), builds the model with
+fisher.measurement_matrices and hands it to a private core that takes the
+model (_series, _monte_carlo, _closed_form, _auto and the two closed forms).
+The cores check their arguments, then the model's informational completeness,
+and read the outcome operators and the dimension from the model, so a caller
+that evaluates one measurement several times (the CLI, estimation.
+haar_mse_sweep) builds its model once and calls the cores.
+
 The closed forms refuse only on the outcome count and on checks of the
 outcome operators, never on Y: Y passes through Fbar^{-1}, so on an
 ill-conditioned but valid measurement its roundoff can exceed any tolerance.
@@ -253,12 +261,22 @@ def qttf_series(
     physical Haar average (alpha = 1) usually lies beyond it, where the
     truncation is still the working approximation but its tail is uncertified.
     """
+    return _series(measurement_matrices(pom, basis), alpha, max_order, memory_budget)
+
+
+def _series(
+    model: TomographyMatrices,
+    alpha: float = 1.0,
+    max_order: int = 2,
+    memory_budget: int = DEFAULT_MEMORY_BUDGET,
+) -> QttfEstimate:
+    """qttf_series on the measurement model."""
     if not 0 < alpha < math.inf:
         raise ValueError(f"alpha must be {'finite' if alpha > 0 else 'positive'}, got {alpha}")
     integral = isinstance(max_order, (int, np.integer)) and not isinstance(max_order, bool)
     if not (integral and 0 <= max_order <= 4):
         raise UnsupportedOrderError(f"max_order must be an integer in [0, 4], got {max_order!r}")
-    model = auxiliary_matrices(pom, basis)
+    model.checked()
     contributions = [model.tr_fbar_inv]
     if max_order >= 2:
         f2 = model.f2
@@ -292,12 +310,17 @@ def qttf_closed_minimal(pom: Pom, basis: HermitianBasis) -> QttfEstimate:
     checked here, and completeness by the model.  params["y_deviation"], the
     largest |Y_ab + 1|, is a roundoff diagnostic, not a test.
     """
-    dim = pom.dim
-    if pom.n_outcomes != dim * dim:
+    return _closed_minimal(measurement_matrices(pom, basis))
+
+
+def _closed_minimal(model: TomographyMatrices) -> QttfEstimate:
+    """qttf_closed_minimal on the measurement model."""
+    dim = model.dim
+    if model.n_outcomes != dim * dim:
         raise NotMinimallyCompleteError(
-            f"minimally complete needs {dim * dim} outcomes, got {pom.n_outcomes}"
+            f"minimally complete needs {dim * dim} outcomes, got {model.n_outcomes}"
         )
-    model = auxiliary_matrices(pom, basis)
+    model.checked()
     deviation = float(np.abs(model.y_matrix + 1.0).max())
     return QttfEstimate(
         value=model.tr_fbar_inv - 1.0 + 1.0 / dim,
@@ -324,19 +347,24 @@ def qttf_closed_minimal_bases(pom: Pom, basis: HermitianBasis) -> QttfEstimate:
     diagnostic, not a test.  Every outcome has trace 1/(dim+1), so
     Fbar = dim (dim+1) C^T C and the value equals Tr(Fbar^{-1}) dim / (dim+1).
     """
-    dim = pom.dim
+    return _closed_minimal_bases(measurement_matrices(pom, basis))
+
+
+def _closed_minimal_bases(model: TomographyMatrices) -> QttfEstimate:
+    """qttf_closed_minimal_bases on the measurement model."""
+    dim = model.dim
     n_bases = dim + 1
-    if pom.n_outcomes != dim * n_bases:
+    if model.n_outcomes != dim * n_bases:
         raise NotMinimalBasesError(
-            f"expected {dim * n_bases} outcomes ({n_bases} bases of {dim}), got {pom.n_outcomes}"
+            f"expected {dim * n_bases} outcomes ({n_bases} bases of {dim}), got {model.n_outcomes}"
         )
-    if not _all_rank_one(pom):
+    if not _all_rank_one(model.outcomes):
         raise NotMinimalBasesError("outcomes are not all rank one")
-    model = auxiliary_matrices(pom, basis)
+    model.checked()
     # list the outcomes group by group, each group at the place of its first outcome
     same_basis = model.y_matrix < -n_bases / 2
     order = np.argsort(same_basis.argmax(axis=1), kind="stable")
-    grouped = pom.outcomes[order].reshape(n_bases, dim, dim, dim)
+    grouped = model.outcomes[order].reshape(n_bases, dim, dim, dim)
     group_dev = np.abs(grouped.sum(axis=1) - np.eye(dim) / n_bases).max()
     if group_dev > STRUCTURE_TOL:
         raise NotMinimalBasesError(
@@ -351,10 +379,10 @@ def qttf_closed_minimal_bases(pom: Pom, basis: HermitianBasis) -> QttfEstimate:
     )
 
 
-def _all_rank_one(pom: Pom) -> bool:
+def _all_rank_one(outcomes: np.ndarray) -> bool:
     """Whether every outcome is rank one: all eigenvalues but the largest
     within STRUCTURE_TOL of zero."""
-    return bool(np.linalg.eigvalsh(pom.outcomes)[:, :-1].max() <= STRUCTURE_TOL)
+    return bool(np.linalg.eigvalsh(outcomes)[:, :-1].max() <= STRUCTURE_TOL)
 
 
 def _beta_moment(dim: int, power: float) -> float:
@@ -364,12 +392,12 @@ def _beta_moment(dim: int, power: float) -> float:
     return math.exp(math.lgamma(1 + power) + math.lgamma(dim) - math.lgamma(dim + power))
 
 
-def _closed_form(pom: Pom, basis: HermitianBasis) -> QttfEstimate:
+def _closed_form(model: TomographyMatrices) -> QttfEstimate:
     """The closed form that the outcome count selects: the bases form for
     M = dim (dim+1), else the minimal form, which refuses any M != dim**2."""
-    if pom.n_outcomes == pom.dim * (pom.dim + 1):
-        return qttf_closed_minimal_bases(pom, basis)
-    return qttf_closed_minimal(pom, basis)
+    if model.n_outcomes == model.dim * (model.dim + 1):
+        return _closed_minimal_bases(model)
+    return _closed_minimal(model)
 
 
 def _cubic_form(coords: np.ndarray, tensor: np.ndarray) -> np.ndarray:
@@ -449,19 +477,24 @@ def qttf_monte_carlo(
 
     so each sample costs O(dim**2 (M + K) + M K**2), plus K**3 / 3 multiply-adds in the fused loop.
     """
+    return _monte_carlo(measurement_matrices(pom, basis), n_samples, rng)
+
+
+def _monte_carlo(model: TomographyMatrices, n_samples: int, rng=None) -> QttfEstimate:
+    """qttf_monte_carlo on the measurement model."""
     if n_samples < 2:
         raise ValueError(f"need at least 2 samples, got {n_samples}")
-    model = auxiliary_matrices(pom, basis)
+    model.checked()
     seed = rng if isinstance(rng, (int, np.integer)) else None
     rng = np.random.default_rng(rng)
-    dim, m = pom.dim, pom.n_outcomes
+    dim, m = model.dim, model.n_outcomes
     linear = model.c_matrix.T @ np.diag(model.x_matrix)
     quadratic, cubic = model.quadratic_form, model.cubic_form
     control_means = [0.0, model.f2, model.f3]
-    rank_one = _all_rank_one(pom)
+    rank_one = _all_rank_one(model.outcomes)
     if rank_one:
         x_diag = np.diag(model.x_matrix)
-        root_weights = np.sqrt(1.0 / pom.traces)
+        root_weights = np.sqrt(1.0 / np.einsum("mii->m", model.outcomes).real)  # as Pom.traces
         root_table = np.column_stack([root_weights, x_diag * root_weights])
         cube_weights = x_diag * root_weights**3
         half, three_halves = _beta_moment(dim, 0.5), _beta_moment(dim, 1.5)
@@ -500,7 +533,7 @@ def qttf_monte_carlo(
         warnings.warn(
             "Tr(F^{-1}) samples are heavy tailed; consider a larger n_samples",
             HeavyTailWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     spent = 1 + controls.shape[1]  # the intercept and one coefficient per control
     if spread and n_samples > spent:
@@ -544,10 +577,15 @@ def qttf_auto(
     """The closed form that the outcome count selects when its structure
     holds (_closed_form), otherwise the order-2 series for moderately sized
     measurements (M <= 4 dim**2), otherwise Monte Carlo."""
+    return _auto(measurement_matrices(pom, basis), n_samples, rng)
+
+
+def _auto(model: TomographyMatrices, n_samples: int = 10000, rng=None) -> QttfEstimate:
+    """qttf_auto on the measurement model."""
     try:
-        return _closed_form(pom, basis)
+        return _closed_form(model)
     except (NotMinimallyCompleteError, NotMinimalBasesError):
         pass
-    if pom.n_outcomes <= 4 * pom.dim * pom.dim:
-        return qttf_series(pom, basis, alpha=1.0, max_order=2)
-    return qttf_monte_carlo(pom, basis, n_samples, rng)
+    if model.n_outcomes <= 4 * model.dim * model.dim:
+        return _series(model, alpha=1.0, max_order=2)
+    return _monte_carlo(model, n_samples, rng)

@@ -11,7 +11,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qttf import Pom, build_basis, load_pom, measurement_matrices, qttf_monte_carlo, save_pom
+import qttf.cli
+from qttf import (
+    Pom,
+    build_basis,
+    haar_mse_sweep,
+    load_pom,
+    measurement_matrices,
+    qttf_monte_carlo,
+    random_pom,
+    save_pom,
+)
 from qttf.cli import (
     EXIT_BUDGET,
     EXIT_NOT_IC,
@@ -21,6 +31,7 @@ from qttf.cli import (
     bootstrap_ci,
     main,
     run_fig1,
+    search_counterexample_pair,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -491,7 +502,10 @@ def test_fig2_search_timeout_writes_no_pair(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "flag,value",
-    [("--shots", "0"), ("--shots", "-5"), ("--trials", "1"), ("--states", "0"), ("--samples", "1")],
+    [
+        ("--shots", "0"), ("--shots", "-5"), ("--trials", "1"), ("--states", "0"),
+        ("--samples", "1"), ("--attempts", "0"), ("--attempts", "-1"),
+    ],
 )
 def test_fig2_rejects_bad_counts_before_searching(tmp_path, capsys, flag, value):
     first, second = tmp_path / "p1.json", tmp_path / "p2.json"
@@ -502,6 +516,27 @@ def test_fig2_rejects_bad_counts_before_searching(tmp_path, capsys, flag, value)
     assert code == EXIT_USAGE
     assert capsys.readouterr().err.startswith(f"error: {flag} must be >= ")
     assert not first.exists() and not second.exists()
+
+
+def test_fig2_search_refuses_outcome_counts_below_dim_squared(tmp_path, capsys, monkeypatch):
+    first, second = tmp_path / "p1.json", tmp_path / "p2.json"
+    monkeypatch.setattr(qttf.cli, "random_pom", _no_attempt)
+    code, out = _make(
+        tmp_path, "fig2", str(first), str(second), "--search", "--dim", "2", "--m", "6,3",
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert capsys.readouterr().err == (
+        "error: outcome counts [3] are below dim**2 = 4: "
+        "no such measurement is informationally complete\n"
+    )
+    assert not first.exists() and not second.exists()
+    with pytest.raises(ValueError, match="below dim\\*\\*2 = 9"):
+        search_counterexample_pair(3, [12, 8], 1, attempts=5, n_samples=100, seed=0)
+
+
+def _no_attempt(*args, **kwargs):
+    raise AssertionError("the search drew a measurement")
 
 
 def test_fig2_search_refuses_an_empty_count_list(tmp_path, capsys):
@@ -584,6 +619,91 @@ def test_config_holds_every_parsed_argument_but_out(tmp_path, command):
     parsed = vars(_build_parser().parse_args(argv))
     del parsed["out"]
     assert config == parsed
+
+
+# ---------------------------------------------------------------- one parser, one model
+
+
+def test_one_parser_serves_a_sequence_of_calls(tmp_path, capsys):
+    sic = str(_builtin_file(tmp_path, "sic2"))
+    mub = str(_builtin_file(tmp_path, "mub2"))
+    pair = [str(DATA / "discordant_a.json"), str(DATA / "discordant_b.json")]
+    fig2_flags = ["--states", "2", "--shots", "300", "--trials", "4", "--samples", "200"]
+    calls = [
+        ["compare", sic, mub, "--samples", "300", "--seed", "2", "--format", "json"],
+        ["fig2", *pair, "--purity", "1.5", *fig2_flags],
+        ["fig2", *pair, *fig2_flags, "--seed", "3"],
+        ["fig1", "--mus", "2", "--n-poms", "2", "--n-haar", "30", "--seed", "4"],
+    ]
+
+    def run(argv, out):
+        code, stdout = _make(tmp_path, *argv, "--out", str(out))
+        return code, stdout, capsys.readouterr().err, out.read_bytes() if out.exists() else None
+
+    parser = _build_parser()
+    in_sequence = [run(argv, tmp_path / f"seq{i}") for i, argv in enumerate(calls)]
+    assert _build_parser() is parser
+    one_at_a_time = []
+    for i, argv in enumerate(calls):
+        _build_parser.cache_clear()  # a fresh parser, as a new process would build
+        one_at_a_time.append(run(argv, tmp_path / f"alone{i}"))
+    assert [result[0] for result in in_sequence] == [EXIT_OK, EXIT_USAGE, EXIT_OK, EXIT_OK]
+    assert in_sequence[1][2].startswith("error: target purity")
+    assert in_sequence == one_at_a_time
+    assert _build_parser() is _build_parser()
+
+
+@pytest.fixture
+def model_count(monkeypatch):
+    """Count measurement_matrices calls, patched in every module that binds it."""
+    original = qttf.fisher.measurement_matrices
+    calls = []
+
+    def counted(pom, basis):
+        calls.append(pom.label)
+        return original(pom, basis)
+
+    for module in (qttf, qttf.fisher, qttf.transfer, qttf.estimation, qttf.cli):
+        if getattr(module, "measurement_matrices", None) is original:
+            monkeypatch.setattr(module, "measurement_matrices", counted)
+    return calls
+
+
+def test_compare_builds_one_model_per_file(tmp_path, model_count):
+    files = [_builtin_file(tmp_path, name) for name in ("sic2", "mub2")]
+    for k, m in ((2, 8), (3, 20)):  # the series and the Monte Carlo route of qttf_auto
+        files.append(tmp_path / f"random{k}.json")
+        save_pom(random_pom(2, m, 1, k), files[-1])
+    model_count.clear()
+    code, _ = _make(tmp_path, "compare", *map(str, files), "--samples", "300")
+    assert code == EXIT_OK
+    assert len(model_count) == len(files) == 4
+
+
+def test_mse_sweep_builds_one_model(model_count):
+    haar_mse_sweep(random_pom(2, 8, 1, 5), build_basis(2), 0.9, 2, 200, 4, 1, n_qttf_samples=50)
+    assert len(model_count) == 1
+
+
+def test_fig1_builds_one_model_per_measurement(tmp_path, model_count):
+    code, _ = _make(
+        tmp_path, "fig1", "--mus", "1.5,2", "--n-poms", "3", "--n-haar", "30", "--seed", "1",
+    )
+    assert code == EXIT_OK
+    assert len(model_count) == 2 * 3
+
+
+def test_fig2_search_builds_one_model_per_attempt_and_per_member(tmp_path, model_count):
+    out = tmp_path / "fig2.csv"
+    code, _ = _make(
+        tmp_path, "fig2", str(tmp_path / "p1.json"), str(tmp_path / "p2.json"), "--search",
+        "--dim", "2", "--attempts", "60", "--samples", "500", "--states", "2",
+        "--shots", "200", "--trials", "4", "--seed", "1", "--out", str(out),
+    )
+    assert code == EXIT_OK
+    attempts = _csv_rows(out.read_text(encoding="utf-8"))[0]["search_info"]["attempts_used"]
+    assert attempts >= 2
+    assert len(model_count) == attempts + 2
 
 
 # ---------------------------------------------------------------- helpers
