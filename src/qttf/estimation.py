@@ -83,10 +83,17 @@ class ClickRecord:
     pom_label: str = ""
 
     def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
+        counts = np.asarray(self.counts)
+        if counts.ndim != 1 or counts.size == 0:
+            raise ValueError("counts must be a non-empty 1-D array")
+        if not np.isfinite(counts).all():
+            raise ValueError("counts must be finite")
+        if (counts != np.round(counts)).any():
+            raise ValueError("counts must be integers")
+        counts = counts.astype(np.int64)
         object.__setattr__(self, "counts", counts)
-        if counts.ndim != 1 or counts.min() < 0:
-            raise ValueError("counts must be a 1-D array of non-negative integers")
+        if counts.min() < 0:
+            raise ValueError("counts must be non-negative")
         if counts.sum() != self.n_total:
             raise ValueError(f"counts sum {counts.sum()} != n_total {self.n_total}")
 
@@ -120,8 +127,7 @@ class HaarSweepResult:
 def sample_clicks(rho, pom: Pom, n_shots: int, rng=None) -> ClickRecord:
     """One multinomial draw of n_shots clicks over the outcome probabilities."""
     rho = _density_matrix(rho)
-    if n_shots < 1:
-        raise ValueError(f"n_shots must be >= 1, got {n_shots}")
+    _require_run_size("n_shots", n_shots, 1)
     rng = np.random.default_rng(rng)
     probs = probabilities(rho, pom)
     probs = np.clip(probs, 0.0, None)
@@ -130,13 +136,26 @@ def sample_clicks(rho, pom: Pom, n_shots: int, rng=None) -> ClickRecord:
     return ClickRecord(counts=counts, n_total=int(n_shots), pom_label=pom.label)
 
 
+def _require_run_size(name: str, value, least: int) -> None:
+    """Refuse a shot or trial count that is not an integer of at least `least`;
+    Python and numpy integers pass, a float does not, even an integral one."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 def _frequencies(clicks, pom: Pom) -> np.ndarray:
     """Accept a ClickRecord or a bare frequency vector summing to one."""
     if isinstance(clicks, ClickRecord):
         freq = clicks.frequencies
     else:
         freq = np.asarray(clicks, dtype=float)
-        if freq.ndim != 1 or freq.min() < -1e-12 or abs(freq.sum() - 1.0) > 1e-9:
+        if freq.ndim != 1 or freq.size == 0:
+            raise ValueError("frequency vector must be a non-empty 1-D array")
+        if not np.isfinite(freq).all():
+            raise ValueError("frequency vector must be finite")
+        if freq.min() < -1e-12 or abs(freq.sum() - 1.0) > 1e-9:
             raise ValueError("frequency vector must be non-negative and sum to one")
     if freq.shape[0] != pom.n_outcomes:
         raise DimensionMismatchError(
@@ -198,10 +217,8 @@ def _experiment_matrices(
     matrices: TomographyMatrices, n_shots: int, n_trials: int
 ) -> TomographyMatrices:
     """Check the run sizes of an MSE experiment, then its measurement's completeness."""
-    if n_shots < 1:
-        raise ValueError(f"n_shots must be >= 1, got {n_shots}")
-    if n_trials < 2:
-        raise ValueError(f"need at least 2 trials, got {n_trials}")
+    _require_run_size("n_shots", n_shots, 1)
+    _require_run_size("n_trials", n_trials, 2)
     return matrices.checked()
 
 

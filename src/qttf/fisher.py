@@ -5,9 +5,12 @@ C_{jk} = Tr(Pi_j B_k) over the traceless operators; C-tilde prepends the
 column Tr(Pi_j)/sqrt(dim) for the identity component.  At a state with
 outcome probabilities p the scaled Fisher matrix of the multinomial model is
 F = C^T diag(p)^{-1} C, and Tr(F^{-1}) is the optimal (Cramer-Rao) scaled
-mean squared Hilbert-Schmidt error of unbiased estimation.  F sums rows of
-TomographyMatrices.outer_table: fisher() reads it batch-first for LAPACK, the
-trace-inverse kernel batch-last into reused blocks (fresh ones cost it 10 %).
+mean squared Hilbert-Schmidt error of unbiased estimation.  F sums the outer
+products c_m c_m^T of the rows of C: fisher() reads all K**2 of them batch-first
+for the LAPACK solves, the trace-inverse kernel reads TomographyMatrices.
+outer_table, their lower triangle j <= i packed row by row, and assembles it
+batch-last into one reused block (fresh ones cost it 10 %), since its Cholesky
+reads nothing else.
 TomographyMatrices.trace_inverse is the one evaluation of Tr(F^{-1}): accuracy,
 the MSE experiments and Monte Carlo all call it.
 """
@@ -15,7 +18,7 @@ the MSE experiments and Monte Carlo all call it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -31,6 +34,7 @@ from .pom import Pom
 P_FLOOR = 1e-12
 RANK_RTOL = 1e-10
 EIG_RTOL = 1e-12
+STRUCTURE_TOL = 1e-8  # absolute deviation accepted in a structure check of the outcomes
 CHOLESKY_RTOL = 1e-10  # relative roundoff accepted from the Cholesky kernel
 CHOLESKY_BLOCK = 512  # Fisher matrices assembled, factored and inverted in one batch-last pass
 
@@ -52,8 +56,12 @@ class TomographyMatrices:
     Computed on first read, since only some callers need them:
 
     * singular_values_c_tilde, for conditioning reports;
-    * born_table and outer_table, for Haar sampling and the Fisher matrices
-      and weighted designs that fisher() and trace_inverse() assemble;
+    * born_table, for Haar sampling, and the outer products c_m c_m^T of the
+      rows of C, for the weighted designs and Fisher matrices that fisher()
+      assembles; outer_table, their lower triangle packed (M, K (K+1) / 2), is
+      the one that trace_inverse() assembles;
+    * all_rank_one, the one rank test of the outcomes, read by the bases
+      closed form and the Monte Carlo controls;
     * tr_fbar_inv, x_matrix and y_matrix, the expansion around the
       maximally mixed state (see qttf.transfer), from one shared
       eigendecomposition of Fbar = C^T Pbar^{-1} C;
@@ -92,36 +100,65 @@ class TomographyMatrices:
         return operators.reshape(len(operators), self.dim * self.dim).view(np.float64)
 
     @cached_property
-    def outer_table(self) -> np.ndarray:
-        """Outer products c_m c_m^T of the rows of C as an (M, K**2) matrix."""
+    def _outer_products(self) -> np.ndarray:
+        """Outer products c_m c_m^T of the rows of C as an (M, K**2) matrix, the
+        layout of fisher()'s matmul."""
         c_matrix = self.c_matrix
         table = (c_matrix[:, :, None] * c_matrix[:, None, :]).reshape(c_matrix.shape[0], -1)
         table.flags.writeable = False  # shared by every reader of this instance
         return table
 
+    @cached_property
+    def outer_table(self) -> np.ndarray:
+        """The products c_mi c_mj of the rows of C over the lower triangle j <= i,
+        packed row by row as an (M, K (K+1) / 2) matrix: row i of C^T diag(w) C
+        up to its diagonal is the slice [i (i+1) / 2, (i+1) (i+2) / 2)."""
+        rows, cols, _ = _packed_layout(self.c_matrix.shape[1])
+        # np.take keeps the table C-ordered, as the assembly matmul's BLAS call
+        # expects; indexing c_matrix[:, rows] would return it Fortran-ordered
+        table = np.take(self.c_matrix, rows, axis=1) * np.take(self.c_matrix, cols, axis=1)
+        table.flags.writeable = False  # shared by every reader of this instance
+        return table
+
+    @cached_property
+    def all_rank_one(self) -> bool:
+        """Whether every outcome is rank one: all eigenvalues but the largest
+        within STRUCTURE_TOL of zero."""
+        return bool(np.linalg.eigvalsh(self.outcomes)[:, :-1].max() <= STRUCTURE_TOL)
+
     def fisher(self, weights: np.ndarray) -> np.ndarray:
         """C^T diag(w) C, shape (..., K, K), for every row w of weights (..., M),
-        as one matmul against outer_table: the Fisher matrix F for w = 1/p, and
-        the weighted least-squares designs of qttf.estimation."""
+        as one matmul against the outer products c_m c_m^T, of which outer_table
+        is the packed lower triangle: the Fisher matrix F for w = 1/p, and the
+        weighted least-squares designs of qttf.estimation."""
         k = self.c_matrix.shape[1]
-        return (weights @ self.outer_table).reshape(weights.shape[:-1] + (k, k))
+        return (weights @ self._outer_products).reshape(weights.shape[:-1] + (k, k))
 
     def trace_inverse(self, probs: np.ndarray) -> np.ndarray:
         """Tr(F^{-1}) for every row p of probs (n, M), with F = C^T diag(p)^{-1} C.
 
         The rows go in blocks of CHOLESKY_BLOCK.  A block's Fisher matrices A are
-        one matmul of outer_table against 1/p, written batch-last into a
-        (K**2, s) buffer read as (K, K, s).  One loop over i then factors A = L L^T
-        row by row (up-looking Cholesky) and builds Z = L^{-1} alongside,
+        one matmul of outer_table against 1/p, which writes their lower triangles
+        batch-last into a (K (K+1) / 2, s) buffer, row i of A up to its diagonal
+        the contiguous rows [i (i+1) / 2, (i+1) (i+2) / 2).  One loop over i then
+        factors A = L L^T row by row (up-looking Cholesky) and builds Z = L^{-1}
+        alongside,
 
             L[i, :i] = Z[:i, :i] A[i, :i],   L_ii**2 = A_ii - ||L[i, :i]||**2,
             Z[i, :i] = -(L[i, :i] Z[:i, :i]) / L_ii,   Z_ii = 1 / L_ii,
 
-        each step an einsum over the contiguous batch axis, and Tr(F^{-1}) =
-        ||Z||_F**2: K**3 / 3 multiply-adds per matrix in K vectorised steps (twice
-        that with the zero upper triangle of Z, which the dense steps multiply).
-        Both buffers serve every block; Z's upper triangle is never written, so it
-        stays zero.  A pivot that is not positive leaves its row NaN.
+        from Z_00 = 1 / sqrt(A_00), each step einsums over the contiguous batch
+        axis, and Tr(F^{-1}) = ||Z||_F**2.  Dense steps cost 2 i**2 multiply-adds per matrix at step i,
+        twice the i**2 of exact triangles.  Where i**2 s >= 2**17 (from i = 16 in
+        a full block, so at dim >= 5), both products split Z[:i, :i] at
+        h = i // 2 and skip its upper-right block Z[:h, h:i], which is exactly
+        zero, for 3 i**2 / 2; on a smaller band the two extra einsum calls cost
+        more than the band saves.  The skipped terms are zeros that a sum in
+        index order adds after or before the others, so every value is that of
+        the dense steps.  Z's (K, K, s) buffer serves every block; its upper
+        triangle is never written, so it stays zero.  The per-step vectors are
+        the einsums' own outputs, which measured faster than writing into reused
+        buffers.  A pivot that is not positive leaves its row NaN.
 
         The kernel's relative error grows like eps kappa(F), and kappa(F) lies
         within a factor K of Tr(F^{-1}) max_i F_ii either way; on pure states of
@@ -136,23 +173,34 @@ class TomographyMatrices:
         """
         n, k = probs.shape[0], self.c_matrix.shape[1]
         block = min(CHOLESKY_BLOCK, n)
-        fisher, inverse = np.empty((k * k, block)), np.zeros((k, k, block))
+        fisher, inverse = np.empty((k * (k + 1) // 2, block)), np.zeros((k, k, block))
         traces, estimates = np.empty(n), np.empty(n)
+        diagonal = _packed_layout(k)[2]
         with np.errstate(divide="ignore", invalid="ignore"):
             weights = 1.0 / probs
             for start in range(0, n, CHOLESKY_BLOCK):
                 rows = weights[start : start + CHOLESKY_BLOCK]
                 s = rows.shape[0]
-                a = np.matmul(self.outer_table.T, rows.T, out=fisher[:, :s]).reshape(k, k, s)
+                a = np.matmul(self.outer_table.T, rows.T, out=fisher[:, :s])
                 z = inverse[:, :, :s]
-                for i in range(k):
-                    lower = np.einsum("jks,ks->js", z[:i, :i], a[i, :i])
-                    scale = -1.0 / np.sqrt(a[i, i] - np.einsum("js,js->s", lower, lower))
+                z[0, 0] = 1.0 / np.sqrt(a[0])
+                for i in range(1, k):
+                    row = a[i * (i + 1) // 2 : (i + 1) * (i + 2) // 2]  # A[i, :i + 1]
+                    h = i // 2 if i * i * s >= 1 << 17 else 0
+                    if h:
+                        lower = np.empty((i, s))
+                        np.einsum("jks,ks->js", z[:h, :h], row[:h], out=lower[:h])
+                        np.einsum("jks,ks->js", z[h:i, :i], row[:i], out=lower[h:])
+                    else:
+                        lower = np.einsum("jks,ks->js", z[:i, :i], row[:i])
+                    scale = -1.0 / np.sqrt(row[i] - np.einsum("js,js->s", lower, lower))
                     lower *= scale
-                    np.einsum("js,jks->ks", lower, z[:i, :i], out=z[i, :i])
+                    if h:
+                        np.einsum("js,jks->ks", lower, z[:i, :h], out=z[i, :h])
+                    np.einsum("js,jks->ks", lower[h:], z[h:i, h:i], out=z[i, h:i])
                     z[i, i] = -scale
                 traces[start : start + s] = np.einsum("jks,jks->s", z, z)
-                np.max(fisher[:: k + 1, :s], axis=0, out=estimates[start : start + s])
+                np.max(a[diagonal], axis=0, out=estimates[start : start + s])
             estimates *= traces
             rescue = np.flatnonzero(~(np.finfo(float).eps * estimates <= CHOLESKY_RTOL))
         if rescue.size:
@@ -258,6 +306,19 @@ class TomographyMatrices:
     def is_informationally_complete(self) -> bool:
         s = self.singular_values_c
         return bool(s[0] > 0 and s[-1] > RANK_RTOL * s[0])
+
+
+@cache
+def _packed_layout(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index arrays of a K x K matrix stored as its lower triangle j <= i, row by
+    row: the row and column (i, j) of each stored entry, and the positions
+    i (i+3) / 2 of the diagonal.  They depend on K alone, so every model of that
+    size shares them."""
+    index = np.arange(k)
+    layout = (*np.tril_indices(k), index * (index + 3) // 2)
+    for array in layout:
+        array.flags.writeable = False  # shared by every caller in the process
+    return layout
 
 
 def measurement_matrices(pom: Pom, basis: HermitianBasis) -> TomographyMatrices:

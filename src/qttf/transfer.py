@@ -78,12 +78,11 @@ from .errors import (
     NotMinimallyCompleteError,
     UnsupportedOrderError,
 )
-from .fisher import TomographyMatrices, _pure_state_born, measurement_matrices
+from .fisher import STRUCTURE_TOL, TomographyMatrices, _pure_state_born, measurement_matrices
 from .operators import HermitianBasis, haar_state_vectors
 from .pom import Pom
 
 DEFAULT_MEMORY_BUDGET = 2**30  # bytes
-STRUCTURE_TOL = 1e-8
 KURTOSIS_FLAG = 100.0
 MC_BATCH = 20000  # Haar states per Monte Carlo batch
 
@@ -358,7 +357,7 @@ def _closed_minimal_bases(model: TomographyMatrices) -> QttfEstimate:
         raise NotMinimalBasesError(
             f"expected {dim * n_bases} outcomes ({n_bases} bases of {dim}), got {model.n_outcomes}"
         )
-    if not _all_rank_one(model.outcomes):
+    if not model.all_rank_one:
         raise NotMinimalBasesError("outcomes are not all rank one")
     model.checked()
     # list the outcomes group by group, each group at the place of its first outcome
@@ -377,12 +376,6 @@ def _closed_minimal_bases(model: TomographyMatrices) -> QttfEstimate:
         method="closed_minimal_bases",
         params={"n_bases": n_bases, "y_block_deviation": block_dev},
     )
-
-
-def _all_rank_one(outcomes: np.ndarray) -> bool:
-    """Whether every outcome is rank one: all eigenvalues but the largest
-    within STRUCTURE_TOL of zero."""
-    return bool(np.linalg.eigvalsh(outcomes)[:, :-1].max() <= STRUCTURE_TOL)
 
 
 def _beta_moment(dim: int, power: float) -> float:
@@ -433,9 +426,10 @@ def qttf_monte_carlo(
 
     with Q, T and their exact Haar means F2 and F3 read from the measurement
     model (fisher.TomographyMatrices), so all three have Haar mean exactly 0.
-    When every outcome is rank one (_all_rank_one), x_m = p_m / Tr Pi_m is
-    Beta(1, dim-1) distributed with E[x**a] = e(a) = Gamma(1+a) Gamma(dim) /
-    Gamma(dim+a), and three more controls, not polynomial in t, are fitted
+    When every outcome is rank one (TomographyMatrices.all_rank_one),
+    x_m = p_m / Tr Pi_m is Beta(1, dim-1) distributed with E[x**a] = e(a) =
+    Gamma(1+a) Gamma(dim) / Gamma(dim+a), and three more controls, not
+    polynomial in t, are fitted
     (see the module docstring for their measured effect):
 
     * h1 = sum_m x_m**(1/2) - M e(1/2);
@@ -454,19 +448,22 @@ def qttf_monte_carlo(
     freedom spent, or when the samples have no spread.  params["kurtosis"]
     and HeavyTailWarning describe the raw samples.
 
-    States are drawn in batches of up to MC_BATCH.  With the outer products
-    c_m c_m^T of the rows of C tabulated once per model as an (M, K**2)
-    matrix (TomographyMatrices.outer_table), a batch of s states costs
+    States are drawn in batches of up to MC_BATCH.  With the products
+    c_mi c_mj of the rows of C over the lower triangle j <= i tabulated once
+    per model as an (M, K (K+1) / 2) matrix (TomographyMatrices.outer_table),
+    a batch of s states costs
 
     * one real (s, 2 dim**2) @ (2 dim**2, M + K) matmul for the Born
       probabilities p_m = Re sum_ij rho_ij conj(Pi_m)_ij and the Bloch
       coordinates t_k = Re sum_ij rho_ij conj(B_k)_ij over the float64
       views of rho = v v^dag, of the outcomes and of the traceless basis
       (fisher._pure_state_born),
-    * per block of fisher.CHOLESKY_BLOCK states, one (K**2, M) @ (M, s)
-      matmul that writes the Fisher matrices F = sum_m c_m c_m^T / p_m
-      batch-last, then one loop of K vectorised steps that factors F = L L^T
-      and inverts L together, for Tr(F^{-1}); a state whose F is too ill
+    * per block of fisher.CHOLESKY_BLOCK states, one (K (K+1) / 2, M) @
+      (M, s) matmul that writes the lower triangles of the Fisher matrices
+      F = sum_m c_m c_m^T / p_m batch-last, then one loop of K vectorised
+      steps that factors F = L L^T and inverts L together, for Tr(F^{-1})
+      (about 2 K**3 / 3 multiply-adds per state, K**3 / 2 at dim = 5, where
+      the steps skip the zero band of L^{-1}); a state whose F is too ill
       conditioned for that is evaluated again by a QR factorisation
       (fisher.TomographyMatrices.trace_inverse),
     * K + 2 (s, K) @ (K, K) matmuls for the polynomial controls,
@@ -475,7 +472,7 @@ def qttf_monte_carlo(
       w_m = 1 / Tr Pi_m, the product p**(1/2) * p in place and one matvec
       against X_mm w**(3/2),
 
-    so each sample costs O(dim**2 (M + K) + M K**2), plus K**3 / 3 multiply-adds in the fused loop.
+    so each sample costs O(dim**2 (M + K) + M K**2 + K**3).
     """
     return _monte_carlo(measurement_matrices(pom, basis), n_samples, rng)
 
@@ -491,7 +488,7 @@ def _monte_carlo(model: TomographyMatrices, n_samples: int, rng=None) -> QttfEst
     linear = model.c_matrix.T @ np.diag(model.x_matrix)
     quadratic, cubic = model.quadratic_form, model.cubic_form
     control_means = [0.0, model.f2, model.f3]
-    rank_one = _all_rank_one(model.outcomes)
+    rank_one = model.all_rank_one
     if rank_one:
         x_diag = np.diag(model.x_matrix)
         root_weights = np.sqrt(1.0 / np.einsum("mii->m", model.outcomes).real)  # as Pom.traces

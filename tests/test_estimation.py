@@ -102,6 +102,68 @@ def test_click_record_validation():
         sample_clicks(np.eye(2) / 2, qubit_sic(), 0, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        ([1.5, 2.5, 0, 0], "integers"),
+        ([], "non-empty"),
+        ([np.nan, 1, 1, 1], "finite"),
+        ([np.inf, 0, 0, 0], "finite"),
+    ],
+)
+def test_click_record_refuses_fractional_non_finite_and_empty_counts(counts, message):
+    # the int64 cast would floor [1.5, 2.5, 0, 0] to [1, 2, 0, 0], which sums to 3
+    with pytest.raises(ValueError, match=message):
+        ClickRecord(counts=counts, n_total=3)
+
+
+def test_click_record_accepts_integral_float_counts():
+    record = ClickRecord(counts=[1.0, 2.0, 0.0, 0.0], n_total=3)
+    assert record.counts.dtype == np.int64
+    np.testing.assert_array_equal(record.counts, [1, 2, 0, 0])
+
+
+@pytest.mark.parametrize(
+    "freq, message",
+    [
+        ([0.5, 0.5, np.nan, 0.0], "finite"),
+        ([0.5, 0.5, np.inf, -np.inf], "finite"),
+        ([], "non-empty"),
+    ],
+)
+def test_frequency_vector_must_be_finite_and_non_empty(freq, message):
+    with pytest.raises(ValueError, match=message):
+        lin_estimator_reduced(np.array(freq), qubit_sic(), build_basis(2))
+
+
+@pytest.mark.parametrize("n_shots", [10.5, 10.0])
+def test_sample_clicks_refuses_a_non_integer_shot_count(n_shots):
+    with pytest.raises(ValueError, match="n_shots must be an integer"):
+        sample_clicks(np.eye(2) / 2, qubit_sic(), n_shots, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize(
+    "n_shots, n_trials, name", [(100.5, 10, "n_shots"), (100, 2.5, "n_trials")]
+)
+def test_experiments_refuse_non_integer_run_sizes(n_shots, n_trials, name):
+    pom = qubit_sic()
+    rho = random_density(2, np.random.default_rng(31))
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        mse_experiment(rho, pom, BASIS2, n_shots, n_trials, rng=0)
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        haar_mse_sweep(pom, BASIS2, 0.9, 2, n_shots, n_trials, rng=0)
+
+
+def test_run_sizes_accept_numpy_integers():
+    pom = qubit_sic()
+    rho = random_density(2, np.random.default_rng(32))
+    clicks = sample_clicks(rho, pom, np.int64(40), np.random.default_rng(3))
+    assert clicks.n_total == 40 and clicks.counts.sum() == 40
+    native = mse_experiment(rho, pom, BASIS2, 100, 5, rng=4)
+    numpy_sized = mse_experiment(rho, pom, BASIS2, np.int32(100), np.int64(5), rng=4)
+    assert numpy_sized == native
+
+
 def test_reduced_estimator_inverts_consistent_data():
     pom = random_pom(2, 6, 1, rng=np.random.default_rng(3))
     rho = random_density(2, np.random.default_rng(4))

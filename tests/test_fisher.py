@@ -254,3 +254,43 @@ def test_haar_states_give_valid_fisher():
         rho = 0.97 * haar_pure_state(3, rng).matrix + 0.03 * np.eye(3) / 3
         eigs = np.linalg.eigvalsh(_fisher(rho, pom, BASIS3))
         assert eigs[0] > 0
+
+
+def _mixed_state_model(dim):
+    """A rank-one measurement with 2 dim**2 outcomes and 1/p at 7 mixed states."""
+    pom = random_pom(dim, 2 * dim * dim, 1, rng=np.random.default_rng(70 + dim))
+    probs = np.array(
+        [probabilities(random_density(dim, np.random.default_rng(80 + i)), pom) for i in range(7)]
+    )
+    return measurement_matrices(pom, build_basis(dim)), 1.0 / probs
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_outer_table_is_the_packed_lower_triangle_and_read_only(dim):
+    model, _ = _mixed_state_model(dim)
+    m, k = model.c_matrix.shape
+    table = model.outer_table
+    assert table.shape == (m, k * (k + 1) // 2)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 1.0
+    # row i of C^T diag(w) C up to its diagonal is one contiguous slice
+    c = model.c_matrix
+    for i in range(k):
+        np.testing.assert_array_equal(
+            table[:, i * (i + 1) // 2 : (i + 1) * (i + 2) // 2], c[:, i, None] * c[:, : i + 1]
+        )
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_fisher_is_exactly_symmetric_and_matches_the_direct_product(dim):
+    model, weights = _mixed_state_model(dim)
+    c, k = model.c_matrix, model.c_matrix.shape[1]
+    fisher = model.fisher(weights)
+    assert fisher.shape == (len(weights), k, k)
+    np.testing.assert_array_equal(fisher, fisher.swapaxes(1, 2))
+    direct = np.array([c.T @ np.diag(w) @ c for w in weights])
+    assert np.abs(fisher - direct).max() <= 1e-13 * np.abs(direct).max()
+    single = model.fisher(weights[0])
+    assert single.shape == (k, k)
+    np.testing.assert_array_equal(single, single.T)

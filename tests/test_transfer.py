@@ -42,7 +42,7 @@ from qttf import (
     sic_povm,
 )
 from qttf.fisher import CHOLESKY_BLOCK, CHOLESKY_RTOL
-from qttf.transfer import _quartic_bytes, _quartic_term
+from qttf.transfer import _closed_minimal_bases, _monte_carlo, _quartic_bytes, _quartic_term
 
 BASIS2 = build_basis(2)
 BASIS3 = build_basis(3)
@@ -460,11 +460,16 @@ def test_trace_inverse_stack_matches_eigendecomposition_on_pure_states(dim):
     np.testing.assert_allclose(matrices.trace_inverse(probs), want, rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize("bad", [0.0, np.nan])
-def test_trace_inverse_stack_refuses_a_singular_row_in_the_last_partial_block(bad):
+@pytest.mark.parametrize(
+    "dim, bad",
+    [(3, 0.0), (3, np.nan), (5, 0.0), (5, np.nan)],
+    ids=["0.0", "nan", "dim5-0.0", "dim5-nan"],
+)
+def test_trace_inverse_stack_refuses_a_singular_row_in_the_last_partial_block(dim, bad):
     # every earlier block factors, so only the remainder holds a row that
-    # neither the Cholesky kernel nor the QR path can evaluate
-    matrices, probs = _pure_state_probabilities(3)
+    # neither the Cholesky kernel nor the QR path can evaluate; at dim 5
+    # (K = 24) the full blocks run the kernel's split steps too
+    matrices, probs = _pure_state_probabilities(dim)
     probs[-5] = bad
     with pytest.raises(NotInformationallyCompleteError, match="not positive definite"):
         matrices.trace_inverse(probs)
@@ -549,6 +554,30 @@ def test_monte_carlo_reports_the_controls_it_fitted():
     # no spread, no fit: the qubit SIC's Tr(F^{-1}) is constant
     sic = qttf_monte_carlo(qubit_sic(), BASIS2, 500, rng=70).params
     assert sic["controls"] == 0 and sic["residual_kurtosis"] == 0.0
+
+
+def test_rank_one_test_runs_once_per_model(monkeypatch):
+    # the Monte Carlo core and the bases closed form read one cached rank-one
+    # test from the model instead of an eigvalsh over all outcomes per call
+    models = {
+        "rank one": measurement_matrices(random_pom(3, 18, 1, rng=71), BASIS3),
+        "rank two": measurement_matrices(random_pom(3, 18, 2, rng=71), BASIS3),
+        "bases": measurement_matrices(mub_povm(3), BASIS3),
+    }
+    eigvalsh, calls = np.linalg.eigvalsh, []
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    for model in models.values():
+        for seed in (1, 2):
+            _monte_carlo(model, 50, seed)
+    for _ in range(2):
+        _closed_minimal_bases(models["bases"])
+    assert calls.count((18, 3, 3)) == 2 and calls.count((12, 3, 3)) == 1
+    assert [model.all_rank_one for model in models.values()] == [True, False, True]
 
 
 def test_rank_one_control_means_match_the_beta_law():
