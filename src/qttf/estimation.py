@@ -63,6 +63,7 @@ from .fisher import (
 from .operators import (
     HermitianBasis,
     _density_matrix,
+    _require_count,
     bloch_coords,
     haar_state_vectors,
     state_from_bloch,
@@ -127,22 +128,13 @@ class HaarSweepResult:
 def sample_clicks(rho, pom: Pom, n_shots: int, rng=None) -> ClickRecord:
     """One multinomial draw of n_shots clicks over the outcome probabilities."""
     rho = _density_matrix(rho)
-    _require_run_size("n_shots", n_shots, 1)
+    _require_count("n_shots", n_shots, 1)
     rng = np.random.default_rng(rng)
     probs = probabilities(rho, pom)
     probs = np.clip(probs, 0.0, None)
     probs = probs / probs.sum()
     counts = rng.multinomial(n_shots, probs)
     return ClickRecord(counts=counts, n_total=int(n_shots), pom_label=pom.label)
-
-
-def _require_run_size(name: str, value, least: int) -> None:
-    """Refuse a shot or trial count that is not an integer of at least `least`;
-    Python and numpy integers pass, a float does not, even an integral one."""
-    if not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 def _frequencies(clicks, pom: Pom) -> np.ndarray:
@@ -217,8 +209,8 @@ def _experiment_matrices(
     matrices: TomographyMatrices, n_shots: int, n_trials: int
 ) -> TomographyMatrices:
     """Check the run sizes of an MSE experiment, then its measurement's completeness."""
-    _require_run_size("n_shots", n_shots, 1)
-    _require_run_size("n_trials", n_trials, 2)
+    _require_count("n_shots", n_shots, 1)
+    _require_count("n_trials", n_trials, 2)
     return matrices.checked()
 
 
@@ -338,10 +330,8 @@ def _sweep(
     n_qttf_samples: int = 10000,
 ) -> HaarSweepResult:
     """haar_mse_sweep on the measurement model."""
-    if n_states < 1:
-        raise ValueError(f"need at least 1 state, got {n_states}")
-    if n_qttf_samples < 2:
-        raise ValueError(f"n_qttf_samples must be >= 2, got {n_qttf_samples}")
+    _require_count("n_states", n_states, 1)
+    _require_count("n_qttf_samples", n_qttf_samples, 2)
     matrices = _experiment_matrices(matrices, n_shots, n_trials)
     rng = np.random.default_rng(rng)
     weight = mixing_weight_for_purity(purity_mix, matrices.dim)

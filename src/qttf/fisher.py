@@ -67,7 +67,11 @@ class TomographyMatrices:
       eigendecomposition of Fbar = C^T Pbar^{-1} C;
     * alpha0, the convergence radius of the moment series;
     * quadratic_form, cubic_form, f2 and f3, the second- and third-order
-      expansion terms in Bloch coordinates and their exact Haar means.
+      expansion terms in Bloch coordinates and their exact Haar means, and
+      cubic_tails, the cubic form reduced to what the Monte Carlo control reads.
+
+    Every array the model exposes, field or cached property, is read-only,
+    since every caller of the instance shares it.
 
     With d = diag(p - pbar) = diag(C t) at a state with Bloch coordinates t,
     Tr(X d Y d) = t^T Q t and Tr(X d Y d Y d) = sum_ijk T_ijk t_i t_j t_k.
@@ -90,14 +94,15 @@ class TomographyMatrices:
     @cached_property
     def singular_values_c_tilde(self) -> np.ndarray:
         """Singular values of C-tilde, descending."""
-        return np.linalg.svd(self.c_tilde, compute_uv=False)
+        return _read_only(np.linalg.svd(self.c_tilde, compute_uv=False))
 
     @cached_property
     def born_table(self) -> np.ndarray:
         """The outcomes, then the traceless basis operators, as the rows of one
         real (M + K, 2 dim**2) matrix of their float64 views (_pure_state_born)."""
         operators = np.concatenate([self.outcomes, self.basis.traceless_ops])
-        return operators.reshape(len(operators), self.dim * self.dim).view(np.float64)
+        table = operators.reshape(len(operators), self.dim * self.dim).view(np.float64)
+        return _read_only(table)
 
     @cached_property
     def _outer_products(self) -> np.ndarray:
@@ -105,8 +110,7 @@ class TomographyMatrices:
         layout of fisher()'s matmul."""
         c_matrix = self.c_matrix
         table = (c_matrix[:, :, None] * c_matrix[:, None, :]).reshape(c_matrix.shape[0], -1)
-        table.flags.writeable = False  # shared by every reader of this instance
-        return table
+        return _read_only(table)
 
     @cached_property
     def outer_table(self) -> np.ndarray:
@@ -117,8 +121,7 @@ class TomographyMatrices:
         # np.take keeps the table C-ordered, as the assembly matmul's BLAS call
         # expects; indexing c_matrix[:, rows] would return it Fortran-ordered
         table = np.take(self.c_matrix, rows, axis=1) * np.take(self.c_matrix, cols, axis=1)
-        table.flags.writeable = False  # shared by every reader of this instance
-        return table
+        return _read_only(table)
 
     @cached_property
     def all_rank_one(self) -> bool:
@@ -240,14 +243,14 @@ class TomographyMatrices:
         """X = Pbar^{-1} C Fbar^{-2} C^T Pbar^{-1}, positive semidefinite."""
         scaled, evals, evecs = self._fbar_eigh
         x_matrix = scaled @ ((evecs / evals**2) @ evecs.T) @ scaled.T
-        return (x_matrix + x_matrix.T) / 2
+        return _read_only((x_matrix + x_matrix.T) / 2)
 
     @cached_property
     def y_matrix(self) -> np.ndarray:
         """Y = Pbar^{-1} C Fbar^{-1} C^T Pbar^{-1} - Pbar^{-1}, negative semidefinite."""
         scaled, evals, evecs = self._fbar_eigh
         y_matrix = scaled @ ((evecs / evals) @ evecs.T) @ scaled.T - np.diag(1.0 / self.p_bar)
-        return (y_matrix + y_matrix.T) / 2
+        return _read_only((y_matrix + y_matrix.T) / 2)
 
     @cached_property
     def alpha0(self) -> float:
@@ -258,7 +261,7 @@ class TomographyMatrices:
     @cached_property
     def quadratic_form(self) -> np.ndarray:
         """Q = C^T (X o Y) C, so that Tr(X d Y d) = t^T Q t."""
-        return self.c_matrix.T @ (self.x_matrix * self.y_matrix) @ self.c_matrix
+        return _read_only(self.c_matrix.T @ (self.x_matrix * self.y_matrix) @ self.c_matrix)
 
     @cached_property
     def cubic_form(self) -> np.ndarray:
@@ -272,7 +275,36 @@ class TomographyMatrices:
         tensor = np.empty((k, k, k))
         for j in range(k):
             tensor[j] = c_matrix.T @ (x * (y @ (c_matrix[:, j, None] * y))) @ c_matrix
-        return tensor
+        return _read_only(tensor)
+
+    @cached_property
+    def cubic_tails(self) -> tuple[np.ndarray, ...]:
+        """The upper tails W_j = m o S[j, j:, j:] of S, the cubic form symmetrised
+        over all three indices, so that for every t
+
+            sum_ijk T_ijk t_i t_j t_k = sum_j t_j t[j:]^T W_j t[j:],
+
+        which reads (K - j)**2 entries for t_j, about K**3 / 3 in all against the
+        K**3 of the cubic form's slabs.  A term t_a t_b t_c with a <= b <= c
+        falls to j = a, and the multiplicities m fold its 6 / 3 / 1 orderings
+        into the symmetric W_j: 3 off the first row and column of the tail,
+        3 / 2 on them, and 1 at their corner S_jjj.  The tails are views of one
+        (K, K, K) array, built by whole-array operations, since a loop over j
+        cost as much per model as the tails save per 2000 samples.
+        """
+        tensor = self.cubic_form
+        k = len(tensor)
+        # three of the six orderings, then the other three as the swap of the
+        # last two axes, which leaves 6 S exactly symmetric in them
+        three = tensor + tensor.transpose(1, 0, 2) + tensor.transpose(2, 1, 0)
+        weighted = three + three.swapaxes(1, 2)
+        weighted /= 2  # 3 S
+        index = np.arange(k)
+        weighted[index, index, :] /= 2
+        weighted[index, :, index] /= 2
+        weighted[index, index, index] = tensor[index, index, index]
+        _read_only(weighted)
+        return tuple(weighted[j, j:, j:] for j in range(k))
 
     @cached_property
     def f2(self) -> float:
@@ -308,6 +340,13 @@ class TomographyMatrices:
         return bool(s[0] > 0 and s[-1] > RANK_RTOL * s[0])
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """array, flagged read-only: the model's arrays are shared by every reader
+    of the instance."""
+    array.setflags(write=False)
+    return array
+
+
 @cache
 def _packed_layout(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Index arrays of a K x K matrix stored as its lower triangle j <= i, row by
@@ -329,9 +368,9 @@ def measurement_matrices(pom: Pom, basis: HermitianBasis) -> TomographyMatrices:
     raw = np.einsum("mij,kji->mk", pom.outcomes, basis.full_ops)
     if np.abs(raw.imag).max() > 1e-10:
         raise PomValidationError("measurement matrix has a non-real entry")
-    c_tilde = raw.real
-    c_matrix = c_tilde[:, 1:]
-    p_bar = pom.traces / pom.dim
+    c_tilde = _read_only(raw.real)
+    c_matrix = c_tilde[:, 1:]  # a view of a read-only array is read-only
+    p_bar = _read_only(pom.traces / pom.dim)
     if p_bar.min() <= 0:
         j = int(p_bar.argmin())
         raise PomValidationError(f"outcome {j} has non-positive trace")
@@ -343,7 +382,7 @@ def measurement_matrices(pom: Pom, basis: HermitianBasis) -> TomographyMatrices:
         c_matrix=c_matrix,
         c_tilde=c_tilde,
         p_bar=p_bar,
-        singular_values_c=np.linalg.svd(c_matrix, compute_uv=False),
+        singular_values_c=_read_only(np.linalg.svd(c_matrix, compute_uv=False)),
         outcomes=pom.outcomes,
         basis=basis,
     )

@@ -29,6 +29,16 @@ def _require_dim(dim) -> int:
     return int(dim)
 
 
+def _require_count(name: str, value, least: int) -> None:
+    """Refuse a count (of shots, trials, states or samples) that is not an
+    integer of at least `least`; Python and numpy integers pass, a bool or a
+    float does not, even an integral one."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 def _as_matrix(rho) -> np.ndarray:
     """Accept a DensityMatrix or a bare square array."""
     if isinstance(rho, DensityMatrix):
@@ -154,6 +164,7 @@ def state_from_bloch(coords, basis: HermitianBasis) -> np.ndarray:
 def haar_state_vectors(dim: int, n_states: int, rng=None) -> np.ndarray:
     """Stack of n_states unit vectors drawn from the Haar (unitarily invariant) measure."""
     dim = _require_dim(dim)
+    _require_count("n_states", n_states, 0)
     rng = np.random.default_rng(rng)
     raw = rng.standard_normal((n_states, dim)) + 1j * rng.standard_normal((n_states, dim))
     return raw / np.linalg.norm(raw, axis=1, keepdims=True)

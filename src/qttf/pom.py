@@ -259,18 +259,36 @@ def pom_from_dict(data) -> Pom:
     raw = data["outcomes"]
     if not isinstance(raw, list) or not raw:
         raise PomSchemaError("'outcomes' must be a non-empty list")
-    outcomes = np.empty((len(raw), dim, dim), dtype=complex)
-    for j, outcome in enumerate(raw):
-        arr = np.asarray(outcome, dtype=float)
-        if arr.shape != (dim, dim, 2):
-            raise PomSchemaError(
-                f"outcome {j}: expected {dim}x{dim} rows of [re, im] pairs, got shape {arr.shape}"
-            )
-        outcomes[j] = arr[..., 0] + 1j * arr[..., 1]
+    pairs = _float_array(raw)
+    if pairs is None or pairs.shape != (len(raw), dim, dim, 2):
+        # parse outcome by outcome only to name the first malformed one
+        pairs = np.stack([_outcome_pairs(j, outcome, dim) for j, outcome in enumerate(raw)])
+    outcomes = pairs[..., 0] + 1j * pairs[..., 1]
     try:
         return Pom(outcomes, label=label)
     except PomValidationError as exc:
         raise PomSchemaError(str(exc)) from exc
+
+
+def _float_array(entries) -> np.ndarray | None:
+    """entries as a float array, or None if they are ragged or not numeric."""
+    try:
+        return np.asarray(entries, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
+def _outcome_pairs(j: int, outcome, dim: int) -> np.ndarray:
+    """Outcome j of a measurement file as its (dim, dim, 2) array of [re, im]
+    pairs; PomSchemaError naming the outcome if it is not one."""
+    pairs = _float_array(outcome)
+    if pairs is None:
+        raise PomSchemaError(f"outcome {j}: entries must be [re, im] pairs of numbers")
+    if pairs.shape != (dim, dim, 2):
+        raise PomSchemaError(
+            f"outcome {j}: expected {dim}x{dim} rows of [re, im] pairs, got shape {pairs.shape}"
+        )
+    return pairs
 
 
 def save_pom(pom: Pom, path) -> None:

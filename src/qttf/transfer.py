@@ -79,7 +79,7 @@ from .errors import (
     UnsupportedOrderError,
 )
 from .fisher import STRUCTURE_TOL, TomographyMatrices, _pure_state_born, measurement_matrices
-from .operators import HermitianBasis, haar_state_vectors
+from .operators import HermitianBasis, _require_count, haar_state_vectors
 from .pom import Pom
 
 DEFAULT_MEMORY_BUDGET = 2**30  # bytes
@@ -393,15 +393,17 @@ def _closed_form(model: TomographyMatrices) -> QttfEstimate:
     return _closed_minimal(model)
 
 
-def _cubic_form(coords: np.ndarray, tensor: np.ndarray) -> np.ndarray:
-    """sum_ijk tensor[j, i, k] t_i t_j t_k for every row t of coords.
+def _cubic_form(coords: np.ndarray, tails: tuple[np.ndarray, ...]) -> np.ndarray:
+    """sum_ijk T_ijk t_i t_j t_k = sum_j t_j t[j:]^T W_j t[j:] for every row t of
+    coords, from the cubic form's upper tails W_j (TomographyMatrices.cubic_tails).
 
-    One (s, K) @ (K, K) matmul per slab tensor[j], so O(K**3) per row and no
-    (s, K**2) temporary.
+    One (s, K - j) @ (K - j, K - j) matmul per tail, so about K**3 / 3 per row
+    and no (s, K**2) temporary.
     """
     total = np.zeros(coords.shape[0])
-    for j, slab in enumerate(tensor):
-        total += coords[:, j] * np.einsum("si,si->s", coords @ slab, coords)
+    for j, tail in enumerate(tails):
+        part = coords[:, j:]
+        total += coords[:, j] * np.einsum("si,si->s", part @ tail, part)
     return total
 
 
@@ -466,7 +468,10 @@ def qttf_monte_carlo(
       the steps skip the zero band of L^{-1}); a state whose F is too ill
       conditioned for that is evaluated again by a QR factorisation
       (fisher.TomographyMatrices.trace_inverse),
-    * K + 2 (s, K) @ (K, K) matmuls for the polynomial controls,
+    * for the polynomial controls, one (s, K) @ (K,) matvec, one (s, K) @
+      (K, K) matmul against Q and, for the cubic one, one (s, K - j) @
+      (K - j, K - j) matmul per upper tail W_j of the symmetrised cubic form
+      (TomographyMatrices.cubic_tails), about K**3 / 3 multiply-adds per state,
     * for rank-one outcomes, one square root of the (s, M) probabilities,
       one (s, M) @ (M, 2) matmul against [w**(1/2), X_mm w**(1/2)] with
       w_m = 1 / Tr Pi_m, the product p**(1/2) * p in place and one matvec
@@ -479,14 +484,13 @@ def qttf_monte_carlo(
 
 def _monte_carlo(model: TomographyMatrices, n_samples: int, rng=None) -> QttfEstimate:
     """qttf_monte_carlo on the measurement model."""
-    if n_samples < 2:
-        raise ValueError(f"need at least 2 samples, got {n_samples}")
+    _require_count("n_samples", n_samples, 2)
     model.checked()
     seed = rng if isinstance(rng, (int, np.integer)) else None
     rng = np.random.default_rng(rng)
     dim, m = model.dim, model.n_outcomes
     linear = model.c_matrix.T @ np.diag(model.x_matrix)
-    quadratic, cubic = model.quadratic_form, model.cubic_form
+    quadratic, tails = model.quadratic_form, model.cubic_tails
     control_means = [0.0, model.f2, model.f3]
     rank_one = model.all_rank_one
     if rank_one:
@@ -514,7 +518,7 @@ def _monte_carlo(model: TomographyMatrices, n_samples: int, rng=None) -> QttfEst
             controls[rows, 5] = roots @ cube_weights
         controls[rows, 0] = coords @ linear
         controls[rows, 1] = np.sum((coords @ quadratic) * coords, axis=1)
-        controls[rows, 2] = _cubic_form(coords, cubic)
+        controls[rows, 2] = _cubic_form(coords, tails)
     controls -= control_means
     mean = float(values.mean())
     centered = values - mean
@@ -523,7 +527,8 @@ def _monte_carlo(model: TomographyMatrices, n_samples: int, rng=None) -> QttfEst
     # the kurtosis diagnostic and the control fit are meaningless there.
     spread = second > (1e-9 * max(abs(mean), 1.0)) ** 2
     if spread:
-        kurtosis = float(np.mean(centered**4) / second**2)
+        # fourth powers as two squarings: x**4 calls libm pow per element
+        kurtosis = float(np.mean(np.square(np.square(centered))) / second**2)
     else:
         kurtosis = 0.0
     if kurtosis > KURTOSIS_FLAG:
@@ -543,7 +548,9 @@ def _monte_carlo(model: TomographyMatrices, n_samples: int, rng=None) -> QttfEst
         std_error = float(np.sqrt(residual_ss / ((n_samples - spent) * n_samples)))
         reduction = second * n_samples / residual_ss
         fitted = controls.shape[1]
-        residual_kurtosis = float(np.mean(residuals**4) / (residual_ss / n_samples) ** 2)
+        residual_kurtosis = float(
+            np.mean(np.square(np.square(residuals))) / (residual_ss / n_samples) ** 2
+        )
     else:
         value = mean
         std_error = float(values.std(ddof=1) / np.sqrt(n_samples))
@@ -579,6 +586,7 @@ def qttf_auto(
 
 def _auto(model: TomographyMatrices, n_samples: int = 10000, rng=None) -> QttfEstimate:
     """qttf_auto on the measurement model."""
+    _require_count("n_samples", n_samples, 2)
     try:
         return _closed_form(model)
     except (NotMinimallyCompleteError, NotMinimalBasesError):

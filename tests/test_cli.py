@@ -182,6 +182,17 @@ def test_qttf_auto_mub3_uses_bases_form(tmp_path):
     assert payload["method"] == "closed_minimal_bases"
 
 
+@pytest.mark.parametrize("entry", ["x", 0.5])
+def test_qttf_refuses_a_malformed_measurement_file(tmp_path, capsys, entry):
+    path = tmp_path / "bad.json"
+    save_pom(random_pom(2, 6, 1, rng=150), path)
+    data = json.loads(path.read_text(encoding="utf-8"))
+    data["outcomes"][1][1][1] = entry  # a string or a scalar in place of [re, im]
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["qttf", str(path)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: invalid measurement file: outcome 1")
+
+
 def test_qttf_closed_fails_cleanly_without_structure(tmp_path, capsys):
     # the count of dim + 1 bases without the bases, and a count no closed form takes
     for m in (6, 5):

@@ -154,6 +154,14 @@ def test_experiments_refuse_non_integer_run_sizes(n_shots, n_trials, name):
         haar_mse_sweep(pom, BASIS2, 0.9, 2, n_shots, n_trials, rng=0)
 
 
+@pytest.mark.parametrize("count", [2.0, True])
+@pytest.mark.parametrize("name", ["n_states", "n_qttf_samples"])
+def test_sweep_refuses_non_integer_state_and_sample_counts(name, count):
+    sizes = {"n_states": 3, "n_qttf_samples": 200, name: count}
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        haar_mse_sweep(qubit_sic(), BASIS2, 0.9, n_shots=100, n_trials=5, rng=0, **sizes)
+
+
 def test_run_sizes_accept_numpy_integers():
     pom = qubit_sic()
     rho = random_density(2, np.random.default_rng(32))

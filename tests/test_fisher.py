@@ -294,3 +294,22 @@ def test_fisher_is_exactly_symmetric_and_matches_the_direct_product(dim):
     single = model.fisher(weights[0])
     assert single.shape == (k, k)
     np.testing.assert_array_equal(single, single.T)
+
+
+def test_every_array_of_the_model_is_read_only():
+    # a caller that writes into a shared array would silently change F2, F3 or
+    # the Monte Carlo control means of every later reader of the model
+    model = measurement_matrices(random_pom(3, 18, 1, rng=140), BASIS3).checked()
+    arrays = {
+        name: getattr(model, name)
+        for name in (
+            "c_matrix", "c_tilde", "p_bar", "singular_values_c", "singular_values_c_tilde",
+            "born_table", "outer_table", "x_matrix", "y_matrix", "quadratic_form",
+            "cubic_form",
+        )
+    }
+    arrays.update({f"cubic_tails[{j}]": tail for j, tail in enumerate(model.cubic_tails)})
+    for name, array in arrays.items():
+        assert isinstance(array, np.ndarray), name
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[0] = 0.0

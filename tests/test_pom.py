@@ -124,6 +124,16 @@ def test_schema_bad_fields():
         pom_from_dict({**base, "outcomes": [[[0.5, 0.0]]]})
 
 
+@pytest.mark.parametrize("entry", ["x", 0.0, [0.0, "x"], [0.0], [0.0, 0.0, 0.0], None])
+def test_schema_names_a_malformed_entry(entry):
+    # a non-numeric or ragged [re, im] entry of outcome 2 is a schema error
+    # naming that outcome, not a bare numpy error
+    data = pom_to_dict(qubit_sic())
+    data["outcomes"][2][1][0] = entry
+    with pytest.raises(PomSchemaError, match="outcome 2"):
+        pom_from_dict(data)
+
+
 def test_schema_propagates_physics_violations():
     base = pom_to_dict(qubit_sic())
     base["outcomes"] = base["outcomes"][:3]  # no longer sums to identity

@@ -42,7 +42,13 @@ from qttf import (
     sic_povm,
 )
 from qttf.fisher import CHOLESKY_BLOCK, CHOLESKY_RTOL
-from qttf.transfer import _closed_minimal_bases, _monte_carlo, _quartic_bytes, _quartic_term
+from qttf.transfer import (
+    _closed_minimal_bases,
+    _cubic_form,
+    _monte_carlo,
+    _quartic_bytes,
+    _quartic_term,
+)
 
 BASIS2 = build_basis(2)
 BASIS3 = build_basis(3)
@@ -414,6 +420,71 @@ def test_monte_carlo_equals_accuracy_average_on_the_same_stream(dim, m, rank, se
     )[0]
     oracle = np.mean(values - controls @ beta)
     assert abs(est.value - oracle) <= 1e-12 * oracle
+    # both kurtoses from the fourth-moment formula m4 / m2**2, with pow
+    centered = values - values.mean()
+    residuals = centered - (controls - controls.mean(axis=0)) @ beta
+    for name, sample in (("kurtosis", centered), ("residual_kurtosis", residuals)):
+        want = np.mean(sample**4) / np.mean(sample**2) ** 2
+        assert abs(est.params[name] - want) <= 1e-9 * want
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_cubic_tails_give_the_cubic_form(dim):
+    # sum_ijk T_ijk t_i t_j t_k from the upper tails of the symmetrised T against
+    # the full contraction of T itself, on Bloch coordinates of pure states and on
+    # arbitrary vectors, in a stack of 37 rows and a single row
+    basis = build_basis(dim)
+    model = auxiliary_matrices(random_pom(dim, 2 * dim * dim, 1, rng=110 + dim), basis)
+    tensor, tails = model.cubic_form, model.cubic_tails
+    k = basis.n_traceless
+    assert [tail.shape for tail in tails] == [(k - j, k - j) for j in range(k)]
+    for tail in tails:
+        np.testing.assert_array_equal(tail, tail.T)
+    rng = np.random.default_rng(120 + dim)
+    vectors = haar_state_vectors(dim, 20, rng)
+    states = vectors[:, :, None] * vectors[:, None, :].conj()
+    pure = np.einsum("sij,kji->sk", states, basis.traceless_ops).real
+    coords = np.concatenate([pure, rng.standard_normal((17, k))])
+    for rows in (coords, coords[:1]):
+        want = np.einsum("jik,si,sj,sk->s", tensor, rows, rows, rows)
+        scale = np.einsum("jik,si,sj,sk->s", np.abs(tensor), *(np.abs(rows),) * 3)
+        assert np.all(np.abs(_cubic_form(rows, tails) - want) <= 1e-13 * scale)
+
+
+# qttf_monte_carlo on bench-pool members random_pom(D, 2 D**2, 1, seed) at fixed
+# seeds: (dim, pool seed, n_samples, rng seed, value, std_error)
+FROZEN_MONTE_CARLO = [
+    (3, 3_018_003, 1000, 31, 8.810840769281413, 0.005652074492991438),
+    (4, 4_032_003, 2000, 41, 30.353469364455275, 0.02010178725829679),
+    (5, 5_050_003, 2000, 51, 30.899609743603133, 0.01347368287708915),
+]
+
+
+@pytest.mark.parametrize("dim, pool_seed, n, seed, value, std_error", FROZEN_MONTE_CARLO)
+def test_monte_carlo_keeps_its_seeded_values(dim, pool_seed, n, seed, value, std_error):
+    pom = random_pom(dim, 2 * dim * dim, 1, rng=pool_seed)
+    est = qttf_monte_carlo(pom, build_basis(dim), n, rng=seed)
+    assert abs(est.value - value) <= 1e-12 * value
+    assert abs(est.std_error - std_error) <= 1e-12 * std_error
+
+
+@pytest.mark.parametrize("count", [1000.0, np.float64(1000), True, "1000"])
+def test_sample_counts_must_be_integers(count):
+    pom = random_pom(2, 6, 1, rng=130)
+    with pytest.raises(ValueError, match="n_samples must be an integer"):
+        qttf_monte_carlo(pom, BASIS2, count, rng=1)
+    # refused on every route, the closed forms included
+    for measurement in (qubit_sic(), pom):
+        with pytest.raises(ValueError, match="n_samples must be an integer"):
+            qttf_auto(measurement, BASIS2, n_samples=count, rng=1)
+    with pytest.raises(ValueError, match="n_states must be an integer"):
+        haar_state_vectors(2, count, 1)
+
+
+def test_sample_counts_accept_numpy_integers():
+    model = measurement_matrices(random_pom(2, 6, 1, rng=130), BASIS2)
+    assert _monte_carlo(model, np.int32(100), 1).value == _monte_carlo(model, 100, 1).value
+    assert haar_state_vectors(2, np.int64(3), 1).shape == (3, 2)
 
 
 def test_cholesky_trace_inverse_matches_eigendecomposition():
