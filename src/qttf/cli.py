@@ -50,16 +50,7 @@ from .pom import (
     save_pom,
     sic_povm,
 )
-from .transfer import (
-    DEFAULT_MEMORY_BUDGET,
-    _auto,
-    _closed_form,
-    _monte_carlo,
-    _series,
-    qttf_auto,
-    qttf_monte_carlo,
-    qttf_series,
-)
+from .transfer import DEFAULT_MEMORY_BUDGET, _auto, _closed_form, _monte_carlo, _series
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -366,21 +357,21 @@ def _cmd_pom(args) -> int:
 
 def _cmd_qttf(args) -> int:
     pom = _load(args.pom)
-    basis = build_basis(pom.dim)
+    model = measurement_matrices(pom, build_basis(pom.dim))
     if args.method == "auto":
-        estimate = qttf_auto(pom, basis, n_samples=args.samples, rng=args.seed)
+        estimate = _auto(model, n_samples=args.samples, rng=args.seed)
     elif args.method == "closed":
         try:
-            estimate = _closed_form(measurement_matrices(pom, basis))
+            estimate = _closed_form(model)
         except (NotMinimallyCompleteError, NotMinimalBasesError) as exc:
             raise _UsageError(f"no closed form applies: {exc}") from exc
     elif args.method == "series":
         with _argument_errors():
-            estimate = qttf_series(
-                pom, basis, alpha=args.alpha, max_order=args.order, memory_budget=args.memory_budget
+            estimate = _series(
+                model, alpha=args.alpha, max_order=args.order, memory_budget=args.memory_budget
             )
     else:
-        estimate = qttf_monte_carlo(pom, basis, args.samples, args.seed)
+        estimate = _monte_carlo(model, args.samples, args.seed)
     payload = asdict(estimate)
     payload["config"] = _config(args)
     payload["seed"] = args.seed
@@ -407,7 +398,7 @@ def _cmd_compare(args) -> int:
                 "m": pom.n_outcomes,
                 "kappa_c": matrices.kappa_c,
                 "kappa_c_tilde": matrices.kappa_c_tilde,
-                "tr_fbar_inv": aq.params["contributions"][0],
+                "tr_fbar_inv": matrices.tr_fbar_inv,
                 "qttf": estimate.value,
                 "qttf_stderr": estimate.std_error,
                 "qttf_method": estimate.method,

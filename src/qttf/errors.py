@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class QttfError(Exception):
@@ -59,7 +59,3 @@ class BudgetExceededError(QttfError, RuntimeError):
 
 class SearchTimeoutError(QttfError, RuntimeError):
     """Random search exhausted its attempt budget without finding a pair."""
-
-
-class HeavyTailWarning(RuntimeWarning):
-    """Monte-Carlo sample distribution is heavy tailed; more samples advised."""

@@ -10,6 +10,7 @@ recipe Pi_j = S^{-1/2} B_j S^{-1/2} with S = sum_j B_j.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from itertools import product
 
@@ -48,13 +49,18 @@ _TETRAHEDRON = np.array(
 
 @dataclass(frozen=True)
 class Pom:
-    """Probability-operator measure: outcomes (M, dim, dim) with sum = identity."""
+    """Probability-operator measure: outcomes (M, dim, dim) with sum = identity.
+
+    outcomes holds a read-only copy of the array it was given, so the checks
+    made here hold for the life of the instance and no reader re-makes them.
+    """
 
     outcomes: np.ndarray
     label: str = ""
 
     def __post_init__(self):
-        arr = np.asarray(self.outcomes, dtype=complex)
+        arr = np.array(self.outcomes, dtype=complex)
+        arr.setflags(write=False)
         object.__setattr__(self, "outcomes", arr)
         if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
             raise PomValidationError(f"outcomes must have shape (M, dim, dim), got {arr.shape}")
@@ -260,7 +266,7 @@ def pom_from_dict(data) -> Pom:
     if not isinstance(raw, list) or not raw:
         raise PomSchemaError("'outcomes' must be a non-empty list")
     pairs = _float_array(raw)
-    if pairs is None or pairs.shape != (len(raw), dim, dim, 2):
+    if pairs is None or pairs.shape != (len(raw), dim, dim, 2) or not _numbers_only(raw):
         # parse outcome by outcome only to name the first malformed one
         pairs = np.stack([_outcome_pairs(j, outcome, dim) for j, outcome in enumerate(raw)])
     outcomes = pairs[..., 0] + 1j * pairs[..., 1]
@@ -278,16 +284,24 @@ def _float_array(entries) -> np.ndarray | None:
         return None
 
 
+def _numbers_only(outcomes) -> bool:
+    """Whether every entry of outcomes, nested lists of [re, im] pairs that
+    numpy read as floats, is a number: numpy also reads a numeric string or a
+    boolean as one."""
+    kinds = {type(x) for outcome in outcomes for row in outcome for pair in row for x in pair}
+    return all(issubclass(kind, numbers.Real) and kind is not bool for kind in kinds)
+
+
 def _outcome_pairs(j: int, outcome, dim: int) -> np.ndarray:
     """Outcome j of a measurement file as its (dim, dim, 2) array of [re, im]
     pairs; PomSchemaError naming the outcome if it is not one."""
     pairs = _float_array(outcome)
-    if pairs is None:
-        raise PomSchemaError(f"outcome {j}: entries must be [re, im] pairs of numbers")
-    if pairs.shape != (dim, dim, 2):
+    if pairs is not None and pairs.shape != (dim, dim, 2):
         raise PomSchemaError(
             f"outcome {j}: expected {dim}x{dim} rows of [re, im] pairs, got shape {pairs.shape}"
         )
+    if pairs is None or not _numbers_only([outcome]):
+        raise PomSchemaError(f"outcome {j}: entries must be [re, im] pairs of numbers")
     return pairs
 
 

@@ -65,14 +65,12 @@ ill-conditioned but valid measurement its roundoff can exceed any tolerance.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
     BudgetExceededError,
-    HeavyTailWarning,
     NotInformationallyCompleteError,
     NotMinimalBasesError,
     NotMinimallyCompleteError,
@@ -83,7 +81,6 @@ from .operators import HermitianBasis, _require_count, haar_state_vectors
 from .pom import Pom
 
 DEFAULT_MEMORY_BUDGET = 2**30  # bytes
-KURTOSIS_FLAG = 100.0
 MC_BATCH = 20000  # Haar states per Monte Carlo batch
 
 
@@ -448,7 +445,8 @@ def qttf_monte_carlo(
     residuals.  The fit is skipped, giving the plain mean, a factor of
     exactly 1.0 and 0 controls, when n_samples does not exceed the degrees of
     freedom spent, or when the samples have no spread.  params["kurtosis"]
-    and HeavyTailWarning describe the raw samples.
+    is the kurtosis of the raw samples: a heavy tail shows in the record, not
+    in a warning.
 
     States are drawn in batches of up to MC_BATCH.  With the products
     c_mi c_mj of the rows of C over the lower triangle j <= i tabulated once
@@ -504,11 +502,8 @@ def _monte_carlo(model: TomographyMatrices, n_samples: int, rng=None) -> QttfEst
     controls = np.empty((n_samples, len(control_means)))
     for start in range(0, n_samples, MC_BATCH):
         rows = slice(start, min(start + MC_BATCH, n_samples))
-        take = rows.stop - start
-        # a short batch draws 64 states and keeps the first `take`: seeded
-        # results are pinned to this draw count
-        vectors = haar_state_vectors(dim, max(take, 64), rng)
-        born = _pure_state_born(vectors, model.born_table)[:take]
+        vectors = haar_state_vectors(dim, rows.stop - start, rng)
+        born = _pure_state_born(vectors, model.born_table)
         probs, coords = born[:, :m], born[:, m:]
         values[rows] = model.trace_inverse(probs)
         if rank_one:
@@ -531,12 +526,6 @@ def _monte_carlo(model: TomographyMatrices, n_samples: int, rng=None) -> QttfEst
         kurtosis = float(np.mean(np.square(np.square(centered))) / second**2)
     else:
         kurtosis = 0.0
-    if kurtosis > KURTOSIS_FLAG:
-        warnings.warn(
-            "Tr(F^{-1}) samples are heavy tailed; consider a larger n_samples",
-            HeavyTailWarning,
-            stacklevel=3,
-        )
     spent = 1 + controls.shape[1]  # the intercept and one coefficient per control
     if spread and n_samples > spent:
         sample_means = controls.mean(axis=0)

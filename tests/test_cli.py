@@ -691,6 +691,15 @@ def test_compare_builds_one_model_per_file(tmp_path, model_count):
     assert len(model_count) == len(files) == 4
 
 
+@pytest.mark.parametrize("method", ["auto", "closed", "series", "mc"])
+def test_qttf_builds_one_model_per_method(tmp_path, model_count, method):
+    path = _builtin_file(tmp_path, "mub2")
+    model_count.clear()
+    code, _ = _make(tmp_path, "qttf", str(path), "--method", method, "--samples", "300")
+    assert code == EXIT_OK
+    assert len(model_count) == 1
+
+
 def test_mse_sweep_builds_one_model(model_count):
     haar_mse_sweep(random_pom(2, 8, 1, 5), build_basis(2), 0.9, 2, 200, 4, 1, n_qttf_samples=50)
     assert len(model_count) == 1

@@ -18,6 +18,7 @@ from qttf import (
     measurement_matrices,
     mub_povm,
     probabilities,
+    qttf_auto,
     qubit_sic,
     random_pom,
     sic_povm,
@@ -93,6 +94,18 @@ def test_measurement_matrix_structure(dim):
     assert abs(matrices.p_bar.sum() - 1.0) < 1e-12
     assert matrices.is_informationally_complete
     assert matrices.kappa_c >= 1.0
+
+
+def test_measurement_matrices_take_every_pom_that_pom_accepts():
+    # 0.9e-10 sigma_x on one outcome of the qubit SIC stays within the Pom's
+    # completeness tolerance of 1e-10, while the traceless column sums of C
+    # deviate from 0 by sqrt(2) 0.9e-10 = 1.27e-10
+    outcomes = qubit_sic().outcomes.copy()
+    outcomes[0] += 0.9e-10 * np.array([[0, 1], [1, 0]])
+    pom = Pom(outcomes, label="margin")
+    model = measurement_matrices(pom, BASIS2)
+    assert np.abs(model.c_matrix.sum(axis=0)).max() > 1e-10
+    assert abs(qttf_auto(pom, BASIS2).value - 4.0) < 1e-9
 
 
 def test_probabilities_match_born_rule():
@@ -305,7 +318,7 @@ def test_every_array_of_the_model_is_read_only():
         for name in (
             "c_matrix", "c_tilde", "p_bar", "singular_values_c", "singular_values_c_tilde",
             "born_table", "outer_table", "x_matrix", "y_matrix", "quadratic_form",
-            "cubic_form",
+            "cubic_form", "outcomes",
         )
     }
     arrays.update({f"cubic_tails[{j}]": tail for j, tail in enumerate(model.cubic_tails)})

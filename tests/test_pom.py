@@ -30,6 +30,18 @@ def test_pom_exposes_metadata():
     assert isinstance(pom.label, str) and pom.label
 
 
+def test_pom_outcomes_are_a_read_only_copy():
+    # the checks made when the Pom is built hold for its life: no caller can
+    # write into its outcomes, and the caller's own array stays theirs
+    given = qubit_sic().outcomes.copy()
+    pom = Pom(given)
+    with pytest.raises(ValueError, match="read-only"):
+        pom.outcomes[0, 0, 0] = 1.0
+    assert not np.shares_memory(pom.outcomes, given)
+    given[0, 0, 0] = 1.0  # still writable
+    assert pom.outcomes[0, 0, 0] != 1.0
+
+
 def test_pom_rejects_negative_outcome():
     good = qubit_sic().outcomes.copy()
     good[0] = np.array([[0.6, 0.0], [0.0, -0.1]])
@@ -124,13 +136,24 @@ def test_schema_bad_fields():
         pom_from_dict({**base, "outcomes": [[[0.5, 0.0]]]})
 
 
-@pytest.mark.parametrize("entry", ["x", 0.0, [0.0, "x"], [0.0], [0.0, 0.0, 0.0], None])
+_SIC_ENTRY = pom_to_dict(qubit_sic())["outcomes"][2][1][0]
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        "x", 0.0, [0.0, "x"], [0.0], [0.0, 0.0, 0.0], None,
+        # numpy reads both as numbers: the string as the entry's exact value
+        pytest.param([repr(_SIC_ENTRY[0]), _SIC_ENTRY[1]], id="string"),
+        pytest.param([_SIC_ENTRY[0], False], id="boolean"),
+    ],
+)
 def test_schema_names_a_malformed_entry(entry):
     # a non-numeric or ragged [re, im] entry of outcome 2 is a schema error
-    # naming that outcome, not a bare numpy error
+    # naming that outcome, not a bare numpy error or a failed physics check
     data = pom_to_dict(qubit_sic())
     data["outcomes"][2][1][0] = entry
-    with pytest.raises(PomSchemaError, match="outcome 2"):
+    with pytest.raises(PomSchemaError, match="outcome 2:"):
         pom_from_dict(data)
 
 

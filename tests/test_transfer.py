@@ -368,11 +368,18 @@ def test_monte_carlo_agrees_with_accuracy_average():
     assert abs(est.value - direct.mean()) < 4 * stderr
 
 
-@pytest.mark.parametrize(
-    "dim, m, rank, seed",
-    [(2, 6, 1, 60), (2, 20, 2, 61), (3, 11, 2, 62), (3, 45, 1, 63), (4, 18, 1, 64), (4, 80, 2, 65)],
+SAME_STREAM_CASES = (
+    (2, 6, 1, 60), (2, 20, 2, 61), (3, 11, 2, 62), (3, 45, 1, 63), (4, 18, 1, 64), (4, 80, 2, 65)
 )
-def test_monte_carlo_equals_accuracy_average_on_the_same_stream(dim, m, rank, seed):
+
+
+@pytest.mark.parametrize(
+    "dim, m, rank, seed, n",
+    [pytest.param(*case, 300, id="-".join(map(str, case))) for case in SAME_STREAM_CASES]
+    # a short run draws exactly its n states too
+    + [pytest.param(*case, 40, id="-".join(map(str, case)) + "-n40") for case in SAME_STREAM_CASES],
+)
+def test_monte_carlo_equals_accuracy_average_on_the_same_stream(dim, m, rank, seed, n):
     # the first batch is exactly haar_state_vectors(dim, n, rng), so replaying
     # that stream through Tr(F^{-1}) from eigenvalues, with the three
     # control variates built in outcome space (the first three expansion terms
@@ -383,7 +390,6 @@ def test_monte_carlo_equals_accuracy_average_on_the_same_stream(dim, m, rank, se
     # centred by the quadrature moments of its Beta(1, dim-1) law.
     basis = build_basis(dim)
     pom = random_pom(dim, m, rank, rng=np.random.default_rng(seed))
-    n = 300
     est = qttf_monte_carlo(pom, basis, n, rng=seed)
     aux = auxiliary_matrices(pom, basis)
     x, y = aux.x_matrix, aux.y_matrix
