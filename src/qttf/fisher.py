@@ -51,7 +51,11 @@ class TomographyMatrices:
     * c_tilde, M x dim**2: C with the identity column first;
     * p_bar: the outcome probabilities at the maximally mixed state;
     * singular_values_c: the spectrum of C, descending;
-    * outcomes and basis: the outcome operators and the basis C was built from.
+    * outcomes and basis: the outcome operators and the basis C was built from;
+    * all_rank_one, the one rank test of the outcomes (all eigenvalues but the
+      largest within STRUCTURE_TOL of zero), read from the eigenvalues the Pom
+      computed when it checked them and read by the bases closed form and the
+      Monte Carlo controls.
 
     Computed on first read, since only some callers need them:
 
@@ -60,8 +64,6 @@ class TomographyMatrices:
       rows of C, for the weighted designs and Fisher matrices that fisher()
       assembles; outer_table, their lower triangle packed (M, K (K+1) / 2), is
       the one that trace_inverse() assembles;
-    * all_rank_one, the one rank test of the outcomes, read by the bases
-      closed form and the Monte Carlo controls;
     * tr_fbar_inv, x_matrix and y_matrix, the expansion around the
       maximally mixed state (see qttf.transfer), from one shared
       eigendecomposition of Fbar = C^T Pbar^{-1} C;
@@ -90,6 +92,7 @@ class TomographyMatrices:
     singular_values_c: np.ndarray  # descending
     outcomes: np.ndarray
     basis: HermitianBasis
+    all_rank_one: bool
 
     @cached_property
     def singular_values_c_tilde(self) -> np.ndarray:
@@ -122,12 +125,6 @@ class TomographyMatrices:
         # expects; indexing c_matrix[:, rows] would return it Fortran-ordered
         table = np.take(self.c_matrix, rows, axis=1) * np.take(self.c_matrix, cols, axis=1)
         return _read_only(table)
-
-    @cached_property
-    def all_rank_one(self) -> bool:
-        """Whether every outcome is rank one: all eigenvalues but the largest
-        within STRUCTURE_TOL of zero."""
-        return bool(np.linalg.eigvalsh(self.outcomes)[:, :-1].max() <= STRUCTURE_TOL)
 
     def fisher(self, weights: np.ndarray) -> np.ndarray:
         """C^T diag(w) C, shape (..., K, K), for every row w of weights (..., M),
@@ -386,6 +383,7 @@ def measurement_matrices(pom: Pom, basis: HermitianBasis) -> TomographyMatrices:
         singular_values_c=_read_only(np.linalg.svd(c_matrix, compute_uv=False)),
         outcomes=pom.outcomes,
         basis=basis,
+        all_rank_one=bool(pom._eigenvalues[:, :-1].max() <= STRUCTURE_TOL),
     )
 
 

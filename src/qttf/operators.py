@@ -166,8 +166,13 @@ def haar_state_vectors(dim: int, n_states: int, rng=None) -> np.ndarray:
     dim = _require_dim(dim)
     _require_count("n_states", n_states, 0)
     rng = np.random.default_rng(rng)
-    raw = rng.standard_normal((n_states, dim)) + 1j * rng.standard_normal((n_states, dim))
-    return raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    # the two draws go straight into the real and imaginary parts: the same
+    # stream and values as a + 1j * b, without the complex temporaries of 1j * b
+    raw = np.empty((n_states, dim), dtype=complex)
+    raw.real = rng.standard_normal((n_states, dim))
+    raw.imag = rng.standard_normal((n_states, dim))
+    raw /= np.linalg.norm(raw, axis=1, keepdims=True)
+    return raw
 
 
 def haar_pure_state(dim: int, rng=None) -> DensityMatrix:

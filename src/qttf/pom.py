@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
@@ -47,16 +47,21 @@ _TETRAHEDRON = np.array(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pom:
     """Probability-operator measure: outcomes (M, dim, dim) with sum = identity.
 
     outcomes holds a read-only copy of the array it was given, so the checks
     made here hold for the life of the instance and no reader re-makes them.
+    The eigenvalues of every outcome, ascending, are kept read-only as well:
+    the positivity check computes them, and fisher.measurement_matrices reads
+    its rank test from them.  Equality and hashing go by identity, which the
+    immutable outcomes make sound, so a Pom can key a dict.
     """
 
     outcomes: np.ndarray
     label: str = ""
+    _eigenvalues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         arr = np.array(self.outcomes, dtype=complex)
@@ -76,7 +81,10 @@ class Pom:
             raise PomValidationError(
                 f"outcome {j} is not Hermitian within 1e-12 (deviation {herm_dev[j]:.2e})"
             )
-        low = np.linalg.eigvalsh(arr)[:, 0]
+        eigenvalues = np.linalg.eigvalsh(arr)
+        eigenvalues.setflags(write=False)
+        object.__setattr__(self, "_eigenvalues", eigenvalues)
+        low = eigenvalues[:, 0]
         if low.min() < -EIGENVALUE_SLACK:
             j = int(low.argmin())
             raise PomValidationError(

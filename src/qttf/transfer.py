@@ -13,12 +13,16 @@ Its evaluation routes:
   one kernel (fisher.TomographyMatrices.trace_inverse) and the first-, second-
   and third-order terms of the expansion below as fitted control variates,
   with their exact Haar means 0, F2 and F3.  When every outcome is rank one,
-  x_m = p_m / Tr Pi_m is exactly Beta(1, dim-1) distributed, so sums of
-  x_m**(1/2) and x_m**(3/2) have exact Haar means too and serve as three more
-  controls.  Tr(F^{-1}) is analytic where an outcome's probability vanishes,
-  so these controls follow no kink; they are kept for their measured effect,
-  the median variance reduction at dim = 3 / 4 / 5 rising from 13.7 / 9.2 /
-  9.3 with the polynomial controls alone to 29.9 / 16.6 / 19.3.
+  x_m = p_m / Tr Pi_m is exactly Beta(1, dim-1) distributed, so weighted sums
+  of x_m**a for a = 1/2, 3/2, 2 and 3 have exact Haar means too and serve as
+  five more controls.  Tr(F^{-1}) is analytic where an outcome's probability
+  vanishes, so these controls follow no kink; they are kept for their
+  measured effect, the median variance reduction at dim = 3 / 4 / 5 rising
+  from 13.7 / 9.2 / 9.3 with the polynomial controls alone to 29.9 / 16.6 /
+  19.3 with the powers 1/2 and 3/2; the powers 2 and 3 cut the residual
+  variance by a further median x1.23 / x1.37 / x1.61 (rank-one measurements
+  with 2 dim**2 outcomes, 40000 samples each).  The error bar includes the
+  variance that the fitted coefficients add.
 
 The series rests on the identity (with Pbar the diagonal matrix of
 maximally mixed probabilities, P the diagonal probability matrix at rho,
@@ -427,26 +431,34 @@ def qttf_monte_carlo(
     model (fisher.TomographyMatrices), so all three have Haar mean exactly 0.
     When every outcome is rank one (TomographyMatrices.all_rank_one),
     x_m = p_m / Tr Pi_m is Beta(1, dim-1) distributed with E[x**a] = e(a) =
-    Gamma(1+a) Gamma(dim) / Gamma(dim+a), and three more controls, not
-    polynomial in t, are fitted
+    Gamma(1+a) Gamma(dim) / Gamma(dim+a), and five more controls, not
+    polynomial in t for a = 1/2 and 3/2, are fitted
     (see the module docstring for their measured effect):
 
     * h1 = sum_m x_m**(1/2) - M e(1/2);
     * h2 = sum_m X_mm x_m**(1/2) - (sum_m X_mm) e(1/2);
-    * h3 = sum_m X_mm x_m**(3/2) - (sum_m X_mm) e(3/2).
+    * h3 = sum_m X_mm x_m**(3/2) - (sum_m X_mm) e(3/2);
+    * h4 = sum_m X_mm x_m**2 - (sum_m X_mm) e(2);
+    * h5 = sum_m X_mm x_m**3 - (sum_m X_mm) e(3).
 
     The value is mean(v - G beta), with beta the least-squares fit of the
     centred samples on the centred controls (minimum norm, so a constant
-    control gets coefficient 0), and std_error comes from the residuals with
-    one degree of freedom spent per control and one for the intercept: 4, or
-    7 with the rank-one controls.  params["controls"] is the number of
-    controls fitted, params["variance_reduction"] the raw over the residual
-    sum of squares and params["residual_kurtosis"] the kurtosis of the
-    residuals.  The fit is skipped, giving the plain mean, a factor of
-    exactly 1.0 and 0 controls, when n_samples does not exceed the degrees of
-    freedom spent, or when the samples have no spread.  params["kurtosis"]
-    is the kurtosis of the raw samples: a heavy tail shows in the record, not
-    in a warning.
+    control gets coefficient 0).  For q fitted controls (3, or 8 with the
+    rank-one ones) and rss the residual sum of squares,
+
+        std_error**2 = (n - 2) / (n - q - 2) * rss / ((n - q - 1) n),
+
+    one degree of freedom spent per control and one for the intercept, times
+    the loss factor (n - 2) / (n - q - 2), the variance that the fitted
+    coefficients add to the estimate (Lavenberg & Welch, Management Science
+    1981); without it the bars of small runs fall below their scatter.
+    params["controls"] is q and params["loss_factor"] that factor,
+    params["variance_reduction"] the raw over the residual sum of squares and
+    params["residual_kurtosis"] the kurtosis of the residuals.  The fit runs
+    from n = q + 3 samples on, 6 or 11; below that, or when the samples have
+    no spread, it is skipped, giving the plain mean, 0 controls and factors
+    of exactly 1.0.  params["kurtosis"] is the kurtosis of the raw samples:
+    a heavy tail shows in the record, not in a warning.
 
     States are drawn in batches of up to MC_BATCH.  With the products
     c_mi c_mj of the rows of C over the lower triangle j <= i tabulated once
@@ -470,10 +482,12 @@ def qttf_monte_carlo(
       (K, K) matmul against Q and, for the cubic one, one (s, K - j) @
       (K - j, K - j) matmul per upper tail W_j of the symmetrised cubic form
       (TomographyMatrices.cubic_tails), about K**3 / 3 multiply-adds per state,
-    * for rank-one outcomes, one square root of the (s, M) probabilities,
-      one (s, M) @ (M, 2) matmul against [w**(1/2), X_mm w**(1/2)] with
-      w_m = 1 / Tr Pi_m, the product p**(1/2) * p in place and one matvec
-      against X_mm w**(3/2),
+    * for rank-one outcomes, four passes over one (s, M) buffer: the square
+      root of the probabilities and one (s, M) @ (M, 2) matmul against
+      [w**(1/2), X_mm w**(1/2)] with w_m = 1 / Tr Pi_m, then p**(3/2), p**2
+      and p**3 in place, each with one matvec against X_mm w**a; the two
+      passes for a = 2 and 3 take 4-6 % of a call on wide measurements
+      (M = 20 at dim = 2, M = 40 at dim = 3) and under 2 % at dim >= 4,
 
     so each sample costs O(dim**2 (M + K) + M K**2 + K**3).
     """
@@ -493,11 +507,13 @@ def _monte_carlo(model: TomographyMatrices, n_samples: int, rng=None) -> QttfEst
     rank_one = model.all_rank_one
     if rank_one:
         x_diag = np.diag(model.x_matrix)
-        root_weights = np.sqrt(1.0 / np.einsum("mii->m", model.outcomes).real)  # as Pom.traces
+        weights = 1.0 / np.einsum("mii->m", model.outcomes).real  # as Pom.traces
+        root_weights = np.sqrt(weights)
         root_table = np.column_stack([root_weights, x_diag * root_weights])
-        cube_weights = x_diag * root_weights**3
-        half, three_halves = _beta_moment(dim, 0.5), _beta_moment(dim, 1.5)
-        control_means += [m * half, x_diag.sum() * half, x_diag.sum() * three_halves]
+        # X_mm w_m**a for the powers a = 3/2, 2 and 3 of x_m = w_m p_m
+        power_weights = [x_diag * root_weights**3, x_diag * weights**2, x_diag * weights**3]
+        control_means += [m * _beta_moment(dim, 0.5)]
+        control_means += [x_diag.sum() * _beta_moment(dim, a) for a in (0.5, 1.5, 2, 3)]
     values = np.empty(n_samples)
     controls = np.empty((n_samples, len(control_means)))
     for start in range(0, n_samples, MC_BATCH):
@@ -507,10 +523,15 @@ def _monte_carlo(model: TomographyMatrices, n_samples: int, rng=None) -> QttfEst
         probs, coords = born[:, :m], born[:, m:]
         values[rows] = model.trace_inverse(probs)
         if rank_one:
-            roots = np.sqrt(probs)
-            controls[rows, 3:5] = roots @ root_table
-            roots *= probs
-            controls[rows, 5] = roots @ cube_weights
+            # one (s, M) buffer holds p**(1/2), p**(3/2), p**2 and p**3 in turn
+            powers = np.sqrt(probs)
+            controls[rows, 3:5] = powers @ root_table
+            powers *= probs
+            controls[rows, 5] = powers @ power_weights[0]
+            np.square(probs, out=powers)
+            controls[rows, 6] = powers @ power_weights[1]
+            powers *= probs
+            controls[rows, 7] = powers @ power_weights[2]
         controls[rows, 0] = coords @ linear
         controls[rows, 1] = np.sum((coords @ quadratic) * coords, axis=1)
         controls[rows, 2] = _cubic_form(coords, tails)
@@ -526,24 +547,26 @@ def _monte_carlo(model: TomographyMatrices, n_samples: int, rng=None) -> QttfEst
         kurtosis = float(np.mean(np.square(np.square(centered))) / second**2)
     else:
         kurtosis = 0.0
-    spent = 1 + controls.shape[1]  # the intercept and one coefficient per control
-    if spread and n_samples > spent:
+    q = controls.shape[1]
+    if spread and n_samples >= q + 3:
         sample_means = controls.mean(axis=0)
         shifted = controls - sample_means
         beta = np.linalg.lstsq(shifted, centered, rcond=None)[0]
         residuals = centered - shifted @ beta
         residual_ss = float(residuals @ residuals)
         value = mean - float(sample_means @ beta)
-        std_error = float(np.sqrt(residual_ss / ((n_samples - spent) * n_samples)))
+        # the variance the fitted coefficients add (Lavenberg & Welch 1981)
+        loss_factor = (n_samples - 2) / (n_samples - q - 2)
+        std_error = float(np.sqrt(loss_factor * residual_ss / ((n_samples - q - 1) * n_samples)))
         reduction = second * n_samples / residual_ss
-        fitted = controls.shape[1]
+        fitted = q
         residual_kurtosis = float(
             np.mean(np.square(np.square(residuals))) / (residual_ss / n_samples) ** 2
         )
     else:
         value = mean
         std_error = float(values.std(ddof=1) / np.sqrt(n_samples))
-        reduction = 1.0
+        reduction = loss_factor = 1.0
         fitted = 0
         residual_kurtosis = 0.0
     return QttfEstimate(
@@ -555,6 +578,7 @@ def _monte_carlo(model: TomographyMatrices, n_samples: int, rng=None) -> QttfEst
             "kurtosis": kurtosis,
             "variance_reduction": reduction,
             "controls": fitted,
+            "loss_factor": loss_factor,
             "residual_kurtosis": residual_kurtosis,
         },
         std_error=std_error,

@@ -131,6 +131,16 @@ def test_haar_state_vectors_shape_and_norms():
     np.testing.assert_allclose(np.linalg.norm(vecs, axis=1), 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("dim, n, seed", [(2, 200, 1), (3, 1000, 2), (5, 4000, 3), (4, 1, 4)])
+def test_haar_state_vectors_equal_the_complex_sum_of_the_draws(dim, n, seed):
+    # the draws written into the real and imaginary parts give exactly the
+    # vectors of a + 1j * b, the first draw the real part
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
+    want = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    np.testing.assert_array_equal(haar_state_vectors(dim, n, seed), want)
+
+
 def test_haar_moment_first_order_is_mean_probability():
     pom = qubit_sic()
     for j in range(pom.n_outcomes):

@@ -42,6 +42,22 @@ def test_pom_outcomes_are_a_read_only_copy():
     assert pom.outcomes[0, 0, 0] != 1.0
 
 
+def test_pom_is_usable_as_a_value():
+    # equality and hashing go by identity: comparing two Poms neither raises
+    # nor compares their outcome arrays, and a Pom can key a dict
+    first, second = qubit_sic(), qubit_sic()
+    assert first == first and first != second
+    assert isinstance(hash(first), int)
+    assert {first: "a", second: "b"}[first] == "a"
+
+
+def test_pom_keeps_the_eigenvalues_it_checked():
+    pom = random_pom(3, 7, 2, rng=5)
+    np.testing.assert_array_equal(pom._eigenvalues, np.linalg.eigvalsh(pom.outcomes))
+    with pytest.raises(ValueError, match="read-only"):
+        pom._eigenvalues[0, 0] = 1.0
+
+
 def test_pom_rejects_negative_outcome():
     good = qubit_sic().outcomes.copy()
     good[0] = np.array([[0.6, 0.0], [0.0, -0.1]])
