@@ -12,7 +12,8 @@ outer_table, their lower triangle j <= i packed row by row, and assembles it
 batch-last into one reused block (fresh ones cost it 10 %), since its Cholesky
 reads nothing else.
 TomographyMatrices.trace_inverse is the one evaluation of Tr(F^{-1}): accuracy,
-the MSE experiments and Monte Carlo all call it.
+the MSE experiments and Monte Carlo all call it; the expansion at the maximally
+mixed state and the completeness test read one thin SVD of Pbar^{-1/2} C.
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ from .operators import HermitianBasis, _as_matrix, _density_matrix
 from .pom import Pom
 
 P_FLOOR = 1e-12
-RANK_RTOL = 1e-10
-EIG_RTOL = 1e-12
+RANK_RTOL = 1e-6  # smallest singular value of Pbar^{-1/2} C accepted, relative to the largest
 STRUCTURE_TOL = 1e-8  # absolute deviation accepted in a structure check of the outcomes
 CHOLESKY_RTOL = 1e-10  # relative roundoff accepted from the Cholesky kernel
 CHOLESKY_BLOCK = 512  # Fisher matrices assembled, factored and inverted in one batch-last pass
@@ -50,7 +50,6 @@ class TomographyMatrices:
       traceless basis operators;
     * c_tilde, M x dim**2: C with the identity column first;
     * p_bar: the outcome probabilities at the maximally mixed state;
-    * singular_values_c: the spectrum of C, descending;
     * outcomes and basis: the outcome operators and the basis C was built from;
     * all_rank_one, the one rank test of the outcomes (all eigenvalues but the
       largest within STRUCTURE_TOL of zero), read from the eigenvalues the Pom
@@ -59,14 +58,13 @@ class TomographyMatrices:
 
     Computed on first read, since only some callers need them:
 
-    * singular_values_c_tilde, for conditioning reports;
+    * singular_values_c and singular_values_c_tilde, for conditioning reports;
     * born_table, for Haar sampling, and the outer products c_m c_m^T of the
       rows of C, for the weighted designs and Fisher matrices that fisher()
       assembles; outer_table, their lower triangle packed (M, K (K+1) / 2), is
       the one that trace_inverse() assembles;
-    * tr_fbar_inv, x_matrix and y_matrix, the expansion around the
-      maximally mixed state (see qttf.transfer), from one shared
-      eigendecomposition of Fbar = C^T Pbar^{-1} C;
+    * tr_fbar_inv, x_matrix and y_matrix, the expansion around the maximally
+      mixed state (see qttf.transfer), from one thin SVD of Pbar^{-1/2} C;
     * alpha0, the convergence radius of the moment series;
     * quadratic_form, cubic_form, f2 and f3, the second- and third-order
       expansion terms in Bloch coordinates and their exact Haar means, and
@@ -89,10 +87,14 @@ class TomographyMatrices:
     c_matrix: np.ndarray
     c_tilde: np.ndarray
     p_bar: np.ndarray
-    singular_values_c: np.ndarray  # descending
     outcomes: np.ndarray
     basis: HermitianBasis
     all_rank_one: bool
+
+    @cached_property
+    def singular_values_c(self) -> np.ndarray:
+        """Singular values of C, descending."""
+        return _read_only(np.linalg.svd(self.c_matrix, compute_uv=False))
 
     @cached_property
     def singular_values_c_tilde(self) -> np.ndarray:
@@ -208,46 +210,44 @@ class TomographyMatrices:
         return traces
 
     @cached_property
-    def _fbar_eigh(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Pbar^{-1} C and the eigenvalues and eigenvectors of Fbar.
-
-        This is the one informational-completeness check: it refuses a
-        rank-deficient C, and an Fbar too ill conditioned to invert.
-        """
-        scaled = self.c_matrix / self.p_bar[:, None]  # Pbar^{-1} C
-        fbar = self.c_matrix.T @ scaled
-        fbar = (fbar + fbar.T) / 2
-        evals, evecs = np.linalg.eigh(fbar)
-        if not (self.is_informationally_complete and evals[0] > EIG_RTOL * evals[-1]):
-            s = self.singular_values_c
-            raise NotInformationallyCompleteError(
-                f"measurement matrix C is rank deficient (s_min {s[-1]:.3e}, s_max {s[0]:.3e})"
-            )
-        return scaled, evals, evecs
+    def _factor(self) -> tuple[np.ndarray, np.ndarray]:
+        """B = Pbar^{-1/2} U and sigma of the thin SVD U Sigma V^T of S = Pbar^{-1/2} C.
+        Fbar = S^T S is never formed, so kappa(S) is not squared (Bjorck,
+        Numerical Methods for Least Squares Problems, SIAM 1996), and X and Y
+        are each a matrix times its own transpose, which numpy's matmul forms
+        as a symmetric rank-k update, so they are exactly symmetric."""
+        root = np.sqrt(self.p_bar)[:, None]
+        u, sigma, _ = np.linalg.svd(self.c_matrix / root, full_matrices=False)
+        return u / root, sigma
 
     def checked(self) -> TomographyMatrices:
-        """This model; raises NotInformationallyCompleteError if C is rank deficient."""
-        self._fbar_eigh  # the first read runs the check
+        """This model if is_informationally_complete, else NotInformationallyCompleteError."""
+        if not self.is_informationally_complete:
+            sigma = self._factor[1]
+            s_min = sigma[-1] if len(sigma) == self.c_matrix.shape[1] else 0.0
+            raise NotInformationallyCompleteError(
+                f"Pbar^(-1/2) C is rank deficient: s_min {s_min:.3e} is not above "
+                f"{RANK_RTOL:g} times s_max {sigma[0]:.3e}"
+            )
         return self
 
     @cached_property
     def tr_fbar_inv(self) -> float:
-        """Tr Fbar^{-1}, the zeroth-order term of the series."""
-        return float(np.sum(1.0 / self._fbar_eigh[1]))
+        """Tr Fbar^{-1} = sum sigma**-2, the zeroth-order term of the series."""
+        return float(np.sum(self.checked()._factor[1] ** -2.0))
 
     @cached_property
     def x_matrix(self) -> np.ndarray:
-        """X = Pbar^{-1} C Fbar^{-2} C^T Pbar^{-1}, positive semidefinite."""
-        scaled, evals, evecs = self._fbar_eigh
-        x_matrix = scaled @ ((evecs / evals**2) @ evecs.T) @ scaled.T
-        return _read_only((x_matrix + x_matrix.T) / 2)
+        """X = Pbar^{-1} C Fbar^{-2} C^T Pbar^{-1} = A A^T, A = B Sigma^{-1}, is PSD."""
+        b, sigma = self.checked()._factor
+        a = b / sigma
+        return _read_only(a @ a.T)
 
     @cached_property
     def y_matrix(self) -> np.ndarray:
-        """Y = Pbar^{-1} C Fbar^{-1} C^T Pbar^{-1} - Pbar^{-1}, negative semidefinite."""
-        scaled, evals, evecs = self._fbar_eigh
-        y_matrix = scaled @ ((evecs / evals) @ evecs.T) @ scaled.T - np.diag(1.0 / self.p_bar)
-        return _read_only((y_matrix + y_matrix.T) / 2)
+        """Y = Pbar^{-1} C Fbar^{-1} C^T Pbar^{-1} - Pbar^{-1} = B B^T - Pbar^{-1} <= 0."""
+        b = self.checked()._factor[0]
+        return _read_only(b @ b.T - np.diag(1.0 / self.p_bar))
 
     @cached_property
     def alpha0(self) -> float:
@@ -319,22 +319,26 @@ class TomographyMatrices:
 
     @property
     def n_outcomes(self) -> int:
+        """M, the number of outcomes: the rows of C."""
         return self.c_matrix.shape[0]
 
     @property
     def kappa_c(self) -> float:
+        """s_max / s_min of C, a report: completeness reads Pbar^{-1/2} C instead."""
         low = self.singular_values_c[-1]
         return float(self.singular_values_c[0] / low) if low > 0 else float("inf")
 
     @property
     def kappa_c_tilde(self) -> float:
+        """s_max / s_min of C-tilde, the conditioning the CLI reports and ranks by."""
         low = self.singular_values_c_tilde[-1]
         return float(self.singular_values_c_tilde[0] / low) if low > 0 else float("inf")
 
     @property
     def is_informationally_complete(self) -> bool:
-        s = self.singular_values_c
-        return bool(s[0] > 0 and s[-1] > RANK_RTOL * s[0])
+        """Whether Pbar^{-1/2} C has K singular values above RANK_RTOL times the largest."""
+        sigma = self._factor[1]
+        return bool(len(sigma) == self.c_matrix.shape[1] and sigma[-1] > RANK_RTOL * sigma[0])
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -380,7 +384,6 @@ def measurement_matrices(pom: Pom, basis: HermitianBasis) -> TomographyMatrices:
         c_matrix=c_matrix,
         c_tilde=c_tilde,
         p_bar=p_bar,
-        singular_values_c=_read_only(np.linalg.svd(c_matrix, compute_uv=False)),
         outcomes=pom.outcomes,
         basis=basis,
         all_rank_one=bool(pom._eigenvalues[:, :-1].max() <= STRUCTURE_TOL),

@@ -93,12 +93,12 @@ class DensityMatrix:
             raise InvalidDimensionError(f"state must be a square matrix, got shape {mat.shape}")
         _require_dim(mat.shape[0])
         if np.abs(mat - mat.conj().T).max() > HERMITIAN_TOL:
-            raise ValueError("state is not Hermitian within 1e-12")
+            raise ValueError(f"state is not Hermitian within {HERMITIAN_TOL:g}")
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > HERMITIAN_TOL:
             raise ValueError(f"state trace must be 1, got {tr}")
         if np.linalg.eigvalsh(mat)[0] < -EIGENVALUE_SLACK:
-            raise ValueError("state has an eigenvalue below -1e-10")
+            raise ValueError(f"state has an eigenvalue below {-EIGENVALUE_SLACK:g}")
 
     @property
     def dim(self) -> int:

@@ -79,7 +79,8 @@ class Pom:
         if herm_dev.max() > HERMITIAN_TOL:
             j = int(herm_dev.argmax())
             raise PomValidationError(
-                f"outcome {j} is not Hermitian within 1e-12 (deviation {herm_dev[j]:.2e})"
+                f"outcome {j} is not Hermitian within {HERMITIAN_TOL:g} "
+                f"(deviation {herm_dev[j]:.2e})"
             )
         eigenvalues = np.linalg.eigvalsh(arr)
         eigenvalues.setflags(write=False)
@@ -148,13 +149,8 @@ def mub_povm(dim: int) -> Pom:
     """
     dim = _require_dim(dim)
     if dim == 2:
-        vectors = []
-        for axis in range(3):
-            evals, evecs = np.linalg.eigh(_PAULIS[axis])
-            # order each basis as (+1, -1) eigenvector
-            vectors.append(evecs[:, 1])
-            vectors.append(evecs[:, 0])
-        outcomes = np.stack([np.outer(v, v.conj()) / 3 for v in vectors])
+        # each basis as its (+1, -1) eigenprojectors (I +- sigma) / 2
+        outcomes = np.stack([(np.eye(2) + s * pauli) / 6 for pauli in _PAULIS for s in (1, -1)])
         return Pom(outcomes, label="mub2")
     if dim != 3:
         raise UnsupportedDimensionError(f"mub_povm supports dim 2 and 3, got {dim}")
@@ -194,10 +190,10 @@ def random_pom(dim: int, n_outcomes: int, rank: int, rng=None, label: str | None
         blocks = np.einsum("mri,mrj->mij", raw.conj(), raw)
         blocks /= np.einsum("mii->m", blocks).real[:, None, None]
         total = blocks.sum(axis=0)
-        evals, evecs = np.linalg.eigh(total)
-        if evals[0] <= 0 or evals[-1] / evals[0] > 1e12:
+        vectors, values, _ = np.linalg.svd(total)  # total = V diag(values) V^dag
+        if values[-1] <= 0 or values[0] / values[-1] > 1e12:
             continue
-        inv_sqrt = (evecs / np.sqrt(evals)) @ evecs.conj().T
+        inv_sqrt = (vectors / np.sqrt(values)) @ vectors.conj().T
         outcomes = np.einsum("ij,mjk,kl->mil", inv_sqrt, blocks, inv_sqrt)
         outcomes = (outcomes + outcomes.conj().transpose(0, 2, 1)) / 2
         if label is None:

@@ -56,14 +56,14 @@ outcomes ("half-products"), and memory_budget bounds that contraction alone.
 Each public route takes (pom, basis), builds the model with
 fisher.measurement_matrices and hands it to a private core that takes the
 model (_series, _monte_carlo, _closed_form, _auto and the two closed forms).
-The cores check their arguments, then the model's informational completeness,
-and read the outcome operators and the dimension from the model, so a caller
+The cores check their arguments and read all else from the model, whose
+expansion terms refuse an incomplete measurement (TomographyMatrices.checked), so a caller
 that evaluates one measurement several times (the CLI, estimation.
 haar_mse_sweep) builds its model once and calls the cores.
 
 The closed forms refuse only on the outcome count and on checks of the
-outcome operators, never on Y: Y passes through Fbar^{-1}, so on an
-ill-conditioned but valid measurement its roundoff can exceed any tolerance.
+outcome operators, never on Y: Y's roundoff grows with kappa(Pbar^{-1/2} C),
+so on an ill-conditioned but valid measurement it can exceed any tolerance.
 """
 
 from __future__ import annotations
@@ -75,13 +75,12 @@ import numpy as np
 
 from .errors import (
     BudgetExceededError,
-    NotInformationallyCompleteError,
     NotMinimalBasesError,
     NotMinimallyCompleteError,
     UnsupportedOrderError,
 )
 from .fisher import STRUCTURE_TOL, TomographyMatrices, _pure_state_born, measurement_matrices
-from .operators import HermitianBasis, _require_count, haar_state_vectors
+from .operators import HermitianBasis, _require_count, _require_dim, haar_state_vectors
 from .pom import Pom
 
 DEFAULT_MEMORY_BUDGET = 2**30  # bytes
@@ -117,12 +116,11 @@ class ReferenceValues:
 
 
 def reference_values(dim: int) -> ReferenceValues:
-    """The dimension-only reference points (ReferenceValues) for dim >= 2."""
+    """The dimension-only reference points (ReferenceValues) for an integer dim >= 2."""
+    dim = _require_dim(dim)
     d = float(dim)
-    if dim < 2 or int(dim) != dim:
-        raise ValueError(f"dimension must be an integer >= 2, got {dim!r}")
     return ReferenceValues(
-        dim=int(dim),
+        dim=dim,
         sic=d * d + d - 2,
         mub=d * d - 1,
         zeroth_bound=(d + 1) * (d * d - 1) / d,
@@ -276,7 +274,6 @@ def _series(
     integral = isinstance(max_order, (int, np.integer)) and not isinstance(max_order, bool)
     if not (integral and 0 <= max_order <= 4):
         raise UnsupportedOrderError(f"max_order must be an integer in [0, 4], got {max_order!r}")
-    model.checked()
     contributions = [model.tr_fbar_inv]
     if max_order >= 2:
         f2 = model.f2
@@ -320,7 +317,6 @@ def _closed_minimal(model: TomographyMatrices) -> QttfEstimate:
         raise NotMinimallyCompleteError(
             f"minimally complete needs {dim * dim} outcomes, got {model.n_outcomes}"
         )
-    model.checked()
     deviation = float(np.abs(model.y_matrix + 1.0).max())
     return QttfEstimate(
         value=model.tr_fbar_inv - 1.0 + 1.0 / dim,
@@ -360,7 +356,6 @@ def _closed_minimal_bases(model: TomographyMatrices) -> QttfEstimate:
         )
     if not model.all_rank_one:
         raise NotMinimalBasesError("outcomes are not all rank one")
-    model.checked()
     # list the outcomes group by group, each group at the place of its first outcome
     same_basis = model.y_matrix < -n_bases / 2
     order = np.argsort(same_basis.argmax(axis=1), kind="stable")
@@ -452,6 +447,9 @@ def qttf_monte_carlo(
     the loss factor (n - 2) / (n - q - 2), the variance that the fitted
     coefficients add to the estimate (Lavenberg & Welch, Management Science
     1981); without it the bars of small runs fall below their scatter.
+    std_error adds params["roundoff"] = eps kappa |value| in quadrature, kappa
+    that of the factor of Pbar^{-1/2} C, whose roundoff every control mean
+    shares across the samples, out of the residuals' sight.
     params["controls"] is q and params["loss_factor"] that factor,
     params["variance_reduction"] the raw over the residual sum of squares and
     params["residual_kurtosis"] the kurtosis of the residuals.  The fit runs
@@ -497,7 +495,6 @@ def qttf_monte_carlo(
 def _monte_carlo(model: TomographyMatrices, n_samples: int, rng=None) -> QttfEstimate:
     """qttf_monte_carlo on the measurement model."""
     _require_count("n_samples", n_samples, 2)
-    model.checked()
     seed = rng if isinstance(rng, (int, np.integer)) else None
     rng = np.random.default_rng(rng)
     dim, m = model.dim, model.n_outcomes
@@ -569,6 +566,8 @@ def _monte_carlo(model: TomographyMatrices, n_samples: int, rng=None) -> QttfEst
         reduction = loss_factor = 1.0
         fitted = 0
         residual_kurtosis = 0.0
+    sigma = model._factor[1]
+    roundoff = float(np.finfo(float).eps * sigma[0] / sigma[-1] * abs(value))
     return QttfEstimate(
         value=value,
         method="monte_carlo",
@@ -580,8 +579,9 @@ def _monte_carlo(model: TomographyMatrices, n_samples: int, rng=None) -> QttfEst
             "controls": fitted,
             "loss_factor": loss_factor,
             "residual_kurtosis": residual_kurtosis,
+            "roundoff": roundoff,
         },
-        std_error=std_error,
+        std_error=math.hypot(std_error, roundoff),
     )
 
 

@@ -1,6 +1,7 @@
 """The public surface: every callable in qttf.__all__ documents itself, and
-every tolerance is defined once."""
+every tolerance is defined once and read."""
 
+import ast
 import re
 from collections import Counter
 from pathlib import Path
@@ -33,3 +34,18 @@ def test_every_tolerance_is_assigned_in_one_module_only():
     required = {"P_FLOOR", "RANK_RTOL", "CHOLESKY_RTOL", "STRUCTURE_TOL", "WEIGHT_FLOOR"}
     assert required <= set(assignments)
     assert [name for name, count in assignments.items() if count > 1] == []
+
+
+def test_every_tolerance_is_read_in_the_library():
+    # a tolerance that only its assignment names is dead: a refactor that
+    # drops its last check must drop the constant too
+    modules = sorted(Path(qttf.__file__).parent.glob("*.py"))
+    sources = [path.read_text(encoding="utf-8") for path in modules]
+    assigned = {name for source in sources for name in TOLERANCE.findall(source)}
+    read = {
+        node.id
+        for source in sources
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    assert sorted(assigned - read) == []

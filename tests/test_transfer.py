@@ -16,6 +16,7 @@ from helpers import (
 
 from qttf import (
     BudgetExceededError,
+    InvalidDimensionError,
     NotInformationallyCompleteError,
     NotMinimalBasesError,
     NotMinimallyCompleteError,
@@ -73,6 +74,33 @@ def test_auxiliary_identities(dim, m, rank):
     assert aux.alpha0 > 0
 
 
+def _flattened_tetrahedron(delta):
+    """The qubit SIC with the z components of its Bloch vectors scaled by delta:
+    still a measurement, with Tr Fbar^{-1} - 1 + 1/2 = 2.5 + 1.5 / delta**2."""
+    paulis = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    bloch = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / np.sqrt(3)
+    bloch[:, 2] *= delta
+    return Pom((np.eye(2) + np.einsum("mk,kij->mij", bloch, paulis)) / 4)
+
+
+def test_expansion_matrices_are_exactly_symmetric():
+    for pom in (random_pom(3, 18, 1, rng=23), random_pom(4, 16, 1, rng=40082), mub_povm(3)):
+        aux = auxiliary_matrices(pom, build_basis(pom.dim))
+        assert np.array_equal(aux.x_matrix, aux.x_matrix.T)
+        assert np.array_equal(aux.y_matrix, aux.y_matrix.T)
+
+
+def test_completeness_refusal_sits_at_rank_rtol_on_a_flattened_tetrahedron():
+    # the smallest singular value of Pbar^{-1/2} C relative to the largest is
+    # delta here, so RANK_RTOL = 1e-6 accepts 1.2e-6 and refuses 8e-7
+    accepted = qttf_auto(_flattened_tetrahedron(1.2e-6), BASIS2)
+    want = 2.5 + 1.5 / 1.2e-6**2
+    assert accepted.method == "closed_minimal"
+    assert abs(accepted.value - want) <= 1e-9 * want
+    with pytest.raises(NotInformationallyCompleteError, match="s_min"):
+        qttf_auto(_flattened_tetrahedron(8e-7), BASIS2)
+
+
 def test_alpha0_matches_definition():
     pom, aux = _aux_case(2, 6, 1, seed=20)
     norm = np.linalg.norm(aux.y_matrix, ord=2)
@@ -125,6 +153,15 @@ def test_reference_values_table():
         "covariant",
         "limit_rel_error",
     }
+
+
+@pytest.mark.parametrize("dim", ["3", None, 3.0, True, 1])
+def test_reference_values_refuse_what_the_dimension_check_refuses(dim):
+    # the check that build_basis and sic_povm use: a string or None no longer
+    # leaks a TypeError, and a float is refused like everywhere else
+    with pytest.raises(InvalidDimensionError, match="dimension must be"):
+        reference_values(dim)
+    assert reference_values(np.int64(3)).dim == 3
 
 
 @pytest.mark.parametrize(
@@ -293,9 +330,9 @@ def test_bases_closed_form_finds_bases_in_permuted_outcomes(dim):
     ],
 )
 def test_closed_forms_hold_on_ill_conditioned_measurements(dim, seed, structure):
-    # kappa(C) of order 1e4: the computed Y misses its exact form by more
-    # than STRUCTURE_TOL through roundoff in Fbar^{-1}, while the outcome
-    # operators have the structure exactly, so the closed form still applies
+    # kappa(C) of order 1e4: the computed Y misses its exact form through
+    # roundoff (by up to 4.4e-12 from the SVD of Pbar^{-1/2} C), while the
+    # outcome operators have the structure exactly, so the closed form applies
     basis = build_basis(dim)
     if structure == "closed_minimal":
         pom = random_pom(dim, dim * dim, 1, seed)
@@ -307,6 +344,17 @@ def test_closed_forms_hold_on_ill_conditioned_measurements(dim, seed, structure)
     assert estimate.method == structure
     series = qttf_series(pom, basis, max_order=4).value
     assert abs(estimate.value - series) <= 1e-8 * series
+
+
+@pytest.mark.parametrize(
+    "dim, seed, tol", [(4, 40082, 1e-6), (2, 7, 1e-10), (3, 65, 1e-10), (5, 36, 1e-10)]
+)
+def test_minimal_measurements_have_exact_expansion_means(dim, seed, tol):
+    # Y is the all-(-1) matrix for M = dim**2, so F2 = -(dim-1)/dim and F3 = 0
+    # exactly; kappa(C) is 1.6e4 at (4, 40082) and 150 to 210 on the others
+    model = auxiliary_matrices(random_pom(dim, dim * dim, 1, rng=seed), build_basis(dim))
+    assert abs(model.f2 + (dim - 1) / dim) <= tol
+    assert abs(model.f3) <= 1e-10
 
 
 def test_auto_refuses_incomplete_measurements_with_structured_counts():
@@ -607,7 +655,8 @@ def test_monte_carlo_through_the_qr_path_matches_the_closed_form():
     # Tr(F^{-1}) is quadratic in t here, so the controls leave only roundoff
     # in the error bar: take the closed form Tr Fbar^{-1} - 1 + 1/dim from the
     # singular values of Pbar^{-1/2} C, which keeps kappa(C) unsquared
-    # (qttf_closed_minimal's eigh of Fbar is off by 1.3e-9 relative here)
+    # (qttf_closed_minimal reads the same factor: 2.2e-12 relative from a
+    # 50-digit evaluation here)
     scaled = c / np.sqrt(model.p_bar)[:, None]
     exact = np.sum(np.linalg.svd(scaled, compute_uv=False) ** -2.0) - 1 + 1 / 4
     assert abs(qttf_closed_minimal(pom, basis).value - exact) <= 1e-8 * exact
@@ -644,9 +693,13 @@ def test_monte_carlo_reports_the_controls_it_fitted():
         assert below["controls"] == 0
         assert below["loss_factor"] == 1.0
         assert below["residual_kurtosis"] == 0.0
+        assert params["roundoff"] > 0 and below["roundoff"] > 0
     # no spread, no fit: the qubit SIC's Tr(F^{-1}) is constant
-    sic = qttf_monte_carlo(qubit_sic(), BASIS2, 500, rng=70).params
-    assert sic["controls"] == 0 and sic["residual_kurtosis"] == 0.0
+    sic = qttf_monte_carlo(qubit_sic(), BASIS2, 500, rng=70)
+    assert sic.params["controls"] == 0 and sic.params["residual_kurtosis"] == 0.0
+    # a constant sample still carries the roundoff of the factor, eps kappa |value|
+    assert sic.params["roundoff"] == pytest.approx(np.finfo(float).eps * 4.0, rel=1e-12)
+    assert sic.std_error >= sic.params["roundoff"]
 
 
 def test_rank_one_test_runs_once_per_model(monkeypatch):
@@ -673,6 +726,31 @@ def test_rank_one_test_runs_once_per_model(monkeypatch):
         _closed_minimal_bases(models["bases"])
     assert calls == []
     assert [model.all_rank_one for model in models.values()] == [True, False, True]
+
+
+def test_one_svd_and_no_eigh_per_model(monkeypatch):
+    # the model reads Tr Fbar^{-1}, X, Y and its completeness test from one
+    # thin SVD of Pbar^{-1/2} C: no eigendecomposition of Fbar, and no SVD of C
+    # unless its conditioning is asked for
+    poms = [random_pom(3, 18, 1, rng=72), random_pom(3, 18, 2, rng=72)]
+    svd, eigh, calls = np.linalg.svd, np.linalg.eigh, []
+
+    def counting(name, function):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return function(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "svd", counting("svd", svd))
+    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", eigh))
+    for pom in poms:
+        calls.clear()
+        qttf_monte_carlo(pom, BASIS3, 50, rng=1)
+        assert calls == ["svd"]
+        calls.clear()
+        qttf_series(pom, BASIS3, max_order=4)
+        assert calls == ["svd"]
 
 
 def test_rank_one_control_means_match_the_beta_law():
