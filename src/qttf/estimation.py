@@ -72,6 +72,8 @@ from .pom import Pom
 from .transfer import QttfEstimate, _monte_carlo, _series
 
 WEIGHT_FLOOR = 0.5  # clicks: an empty cell is weighted as if half a click had landed in it
+FREQUENCY_SLACK = 1e-12  # accepted negative roundoff of a frequency
+FREQUENCY_SUM_TOL = 1e-9  # accepted deviation of a frequency vector's sum from 1
 MSE_BLOCK = 256  # click runs (states x trials) drawn and inverted at once
 
 
@@ -147,8 +149,11 @@ def _frequencies(clicks, pom: Pom) -> np.ndarray:
             raise ValueError("frequency vector must be a non-empty 1-D array")
         if not np.isfinite(freq).all():
             raise ValueError("frequency vector must be finite")
-        if freq.min() < -1e-12 or abs(freq.sum() - 1.0) > 1e-9:
-            raise ValueError("frequency vector must be non-negative and sum to one")
+        if freq.min() < -FREQUENCY_SLACK or abs(freq.sum() - 1.0) > FREQUENCY_SUM_TOL:
+            raise ValueError(
+                f"frequency vector must be non-negative (down to {-FREQUENCY_SLACK:g}) "
+                f"and sum to one within {FREQUENCY_SUM_TOL:g}"
+            )
     if freq.shape[0] != pom.n_outcomes:
         raise DimensionMismatchError(
             f"frequency vector has {freq.shape[0]} cells, measurement has {pom.n_outcomes}"

@@ -36,6 +36,7 @@ P_FLOOR = 1e-12
 RANK_RTOL = 1e-6  # smallest singular value of Pbar^{-1/2} C accepted, relative to the largest
 STRUCTURE_TOL = 1e-8  # absolute deviation accepted in a structure check of the outcomes
 CHOLESKY_RTOL = 1e-10  # relative roundoff accepted from the Cholesky kernel
+BORN_IMAG_TOL = 1e-10  # largest imaginary part accepted in a Born probability
 CHOLESKY_BLOCK = 512  # Fisher matrices assembled, factored and inverted in one batch-last pass
 
 
@@ -396,9 +397,12 @@ def probabilities(rho, pom: Pom) -> np.ndarray:
     if mat.shape[0] != pom.dim:
         raise DimensionMismatchError(f"state dimension {mat.shape[0]} != pom dimension {pom.dim}")
     probs = np.einsum("ij,mji->m", mat, pom.outcomes)
-    if np.abs(probs.imag).max() > 1e-10:
+    if np.abs(probs.imag).max() > BORN_IMAG_TOL:
         # a validated Pom is Hermitian, so only the state can make this complex
-        raise ValueError("state is not Hermitian: Born probabilities have a non-real entry")
+        raise ValueError(
+            f"state is not Hermitian: a Born probability has an imaginary part above "
+            f"{BORN_IMAG_TOL:g}"
+        )
     return probs.real
 
 

@@ -23,9 +23,10 @@ from .errors import (
     PomValidationError,
     UnsupportedDimensionError,
 )
-from .operators import EIGENVALUE_SLACK, HERMITIAN_TOL, _require_dim
+from .operators import EIGENVALUE_SLACK, HERMITIAN_TOL, _require_dim, mub_vectors
 
 COMPLETENESS_TOL = 1e-10
+SPLIT_WEIGHT_TOL = 1e-12  # accepted deviation of duplicate_outcome's weights from a unit sum
 
 _PAULIS = np.array(
     [
@@ -143,26 +144,16 @@ def sic_povm(dim: int) -> Pom:
 def mub_povm(dim: int) -> Pom:
     """All dim+1 mutually unbiased bases, each outcome scaled by 1/(dim+1).
 
-    dim 2 uses the three Pauli eigenbases; dim 3 uses the computational basis
-    plus the three quadratic-phase Fourier bases with omega = exp(2i pi / 3).
-    Outcomes are ordered basis by basis.
+    The outcomes are the projectors onto the vectors of operators.mub_vectors,
+    basis by basis: the Pauli eigenbases at dim 2, the computational basis and
+    the quadratic-phase Fourier bases at odd prime dims, the computational and
+    four complex-Hadamard bases at dim 4.  Other dims raise
+    UnsupportedDimensionError.
     """
-    dim = _require_dim(dim)
-    if dim == 2:
-        # each basis as its (+1, -1) eigenprojectors (I +- sigma) / 2
-        outcomes = np.stack([(np.eye(2) + s * pauli) / 6 for pauli in _PAULIS for s in (1, -1)])
-        return Pom(outcomes, label="mub2")
-    if dim != 3:
-        raise UnsupportedDimensionError(f"mub_povm supports dim 2 and 3, got {dim}")
-    omega = np.exp(2j * np.pi / 3)
-    vectors = [np.eye(3, dtype=complex)[:, m] for m in range(3)]
-    ks = np.arange(3)
-    for b in range(3):
-        for m in range(3):
-            vec = omega ** ((b * ks * ks + m * ks) % 3) / np.sqrt(3.0)
-            vectors.append(vec)
-    outcomes = np.stack([np.outer(v, v.conj()) / 4 for v in vectors])
-    return Pom(outcomes, label="mub3")
+    vectors = mub_vectors(dim)
+    dim = vectors.shape[1]
+    outcomes = vectors[:, :, None] * vectors[:, None, :].conj() / (dim + 1)
+    return Pom(outcomes, label=f"mub{dim}")
 
 
 def random_pom(dim: int, n_outcomes: int, rank: int, rng=None, label: str | None = None) -> Pom:
@@ -221,7 +212,7 @@ def admix_white_noise(pom: Pom, epsilon: float = 0.05) -> Pom:
 def duplicate_outcome(pom: Pom, index: int, weights) -> Pom:
     """Split outcome `index` (0-based) into copies scaled by `weights`.
 
-    Weights must be positive and sum to 1 within 1e-12.  The physical
+    Weights must be positive and sum to 1 within SPLIT_WEIGHT_TOL.  The physical
     content of the measurement (its Fisher information at every state) is
     unchanged; only the outcome count and conditioning change.
     """
@@ -234,8 +225,10 @@ def duplicate_outcome(pom: Pom, index: int, weights) -> Pom:
         raise PomValidationError("need at least two split weights")
     if weights.min() <= 0:
         raise PomValidationError("split weights must be strictly positive")
-    if abs(weights.sum() - 1.0) > 1e-12:
-        raise PomValidationError(f"split weights must sum to 1, got {weights.sum()!r}")
+    if abs(weights.sum() - 1.0) > SPLIT_WEIGHT_TOL:
+        raise PomValidationError(
+            f"split weights must sum to 1 within {SPLIT_WEIGHT_TOL:g}, got {weights.sum()!r}"
+        )
     pieces = [pom.outcomes[:index]]
     pieces.append(weights[:, None, None] * pom.outcomes[index][None])
     pieces.append(pom.outcomes[index + 1 :])

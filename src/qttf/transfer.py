@@ -22,7 +22,20 @@ Its evaluation routes:
   19.3 with the powers 1/2 and 3/2; the powers 2 and 3 cut the residual
   variance by a further median x1.23 / x1.37 / x1.61 (rank-one measurements
   with 2 dim**2 outcomes, 40000 samples each).  The error bar includes the
-  variance that the fitted coefficients add.
+  variance that the fitted coefficients add.  A run of at least
+  DESIGN_MIN_GROUPS * S states, S = dim (dim+1), at dim 4 or an odd prime
+  dim draws them as complete sets of mutually unbiased bases, each rotated
+  by its own Haar unitary, and its bar is cluster-robust over these
+  independent groups.  Every state is still Haar distributed.  A group
+  averages every term of degree 2 in the state exactly, but sums the terms
+  of degree 3 and 4 with some coherence: x1.2 and x1.9 their variance
+  against independent states at dim 3, x1.4 and x1.3 at dim 4, x1.4 and x1.1
+  at dim 5, and x3.5 for degree 4 at dim 2, which therefore draws
+  independent states.  With the same controls, the variance of the
+  estimate fell by a median x1.30 at dim 3 and x1.34 at dim 4 (x0.88 to
+  x2.88 over 36 rank-one measurements with 10 to 48 outcomes), and the
+  squared bar by x1.09 to x1.44 at dim 3..5 on 18 measurements with
+  2 dim**2 outcomes.
 
 The series rests on the identity (with Pbar the diagonal matrix of
 maximally mixed probabilities, P the diagonal probability matrix at rho,
@@ -80,11 +93,23 @@ from .errors import (
     UnsupportedOrderError,
 )
 from .fisher import STRUCTURE_TOL, TomographyMatrices, _pure_state_born, measurement_matrices
-from .operators import HermitianBasis, _require_count, _require_dim, haar_state_vectors
+from .operators import (
+    HermitianBasis,
+    _mub_tabulated,
+    _require_count,
+    _require_dim,
+    haar_state_vectors,
+    rotated_mub_vectors,
+)
 from .pom import Pom
 
 DEFAULT_MEMORY_BUDGET = 2**30  # bytes
 MC_BATCH = 20000  # Haar states per Monte Carlo batch
+# Monte Carlo draws rotated sets of mutually unbiased bases only when the run
+# holds this many groups, so that its cluster bar rests on as many independent
+# group sums; shorter runs draw independent states
+DESIGN_MIN_GROUPS = 30
+SPREAD_RTOL = 1e-9  # samples spread less than this times their mean are constant
 
 
 @dataclass(frozen=True)
@@ -436,17 +461,42 @@ def qttf_monte_carlo(
     * h4 = sum_m X_mm x_m**2 - (sum_m X_mm) e(2);
     * h5 = sum_m X_mm x_m**3 - (sum_m X_mm) e(3).
 
-    The value is mean(v - G beta), with beta the least-squares fit of the
-    centred samples on the centred controls (minimum norm, so a constant
-    control gets coefficient 0).  For q fitted controls (3, or 8 with the
-    rank-one ones) and rss the residual sum of squares,
+    The states are independent Haar draws (operators.haar_state_vectors),
+    except in a run of n >= DESIGN_MIN_GROUPS * S samples at a dim above 2
+    that operators.mub_vectors tabulates (4 and every odd prime), with
+    S = dim (dim+1).  Such a run draws G = ceil(n / S) groups
+    (operators.rotated_mub_vectors): a complete set of mutually unbiased
+    bases, a complex-projective 2-design, rotated by an independent Haar
+    unitary per group, the last group cut at n.  Every state is still Haar
+    distributed, so the estimate stays unbiased, and a whole group averages
+    every polynomial of degree 2 in rho exactly: the terms of Tr(F^{-1}) up
+    to second order about the maximally mixed state, and the linear and
+    quadratic controls.  The groups never straddle a batch, and 30 groups
+    are the fewest that the bar below is left to rest on.  params["design"]
+    is S, or 1 for independent states, and params["groups"] is G, or n for
+    independent states.  The module docstring has the measured gain, and
+    why dim 2 draws independent states.
+
+    The value is the mean of v - c . beta over the rows c of the controls,
+    with beta the least-squares fit of the centred samples on the centred
+    controls (minimum norm, so a constant control gets coefficient 0), per
+    state in either draw.  For q fitted controls (3, or 8 with the rank-one
+    ones) and rss the residual sum of squares of independent states,
 
         std_error**2 = (n - 2) / (n - q - 2) * rss / ((n - q - 1) n),
 
     one degree of freedom spent per control and one for the intercept, times
     the loss factor (n - 2) / (n - q - 2), the variance that the fitted
     coefficients add to the estimate (Lavenberg & Welch, Management Science
-    1981); without it the bars of small runs fall below their scatter.
+    1981); without it the bars of small runs fall below their scatter.  With
+    rotated bases the states of a group are correlated, and the bar is
+    cluster-robust (CR1) over the groups, R_g the residual sum of group g:
+
+        std_error**2 = (n - 2) / (n - q - 2) * G / (G - 1)
+                       * (n - 1) / (n - q - 1) * sum_g R_g**2 / n**2,
+
+    which at S = 1 is the formula above; without a fit, q = 0, the loss
+    factor is 1 and the residuals are the centred samples.
     std_error adds params["roundoff"] = eps kappa |value| in quadrature, kappa
     that of the factor of Pbar^{-1/2} C, whose roundoff every control mean
     shares across the samples, out of the residuals' sight.
@@ -454,14 +504,15 @@ def qttf_monte_carlo(
     params["variance_reduction"] the raw over the residual sum of squares and
     params["residual_kurtosis"] the kurtosis of the residuals.  The fit runs
     from n = q + 3 samples on, 6 or 11; below that, or when the samples have
-    no spread, it is skipped, giving the plain mean, 0 controls and factors
-    of exactly 1.0.  params["kurtosis"] is the kurtosis of the raw samples:
-    a heavy tail shows in the record, not in a warning.
+    no spread (under SPREAD_RTOL times the mean), it is skipped, giving the
+    plain mean, 0 controls and factors of exactly 1.0.  params["kurtosis"]
+    is the kurtosis of the raw samples: a heavy tail shows in the record,
+    not in a warning.
 
-    States are drawn in batches of up to MC_BATCH.  With the products
-    c_mi c_mj of the rows of C over the lower triangle j <= i tabulated once
-    per model as an (M, K (K+1) / 2) matrix (TomographyMatrices.outer_table),
-    a batch of s states costs
+    States are drawn in batches of up to MC_BATCH, a multiple of S with
+    rotated bases.  With the products c_mi c_mj of the rows of C over the
+    lower triangle j <= i tabulated once per model as an (M, K (K+1) / 2)
+    matrix (TomographyMatrices.outer_table), a batch of s states costs
 
     * one real (s, 2 dim**2) @ (2 dim**2, M + K) matmul for the Born
       probabilities p_m = Re sum_ij rho_ij conj(Pi_m)_ij and the Bloch
@@ -511,11 +562,22 @@ def _monte_carlo(model: TomographyMatrices, n_samples: int, rng=None) -> QttfEst
         power_weights = [x_diag * root_weights**3, x_diag * weights**2, x_diag * weights**3]
         control_means += [m * _beta_moment(dim, 0.5)]
         control_means += [x_diag.sum() * _beta_moment(dim, a) for a in (0.5, 1.5, 2, 3)]
+    design = dim * (dim + 1)
+    # not at dim 2, where the rotated set is an octahedron of Bloch vectors: it
+    # sums the degree-4 harmonic of the samples coherently, at 3.5 times its
+    # variance under independent states, and over 24 qubit measurements the
+    # variance of the estimate moved by x0.38 to x2.24, median x1.0
+    if not (dim > 2 and _mub_tabulated(dim) and n_samples >= DESIGN_MIN_GROUPS * design):
+        design = 1
+    batch = MC_BATCH - MC_BATCH % design  # no group straddles two batches
     values = np.empty(n_samples)
     controls = np.empty((n_samples, len(control_means)))
-    for start in range(0, n_samples, MC_BATCH):
-        rows = slice(start, min(start + MC_BATCH, n_samples))
-        vectors = haar_state_vectors(dim, rows.stop - start, rng)
+    for start in range(0, n_samples, batch):
+        rows = slice(start, min(start + batch, n_samples))
+        if design > 1:
+            vectors = rotated_mub_vectors(dim, rows.stop - start, rng)
+        else:
+            vectors = haar_state_vectors(dim, rows.stop - start, rng)
         born = _pure_state_born(vectors, model.born_table)
         probs, coords = born[:, :m], born[:, m:]
         values[rows] = model.trace_inverse(probs)
@@ -538,7 +600,7 @@ def _monte_carlo(model: TomographyMatrices, n_samples: int, rng=None) -> QttfEst
     second = float(np.mean(centered**2))
     # Zero spread (up to roundoff) means a state-independent Tr(F^{-1});
     # the kurtosis diagnostic and the control fit are meaningless there.
-    spread = second > (1e-9 * max(abs(mean), 1.0)) ** 2
+    spread = second > (SPREAD_RTOL * max(abs(mean), 1.0)) ** 2
     if spread:
         # fourth powers as two squarings: x**4 calls libm pow per element
         kurtosis = float(np.mean(np.square(np.square(centered))) / second**2)
@@ -554,7 +616,6 @@ def _monte_carlo(model: TomographyMatrices, n_samples: int, rng=None) -> QttfEst
         value = mean - float(sample_means @ beta)
         # the variance the fitted coefficients add (Lavenberg & Welch 1981)
         loss_factor = (n_samples - 2) / (n_samples - q - 2)
-        std_error = float(np.sqrt(loss_factor * residual_ss / ((n_samples - q - 1) * n_samples)))
         reduction = second * n_samples / residual_ss
         fitted = q
         residual_kurtosis = float(
@@ -562,10 +623,21 @@ def _monte_carlo(model: TomographyMatrices, n_samples: int, rng=None) -> QttfEst
         )
     else:
         value = mean
-        std_error = float(values.std(ddof=1) / np.sqrt(n_samples))
+        residuals = centered
         reduction = loss_factor = 1.0
         fitted = 0
         residual_kurtosis = 0.0
+    groups = -(-n_samples // design)
+    if design > 1:
+        # cluster-robust (CR1) over the independent groups, whose residual sums
+        # carry the correlation of the states within a group
+        sums = np.add.reduceat(residuals, np.arange(0, n_samples, design))
+        dof = groups / (groups - 1) * (n_samples - 1) / (n_samples - fitted - 1)
+        std_error = float(np.sqrt(loss_factor * dof * float(sums @ sums)) / n_samples)
+    elif fitted:
+        std_error = float(np.sqrt(loss_factor * residual_ss / ((n_samples - q - 1) * n_samples)))
+    else:
+        std_error = float(values.std(ddof=1) / np.sqrt(n_samples))
     sigma = model._factor[1]
     roundoff = float(np.finfo(float).eps * sigma[0] / sigma[-1] * abs(value))
     return QttfEstimate(
@@ -580,6 +652,8 @@ def _monte_carlo(model: TomographyMatrices, n_samples: int, rng=None) -> QttfEst
             "loss_factor": loss_factor,
             "residual_kurtosis": residual_kurtosis,
             "roundoff": roundoff,
+            "design": design,
+            "groups": groups,
         },
         std_error=math.hypot(std_error, roundoff),
     )

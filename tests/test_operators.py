@@ -22,6 +22,7 @@ from qttf import (
     sic_povm,
     state_from_bloch,
 )
+from qttf.operators import mub_vectors, rotated_mub_vectors
 
 PAULI = [
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -216,7 +217,7 @@ def test_sic_povm_geometry(dim):
             assert abs(overlap - 1.0 / (m * (dim + 1))) < 1e-12
 
 
-@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
 def test_mub_povm_geometry(dim):
     pom = mub_povm(dim)
     n_bases = dim + 1
@@ -233,11 +234,73 @@ def test_mub_povm_geometry(dim):
             assert abs(overlap - 1.0 / (dim * n_bases**2)) < 1e-12
 
 
+def test_mub_povm_keeps_its_qubit_and_qutrit_outcomes():
+    # built from the table, the dim 2 and 3 outcomes stay bit for bit the Pauli
+    # projectors (I +- sigma) / 6 and the quadratic-phase projectors / 4
+    mub2 = np.stack([(np.eye(2) + s * pauli) / 6 for pauli in PAULI for s in (1, -1)])
+    np.testing.assert_array_equal(mub_povm(2).outcomes, mub2)
+    omega, ks = np.exp(2j * np.pi / 3), np.arange(3)
+    vectors = [np.eye(3, dtype=complex)[:, m] for m in range(3)]
+    vectors += [omega ** ((b * ks * ks + m * ks) % 3) / np.sqrt(3.0) for b in ks for m in ks]
+    mub3 = np.stack([np.outer(v, v.conj()) / 4 for v in vectors])
+    np.testing.assert_array_equal(mub_povm(3).outcomes, mub3)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 7])
+def test_mub_table_is_a_complete_set_of_unbiased_bases(dim):
+    # unit vectors in dim+1 orthonormal bases, squared overlaps 1/dim across
+    # bases, and the frame potential of a complex-projective 2-design,
+    # sum_ab |<a|b>|**4 / S**2 = 2 / (dim (dim+1)) for S = dim (dim+1) vectors
+    table = mub_vectors(dim)
+    size = dim * (dim + 1)
+    assert table.shape == (size, dim) and not table.flags.writeable
+    overlaps = np.abs(table.conj() @ table.T) ** 2
+    same_basis = np.kron(np.eye(dim + 1), np.ones((dim, dim))) > 0
+    want = np.where(same_basis, np.eye(size), 1.0 / dim)
+    np.testing.assert_allclose(overlaps, want, rtol=0, atol=1e-14)
+    assert abs(np.sum(overlaps**2) / size**2 - 2.0 / (dim * (dim + 1))) < 1e-14
+
+
+@pytest.mark.parametrize(
+    "dim, n, seed", [(2, 200, 1), (3, 1000, 2), (4, 45, 3), (5, 30, 4), (7, 1, 5)]
+)
+def test_rotated_mub_vectors_are_the_table_under_haar_unitaries(dim, n, seed):
+    # one complex Ginibre matrix Z per group of S = dim (dim+1) states, real
+    # parts drawn first; its orthonormalised rows are U = Q^dag for the QR
+    # Z^dag = Q R with a positive diagonal of R, the QR that makes U Haar, and
+    # the group holds the rows of table @ U, the last group cut at n
+    table = mub_vectors(dim)
+    groups = -(-n // len(table))
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((groups, dim, dim)) + 1j * rng.standard_normal((groups, dim, dim))
+    q, r = np.linalg.qr(raw.conj().transpose(0, 2, 1))
+    diagonal = np.diagonal(r, axis1=1, axis2=2)
+    unitaries = (q * (diagonal / np.abs(diagonal))[:, None, :]).conj().transpose(0, 2, 1)
+    want = (table @ unitaries).reshape(-1, dim)[:n]
+    got = rotated_mub_vectors(dim, n, seed)
+    assert got.shape == (n, dim)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_rotated_mub_groups_average_degree_two_terms_exactly(dim):
+    # a rotated 2-design: over each whole group, the mean of v v^dag (x) v v^dag
+    # is the Haar mean (I + SWAP) / (dim (dim+1))
+    size = dim * (dim + 1)
+    vectors = rotated_mub_vectors(dim, 3 * size, 6).reshape(3, size, dim)
+    projectors = vectors[:, :, :, None] * vectors[:, :, None, :].conj()
+    second = np.einsum("gsij,gskl->gikjl", projectors, projectors).reshape(3, dim**2, dim**2)
+    swap = np.eye(dim**2).reshape(dim, dim, dim, dim).transpose(0, 1, 3, 2).reshape(dim**2, -1)
+    want = (np.eye(dim**2) + swap) / (dim * (dim + 1))
+    want = np.broadcast_to(want, second.shape)
+    np.testing.assert_allclose(second / size, want, rtol=0, atol=1e-14)
+
+
 def test_builtin_measurements_unsupported_dimension():
     with pytest.raises(UnsupportedDimensionError):
         sic_povm(4)
     with pytest.raises(UnsupportedDimensionError):
-        mub_povm(5)
+        mub_povm(6)
 
 
 @pytest.mark.parametrize("dim,m,rank", [(2, 4, 1), (2, 7, 2), (3, 9, 1), (4, 20, 3)])

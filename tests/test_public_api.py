@@ -31,7 +31,18 @@ def test_every_tolerance_is_assigned_in_one_module_only():
         for path in sorted(Path(qttf.__file__).parent.glob("*.py"))
         for name in TOLERANCE.findall(path.read_text(encoding="utf-8"))
     )
-    required = {"P_FLOOR", "RANK_RTOL", "CHOLESKY_RTOL", "STRUCTURE_TOL", "WEIGHT_FLOOR"}
+    required = {
+        "P_FLOOR",
+        "RANK_RTOL",
+        "CHOLESKY_RTOL",
+        "STRUCTURE_TOL",
+        "WEIGHT_FLOOR",
+        "SPLIT_WEIGHT_TOL",
+        "FREQUENCY_SLACK",
+        "FREQUENCY_SUM_TOL",
+        "BORN_IMAG_TOL",
+        "SPREAD_RTOL",
+    }
     assert required <= set(assignments)
     assert [name for name, count in assignments.items() if count > 1] == []
 

@@ -43,6 +43,7 @@ from qttf import (
     sic_povm,
 )
 from qttf.fisher import CHOLESKY_BLOCK, CHOLESKY_RTOL
+from qttf.operators import rotated_mub_vectors
 from qttf.transfer import (
     _closed_minimal_bases,
     _cubic_form,
@@ -297,6 +298,11 @@ def test_closed_minimal_rejects_wrong_outcome_count():
 def test_closed_minimal_bases_anchors():
     assert abs(qttf_closed_minimal_bases(mub_povm(2), BASIS2).value - 3.0) < 1e-12
     assert abs(qttf_closed_minimal_bases(mub_povm(3), BASIS3).value - 8.0) < 1e-12
+    # the tabulated sets at dim 4 and 5 against D**2 - 1, an oracle for the
+    # table that does not go through the Monte Carlo sampler
+    for dim in (4, 5):
+        value = qttf_closed_minimal_bases(mub_povm(dim), build_basis(dim)).value
+        assert abs(value - reference_values(dim).mub) < 1e-12
     estimate = qttf_closed_minimal_bases(mub_povm(3), BASIS3)
     assert estimate.method == "closed_minimal_bases"
 
@@ -425,20 +431,29 @@ SAME_STREAM_CASES = (
     "dim, m, rank, seed, n",
     [pytest.param(*case, 300, id="-".join(map(str, case))) for case in SAME_STREAM_CASES]
     # a short run draws exactly its n states too
-    + [pytest.param(*case, 40, id="-".join(map(str, case)) + "-n40") for case in SAME_STREAM_CASES],
+    + [pytest.param(*case, 40, id="-".join(map(str, case)) + "-n40") for case in SAME_STREAM_CASES]
+    # the fewest states that take the rotated bases at dim 3 and 4: 30 groups
+    + [
+        pytest.param(*case, 30 * case[0] * (case[0] + 1), id="-".join(map(str, case)) + "-design")
+        for case in SAME_STREAM_CASES
+        if case[0] > 2
+    ],
 )
 def test_monte_carlo_equals_accuracy_average_on_the_same_stream(dim, m, rank, seed, n):
-    # the first batch is exactly haar_state_vectors(dim, n, rng), so replaying
+    # the first batch is exactly haar_state_vectors(dim, n, rng), or at dim > 2
+    # from n = 30 dim (dim+1) on rotated_mub_vectors(dim, n, rng), so replaying
     # that stream through Tr(F^{-1}) from eigenvalues, with the three
     # control variates built in outcome space (the first three expansion terms
     # Tr(X D), Tr(X D Y D) and Tr(X D Y D Y D) minus their exact Haar means,
     # taken from the centered-moment oracle rather than the library) and
     # fitted by least squares, must give the same estimate up to summation
     # order.  Rank-one outcomes add five controls in x_m = p_m / Tr Pi_m,
-    # centred by the quadrature moments of its Beta(1, dim-1) law.  The bar is
-    # the residual variance with one degree of freedom per control and one for
-    # the intercept, inflated by the loss factor (n - 2) / (n - q - 2) of q
-    # fitted coefficients.
+    # centred by the quadrature moments of its Beta(1, dim-1) law.  The bar of
+    # independent states is the residual variance with one degree of freedom
+    # per control and one for the intercept, inflated by the loss factor
+    # (n - 2) / (n - q - 2) of q fitted coefficients; that of rotated bases is
+    # the cluster-robust (CR1) variance of the residual sums of the G groups of
+    # S = dim (dim+1) consecutive states, with the same loss factor.
     basis = build_basis(dim)
     pom = random_pom(dim, m, rank, rng=np.random.default_rng(seed))
     est = qttf_monte_carlo(pom, basis, n, rng=seed)
@@ -447,7 +462,11 @@ def test_monte_carlo_equals_accuracy_average_on_the_same_stream(dim, m, rank, se
     centered2, centered3 = centered_moments_23(pom)
     f2 = np.einsum("ab,ba,ab->", x, y, centered2)
     f3 = np.einsum("ab,bc,ca,abc->", x, y, y, centered3)
-    vectors = haar_state_vectors(dim, n, np.random.default_rng(seed))
+    size = dim * (dim + 1)
+    design = size if dim > 2 and n >= 30 * size else 1
+    assert (est.params["design"], est.params["groups"]) == (design, -(-n // design))
+    draw = rotated_mub_vectors if design > 1 else haar_state_vectors
+    vectors = draw(dim, n, np.random.default_rng(seed))
     states = [np.outer(v, v.conj()) for v in vectors]
     probs = np.array([probabilities(rho, pom) for rho in states])
     c = aux.c_matrix
@@ -484,7 +503,13 @@ def test_monte_carlo_equals_accuracy_average_on_the_same_stream(dim, m, rank, se
     residuals = centered - (controls - controls.mean(axis=0)) @ beta
     factor = (n - 2) / (n - q - 2)
     assert est.params["loss_factor"] == factor
-    bar = np.sqrt(factor * np.sum(residuals**2) / ((n - q - 1) * n))
+    if design > 1:
+        groups = -(-n // design)
+        sums = np.array([residuals[g * design : (g + 1) * design].sum() for g in range(groups)])
+        dof = groups / (groups - 1) * (n - 1) / (n - q - 1)
+        bar = np.sqrt(factor * dof * np.sum(sums**2)) / n
+    else:
+        bar = np.sqrt(factor * np.sum(residuals**2) / ((n - q - 1) * n))
     assert abs(est.std_error - bar) <= 1e-9 * bar
     # both kurtoses from the fourth-moment formula m4 / m2**2, with pow
     for name, sample in (("kurtosis", centered), ("residual_kurtosis", residuals)):
@@ -516,11 +541,12 @@ def test_cubic_tails_give_the_cubic_form(dim):
 
 
 # qttf_monte_carlo on bench-pool members random_pom(D, 2 D**2, 1, seed) at fixed
-# seeds: (dim, pool seed, n_samples, rng seed, value, std_error)
+# seeds, every run long enough for rotated bases (n >= 30 D (D+1)):
+# (dim, pool seed, n_samples, rng seed, value, std_error)
 FROZEN_MONTE_CARLO = [
-    (3, 3_018_003, 1000, 31, 8.813802719029702, 0.004842372548275772),
-    (4, 4_032_003, 2000, 41, 30.36285391264954, 0.017239861355475332),
-    (5, 5_050_003, 2000, 51, 30.8933223254034, 0.01074759820815242),
+    (3, 3_018_003, 1000, 31, 8.817030320257631, 0.004050375172816528),
+    (4, 4_032_003, 2000, 41, 30.341614835030168, 0.01565348559911172),
+    (5, 5_050_003, 2000, 51, 30.903572490869298, 0.011069592416045626),
 ]
 
 
@@ -653,14 +679,14 @@ def test_monte_carlo_through_the_qr_path_matches_the_closed_form():
         estimate = np.sum(1.0 / np.linalg.eigvalsh(fisher)) * np.diag(fisher).max()
         assert np.finfo(float).eps * estimate > CHOLESKY_RTOL
     # Tr(F^{-1}) is quadratic in t here, so the controls leave only roundoff
-    # in the error bar: take the closed form Tr Fbar^{-1} - 1 + 1/dim from the
-    # singular values of Pbar^{-1/2} C, which keeps kappa(C) unsquared
-    # (qttf_closed_minimal reads the same factor: 2.2e-12 relative from a
-    # 50-digit evaluation here)
-    scaled = c / np.sqrt(model.p_bar)[:, None]
-    exact = np.sum(np.linalg.svd(scaled, compute_uv=False) ** -2.0) - 1 + 1 / 4
+    # in the error bar.  The exact value Tr Fbar^{-1} - 1 + 1/dim was computed
+    # once with mpmath at 60 digits from model.c_matrix and model.p_bar taken as
+    # exact: Fbar = C^T diag(1 / pbar) C summed with fsum, inverted by
+    # mpmath.inverse, its trace taken, printed to 50 digits
+    exact = 113331690.90354468393023423234580772133168960358588
     assert abs(qttf_closed_minimal(pom, basis).value - exact) <= 1e-8 * exact
     est = qttf_monte_carlo(pom, basis, 20000, rng=40083)
+    assert est.params["design"] == 20
     assert abs(est.value - exact) <= 4 * est.std_error
 
 
@@ -731,7 +757,7 @@ def test_rank_one_test_runs_once_per_model(monkeypatch):
 def test_one_svd_and_no_eigh_per_model(monkeypatch):
     # the model reads Tr Fbar^{-1}, X, Y and its completeness test from one
     # thin SVD of Pbar^{-1/2} C: no eigendecomposition of Fbar, and no SVD of C
-    # unless its conditioning is asked for
+    # unless its conditioning is asked for; nor does the sampler decompose
     poms = [random_pom(3, 18, 1, rng=72), random_pom(3, 18, 2, rng=72)]
     svd, eigh, calls = np.linalg.svd, np.linalg.eigh, []
 
@@ -751,6 +777,12 @@ def test_one_svd_and_no_eigh_per_model(monkeypatch):
         calls.clear()
         qttf_series(pom, BASIS3, max_order=4)
         assert calls == ["svd"]
+    # the rotated bases of a long run at dim 4 come from a written-out table
+    pom, basis = random_pom(4, 32, 1, rng=72), build_basis(4)
+    calls.clear()
+    estimate = qttf_monte_carlo(pom, basis, 600, rng=1)
+    assert estimate.params["design"] == 20
+    assert calls == ["svd"]
 
 
 def test_rank_one_control_means_match_the_beta_law():
@@ -806,6 +838,24 @@ def test_small_sample_error_bars_pay_for_the_fitted_controls():
         est = _monte_carlo(model, 40, 10_000 + seed)
         covered += abs(est.value - reference) <= 2 * est.std_error
     assert 0.915 <= covered / 2000 <= 0.98
+
+
+def test_rotated_bases_error_bars_cover_the_reference():
+    # at n = 1000 a D = 3 run draws 84 groups of 12 rotated basis states, and
+    # their cluster bar must cover 2e5-sample references about 95 % of the time:
+    # 2-sigma intervals cover in 94.2 % of 600 seeded runs over three pool
+    # members, against 98.2 % for the independent-state bar on the same runs,
+    # which ignores the correlation within a group.  The lower bound sits 3
+    # binomial sigma (0.009) under the first, the upper one 0.007 under the second.
+    covered = 0
+    for i in range(3):
+        model = measurement_matrices(random_pom(3, 18, 1, rng=3_018_010 + i), BASIS3)
+        reference = _monte_carlo(model, 200_000, 80 + i).value
+        for seed in range(200):
+            est = _monte_carlo(model, 1000, 20_000 + 1000 * i + seed)
+            assert est.params["design"] == 12
+            covered += abs(est.value - reference) <= 2 * est.std_error
+    assert 0.915 <= covered / 600 <= 0.975
 
 
 @pytest.mark.parametrize("dim", [2, 3])
