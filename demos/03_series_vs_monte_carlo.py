@@ -13,8 +13,8 @@ but the tail is no longer certified.
 import numpy as np
 
 from qttf import (
-    auxiliary_matrices,
     build_basis,
+    measurement_matrices,
     qttf_monte_carlo,
     qttf_series,
     random_pom,
@@ -22,7 +22,7 @@ from qttf import (
 
 basis = build_basis(2)
 pom = random_pom(2, 10, 2, np.random.default_rng(8))
-aux = auxiliary_matrices(pom, basis)
+aux = measurement_matrices(pom, basis)
 print(f"measurement: {pom.label}")
 print(f"certified radius alpha0 = {aux.alpha0:.4f}")
 

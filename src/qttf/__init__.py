@@ -65,7 +65,6 @@ from .pom import (
 from .transfer import (
     QttfEstimate,
     ReferenceValues,
-    auxiliary_matrices,
     haar_moment_term,
     qttf_auto,
     qttf_closed_minimal,
@@ -103,7 +102,6 @@ __all__ = [
     "ZeroProbabilityError",
     "accuracy",
     "admix_white_noise",
-    "auxiliary_matrices",
     "bloch_coords",
     "build_basis",
     "duplicate_outcome",

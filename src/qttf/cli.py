@@ -57,6 +57,13 @@ EXIT_USAGE = 1
 EXIT_NOT_IC = 2
 EXIT_BUDGET = 3
 
+OUTCOME_COUNT_TOL = 1e-9  # largest distance of fig1's mu dim**2 from an integer outcome count
+# kappa(C-tilde) gaps at or below these are ties: compare then notes no
+# inversion, and the search takes no pair
+COMPARE_KAPPA_TOL = 1e-9
+SEARCH_KAPPA_TOL = 1e-6
+COMPARE_SIGMA_FLOOR = 1e-6  # compare calls qttf values this close equal, however small their bars
+
 MEMORY_BUDGET_HELP = (
     "bytes the order-4 moment term may hold at once: about 64 M**2 dim**2 for its "
     "operator stacks, less in chunks (exit code 3 if even one chunk does not fit)"
@@ -199,8 +206,11 @@ def run_fig1(
         for mu in mus:
             m_float = mu * dim * dim
             n_outcomes = int(round(m_float))
-            if abs(m_float - n_outcomes) > 1e-9:
-                raise _UsageError(f"mu={mu} gives non-integral outcome count for dim={dim}")
+            if abs(m_float - n_outcomes) > OUTCOME_COUNT_TOL:
+                raise _UsageError(
+                    f"mu={mu} gives non-integral outcome count for dim={dim} "
+                    f"(mu dim**2 is more than {OUTCOME_COUNT_TOL:g} from an integer)"
+                )
             for rank in ranks:
                 if n_poms == 0:
                     continue
@@ -275,7 +285,7 @@ def search_counterexample_pair(
         for other in candidates:
             (p1, k1, e1), (p2, k2, e2) = sorted((current, other), key=lambda c: c[1])
             sigma = float(np.hypot(e1.std_error, e2.std_error))
-            if k1 < k2 - 1e-6 and e1.value - e2.value >= 5.0 * sigma:
+            if k1 < k2 - SEARCH_KAPPA_TOL and e1.value - e2.value >= 5.0 * sigma:
                 info = {
                     "kappa_1": k1,
                     "kappa_2": k2,
@@ -413,8 +423,10 @@ def _cmd_compare(args) -> int:
             if a["kappa_c_tilde"] > b["kappa_c_tilde"]:
                 a, b = b, a  # a has the smaller kappa
             dq = a["qttf"] - b["qttf"]
-            sigma = max(2.0 * float(np.hypot(a["qttf_stderr"], b["qttf_stderr"])), 1e-6)
-            if b["kappa_c_tilde"] - a["kappa_c_tilde"] <= 1e-9:
+            sigma = max(
+                2.0 * float(np.hypot(a["qttf_stderr"], b["qttf_stderr"])), COMPARE_SIGMA_FLOOR
+            )
+            if b["kappa_c_tilde"] - a["kappa_c_tilde"] <= COMPARE_KAPPA_TOL:
                 continue
             if dq > sigma:
                 notes.append(

@@ -188,7 +188,7 @@ def lin_estimator_reduced(clicks, pom: Pom, basis: HermitianBasis) -> np.ndarray
     probabilities can be inverted directly (consistent data reproduces the
     state that generated it).
     """
-    matrices = measurement_matrices(pom, basis).checked()
+    matrices = measurement_matrices(pom, basis)
     return state_from_bloch(_lsq_coords(matrices, _frequencies(clicks, pom)), basis)
 
 
@@ -205,18 +205,9 @@ def weighted_linear_inversion(clicks: ClickRecord, pom: Pom, basis: HermitianBas
             "weighted_linear_inversion needs a ClickRecord: the weights depend on "
             f"the click total n_total, which a {type(clicks).__name__} does not carry"
         )
-    matrices = measurement_matrices(pom, basis).checked()
+    matrices = measurement_matrices(pom, basis)
     coords = _lsq_coords(matrices, _frequencies(clicks, pom), clicks.n_total)
     return state_from_bloch(coords, basis)
-
-
-def _experiment_matrices(
-    matrices: TomographyMatrices, n_shots: int, n_trials: int
-) -> TomographyMatrices:
-    """Check the run sizes of an MSE experiment, then its measurement's completeness."""
-    _require_count("n_shots", n_shots, 1)
-    _require_count("n_trials", n_trials, 2)
-    return matrices.checked()
 
 
 def _scaled_mse(
@@ -267,7 +258,9 @@ def mse_experiment(
     rho = _density_matrix(rho)
     if weighting not in ("probability", "none"):
         raise ValueError(f"unknown weighting {weighting!r}")
-    matrices = _experiment_matrices(measurement_matrices(pom, basis), n_shots, n_trials)
+    matrices = measurement_matrices(pom, basis)
+    _require_count("n_shots", n_shots, 1)
+    _require_count("n_trials", n_trials, 2)
     rng = np.random.default_rng(rng)
     probs = probabilities(rho, pom)
     target = bloch_coords(rho, basis)
@@ -337,7 +330,8 @@ def _sweep(
     """haar_mse_sweep on the measurement model."""
     _require_count("n_states", n_states, 1)
     _require_count("n_qttf_samples", n_qttf_samples, 2)
-    matrices = _experiment_matrices(matrices, n_shots, n_trials)
+    _require_count("n_shots", n_shots, 1)
+    _require_count("n_trials", n_trials, 2)
     rng = np.random.default_rng(rng)
     weight = mixing_weight_for_purity(purity_mix, matrices.dim)
     vectors = haar_state_vectors(matrices.dim, n_states, rng)

@@ -13,12 +13,14 @@ batch-last into one reused block (fresh ones cost it 10 %), since its Cholesky
 reads nothing else.
 TomographyMatrices.trace_inverse is the one evaluation of Tr(F^{-1}): accuracy,
 the MSE experiments and Monte Carlo all call it; the expansion at the maximally
-mixed state and the completeness test read one thin SVD of Pbar^{-1/2} C.
+mixed state reads one thin SVD of Pbar^{-1/2} C.  measurement_matrices takes
+that SVD and refuses a measurement that is not informationally complete, so
+every TomographyMatrices is complete and no reader checks it again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 
 import numpy as np
@@ -55,7 +57,13 @@ class TomographyMatrices:
     * all_rank_one, the one rank test of the outcomes (all eigenvalues but the
       largest within STRUCTURE_TOL of zero), read from the eigenvalues the Pom
       computed when it checked them and read by the bases closed form and the
-      Monte Carlo controls.
+      Monte Carlo controls;
+    * _factor, B = Pbar^{-1/2} U and sigma of the thin SVD U Sigma V^T of
+      S = Pbar^{-1/2} C, on which measurement_matrices decided completeness.
+      Fbar = S^T S is never formed, so kappa(S) is not squared (Bjorck,
+      Numerical Methods for Least Squares Problems, SIAM 1996), and X and Y
+      are each a matrix times its own transpose, which numpy's matmul forms
+      as a symmetric rank-k update, so they are exactly symmetric.
 
     Computed on first read, since only some callers need them:
 
@@ -65,7 +73,7 @@ class TomographyMatrices:
       assembles; outer_table, their lower triangle packed (M, K (K+1) / 2), is
       the one that trace_inverse() assembles;
     * tr_fbar_inv, x_matrix and y_matrix, the expansion around the maximally
-      mixed state (see qttf.transfer), from one thin SVD of Pbar^{-1/2} C;
+      mixed state (see qttf.transfer), from _factor;
     * alpha0, the convergence radius of the moment series;
     * quadratic_form, cubic_form, f2 and f3, the second- and third-order
       expansion terms in Bloch coordinates and their exact Haar means, and
@@ -80,8 +88,8 @@ class TomographyMatrices:
     2 Re Tr(B_i B_j B_k) / (dim (dim+1) (dim+2)), so F2 and F3 need no
     products of outcome operators and hold O(M**2 + K**3).
 
-    The expansion needs an informationally complete measurement; checked()
-    returns the model only if it is one.
+    The expansion needs an informationally complete measurement, and
+    measurement_matrices builds no model of any other, so every instance is one.
     """
 
     dim: int
@@ -91,6 +99,7 @@ class TomographyMatrices:
     outcomes: np.ndarray
     basis: HermitianBasis
     all_rank_one: bool
+    _factor: tuple[np.ndarray, np.ndarray] = field(repr=False)
 
     @cached_property
     def singular_values_c(self) -> np.ndarray:
@@ -211,43 +220,21 @@ class TomographyMatrices:
         return traces
 
     @cached_property
-    def _factor(self) -> tuple[np.ndarray, np.ndarray]:
-        """B = Pbar^{-1/2} U and sigma of the thin SVD U Sigma V^T of S = Pbar^{-1/2} C.
-        Fbar = S^T S is never formed, so kappa(S) is not squared (Bjorck,
-        Numerical Methods for Least Squares Problems, SIAM 1996), and X and Y
-        are each a matrix times its own transpose, which numpy's matmul forms
-        as a symmetric rank-k update, so they are exactly symmetric."""
-        root = np.sqrt(self.p_bar)[:, None]
-        u, sigma, _ = np.linalg.svd(self.c_matrix / root, full_matrices=False)
-        return u / root, sigma
-
-    def checked(self) -> TomographyMatrices:
-        """This model if is_informationally_complete, else NotInformationallyCompleteError."""
-        if not self.is_informationally_complete:
-            sigma = self._factor[1]
-            s_min = sigma[-1] if len(sigma) == self.c_matrix.shape[1] else 0.0
-            raise NotInformationallyCompleteError(
-                f"Pbar^(-1/2) C is rank deficient: s_min {s_min:.3e} is not above "
-                f"{RANK_RTOL:g} times s_max {sigma[0]:.3e}"
-            )
-        return self
-
-    @cached_property
     def tr_fbar_inv(self) -> float:
         """Tr Fbar^{-1} = sum sigma**-2, the zeroth-order term of the series."""
-        return float(np.sum(self.checked()._factor[1] ** -2.0))
+        return float(np.sum(self._factor[1] ** -2.0))
 
     @cached_property
     def x_matrix(self) -> np.ndarray:
         """X = Pbar^{-1} C Fbar^{-2} C^T Pbar^{-1} = A A^T, A = B Sigma^{-1}, is PSD."""
-        b, sigma = self.checked()._factor
+        b, sigma = self._factor
         a = b / sigma
         return _read_only(a @ a.T)
 
     @cached_property
     def y_matrix(self) -> np.ndarray:
         """Y = Pbar^{-1} C Fbar^{-1} C^T Pbar^{-1} - Pbar^{-1} = B B^T - Pbar^{-1} <= 0."""
-        b = self.checked()._factor[0]
+        b = self._factor[0]
         return _read_only(b @ b.T - np.diag(1.0 / self.p_bar))
 
     @cached_property
@@ -325,21 +312,15 @@ class TomographyMatrices:
 
     @property
     def kappa_c(self) -> float:
-        """s_max / s_min of C, a report: completeness reads Pbar^{-1/2} C instead."""
-        low = self.singular_values_c[-1]
-        return float(self.singular_values_c[0] / low) if low > 0 else float("inf")
+        """s_max / s_min of C, a report: completeness reads Pbar^{-1/2} C instead.
+        C has full column rank, since the model is complete."""
+        return float(self.singular_values_c[0] / self.singular_values_c[-1])
 
     @property
     def kappa_c_tilde(self) -> float:
-        """s_max / s_min of C-tilde, the conditioning the CLI reports and ranks by."""
-        low = self.singular_values_c_tilde[-1]
-        return float(self.singular_values_c_tilde[0] / low) if low > 0 else float("inf")
-
-    @property
-    def is_informationally_complete(self) -> bool:
-        """Whether Pbar^{-1/2} C has K singular values above RANK_RTOL times the largest."""
-        sigma = self._factor[1]
-        return bool(len(sigma) == self.c_matrix.shape[1] and sigma[-1] > RANK_RTOL * sigma[0])
+        """s_max / s_min of C-tilde, the conditioning the CLI reports and ranks by.
+        C-tilde has full column rank too: 1^T C = 0 while 1^T c-tilde_0 = sqrt(dim)."""
+        return float(self.singular_values_c_tilde[0] / self.singular_values_c_tilde[-1])
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -363,14 +344,18 @@ def _packed_layout(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def measurement_matrices(pom: Pom, basis: HermitianBasis) -> TomographyMatrices:
-    """The measurement model of pom over basis, not yet checked for
-    informational completeness (see TomographyMatrices.checked).
+    """The measurement model of pom over basis, for an informationally
+    complete measurement only.
 
-    Refuses a basis of another dimension (DimensionMismatchError) and an
-    outcome of zero trace, which has no maximally mixed probability to divide
-    by (PomValidationError).  The outcomes are Hermitian and sum to the
-    identity because pom checked them when it was made, so C is real up to
-    roundoff and its columns sum to zero; neither is checked again here.
+    Refuses a basis of another dimension (DimensionMismatchError), an outcome
+    of zero trace, which has no maximally mixed probability to divide by
+    (PomValidationError), and a measurement that is not informationally
+    complete (NotInformationallyCompleteError): one whose Pbar^{-1/2} C, of
+    which the model keeps the thin SVD, has fewer than K singular values or a
+    smallest one not above RANK_RTOL times the largest.  The outcomes are
+    Hermitian and sum to the identity because pom checked them when it was
+    made, so C is real up to roundoff and its columns sum to zero; neither is
+    checked again here.
     """
     if pom.dim != basis.dim:
         raise DimensionMismatchError(f"pom dimension {pom.dim} != basis dimension {basis.dim}")
@@ -380,6 +365,14 @@ def measurement_matrices(pom: Pom, basis: HermitianBasis) -> TomographyMatrices:
     if p_bar.min() <= 0:
         j = int(p_bar.argmin())
         raise PomValidationError(f"outcome {j} has non-positive trace")
+    root = np.sqrt(p_bar)[:, None]
+    u, sigma, _ = np.linalg.svd(c_matrix / root, full_matrices=False)
+    complete = len(sigma) == c_matrix.shape[1]
+    if not (complete and sigma[-1] > RANK_RTOL * sigma[0]):
+        raise NotInformationallyCompleteError(
+            f"Pbar^(-1/2) C is rank deficient: s_min {sigma[-1] if complete else 0.0:.3e} "
+            f"is not above {RANK_RTOL:g} times s_max {sigma[0]:.3e}"
+        )
     return TomographyMatrices(
         dim=pom.dim,
         c_matrix=c_matrix,
@@ -388,6 +381,7 @@ def measurement_matrices(pom: Pom, basis: HermitianBasis) -> TomographyMatrices:
         outcomes=pom.outcomes,
         basis=basis,
         all_rank_one=bool(pom._eigenvalues[:, :-1].max() <= STRUCTURE_TOL),
+        _factor=(_read_only(u / root), _read_only(sigma)),
     )
 
 
@@ -453,9 +447,10 @@ def _qr_trace_inverse(c_matrix: np.ndarray, probs: np.ndarray) -> np.ndarray:
 
 def accuracy(rho, pom: Pom, basis: HermitianBasis) -> float:
     """Optimal scaled estimation error Tr(F(rho)^{-1}) at a single state; refuses
-    an incomplete measurement and an outcome probability at or below P_FLOOR."""
+    an incomplete measurement (measurement_matrices) and an outcome probability
+    at or below P_FLOOR."""
     rho = _density_matrix(rho)
-    model = measurement_matrices(pom, basis).checked()
+    model = measurement_matrices(pom, basis)
     probs = probabilities(rho, pom)
     _require_above_floor(probs)
     return float(model.trace_inverse(probs[None])[0])

@@ -69,10 +69,10 @@ outcomes ("half-products"), and memory_budget bounds that contraction alone.
 Each public route takes (pom, basis), builds the model with
 fisher.measurement_matrices and hands it to a private core that takes the
 model (_series, _monte_carlo, _closed_form, _auto and the two closed forms).
-The cores check their arguments and read all else from the model, whose
-expansion terms refuse an incomplete measurement (TomographyMatrices.checked), so a caller
-that evaluates one measurement several times (the CLI, estimation.
-haar_mse_sweep) builds its model once and calls the cores.
+measurement_matrices refuses an incomplete measurement, so every route does
+before it checks its own arguments.  The cores check those and read all else
+from the model, so a caller that evaluates one measurement several times (the
+CLI, estimation.haar_mse_sweep) builds its model once and calls the cores.
 
 The closed forms refuse only on the outcome count and on checks of the
 outcome operators, never on Y: Y's roundoff grows with kappa(Pbar^{-1/2} C),
@@ -155,8 +155,9 @@ def reference_values(dim: int) -> ReferenceValues:
 
 
 def auxiliary_matrices(pom: Pom, basis: HermitianBasis) -> TomographyMatrices:
-    """The measurement model, refused unless the measurement is informationally complete."""
-    return measurement_matrices(pom, basis).checked()
+    """measurement_matrices(pom, basis), which already refuses an incomplete
+    measurement; kept under this name only because bench/tracing.py hooks it."""
+    return measurement_matrices(pom, basis)
 
 
 def _quartic_bytes(m: int, dim: int, chunk: int) -> int:
@@ -211,7 +212,7 @@ def haar_moment_term(
     """
     if order not in (2, 3, 4):
         raise UnsupportedOrderError(f"moment term order must be 2, 3, or 4, got {order}")
-    model = auxiliary_matrices(pom, basis)
+    model = measurement_matrices(pom, basis)
     if order == 2:
         return model.f2
     if order == 3:
@@ -329,8 +330,9 @@ def qttf_closed_minimal(pom: Pom, basis: HermitianBasis) -> QttfEstimate:
     Exact for every informationally complete measurement with M = dim**2
     outcomes: C^T 1 = 0 and rank C = dim**2 - 1 make Y the all-(-1) matrix,
     and the series terminates at second order.  So only the outcome count is
-    checked here, and completeness by the model.  params["y_deviation"], the
-    largest |Y_ab + 1|, is a roundoff diagnostic, not a test.
+    checked here: measurement_matrices refused an incomplete measurement when
+    it built the model.  params["y_deviation"], the largest |Y_ab + 1|, is a
+    roundoff diagnostic, not a test.
     """
     return _closed_minimal(measurement_matrices(pom, basis))
 
@@ -495,8 +497,9 @@ def qttf_monte_carlo(
         std_error**2 = (n - 2) / (n - q - 2) * G / (G - 1)
                        * (n - 1) / (n - q - 1) * sum_g R_g**2 / n**2,
 
-    which at S = 1 is the formula above; without a fit, q = 0, the loss
-    factor is 1 and the residuals are the centred samples.
+    the one formula that std_error is computed by: at S = 1 it is the formula
+    above, and without a fit, q = 0, the loss factor is 1 and the residuals
+    are the centred samples, so it is the plain standard error of the mean.
     std_error adds params["roundoff"] = eps kappa |value| in quadrature, kappa
     that of the factor of Pbar^{-1/2} C, whose roundoff every control mean
     shares across the samples, out of the residuals' sight.
@@ -627,17 +630,13 @@ def _monte_carlo(model: TomographyMatrices, n_samples: int, rng=None) -> QttfEst
         reduction = loss_factor = 1.0
         fitted = 0
         residual_kurtosis = 0.0
+    # cluster-robust (CR1) over the independent groups, whose residual sums
+    # carry the correlation of the states within a group; independent states
+    # are groups of one
     groups = -(-n_samples // design)
-    if design > 1:
-        # cluster-robust (CR1) over the independent groups, whose residual sums
-        # carry the correlation of the states within a group
-        sums = np.add.reduceat(residuals, np.arange(0, n_samples, design))
-        dof = groups / (groups - 1) * (n_samples - 1) / (n_samples - fitted - 1)
-        std_error = float(np.sqrt(loss_factor * dof * float(sums @ sums)) / n_samples)
-    elif fitted:
-        std_error = float(np.sqrt(loss_factor * residual_ss / ((n_samples - q - 1) * n_samples)))
-    else:
-        std_error = float(values.std(ddof=1) / np.sqrt(n_samples))
+    sums = np.add.reduceat(residuals, np.arange(0, n_samples, design))
+    dof = groups / (groups - 1) * (n_samples - 1) / (n_samples - fitted - 1)
+    std_error = float(np.sqrt(loss_factor * dof * float(sums @ sums)) / n_samples)
     sigma = model._factor[1]
     roundoff = float(np.finfo(float).eps * sigma[0] / sigma[-1] * abs(value))
     return QttfEstimate(

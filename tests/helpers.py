@@ -14,7 +14,7 @@ from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
-from qttf import auxiliary_matrices, measurement_matrices
+from qttf import measurement_matrices
 
 
 def random_density(dim: int, rng) -> np.ndarray:
@@ -185,7 +185,7 @@ def oracle_series_terms(pom, basis) -> tuple[float, float, float]:
     moments, with no regrouping or Gram-tensor shortcuts.
     """
     oracle = MomentOracle(pom)
-    aux = auxiliary_matrices(pom, basis)
+    aux = measurement_matrices(pom, basis)
     x, y = aux.x_matrix, aux.y_matrix
     f2 = float(np.einsum("ab,ba,ab->", x, y, oracle.centered2()))
     f3 = float(np.einsum("ab,bc,ca,abc->", x, y, y, oracle.centered3()))
@@ -201,7 +201,7 @@ def identity_rhs(pom, basis, probs: np.ndarray, alpha: float, max_order=None) ->
     is evaluated exactly (the identity then reproduces Tr F(rho)^{-1} for any
     alpha); an integer truncates the expansion at that total power of Delta.
     """
-    aux = auxiliary_matrices(pom, basis)
+    aux = measurement_matrices(pom, basis)
     x, y = aux.x_matrix, aux.y_matrix
     delta = alpha * probs - aux.p_bar
     xd = x * delta[None, :]  # X Delta
@@ -267,7 +267,7 @@ def mc_series_terms(pom, basis, n_samples: int, rng, chunk: int = 100_000):
     haar_moment_term values.  Each chunk of states forms the (s, M, M) stacks
     X Delta and Y Delta and multiplies them out in a batched matmul chain.
     """
-    aux = auxiliary_matrices(pom, basis)
+    aux = measurement_matrices(pom, basis)
     x, y = aux.x_matrix, aux.y_matrix
     dim = pom.dim
     parts2, parts3, parts4 = [], [], []

@@ -14,7 +14,6 @@ import pytest
 import helpers
 from qttf import (
     accuracy,
-    auxiliary_matrices,
     build_basis,
     duplicate_outcome,
     haar_moment_term,
@@ -50,7 +49,7 @@ def test_criterion_1_closed_form_anchors():
         assert abs(closed_form(pom, basis).value - expected) <= 1e-9
         dim = pom.dim
         zeroth = (dim + 1) * (dim * dim - 1) / dim
-        assert abs(auxiliary_matrices(pom, basis).tr_fbar_inv - zeroth) <= 1e-9
+        assert abs(measurement_matrices(pom, basis).tr_fbar_inv - zeroth) <= 1e-9
     assert elapsed() < 1.0
     print("criterion 1 (closed-form anchors, tol 1e-9): PASS")
 
@@ -94,7 +93,7 @@ def test_criterion_3_structural_identity_suite():
         return float(np.abs(residual).max()) / scale
 
     def check(pom, basis):
-        aux = auxiliary_matrices(pom, basis)
+        aux = measurement_matrices(pom, basis)
         x, y, p_bar = aux.x_matrix, aux.y_matrix, aux.p_bar
         c = measurement_matrices(pom, basis).c_matrix
         x_scale = max(1.0, float(np.abs(x).max()))
@@ -244,7 +243,7 @@ def test_criterion_9_convergence_radius_check():
         rank = int(rng.integers(1, dim + 1))
         pom = random_pom(dim, m, rank, rng)
         basis = build_basis(dim)
-        aux = auxiliary_matrices(pom, basis)
+        aux = measurement_matrices(pom, basis)
         alpha = 0.9 * aux.alpha0
         vecs = rng.normal(size=(100, dim)) + 1j * rng.normal(size=(100, dim))
         vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)

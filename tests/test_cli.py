@@ -271,6 +271,19 @@ def test_qttf_non_ic_exit_code(tmp_path):
     assert code == EXIT_NOT_IC
 
 
+def test_qttf_closed_on_an_incomplete_measurement_is_a_non_ic_exit(tmp_path, capsys):
+    # three outcomes suit no closed form, but the measurement is refused
+    # first: diagonal outcomes see no coherences, so no model of it exists
+    z_split = tmp_path / "z_split.json"
+    outcomes = np.array([np.diag([0.5, 0.0]), np.diag([0.5, 0.0]), np.diag([0.0, 1.0])])
+    save_pom(Pom(outcomes, label="z split"), z_split)
+    capsys.readouterr()
+    code, out = _make(tmp_path, "qttf", str(z_split), "--method", "closed")
+    assert code == EXIT_NOT_IC
+    assert out == ""
+    assert "rank deficient" in capsys.readouterr().err
+
+
 def test_qttf_budget_exit_code(tmp_path):
     pom_file = tmp_path / "rand.json"
     _make(tmp_path, "pom", "random", "--dim", "2", "--m", "8", "--rank", "1",

@@ -35,7 +35,7 @@ BASIS2 = build_basis(2)
 
 
 # Every route that needs the expansion or a unique inversion refuses a
-# rank-deficient measurement through the one check on the measurement model.
+# rank-deficient measurement: measurement_matrices builds no model of one.
 _RANK_DEFICIENT_ROUTES = {
     "accuracy": lambda pom: accuracy(np.eye(2) / 2, pom, BASIS2),
     "qttf_monte_carlo": lambda pom: qttf_monte_carlo(pom, BASIS2, 100, rng=1),
@@ -43,6 +43,7 @@ _RANK_DEFICIENT_ROUTES = {
     "lin_estimator_reduced": lambda pom: lin_estimator_reduced(
         np.full(pom.n_outcomes, 1 / pom.n_outcomes), pom, BASIS2
     ),
+    "measurement_matrices": lambda pom: measurement_matrices(pom, BASIS2),
     "mse_experiment": lambda pom: mse_experiment(np.eye(2) / 2, pom, BASIS2, 100, 5, rng=1),
 }
 

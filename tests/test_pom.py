@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qttf import (
+    NotInformationallyCompleteError,
     Pom,
     PomSchemaError,
     PomValidationError,
@@ -97,12 +98,15 @@ def test_pom_rejects_bad_shapes():
 
 
 def test_single_outcome_identity_is_valid_but_not_complete():
+    # a valid Pom, but C is one zero row: Pbar^{-1/2} C has a single singular
+    # value, 0, so no model of it exists
     pom = Pom(np.eye(2)[None], label="trivial")
     assert pom.n_outcomes == 1
-    matrices = measurement_matrices(pom, build_basis(2))
-    assert np.abs(matrices.c_matrix).max() < 1e-14
-    assert not matrices.is_informationally_complete
-    assert matrices.kappa_c == np.inf
+    with pytest.raises(
+        NotInformationallyCompleteError,
+        match=r"s_min 0\.000e\+00 is not above 1e-06 times s_max 0\.000e\+00",
+    ):
+        measurement_matrices(pom, build_basis(2))
 
 
 @pytest.mark.parametrize(

@@ -42,6 +42,10 @@ def test_every_tolerance_is_assigned_in_one_module_only():
         "FREQUENCY_SUM_TOL",
         "BORN_IMAG_TOL",
         "SPREAD_RTOL",
+        "OUTCOME_COUNT_TOL",
+        "COMPARE_KAPPA_TOL",
+        "SEARCH_KAPPA_TOL",
+        "COMPARE_SIGMA_FLOOR",
     }
     assert required <= set(assignments)
     assert [name for name, count in assignments.items() if count > 1] == []

@@ -23,7 +23,6 @@ from qttf import (
     Pom,
     UnsupportedOrderError,
     accuracy,
-    auxiliary_matrices,
     build_basis,
     duplicate_outcome,
     haar_moment_term,
@@ -42,6 +41,7 @@ from qttf import (
     reference_values,
     sic_povm,
 )
+from qttf import transfer
 from qttf.fisher import CHOLESKY_BLOCK, CHOLESKY_RTOL
 from qttf.operators import rotated_mub_vectors
 from qttf.transfer import (
@@ -58,7 +58,7 @@ BASIS3 = build_basis(3)
 
 def _aux_case(dim, m, rank, seed):
     pom = random_pom(dim, m, rank, rng=np.random.default_rng(seed))
-    return pom, auxiliary_matrices(pom, build_basis(dim))
+    return pom, measurement_matrices(pom, build_basis(dim))
 
 
 @pytest.mark.parametrize("dim,m,rank", [(2, 4, 1), (2, 7, 2), (3, 9, 1), (3, 14, 3)])
@@ -86,7 +86,7 @@ def _flattened_tetrahedron(delta):
 
 def test_expansion_matrices_are_exactly_symmetric():
     for pom in (random_pom(3, 18, 1, rng=23), random_pom(4, 16, 1, rng=40082), mub_povm(3)):
-        aux = auxiliary_matrices(pom, build_basis(pom.dim))
+        aux = measurement_matrices(pom, build_basis(pom.dim))
         assert np.array_equal(aux.x_matrix, aux.x_matrix.T)
         assert np.array_equal(aux.y_matrix, aux.y_matrix.T)
 
@@ -117,21 +117,23 @@ def test_tr_fbar_inv_equals_accuracy_at_maximally_mixed():
 def test_minimal_measurement_has_all_minus_one_y():
     # any informationally complete measurement with dim**2 outcomes
     for pom in (qubit_sic(), sic_povm(3), random_pom(2, 4, 2, rng=22)):
-        aux = auxiliary_matrices(pom, build_basis(pom.dim))
+        aux = measurement_matrices(pom, build_basis(pom.dim))
         np.testing.assert_allclose(aux.y_matrix, -1.0, atol=1e-9)
 
 
 def test_mub_y_matrix_is_block_constant():
     for dim in (2, 3):
-        aux = auxiliary_matrices(mub_povm(dim), build_basis(dim))
+        aux = measurement_matrices(mub_povm(dim), build_basis(dim))
         want = np.kron(np.eye(dim + 1), -(dim + 1.0) * np.ones((dim, dim)))
         np.testing.assert_allclose(aux.y_matrix, want, atol=1e-8)
 
 
 def test_auxiliary_rejects_incomplete_measurement():
+    # transfer.auxiliary_matrices is measurement_matrices under the name that
+    # bench/tracing.py hooks, and refuses as it does
     trivial = Pom(np.eye(2)[None], label="trivial")
     with pytest.raises(NotInformationallyCompleteError, match="s_min"):
-        auxiliary_matrices(trivial, BASIS2)
+        transfer.auxiliary_matrices(trivial, BASIS2)
 
 
 def test_reference_values_table():
@@ -223,7 +225,7 @@ def test_series_matches_exact_identity_average():
     # the alpha-resolvent identity is exact at every state; build the same
     # average by brute force over a fixed sample and let orders approach it
     pom = random_pom(2, 6, 1, rng=np.random.default_rng(35))
-    aux = auxiliary_matrices(pom, BASIS2)
+    aux = measurement_matrices(pom, BASIS2)
     alpha = 0.9 * aux.alpha0
     vecs = haar_state_vectors(2, 6000, np.random.default_rng(36))
     probs = np.einsum("si,mij,sj->sm", vecs.conj(), pom.outcomes, vecs).real
@@ -239,7 +241,7 @@ def test_series_matches_exact_identity_average():
 
 def test_series_records_alpha_against_convergence_radius():
     pom = random_pom(2, 6, 1, rng=np.random.default_rng(37))
-    aux = auxiliary_matrices(pom, BASIS2)
+    aux = measurement_matrices(pom, BASIS2)
     for alpha in (aux.alpha0 * 1.01, aux.alpha0 * 0.5):
         params = qttf_series(pom, BASIS2, alpha=alpha, max_order=2).params
         assert params["alpha"] == alpha
@@ -358,7 +360,7 @@ def test_closed_forms_hold_on_ill_conditioned_measurements(dim, seed, structure)
 def test_minimal_measurements_have_exact_expansion_means(dim, seed, tol):
     # Y is the all-(-1) matrix for M = dim**2, so F2 = -(dim-1)/dim and F3 = 0
     # exactly; kappa(C) is 1.6e4 at (4, 40082) and 150 to 210 on the others
-    model = auxiliary_matrices(random_pom(dim, dim * dim, 1, rng=seed), build_basis(dim))
+    model = measurement_matrices(random_pom(dim, dim * dim, 1, rng=seed), build_basis(dim))
     assert abs(model.f2 + (dim - 1) / dim) <= tol
     assert abs(model.f3) <= 1e-10
 
@@ -437,6 +439,11 @@ SAME_STREAM_CASES = (
         pytest.param(*case, 30 * case[0] * (case[0] + 1), id="-".join(map(str, case)) + "-design")
         for case in SAME_STREAM_CASES
         if case[0] > 2
+    ]
+    # below the fewest states the fit runs from, q + 3: the plain mean
+    + [
+        pytest.param(*case, 10 if case[2] == 1 else 5, id="-".join(map(str, case)) + "-unfitted")
+        for case in SAME_STREAM_CASES
     ],
 )
 def test_monte_carlo_equals_accuracy_average_on_the_same_stream(dim, m, rank, seed, n):
@@ -453,11 +460,13 @@ def test_monte_carlo_equals_accuracy_average_on_the_same_stream(dim, m, rank, se
     # per control and one for the intercept, inflated by the loss factor
     # (n - 2) / (n - q - 2) of q fitted coefficients; that of rotated bases is
     # the cluster-robust (CR1) variance of the residual sums of the G groups of
-    # S = dim (dim+1) consecutive states, with the same loss factor.
+    # S = dim (dim+1) consecutive states, with the same loss factor.  A run too
+    # short to fit its controls is the plain mean with the standard error of
+    # the mean.  Every bar adds params["roundoff"] in quadrature.
     basis = build_basis(dim)
     pom = random_pom(dim, m, rank, rng=np.random.default_rng(seed))
     est = qttf_monte_carlo(pom, basis, n, rng=seed)
-    aux = auxiliary_matrices(pom, basis)
+    aux = measurement_matrices(pom, basis)
     x, y = aux.x_matrix, aux.y_matrix
     centered2, centered3 = centered_moments_23(pom)
     f2 = np.einsum("ab,ba,ab->", x, y, centered2)
@@ -493,13 +502,20 @@ def test_monte_carlo_equals_accuracy_average_on_the_same_stream(dim, m, rank, se
         ]
     controls = np.column_stack(columns)
     q = controls.shape[1]
-    assert est.params["controls"] == q == (8 if rank == 1 else 3)
-    beta = np.linalg.lstsq(
-        controls - controls.mean(axis=0), values - values.mean(), rcond=None
-    )[0]
+    assert q == (8 if rank == 1 else 3)
+    centered = values - values.mean()
+    if n < q + 3:
+        assert est.params["controls"] == 0 and est.params["loss_factor"] == 1.0
+        assert abs(est.value - values.mean()) <= 1e-12 * values.mean()
+        bar = np.hypot(values.std(ddof=1) / np.sqrt(n), est.params["roundoff"])
+        assert abs(est.std_error - bar) <= 1e-9 * bar
+        want = np.mean(centered**4) / np.mean(centered**2) ** 2
+        assert abs(est.params["kurtosis"] - want) <= 1e-9 * want
+        return
+    assert est.params["controls"] == q
+    beta = np.linalg.lstsq(controls - controls.mean(axis=0), centered, rcond=None)[0]
     oracle = np.mean(values - controls @ beta)
     assert abs(est.value - oracle) <= 1e-12 * oracle
-    centered = values - values.mean()
     residuals = centered - (controls - controls.mean(axis=0)) @ beta
     factor = (n - 2) / (n - q - 2)
     assert est.params["loss_factor"] == factor
@@ -510,6 +526,7 @@ def test_monte_carlo_equals_accuracy_average_on_the_same_stream(dim, m, rank, se
         bar = np.sqrt(factor * dof * np.sum(sums**2)) / n
     else:
         bar = np.sqrt(factor * np.sum(residuals**2) / ((n - q - 1) * n))
+    bar = np.hypot(bar, est.params["roundoff"])
     assert abs(est.std_error - bar) <= 1e-9 * bar
     # both kurtoses from the fourth-moment formula m4 / m2**2, with pow
     for name, sample in (("kurtosis", centered), ("residual_kurtosis", residuals)):
@@ -523,7 +540,7 @@ def test_cubic_tails_give_the_cubic_form(dim):
     # the full contraction of T itself, on Bloch coordinates of pure states and on
     # arbitrary vectors, in a stack of 37 rows and a single row
     basis = build_basis(dim)
-    model = auxiliary_matrices(random_pom(dim, 2 * dim * dim, 1, rng=110 + dim), basis)
+    model = measurement_matrices(random_pom(dim, 2 * dim * dim, 1, rng=110 + dim), basis)
     tensor, tails = model.cubic_form, model.cubic_tails
     k = basis.n_traceless
     assert [tail.shape for tail in tails] == [(k - j, k - j) for j in range(k)]
@@ -597,12 +614,13 @@ def test_cholesky_trace_inverse_matches_eigendecomposition():
 
 
 def test_cholesky_trace_inverse_refuses_a_singular_fisher_matrix():
-    # a single basis measurement sees no coherences: its Fisher matrix has
-    # exactly zero rows, which neither the factorisation nor the QR path
-    # can invert
-    z_basis = Pom(np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]), label="z")
-    with pytest.raises(NotInformationallyCompleteError):
-        measurement_matrices(z_basis, BASIS2).trace_inverse(np.full((3, 2), 0.5))
+    # a model exists only for a complete measurement, whose Fisher matrix is
+    # positive definite at every finite positive p; infinite probabilities
+    # weight every outcome by 1/p = 0, so F = 0 exactly, which neither the
+    # factorisation nor the QR path (whose R then has zero pivots) can invert
+    model = measurement_matrices(qubit_sic(), BASIS2)
+    with pytest.raises(NotInformationallyCompleteError, match="not positive definite"):
+        model.trace_inverse(np.full((3, 4), np.inf))
 
 
 def _pure_state_probabilities(dim):
@@ -791,7 +809,7 @@ def test_rank_one_control_means_match_the_beta_law():
     # quadrature means
     dim, n = 3, 200_000
     pom = random_pom(dim, 18, 1, rng=np.random.default_rng(90))
-    x_diag = np.diag(auxiliary_matrices(pom, BASIS3).x_matrix)
+    x_diag = np.diag(measurement_matrices(pom, BASIS3).x_matrix)
     traces = np.trace(pom.outcomes, axis1=1, axis2=2).real
     vectors = haar_state_vectors(dim, n, np.random.default_rng(91))
     probs = np.einsum("si,mij,sj->sm", vectors.conj(), pom.outcomes, vectors).real
@@ -928,7 +946,7 @@ def test_quartic_peak_memory_stays_within_its_budget(dim, m, rank, chunk):
     # _quartic_bytes is the budget the contraction sizes its chunk by, so the
     # traced peak of the contraction (model fields already computed) is below it
     pom = random_pom(dim, m, rank, rng=np.random.default_rng(54 + rank))
-    model = auxiliary_matrices(pom, build_basis(dim))
+    model = measurement_matrices(pom, build_basis(dim))
     model.f2, model.f3  # the model fields are computed before tracing starts
     budget = _quartic_bytes(m, dim, m if chunk == "all" else chunk)
     tracemalloc.start()
@@ -967,7 +985,7 @@ def test_one_pass_series_equals_the_lower_order_calls(dim, rank, alpha):
         for order in (2, 3, 4)
     ]
     f2, f3, f4 = (haar_moment_term(pom, basis, k) for k in (2, 3, 4))
-    assert series[0] == [auxiliary_matrices(pom, basis).tr_fbar_inv, alpha * f2]
+    assert series[0] == [measurement_matrices(pom, basis).tr_fbar_inv, alpha * f2]
     assert series[1] == series[0] + [alpha**2 * (f3 - f2) + alpha * f2]
     assert series[2] == series[1] + [
         alpha**3 * (f4 - 2 * f3 + f2) + 2 * alpha**2 * (f3 - f2) + alpha * f2
@@ -1005,7 +1023,7 @@ def test_spectral_radius_inside_convergence_region():
     for _ in range(5):
         dim = int(rng.integers(2, 4))
         pom = random_pom(dim, int(rng.integers(dim * dim, 3 * dim * dim)), 1, rng=rng)
-        aux = auxiliary_matrices(pom, build_basis(dim))
+        aux = measurement_matrices(pom, build_basis(dim))
         alpha = 0.9 * aux.alpha0
         vecs = haar_state_vectors(dim, 20, rng)
         probs = np.einsum("si,mij,sj->sm", vecs.conj(), pom.outcomes, vecs).real
