@@ -38,7 +38,7 @@ from .errors import (
 )
 from .estimation import _sweep, mixing_weight_for_purity
 from .fisher import measurement_matrices
-from .operators import build_basis
+from .operators import HermitianBasis, build_basis
 from .pom import (
     Pom,
     admix_white_noise,
@@ -58,11 +58,12 @@ EXIT_NOT_IC = 2
 EXIT_BUDGET = 3
 
 OUTCOME_COUNT_TOL = 1e-9  # largest distance of fig1's mu dim**2 from an integer outcome count
-# kappa(C-tilde) gaps at or below these are ties: compare then notes no
-# inversion, and the search takes no pair
-COMPARE_KAPPA_TOL = 1e-9
-SEARCH_KAPPA_TOL = 1e-6
+# a kappa(C-tilde) gap at or below this is a tie, which orders no pair: compare
+# notes no inversion for it and the search takes no pair
+KAPPA_TIE_TOL = 1e-9
 COMPARE_SIGMA_FLOOR = 1e-6  # compare calls qttf values this close equal, however small their bars
+BOOTSTRAP_RESAMPLES = 1000  # resampled means behind each bootstrap interval
+BOOTSTRAP_LEVEL = 0.95  # coverage of each bootstrap interval
 
 MEMORY_BUDGET_HELP = (
     "bytes the order-4 moment term may hold at once: about 64 M**2 dim**2 for its "
@@ -174,14 +175,15 @@ def _cell_rng(*key_parts) -> np.random.Generator:
     return np.random.default_rng([int(part) for part in key_parts])
 
 
-def bootstrap_ci(values, rng, n_resamples: int = 1000, level: float = 0.95):
-    """Percentile bootstrap confidence interval for the mean."""
+def bootstrap_ci(values, rng):
+    """Percentile bootstrap confidence interval for the mean, at BOOTSTRAP_LEVEL
+    from BOOTSTRAP_RESAMPLES resampled means."""
     values = np.asarray(values, dtype=float)
     if values.size == 1:
         return float(values[0]), float(values[0])
-    idx = rng.integers(0, values.size, size=(n_resamples, values.size))
+    idx = rng.integers(0, values.size, size=(BOOTSTRAP_RESAMPLES, values.size))
     means = values[idx].mean(axis=1)
-    tail = (1.0 - level) / 2
+    tail = (1.0 - BOOTSTRAP_LEVEL) / 2
     return float(np.quantile(means, tail)), float(np.quantile(means, 1.0 - tail))
 
 
@@ -244,6 +246,26 @@ def run_fig1(
     return rows
 
 
+def _by_conditioning(first: dict, second: dict):
+    """Order two rows by kappa_c_tilde, the one tie rule of compare and the
+    search: None when their kappas are within KAPPA_TIE_TOL, otherwise
+    (better conditioned row, worse conditioned row, its qttf minus the other's,
+    hypot of their qttf_stderr)."""
+    low, high = sorted((first, second), key=lambda row: row["kappa_c_tilde"])
+    if high["kappa_c_tilde"] - low["kappa_c_tilde"] <= KAPPA_TIE_TOL:
+        return None
+    stderr = float(np.hypot(low["qttf_stderr"], high["qttf_stderr"]))
+    return low, high, low["qttf"] - high["qttf"], stderr
+
+
+def _common_basis(poms) -> HermitianBasis:
+    """The basis of the measurements' one dimension; mixed dimensions are a usage error."""
+    dims = sorted({pom.dim for pom in poms})
+    if len(dims) != 1:
+        raise _UsageError(f"measurements have mixed dimensions {dims}")
+    return build_basis(dims[0])
+
+
 def search_counterexample_pair(
     dim: int,
     m_choices,
@@ -257,7 +279,8 @@ def search_counterexample_pair(
     Returns (pom_low_kappa, pom_high_kappa, info) with
     kappa(first) < kappa(second) while qttf(first) - qttf(second) is at
     least five combined standard errors: the better-conditioned measurement
-    is tomographically worse.  Each pair is checked once, ordered by kappa.
+    is tomographically worse.  Each pair is checked once, ordered by kappa
+    under the tie rule of compare (_by_conditioning).
     An outcome count below dim**2, which no informationally complete
     measurement has, is refused with ValueError before the first attempt.
     """
@@ -281,21 +304,28 @@ def search_counterexample_pair(
         )
         model = measurement_matrices(pom, basis)
         estimate = _monte_carlo(model, n_samples, _cell_rng(seed, index, 1))
-        current = (pom, model.kappa_c_tilde, estimate)
+        current = {
+            "pom": pom,
+            "kappa_c_tilde": model.kappa_c_tilde,
+            "qttf": estimate.value,
+            "qttf_stderr": estimate.std_error,
+        }
         for other in candidates:
-            (p1, k1, e1), (p2, k2, e2) = sorted((current, other), key=lambda c: c[1])
-            sigma = float(np.hypot(e1.std_error, e2.std_error))
-            if k1 < k2 - SEARCH_KAPPA_TOL and e1.value - e2.value >= 5.0 * sigma:
+            pair = _by_conditioning(current, other)
+            if pair is None:
+                continue
+            low, high, gap, sigma = pair
+            if gap >= 5.0 * sigma:
                 info = {
-                    "kappa_1": k1,
-                    "kappa_2": k2,
-                    "qttf_1": e1.value,
-                    "qttf_2": e2.value,
-                    "qttf_gap": e1.value - e2.value,
+                    "kappa_1": low["kappa_c_tilde"],
+                    "kappa_2": high["kappa_c_tilde"],
+                    "qttf_1": low["qttf"],
+                    "qttf_2": high["qttf"],
+                    "qttf_gap": gap,
                     "combined_stderr": sigma,
                     "attempts_used": index + 1,
                 }
-                return p1, p2, info
+                return low["pom"], high["pom"], info
         candidates.append(current)
     raise SearchTimeoutError(
         f"no conditioning/accuracy counterexample found in {attempts} attempts"
@@ -393,10 +423,7 @@ def _cmd_compare(args) -> int:
     if len(args.poms) < 2:
         raise _UsageError("compare needs at least two measurement files")
     poms = [_load(path) for path in args.poms]
-    dims = {pom.dim for pom in poms}
-    if len(dims) != 1:
-        raise _UsageError(f"measurements have mixed dimensions {sorted(dims)}")
-    basis = build_basis(poms[0].dim)
+    basis = _common_basis(poms)
     rows = []
     for pom in poms:
         matrices = measurement_matrices(pom, basis)
@@ -419,15 +446,11 @@ def _cmd_compare(args) -> int:
     notes = [f"best by qttf: {best['label']} ({best['qttf']:.4f})"]
     for i in range(len(rows)):
         for j in range(i + 1, len(rows)):
-            a, b = rows[i], rows[j]
-            if a["kappa_c_tilde"] > b["kappa_c_tilde"]:
-                a, b = b, a  # a has the smaller kappa
-            dq = a["qttf"] - b["qttf"]
-            sigma = max(
-                2.0 * float(np.hypot(a["qttf_stderr"], b["qttf_stderr"])), COMPARE_SIGMA_FLOOR
-            )
-            if b["kappa_c_tilde"] - a["kappa_c_tilde"] <= COMPARE_KAPPA_TOL:
+            pair = _by_conditioning(rows[i], rows[j])
+            if pair is None:
                 continue
+            a, b, dq, stderr = pair  # a has the smaller kappa
+            sigma = max(2.0 * stderr, COMPARE_SIGMA_FLOOR)
             if dq > sigma:
                 notes.append(
                     f"inversion: {a['label']} (kappa={a['kappa_c_tilde']:.4f}) is better "
@@ -442,17 +465,7 @@ def _cmd_compare(args) -> int:
                     "is not a tomographic ranking"
                 )
     config = _config(args)
-    columns = [
-        "label",
-        "m",
-        "kappa_c",
-        "kappa_c_tilde",
-        "tr_fbar_inv",
-        "qttf",
-        "qttf_stderr",
-        "qttf_method",
-        "aqttf",
-    ]
+    columns = list(rows[0])
     if args.format == "json":
         _emit_json({"rows": rows, "notes": notes, "config": config}, args.out)
     elif args.format == "csv":
@@ -515,13 +528,10 @@ def _cmd_fig2(args) -> int:
         )
     else:
         pom1, pom2 = _load(args.pom1), _load(args.pom2)
-    if pom1.dim != pom2.dim:
-        raise _UsageError(f"measurements have mixed dimensions {pom1.dim} and {pom2.dim}")
-    basis = build_basis(pom1.dim)
     with _argument_errors():
         rows = run_fig2_rows(
             [pom1, pom2],
-            basis,
+            _common_basis([pom1, pom2]),
             purity=args.purity,
             n_states=args.states,
             n_shots=args.shots,
@@ -529,8 +539,7 @@ def _cmd_fig2(args) -> int:
             n_samples=args.samples,
             seed=args.seed,
         )
-    columns = ["label", "m", "kappa_c_tilde", "qttf_mc", "qttf_mc_stderr", "aqttf", "scaled_mse"]
-    _write_csv(rows, columns, config, args.out)
+    _write_csv(rows, list(rows[0]), config, args.out)
     return EXIT_OK
 
 

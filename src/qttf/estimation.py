@@ -79,10 +79,9 @@ MSE_BLOCK = 256  # click runs (states x trials) drawn and inverted at once
 
 @dataclass(frozen=True)
 class ClickRecord:
-    """Outcome counts from one multinomial run of n_total shots."""
+    """Outcome counts from one multinomial run; n_total, the shots, is their sum."""
 
     counts: np.ndarray
-    n_total: int
     pom_label: str = ""
 
     def __post_init__(self):
@@ -97,8 +96,12 @@ class ClickRecord:
         object.__setattr__(self, "counts", counts)
         if counts.min() < 0:
             raise ValueError("counts must be non-negative")
-        if counts.sum() != self.n_total:
-            raise ValueError(f"counts sum {counts.sum()} != n_total {self.n_total}")
+        if not counts.any():
+            raise ValueError("counts must hold at least one click")
+
+    @property
+    def n_total(self) -> int:
+        return int(self.counts.sum())
 
     @property
     def frequencies(self) -> np.ndarray:
@@ -136,7 +139,7 @@ def sample_clicks(rho, pom: Pom, n_shots: int, rng=None) -> ClickRecord:
     probs = np.clip(probs, 0.0, None)
     probs = probs / probs.sum()
     counts = rng.multinomial(n_shots, probs)
-    return ClickRecord(counts=counts, n_total=int(n_shots), pom_label=pom.label)
+    return ClickRecord(counts=counts, pom_label=pom.label)
 
 
 def _frequencies(clicks, pom: Pom) -> np.ndarray:

@@ -31,14 +31,13 @@ from .errors import (
     PomValidationError,
     ZeroProbabilityError,
 )
-from .operators import HermitianBasis, _as_matrix, _density_matrix
+from .operators import HermitianBasis, _density_matrix
 from .pom import Pom
 
 P_FLOOR = 1e-12
 RANK_RTOL = 1e-6  # smallest singular value of Pbar^{-1/2} C accepted, relative to the largest
 STRUCTURE_TOL = 1e-8  # absolute deviation accepted in a structure check of the outcomes
 CHOLESKY_RTOL = 1e-10  # relative roundoff accepted from the Cholesky kernel
-BORN_IMAG_TOL = 1e-10  # largest imaginary part accepted in a Born probability
 CHOLESKY_BLOCK = 512  # Fisher matrices assembled, factored and inverted in one batch-last pass
 
 
@@ -51,7 +50,6 @@ class TomographyMatrices:
 
     * c_matrix, M x K with K = dim**2 - 1: C_jk = Tr(Pi_j B_k) over the
       traceless basis operators;
-    * c_tilde, M x dim**2: C with the identity column first;
     * p_bar: the outcome probabilities at the maximally mixed state;
     * outcomes and basis: the outcome operators and the basis C was built from;
     * all_rank_one, the one rank test of the outcomes (all eigenvalues but the
@@ -67,7 +65,9 @@ class TomographyMatrices:
 
     Computed on first read, since only some callers need them:
 
-    * singular_values_c and singular_values_c_tilde, for conditioning reports;
+    * c_tilde, M x dim**2: C with the identity column Tr(Pi_j)/sqrt(dim) =
+      sqrt(dim) pbar_j first, and the singular values of C and of C-tilde,
+      for conditioning reports;
     * born_table, for Haar sampling, and the outer products c_m c_m^T of the
       rows of C, for the weighted designs and Fisher matrices that fisher()
       assembles; outer_table, their lower triangle packed (M, K (K+1) / 2), is
@@ -94,12 +94,16 @@ class TomographyMatrices:
 
     dim: int
     c_matrix: np.ndarray
-    c_tilde: np.ndarray
     p_bar: np.ndarray
     outcomes: np.ndarray
     basis: HermitianBasis
     all_rank_one: bool
     _factor: tuple[np.ndarray, np.ndarray] = field(repr=False)
+
+    @cached_property
+    def c_tilde(self) -> np.ndarray:
+        """C with the identity column sqrt(dim) pbar first, M x dim**2."""
+        return _read_only(np.column_stack([np.sqrt(self.dim) * self.p_bar, self.c_matrix]))
 
     @cached_property
     def singular_values_c(self) -> np.ndarray:
@@ -359,8 +363,7 @@ def measurement_matrices(pom: Pom, basis: HermitianBasis) -> TomographyMatrices:
     """
     if pom.dim != basis.dim:
         raise DimensionMismatchError(f"pom dimension {pom.dim} != basis dimension {basis.dim}")
-    c_tilde = _read_only(np.einsum("mij,kji->mk", pom.outcomes, basis.full_ops).real)
-    c_matrix = c_tilde[:, 1:]  # a view of a read-only array is read-only
+    c_matrix = _read_only(np.einsum("mij,kji->mk", pom.outcomes, basis.traceless_ops).real)
     p_bar = _read_only(pom.traces / pom.dim)
     if p_bar.min() <= 0:
         j = int(p_bar.argmin())
@@ -376,7 +379,6 @@ def measurement_matrices(pom: Pom, basis: HermitianBasis) -> TomographyMatrices:
     return TomographyMatrices(
         dim=pom.dim,
         c_matrix=c_matrix,
-        c_tilde=c_tilde,
         p_bar=p_bar,
         outcomes=pom.outcomes,
         basis=basis,
@@ -386,18 +388,12 @@ def measurement_matrices(pom: Pom, basis: HermitianBasis) -> TomographyMatrices:
 
 
 def probabilities(rho, pom: Pom) -> np.ndarray:
-    """Born-rule outcome probabilities p_j = Tr(rho Pi_j)."""
-    mat = _as_matrix(rho)
+    """Born-rule outcome probabilities p_j = Tr(rho Pi_j); a bare array is
+    validated as a DensityMatrix first, and a DensityMatrix is taken as is."""
+    mat = _density_matrix(rho).matrix
     if mat.shape[0] != pom.dim:
         raise DimensionMismatchError(f"state dimension {mat.shape[0]} != pom dimension {pom.dim}")
-    probs = np.einsum("ij,mji->m", mat, pom.outcomes)
-    if np.abs(probs.imag).max() > BORN_IMAG_TOL:
-        # a validated Pom is Hermitian, so only the state can make this complex
-        raise ValueError(
-            f"state is not Hermitian: a Born probability has an imaginary part above "
-            f"{BORN_IMAG_TOL:g}"
-        )
-    return probs.real
+    return np.einsum("ij,mji->m", mat, pom.outcomes).real
 
 
 def _pure_state_born(vectors: np.ndarray, table: np.ndarray) -> np.ndarray:

@@ -3,9 +3,9 @@
 The traceless basis follows the generalized Gell-Mann construction,
 normalized so that Tr(B_j B_k) = delta_jk, and ordered as all symmetric
 pair operators, then all antisymmetric pair operators, then the diagonal
-ladder.  Prepending identity/sqrt(dim) completes it to a trace-orthonormal
-basis of the full Hermitian operator space, so every unit-trace Hermitian
-matrix decomposes as rho = identity/dim + sum_k t_k B_k with real t_k.
+ladder.  With identity/sqrt(dim) it spans the full Hermitian operator space,
+so every unit-trace Hermitian matrix decomposes as
+rho = identity/dim + sum_k t_k B_k with real t_k.
 
 Haar pure states come one at a time (haar_state_vectors) or in groups
 (rotated_mub_vectors): a complete set of dim+1 mutually unbiased bases
@@ -54,20 +54,15 @@ def _as_matrix(rho) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HermitianBasis:
-    """Trace-orthonormal Hermitian basis: traceless operators plus identity/sqrt(dim)."""
+    """Trace-orthonormal traceless Hermitian operators; identity/sqrt(dim)
+    completes them to a basis of the Hermitian operators and is not stored."""
 
     dim: int
     traceless_ops: np.ndarray  # (dim**2 - 1, dim, dim)
-    identity_op: np.ndarray  # (dim, dim), equals eye(dim)/sqrt(dim)
 
     @property
     def n_traceless(self) -> int:
         return self.dim * self.dim - 1
-
-    @property
-    def full_ops(self) -> np.ndarray:
-        """All dim**2 basis operators, identity component first."""
-        return np.concatenate([self.identity_op[None, :, :], self.traceless_ops])
 
     @cached_property
     def triple_traces(self) -> np.ndarray:
@@ -142,8 +137,7 @@ def build_basis(dim: int) -> HermitianBasis:
         diag[:level] = 1.0
         diag[level] = -level
         ops.append(np.diag(diag).astype(complex) / np.sqrt(level * (level + 1)))
-    identity_op = np.eye(dim, dtype=complex) / np.sqrt(dim)
-    return HermitianBasis(dim=dim, traceless_ops=np.stack(ops), identity_op=identity_op)
+    return HermitianBasis(dim=dim, traceless_ops=np.stack(ops))
 
 
 def bloch_coords(rho, basis: HermitianBasis) -> np.ndarray:

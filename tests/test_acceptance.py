@@ -228,7 +228,7 @@ def test_criterion_8_fig1_trend_reproduction():
     assert noisy["halved_rel_err"] < clean["halved_rel_err"]
     # measurements are paired draw for draw across the two epsilon runs
     diffs = np.asarray(clean["values"]) - np.asarray(noisy["values"])
-    ci_lo, ci_hi = bootstrap_ci(diffs, np.random.default_rng(1), level=0.95)
+    ci_lo, ci_hi = bootstrap_ci(diffs, np.random.default_rng(1))
     assert ci_lo > 0.0  # noise strictly shrinks the error, CI excludes zero
     assert elapsed() < 1800.0
     print("criterion 8 (fig1 trend: positive, below 0.25, shrinks with noise): PASS")

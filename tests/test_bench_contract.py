@@ -10,6 +10,7 @@ loaded from its file and only read.
 
 import importlib.util
 import inspect
+import json
 import pathlib
 
 import pytest
@@ -100,3 +101,29 @@ _CLI_ARGVS = {
 def test_cli_parses_the_workload_argv(kind):
     args = qttf.cli._build_parser().parse_args(_CLI_ARGVS[kind])
     assert args.command == kind.split()[0]
+
+
+# bench/workloads.py checks these keys of the search's info in the fig2 --search
+# CSV header, and bench/tracing.py counts attempts_used from the returned info.
+_SEARCH_INFO_KEYS = ("kappa_1", "kappa_2", "qttf_gap", "combined_stderr", "attempts_used")
+
+
+def test_fig2_search_reports_the_info_the_benchmark_reads(tmp_path):
+    out = tmp_path / "op.csv"
+    argv = [
+        str(tmp_path / arg) if arg.endswith((".json", ".csv")) else arg
+        for arg in _CLI_ARGVS["fig2 --search"]
+    ]
+    assert qttf.cli.main(argv) == 0
+    header = out.read_text(encoding="utf-8").splitlines()[0]
+    info = json.loads(header[len("# config: "):])["search_info"]
+    assert set(_SEARCH_INFO_KEYS) <= set(info)
+    assert info["kappa_1"] < info["kappa_2"]
+    assert info["qttf_gap"] >= 5 * info["combined_stderr"]
+    assert isinstance(info["attempts_used"], int) and info["attempts_used"] >= 1
+    args = qttf.cli._build_parser().parse_args(argv)
+    _, _, returned = qttf.cli.search_counterexample_pair(
+        dim=args.dim, m_choices=[int(m) for m in args.m.split(",")], rank=args.rank,
+        attempts=args.attempts, n_samples=args.samples, seed=args.seed,
+    )
+    assert returned == info

@@ -27,12 +27,15 @@ from qttf.cli import (
     EXIT_NOT_IC,
     EXIT_OK,
     EXIT_USAGE,
+    KAPPA_TIE_TOL,
     _build_parser,
     bootstrap_ci,
     main,
     run_fig1,
     search_counterexample_pair,
 )
+from qttf.errors import SearchTimeoutError
+from qttf.fisher import TomographyMatrices
 
 DATA = Path(__file__).parent / "data"
 
@@ -618,6 +621,57 @@ def test_fig2_mixed_dimensions_rejected(tmp_path):
     assert code == EXIT_USAGE
 
 
+def test_compare_and_fig2_refuse_mixed_dimensions_alike(tmp_path, capsys):
+    sic2 = _builtin_file(tmp_path, "sic2")
+    sic3 = _builtin_file(tmp_path, "sic3")
+    capsys.readouterr()
+    for command in ("compare", "fig2"):
+        assert _make(tmp_path, command, str(sic3), str(sic2))[0] == EXIT_USAGE
+        assert capsys.readouterr().err == "error: measurements have mixed dimensions [2, 3]\n"
+
+
+# ---------------------------------------------------------------- kappa ties
+
+
+def _squeeze_kappa(monkeypatch, scale):
+    """Replace kappa(C-tilde), which compare and the search both read, by
+    2 + scale kappa: the order of the measurements is kept, their gaps scaled."""
+    kappa = TomographyMatrices.kappa_c_tilde.fget
+    monkeypatch.setattr(
+        TomographyMatrices, "kappa_c_tilde", property(lambda model: 2.0 + scale * kappa(model))
+    )
+
+
+def test_compare_and_search_order_a_pair_by_a_small_kappa_gap_alike(tmp_path, monkeypatch):
+    # a gap in (KAPPA_TIE_TOL, 1e-6]: the search takes the pair, and compare
+    # reports the same pair as an inversion; the values are exact closed forms
+    _squeeze_kappa(monkeypatch, 1e-8)
+    pom1, pom2, info = search_counterexample_pair(2, [4], 1, attempts=60, n_samples=2000, seed=0)
+    assert KAPPA_TIE_TOL < info["kappa_2"] - info["kappa_1"] <= 1e-6
+    first, second = tmp_path / "p1.json", tmp_path / "p2.json"
+    save_pom(pom1, first)
+    save_pom(pom2, second)
+    code, out = _make(tmp_path, "compare", str(second), str(first), "--format", "json")
+    assert code == EXIT_OK
+    notes = json.loads(out)["notes"]
+    assert len(notes) == 2
+    assert notes[1].startswith(
+        f"inversion: {pom1.label} (kappa=2.0000) is better conditioned than {pom2.label} "
+    )
+    assert "but tomographically worse" in notes[1]
+
+
+def test_compare_and_search_order_no_pair_on_a_kappa_tie(tmp_path, monkeypatch):
+    _squeeze_kappa(monkeypatch, 0.0)
+    with pytest.raises(SearchTimeoutError):
+        search_counterexample_pair(2, [4], 1, attempts=8, n_samples=200, seed=0)
+    sic = _builtin_file(tmp_path, "sic2")
+    mub = _builtin_file(tmp_path, "mub2")
+    code, out = _make(tmp_path, "compare", str(sic), str(mub), "--format", "json")
+    assert code == EXIT_OK
+    assert json.loads(out)["notes"] == ["best by qttf: mub2 (3.0000)"]
+
+
 # ---------------------------------------------------------------- config
 
 
@@ -749,8 +803,6 @@ def test_bootstrap_ci_behaviour():
     assert lo < values.mean() < hi
     lo2, hi2 = bootstrap_ci(values, np.random.default_rng(7))
     assert (lo, hi) == (lo2, hi2)
-    wide_lo, wide_hi = bootstrap_ci(values, np.random.default_rng(7), level=0.99)
-    assert wide_hi - wide_lo > hi - lo
     single = bootstrap_ci(np.array([2.5]), np.random.default_rng(8))
     assert single == (2.5, 2.5)
 

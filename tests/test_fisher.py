@@ -123,8 +123,8 @@ def test_probabilities_match_born_rule():
 def test_probabilities_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         probabilities(np.eye(3) / 3, qubit_sic())
-    # a validated measurement is Hermitian, so complex probabilities are the
-    # state's fault and the error names the state, not the measurement
+    # the state is validated as a DensityMatrix, so the error names the state,
+    # not the measurement
     with pytest.raises(ValueError, match="state is not Hermitian") as caught:
         probabilities(np.array([[0.5, 0.1], [0.0, 0.5]]), random_pom(2, 6, 1, 3))
     assert not isinstance(caught.value, PomValidationError)

@@ -16,6 +16,7 @@ from qttf import (
     duplicate_outcome,
     haar_pure_state,
     haar_state_vectors,
+    measurement_matrices,
     mub_povm,
     qubit_sic,
     random_pom,
@@ -43,9 +44,12 @@ def test_basis_is_trace_orthonormal(dim):
         for b in range(a, len(ops)):
             want = 1.0 if a == b else 0.0
             assert abs(np.trace(ops[a] @ ops[b]) - want) < 1e-12
-    np.testing.assert_allclose(basis.identity_op, np.eye(dim) / np.sqrt(dim), atol=1e-15)
-    assert basis.full_ops.shape == (dim * dim, dim, dim)
-    np.testing.assert_allclose(basis.full_ops[0], basis.identity_op, atol=0)
+    # identity/sqrt(dim) completes the basis without being stored: the model's
+    # identity column is Tr(Pi_m)/sqrt(dim), here taken from the outcomes
+    pom = random_pom(dim, 2 * dim * dim, 1, rng=np.random.default_rng(dim))
+    traces = np.einsum("mii->m", pom.outcomes).real
+    column = measurement_matrices(pom, basis).c_tilde[:, 0]
+    np.testing.assert_allclose(column, traces / np.sqrt(dim), rtol=0, atol=1e-15)
 
 
 def test_qubit_basis_is_scaled_paulis():

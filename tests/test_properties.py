@@ -63,7 +63,7 @@ def test_weighted_inversion_recovers_state_from_rounded_counts(case):
     pom, rng = case
     rho = random_density(pom.dim, rng)
     counts = np.round(probabilities(rho, pom) * 10**7).astype(np.int64)
-    clicks = ClickRecord(counts=counts, n_total=int(counts.sum()))
+    clicks = ClickRecord(counts=counts)
     estimate = weighted_linear_inversion(clicks, pom, build_basis(pom.dim))
     np.testing.assert_allclose(estimate, rho, atol=1e-5)
 

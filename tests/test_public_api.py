@@ -40,11 +40,9 @@ def test_every_tolerance_is_assigned_in_one_module_only():
         "SPLIT_WEIGHT_TOL",
         "FREQUENCY_SLACK",
         "FREQUENCY_SUM_TOL",
-        "BORN_IMAG_TOL",
         "SPREAD_RTOL",
         "OUTCOME_COUNT_TOL",
-        "COMPARE_KAPPA_TOL",
-        "SEARCH_KAPPA_TOL",
+        "KAPPA_TIE_TOL",
         "COMPARE_SIGMA_FLOOR",
     }
     assert required <= set(assignments)
