@@ -21,7 +21,6 @@ from .errors import (
     SearchTimeoutError,
     UnsupportedDimensionError,
     UnsupportedOrderError,
-    ZeroProbabilityError,
 )
 from .estimation import (
     ClickRecord,
@@ -99,7 +98,6 @@ __all__ = [
     "TomographyMatrices",
     "UnsupportedDimensionError",
     "UnsupportedOrderError",
-    "ZeroProbabilityError",
     "accuracy",
     "admix_white_noise",
     "bloch_coords",

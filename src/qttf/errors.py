@@ -37,14 +37,6 @@ class NotInformationallyCompleteError(QttfError, ValueError):
     """The measurement matrix is rank deficient, so no Fisher inverse exists."""
 
 
-class ZeroProbabilityError(QttfError, ValueError):
-    """An outcome probability fell at or below the probability floor."""
-
-    def __init__(self, message, index=None):
-        super().__init__(message)
-        self.index = index
-
-
 class NotMinimallyCompleteError(QttfError, ValueError):
     """Closed form requires exactly dim**2 outcomes."""
 

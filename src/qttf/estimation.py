@@ -30,13 +30,15 @@ passes it in.
 Both share one batched path over a stack of S states.  The sweep gets the
 Born probabilities and Bloch coordinates of all its pure states from one real
 matmul on their float64 views (as qttf_monte_carlo does) and mixes them
-towards the maximally mixed state affinely.  The probability floor is checked
-on the whole stack before any click is drawn.  Clicks are then drawn and
-inverted in blocks of whole states holding at most MSE_BLOCK = 256 click runs
-(states x trials; a block is one state when n_trials exceeds it), in state
-order, by one `rng.multinomial` call per block.  This consumes the generator
-exactly as one call per state does, so seeded results do not depend on the
-block size.  Per click run the weighted fit costs one row of an
+towards the maximally mixed state affinely.  There is no floor on the
+probabilities: a cell that never clicks is weighted by WEIGHT_FLOOR like any
+empty cell, and the prediction Tr(F^{-1}) comes from the model's one kernel
+(TomographyMatrices.trace_inverse), which takes its limit value where an
+outcome's probability vanishes.  Clicks are drawn and inverted in blocks of
+whole states holding at most MSE_BLOCK = 256 click runs (states x trials; a
+block is one state when n_trials exceeds it), in state order, by one
+`rng.multinomial` call per block.  This consumes the generator exactly as
+one call per state does, so seeded results do not depend on the block size.  Per click run the weighted fit costs one row of an
 (rows, M) @ (M, K**2) matmul against the outer products c_m c_m^T
 (TomographyMatrices.fisher) for C^T W C, an O(M K) right-hand side and
 one K x K solve, K = dim**2 - 1.  The block size bounds the largest
@@ -56,7 +58,6 @@ from .errors import DimensionMismatchError
 from .fisher import (
     TomographyMatrices,
     _pure_state_born,
-    _require_above_floor,
     measurement_matrices,
     probabilities,
 )
@@ -136,7 +137,6 @@ def sample_clicks(rho, pom: Pom, n_shots: int, rng=None) -> ClickRecord:
     _require_count("n_shots", n_shots, 1)
     rng = np.random.default_rng(rng)
     probs = probabilities(rho, pom)
-    probs = np.clip(probs, 0.0, None)
     probs = probs / probs.sum()
     counts = rng.multinomial(n_shots, probs)
     return ClickRecord(counts=counts, pom_label=pom.label)
@@ -229,7 +229,6 @@ def _scaled_mse(
     whole states holding at most MSE_BLOCK click runs (one state when
     n_trials is larger), in state order.
     """
-    _require_above_floor(probs)
     probs = probs / probs.sum(axis=1, keepdims=True)
     per_block = max(1, MSE_BLOCK // n_trials)
     scaled = np.empty(len(probs))

@@ -35,7 +35,9 @@ Its evaluation routes:
   estimate fell by a median x1.30 at dim 3 and x1.34 at dim 4 (x0.88 to
   x2.88 over 36 rank-one measurements with 10 to 48 outcomes), and the
   squared bar by x1.09 to x1.44 at dim 3..5 on 18 measurements with
-  2 dim**2 outcomes.
+  2 dim**2 outcomes.  The kernel solves a state whose Fisher matrix is too
+  ill conditioned for its Cholesky pass, such as one where an outcome never
+  clicks, again as an augmented system that needs no floor on p.
 
 The series rests on the identity (with Pbar the diagonal matrix of
 maximally mixed probabilities, P the diagonal probability matrix at rho,
@@ -439,7 +441,9 @@ def qttf_monte_carlo(
     """Haar average of Tr(F(rho)^{-1}) over n_samples pure states.
 
     Every state is kept: Tr(F^{-1}) comes from fisher.TomographyMatrices.
-    trace_inverse, which needs no floor on the outcome probabilities.
+    trace_inverse, which needs no floor on the outcome probabilities; a state
+    where an outcome's probability vanishes gets the limit value from its
+    augmented-system solve.
 
     Every sample v = Tr(F^{-1}) carries three control variates built
     from its Bloch coordinates t (p - pbar = C t, K = dim**2 - 1), the first
@@ -528,8 +532,8 @@ def qttf_monte_carlo(
       steps that factors F = L L^T and inverts L together, for Tr(F^{-1})
       (about 2 K**3 / 3 multiply-adds per state, K**3 / 2 at dim = 5, where
       the steps skip the zero band of L^{-1}); a state whose F is too ill
-      conditioned for that is evaluated again by a QR factorisation
-      (fisher.TomographyMatrices.trace_inverse),
+      conditioned for that is evaluated again by a solve of the augmented
+      system [[alpha P, C], [C^T, 0]] (fisher.TomographyMatrices.trace_inverse),
     * for the polynomial controls, one (s, K) @ (K,) matvec, one (s, K) @
       (K, K) matmul against Q and, for the cubic one, one (s, K - j) @
       (K - j, K - j) matmul per upper tail W_j of the symmetrised cubic form

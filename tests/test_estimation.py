@@ -10,7 +10,6 @@ from qttf import (
     DimensionMismatchError,
     NotInformationallyCompleteError,
     Pom,
-    ZeroProbabilityError,
     accuracy,
     bloch_coords,
     build_basis,
@@ -351,10 +350,12 @@ def test_mse_experiment_validation():
             mse_experiment(rho, pom, BASIS2, n_shots, 10, rng=0)
         with pytest.raises(ValueError, match="n_shots"):
             haar_mse_sweep(pom, BASIS2, 0.9, n_states=2, n_shots=n_shots, n_trials=10, rng=0)
+    # a state where an outcome never clicks is no error: the prediction is
+    # the limit value, 4 for the qubit SIC at every pure state
     vec = np.linalg.eigh(pom.outcomes[0])[1][:, 0]
     pure = np.outer(vec, vec.conj())
-    with pytest.raises(ZeroProbabilityError):
-        mse_experiment(pure, pom, BASIS2, 100, 10, rng=0)
+    report = mse_experiment(pure, pom, BASIS2, 100, 10, rng=0)
+    assert report.predicted == pytest.approx(4.0, rel=1e-12)
     # refused before any state is drawn
     rng = np.random.default_rng(0)
     before = rng.bit_generator.state
@@ -362,6 +363,21 @@ def test_mse_experiment_validation():
         haar_mse_sweep(pom, BASIS2, 0.9, 2, 100, 10, rng=rng, n_qttf_samples=1)
     assert rng.bit_generator.state == before
 
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_mse_experiment_runs_at_a_basis_state_of_the_mubs(dim):
+    # at |0>, dim - 1 outcomes of the first basis never click; the prediction
+    # is the limit dim**2 - 1, and the scaled MSE of 20 runs of 100 trials
+    # lies within 4 standard errors of it, the error taken from the runs' spread
+    pom, basis = mub_povm(dim), build_basis(dim)
+    rho = np.zeros((dim, dim))
+    rho[0, 0] = 1.0
+    rng = np.random.default_rng(31)
+    runs = [mse_experiment(rho, pom, basis, 1000, 100, rng=rng) for _ in range(20)]
+    assert all(run.predicted == pytest.approx(dim * dim - 1, rel=1e-12, abs=0) for run in runs)
+    scaled = np.array([run.scaled_mse for run in runs])
+    stderr = scaled.std(ddof=1) / np.sqrt(len(scaled))
+    assert abs(scaled.mean() - (dim * dim - 1)) <= 4 * stderr
 
 def test_mixing_weight_reaches_target_purity():
     rng = np.random.default_rng(30)

@@ -10,7 +10,6 @@ from qttf import (
     NotInformationallyCompleteError,
     Pom,
     PomValidationError,
-    ZeroProbabilityError,
     accuracy,
     build_basis,
     duplicate_outcome,
@@ -23,7 +22,6 @@ from qttf import (
     random_pom,
     sic_povm,
 )
-from qttf.fisher import P_FLOOR
 
 BASIS2 = build_basis(2)
 BASIS3 = build_basis(3)
@@ -191,62 +189,120 @@ def test_trace_bound_holds_for_random_rank_one():
         assert _tr_fbar(pom, build_basis(dim)) <= dim * (dim - 1) + 1e-9
 
 
-def test_pure_state_fisher_needs_probability_floor():
-    # a pure state orthogonal to a rank-one outcome has a vanishing cell
-    pom = qubit_sic()
-    vec = np.linalg.eigh(pom.outcomes[0])[1][:, 0]  # null vector of outcome 0
-    rho = np.outer(vec, vec.conj())
-    with pytest.raises(ZeroProbabilityError) as info:
-        accuracy(rho, pom, BASIS2)
-    assert info.value.index == 0
+def test_pure_state_accuracy_is_the_limit_at_a_vanishing_probability():
+    # a pure state orthogonal to a rank-one outcome has a vanishing cell, where
+    # Tr(F^{-1}) is analytic: probabilities clips the cell's roundoff to 0 and
+    # accuracy returns the limit.  A SIC's Tr(F^{-1}) is one value at every
+    # pure state, 4 for the qubit SIC and 10 at dim 3, so also at the null
+    # vector of outcome 0
+    for pom, basis, want in [(qubit_sic(), BASIS2, 4.0), (sic_povm(3), BASIS3, 10.0)]:
+        vec = np.linalg.eigh(pom.outcomes[0])[1][:, 0]  # null vector of outcome 0
+        rho = np.outer(vec, vec.conj())
+        assert probabilities(rho, pom)[0] == 0.0
+        assert accuracy(rho, pom, basis) == pytest.approx(want, rel=1e-12, abs=0)
 
 
-def test_fisher_from_probabilities_rejects_zero_cells():
-    # the Fisher matrix is built from 1/p, so a vanishing cell is refused and
-    # the error names the first one: with the y+ outcome of the qubit MUB
-    # split in two (outcomes 2 and 3), the y- eigenstate zeroes both copies
+def test_accuracy_refuses_a_split_outcome_that_never_clicks():
+    # with the y+ outcome of the qubit MUB split in two (outcomes 2 and 3), the
+    # y- eigenstate zeroes both copies, whose rows of C are proportional: the
+    # augmented system is singular there, so the state is refused, naming its row
     mub = mub_povm(2)
     split = duplicate_outcome(mub, 2, [0.5, 0.5])
     rho = 3 * mub.outcomes[3]
     assert np.allclose(probabilities(rho, split), [1 / 6, 1 / 6, 0, 0, 1 / 3, 1 / 6, 1 / 6])
-    with pytest.raises(ZeroProbabilityError) as info:
+    with pytest.raises(ValueError, match="row 0: the rows of C of its 2 zero-probability"):
         accuracy(rho, split, BASIS2)
-    assert info.value.index == 2
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_accuracy_at_a_mub_basis_state_is_dim_squared_minus_one(dim):
+    # |0> is a basis state of the first basis, so dim - 1 outcomes never click;
+    # a complete set of mutually unbiased bases has Tr(F^{-1}) = dim**2 - 1 at
+    # every pure state, these included
+    pom = mub_povm(dim)
+    rho = np.zeros((dim, dim))
+    rho[0, 0] = 1.0
+    assert np.count_nonzero(probabilities(rho, pom) == 0) == dim - 1
+    assert accuracy(rho, pom, build_basis(dim)) == pytest.approx(dim * dim - 1, rel=1e-12, abs=0)
 
 
 def test_trace_inverse_refuses_a_singular_matrix():
-    # a zero, a negative or a NaN probability leaves no positive definite
-    # Fisher matrix, on the Cholesky path and on the QR path alike
+    # a negative or a NaN probability leaves nothing to evaluate, on the
+    # Cholesky path and on the augmented path alike; a zero is a limit, here
+    # the Sherman-Morrison value Tr G - c^T G^2 c / c^T G c with G the inverse
+    # Fisher matrix of the other outcomes, 15/4; an all-zero row's augmented
+    # system is singular
     model = measurement_matrices(qubit_sic(), BASIS2)
-    for bad in (0.0, -1e-3, np.nan):
-        with pytest.raises(NotInformationallyCompleteError, match="not positive definite"):
+    for bad in (-1e-3, np.nan):
+        with pytest.raises(ValueError, match="row 0: a probability is negative or not finite"):
             model.trace_inverse(np.array([[bad, 0.25, 0.25, 0.5]]))
+    value = model.trace_inverse(np.array([[0.0, 0.25, 0.25, 0.5]]))[0]
+    assert abs(value - 3.75) <= 1e-12 * 3.75
+    with pytest.raises(ValueError, match="row 1: the rows of C of its 4 zero-probability"):
+        model.trace_inverse(np.array([[0.25, 0.25, 0.25, 0.25], [0.0, 0.0, 0.0, 0.0]]))
+
+
+# measurements whose Tr(F^{-1}) is one value at every pure state
+SPLIT_MEASUREMENTS = {
+    "qubit_sic": (qubit_sic, 2, 4.0),
+    "sic3": (lambda: sic_povm(3), 3, 10.0),
+    "mub2": (lambda: mub_povm(2), 2, 3.0),
+    "mub3": (lambda: mub_povm(3), 3, 8.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_MEASUREMENTS))
+@pytest.mark.parametrize("weights", [[0.5, 0.5], [0.3, 0.7], [0.1, 0.9], [1e-3, 1 - 1e-3]])
+def test_trace_inverse_of_a_split_outcome_at_its_zero_is_refused_or_unsplit(name, weights):
+    # a split c_m c_m^T / p_m = sum_i (w_i c_m)(w_i c_m)^T / (w_i p_m) preserves
+    # the Fisher matrix, so at a state where the split outcome never clicks the
+    # kernel may return only the unsplit value, or refuse the row
+    make, dim, want = SPLIT_MEASUREMENTS[name]
+    pom = make()
+    split = duplicate_outcome(pom, 1, weights)
+    vec = np.linalg.eigh(pom.outcomes[1])[1][:, 0]
+    probs = probabilities(np.outer(vec, vec.conj()), split)
+    assert probs[1] == probs[2] == 0.0
+    try:
+        value = measurement_matrices(split, build_basis(dim)).trace_inverse(probs[None])[0]
+    except ValueError as exc:
+        assert "row 0" in str(exc)
+    else:
+        assert abs(value - want) <= 1e-12 * want
 
 
 @pytest.mark.parametrize("dim, m, seed", [(2, 8, 1), (5, 25, 1058713047)])
 def test_trace_inverse_matches_sherman_morrison_next_to_an_outcome_zero(dim, m, seed):
     # pure states next to the zero of a rank-one outcome j: its null vector
     # plus a random component of size 10**-6.3 ... 10**-4.4, kept where
-    # P_FLOOR < p_j <= 1e-9, then a dozen of size 10**-14 ... 10**-7, kept
-    # where 0 < p_j <= P_FLOOR, which accuracy refuses.  With G the inverse
-    # Fisher matrix of the other outcomes and c = c_j, Sherman-Morrison gives
-    # Tr F^{-1} = Tr G - c^T G^2 c / (p_j + c^T G c), and G stays well
-    # conditioned as p_j vanishes
+    # 1e-12 < p_j <= 1e-9, then a dozen of size 10**-14 ... 10**-7, kept
+    # where 0 < p_j <= 1e-12, then a dozen at the null vector itself with
+    # p_j = 0 exactly.  With G the inverse Fisher matrix of the other outcomes
+    # and c = c_j, Sherman-Morrison gives Tr F^{-1} = Tr G - c^T G^2 c /
+    # (p_j + c^T G c), and G stays well conditioned as p_j vanishes, so the
+    # formula holds at p_j = 0 too, where the Fisher matrix itself does not
+    # exist.  accuracy computes the state's probabilities itself: the same
+    # ones off the null vector, so it returns the same value, and at it a
+    # p_j of 0 or of a roundoff size, so it meets the same limit
     pom = random_pom(dim, m, 1, rng=seed)
     basis = build_basis(dim)
     model = measurement_matrices(pom, basis)
     c = model.c_matrix
     rng = np.random.default_rng(7)
     checked = 0
-    while checked < 24:
-        deep = checked >= 12
+    while checked < 36:
+        group = checked // 12
         j = int(rng.integers(m))
         kick = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        size = 10 ** rng.uniform(-14, -7) if deep else 10 ** rng.uniform(-6.3, -4.4)
-        vec = np.linalg.eigh(pom.outcomes[j])[1][:, 0] + size * kick / np.linalg.norm(kick)
+        size = 10 ** rng.uniform(-14, -7) if group else 10 ** rng.uniform(-6.3, -4.4)
+        vec = np.linalg.eigh(pom.outcomes[j])[1][:, 0]
+        if group < 2:
+            vec = vec + size * kick / np.linalg.norm(kick)
         rho = np.outer(vec, vec.conj()) / np.vdot(vec, vec).real
         probs = probabilities(rho, pom)
-        low, high = (0.0, P_FLOOR) if deep else (P_FLOOR, 1e-9)
+        if group == 2:
+            probs[j] = 0.0
+        low, high = [(1e-12, 1e-9), (0.0, 1e-12), (-1.0, 0.0)][group]
         if not (low < probs[j] <= high and probs.argmin() == j):
             continue
         rest = np.arange(m) != j
@@ -254,8 +310,10 @@ def test_trace_inverse_matches_sherman_morrison_next_to_an_outcome_zero(dim, m, 
         want = np.trace(g) - c[j] @ g @ g @ c[j] / (probs[j] + c[j] @ g @ c[j])
         value = model.trace_inverse(probs[None])[0]
         assert abs(value - want) <= 1e-10 * want
-        if not deep:
+        if group < 2:
             assert accuracy(rho, pom, basis) == value
+        else:
+            assert abs(accuracy(rho, pom, basis) - want) <= 1e-10 * want
         checked += 1
 
 

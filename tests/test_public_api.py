@@ -1,5 +1,6 @@
-"""The public surface: every callable in qttf.__all__ documents itself, and
-every tolerance is defined once and read."""
+"""The public surface: every callable in qttf.__all__ documents itself, every
+tolerance is defined once and read, and every error class is raised where its
+name says."""
 
 import ast
 import re
@@ -7,6 +8,7 @@ from collections import Counter
 from pathlib import Path
 
 import qttf
+from qttf import errors
 
 TOLERANCE = re.compile(r"^([A-Z_]*(?:TOL|FLOOR|SLACK|RTOL)) =", re.MULTILINE)
 
@@ -32,7 +34,6 @@ def test_every_tolerance_is_assigned_in_one_module_only():
         for name in TOLERANCE.findall(path.read_text(encoding="utf-8"))
     )
     required = {
-        "P_FLOOR",
         "RANK_RTOL",
         "CHOLESKY_RTOL",
         "STRUCTURE_TOL",
@@ -62,3 +63,51 @@ def test_every_tolerance_is_read_in_the_library():
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
     }
     assert sorted(assigned - read) == []
+
+
+def _raises():
+    """(module, enclosing function, exception name) of every raise of a bare
+    name or a call of one in src/qttf."""
+    found = []
+    for path in sorted(Path(qttf.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for function in ast.walk(tree):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(function):
+                if isinstance(node, ast.Raise) and node.exc is not None:
+                    target = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                    if isinstance(target, ast.Name):
+                        found.append((path.stem, function.name, target.id))
+    return found
+
+
+def test_incompleteness_is_refused_only_where_the_model_is_built():
+    # every model is complete by construction, so no reader of one can meet an
+    # incomplete measurement; a raise in a nested function counts for every
+    # function around it too
+    places = {
+        (module, function)
+        for module, function, name in _raises()
+        if name == "NotInformationallyCompleteError"
+    }
+    assert places == {("fisher", "measurement_matrices")}
+
+
+def test_every_leaf_error_class_is_raised_in_the_library():
+    # a class that no module raises is dead surface; a base class such as
+    # QttfError is caught, not raised, so only the classes without a subclass
+    # in qttf.errors must be
+    classes = [
+        obj
+        for obj in vars(errors).values()
+        if isinstance(obj, type) and obj.__module__ == errors.__name__
+    ]
+    leaves = {
+        cls.__name__
+        for cls in classes
+        if not any(other is not cls and issubclass(other, cls) for other in classes)
+    }
+    raised = {name for _, _, name in _raises()}
+    assert len(leaves) == len(classes) - 1
+    assert sorted(leaves - raised) == []

@@ -616,10 +616,10 @@ def test_cholesky_trace_inverse_matches_eigendecomposition():
 def test_cholesky_trace_inverse_refuses_a_singular_fisher_matrix():
     # a model exists only for a complete measurement, whose Fisher matrix is
     # positive definite at every finite positive p; infinite probabilities
-    # weight every outcome by 1/p = 0, so F = 0 exactly, which neither the
-    # factorisation nor the QR path (whose R then has zero pivots) can invert
+    # weight every outcome by 1/p = 0, so F = 0 exactly, and the kernel
+    # refuses them as not finite, naming the first row, before it factors
     model = measurement_matrices(qubit_sic(), BASIS2)
-    with pytest.raises(NotInformationallyCompleteError, match="not positive definite"):
+    with pytest.raises(ValueError, match="row 0: a probability is negative or not finite"):
         model.trace_inverse(np.full((3, 4), np.inf))
 
 
@@ -650,11 +650,13 @@ def test_trace_inverse_stack_matches_eigendecomposition_on_pure_states(dim):
 )
 def test_trace_inverse_stack_refuses_a_singular_row_in_the_last_partial_block(dim, bad):
     # every earlier block factors, so only the remainder holds a row that
-    # neither the Cholesky kernel nor the QR path can evaluate; at dim 5
-    # (K = 24) the full blocks run the kernel's split steps too
+    # neither the Cholesky kernel nor the augmented path can evaluate: a NaN
+    # row, or an all-zero one, whose zero-probability rows of C are all M rows
+    # and so dependent; the refusal names the row.  At dim 5 (K = 24) the full
+    # blocks run the kernel's split steps too
     matrices, probs = _pure_state_probabilities(dim)
     probs[-5] = bad
-    with pytest.raises(NotInformationallyCompleteError, match="not positive definite"):
+    with pytest.raises(ValueError, match=f"row {len(probs) - 5}: "):
         matrices.trace_inverse(probs)
 
 
@@ -683,10 +685,10 @@ def test_monte_carlo_on_a_split_sic_is_four_at_every_state(weight):
     assert est.params["kurtosis"] == 0.0
 
 
-def test_monte_carlo_through_the_qr_path_matches_the_closed_form():
+def test_monte_carlo_through_the_augmented_path_matches_the_closed_form():
     # kappa(C) = 1.6e4: eps Tr(F^{-1}) max_i F_ii exceeds CHOLESKY_RTOL at
     # every state of this minimal measurement, so every sample is evaluated
-    # by the QR path, and the estimate must still meet the exact value
+    # by the augmented path, and the estimate must still meet the exact value
     basis = build_basis(4)
     pom = random_pom(4, 16, 1, rng=40082)
     model = measurement_matrices(pom, basis)
@@ -706,6 +708,78 @@ def test_monte_carlo_through_the_qr_path_matches_the_closed_form():
     est = qttf_monte_carlo(pom, basis, 20000, rng=40083)
     assert est.params["design"] == 20
     assert abs(est.value - exact) <= 4 * est.std_error
+
+
+# Tr(F^{-1}) of random_pom(4, 16, 1, rng=40082) at the 32 rows of
+# _rows_next_to_the_zeros, computed once with mpmath at 60 digits from
+# model.c_matrix and the rows taken as exact: F over the outcomes with p_m > 0
+# summed and inverted by mpmath.inverse, with the Sherman-Morrison limit
+# - c_j^T G^2 c_j / c_j^T G c_j added for the outcome j with p_j = 0, printed
+# to 50 digits
+NEAR_ZERO_TRACES = (
+    "43249984.341744452130954591302644224833076154529568",
+    "43250037.054341520753861061025473854094613502839908",
+    "112183525.06273665339587358573338545666991553007518",
+    "112183544.65497612196241251819511785642977014224362",
+    "89658443.144276376619049268707319948282544155892804",
+    "89658460.682977128581612897850772994413013184754802",
+    "138933818.54274618894319732214100130923975325108843",
+    "138933872.8371035370596976362444368102686772314356",
+    "164975404.00710744417844110284710255996638873091221",
+    "164975308.49432126137956239664372274568413150411358",
+    "114255902.26645668327490871756158073854448427986997",
+    "114255865.42184448412664809067597452096904982128813",
+    "167570814.83876903289270490176738468174556020498604",
+    "167570705.65047283550053730154930705110860463088936",
+    "115413419.00904614027296927930446618366634450509879",
+    "115413329.16864910251252788284667808806095166711314",
+    "123702470.23809758990118116301093500728831380161169",
+    "123702569.38978343470563593291968523401544124438116",
+    "196285931.45880008893033095530053697887746459387544",
+    "196285908.11037468574136753105589857853093297345396",
+    "122248112.5487584869354636670821306465279372341665",
+    "122248164.91507533922944566194608129335390575660617",
+    "178679991.28036314051075574229915227021264167594951",
+    "178679918.20148262992546323763011304005955331663428",
+    "92143929.225690062467792868350599929054094335471409",
+    "92143896.315998014033447253402168212752830713950874",
+    "134390415.14967487687918364605023260634567687666795",
+    "134390505.9274274857617877718693062864306445980015",
+    "95839290.35767794937489697194913915245627813999315",
+    "95839271.960958098482382070640248107123594655310837",
+    "85412078.905000967601411136829192159583960842138791",
+    "85412042.075332734550032024351224803174116472446012",
+)
+
+
+def _rows_next_to_the_zeros(pom):
+    """For each outcome j, its null vector with p_j set to 0 exactly, then the
+    null vector plus a random component of size 1e-6, where p_j ~ 1e-13."""
+    rng = np.random.default_rng(40083)
+    rows = []
+    for j in range(pom.n_outcomes):
+        vec = np.linalg.eigh(pom.outcomes[j])[1][:, 0]
+        probs = probabilities(np.outer(vec, vec.conj()), pom)
+        probs[j] = 0.0
+        rows.append(probs)
+        kick = rng.normal(size=4) + 1j * rng.normal(size=4)
+        vec = vec + 1e-6 * kick / np.linalg.norm(kick)
+        rows.append(probabilities(np.outer(vec, vec.conj()) / np.vdot(vec, vec).real, pom))
+    return np.array(rows)
+
+
+def test_augmented_path_meets_50_digit_values_next_to_the_zeros():
+    # every row is rescued from the Cholesky pass here; the augmented solve,
+    # scaled by sigma_min / sqrt(2) of Pbar^{-1/2} C, stays within 8.7e-13 of
+    # the 50-digit values, where a Householder QR of diag(p)^{-1/2} C with
+    # sorted rows was off by up to 2.8e-12 on the rows with p_j > 0 and could
+    # not evaluate those with p_j = 0
+    pom = random_pom(4, 16, 1, rng=40082)
+    model = measurement_matrices(pom, build_basis(4))
+    probs = _rows_next_to_the_zeros(pom)
+    assert probs.min(axis=1).max() < 1e-12
+    exact = np.array([float(value) for value in NEAR_ZERO_TRACES])
+    np.testing.assert_allclose(model.trace_inverse(probs), exact, rtol=1e-12, atol=0)
 
 
 def test_monte_carlo_variance_reduction_is_recorded():
