@@ -50,7 +50,14 @@ from .pom import (
     save_pom,
     sic_povm,
 )
-from .transfer import DEFAULT_MEMORY_BUDGET, _auto, _closed_form, _monte_carlo, _series
+from .transfer import (
+    DEFAULT_MEMORY_BUDGET,
+    QUARTIC_CHUNK_BYTES,
+    _auto,
+    _closed_form,
+    _monte_carlo,
+    _series,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -66,8 +73,9 @@ BOOTSTRAP_RESAMPLES = 1000  # resampled means behind each bootstrap interval
 BOOTSTRAP_LEVEL = 0.95  # coverage of each bootstrap interval
 
 MEMORY_BUDGET_HELP = (
-    "bytes the order-4 moment term may hold at once: about 64 M**2 dim**2 for its "
-    "operator stacks, less in chunks (exit code 3 if even one chunk does not fit)"
+    "bytes the order-4 moment term may hold at once: 40 M**2 resident plus about "
+    "64 M dim**2 per d-value of a chunk, which holds as many d-values as fit in this "
+    f"and in {QUARTIC_CHUNK_BYTES // 2**20} MiB (exit code 3 if even one d-value does not fit)"
 )
 
 BUILTINS = {

@@ -239,10 +239,7 @@ def duplicate_outcome(pom: Pom, index: int, weights) -> Pom:
 
 def pom_to_dict(pom: Pom) -> dict:
     """JSON-ready form: {"dim", "outcomes", "label"} with [re, im] entry pairs."""
-    outcomes = [
-        [[[float(entry.real), float(entry.imag)] for entry in row] for row in outcome]
-        for outcome in pom.outcomes
-    ]
+    outcomes = np.stack([pom.outcomes.real, pom.outcomes.imag], axis=-1).tolist()
     return {"dim": pom.dim, "outcomes": outcomes, "label": pom.label}
 
 

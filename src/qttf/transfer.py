@@ -67,6 +67,8 @@ in Bloch coordinates, the quadratic form Q and the cubic form T, whose Haar
 means are exact; the series and the Monte Carlo controls read the same
 fields.  Only F4 is contracted here, from operator stacks times single
 outcomes ("half-products"), and memory_budget bounds that contraction alone.
+Its chunks of d-values fit in QUARTIC_CHUNK_BYTES too, so its working set
+stays cache-sized whatever M.
 
 Each public route takes (pom, basis), builds the model with
 fisher.measurement_matrices and hands it to a private core that takes the
@@ -106,6 +108,9 @@ from .operators import (
 from .pom import Pom
 
 DEFAULT_MEMORY_BUDGET = 2**30  # bytes
+# the order-4 contraction takes as many d-values per chunk as fit in this many
+# bytes (and in the caller's memory_budget), so its operator stacks stay in cache
+QUARTIC_CHUNK_BYTES = 2 * 2**20
 MC_BATCH = 20000  # Haar states per Monte Carlo batch
 # Monte Carlo draws rotated sets of mutually unbiased bases only when the run
 # holds this many groups, so that its cluster bar rests on as many independent
@@ -165,7 +170,8 @@ def auxiliary_matrices(pom: Pom, basis: HermitianBasis) -> TomographyMatrices:
 def _quartic_bytes(m: int, dim: int, chunk: int) -> int:
     """Working set of the order-4 contraction when it handles `chunk` d-values at once:
     five real M x M matrices and 4 KiB of array headers and einsum scratch, plus four
-    complex (M, dim, dim) slices and two real length-M rows per d."""
+    complex (M, dim, dim) slices and two real length-M rows per d.  _quartic_chunk
+    fits it in min(memory_budget, QUARTIC_CHUNK_BYTES)."""
     return 40 * m * m + 4096 + chunk * (64 * m * dim * dim + 16 * m)
 
 
@@ -207,9 +213,12 @@ def haar_moment_term(
 
     A and B are Hermitian, so each trace is an elementwise sum of two half-products
     (a stack times one outcome), e.g. Tr(A Pi_b Pi_d B) = sum (A Pi_b) o conj(B Pi_d);
-    no pair product Pi_a Pi_b is formed.  Time is O(M**3 D**2) and memory about
-    64 M**2 D**2 bytes when one chunk holds every d; chunks sized by _quartic_bytes
-    to fit memory_budget change the value only by rounding.  Orders 2 and 3 build no
+    no pair product Pi_a Pi_b is formed.  Time is O(M**3 D**2).  Memory is 40 M**2
+    bytes plus about 64 M D**2 per d-value of a chunk: a chunk takes as many d-values
+    as _quartic_bytes fits in min(memory_budget, QUARTIC_CHUNK_BYTES), at least one,
+    so about 2 MiB where one chunk of every d (64 M**2 D**2 bytes) would not fit.
+    BudgetExceededError is raised only when one d-value exceeds memory_budget, and
+    the chunking changes the value only by rounding.  Orders 2 and 3 build no
     operator stacks, hold O(M**2 + K**3) with K = dim**2 - 1, and ignore the budget.
     """
     if order not in (2, 3, 4):
@@ -222,16 +231,24 @@ def haar_moment_term(
     return _quartic_term(model, memory_budget)
 
 
+def _quartic_chunk(m: int, dim: int, memory_budget: int) -> int:
+    """d-values per chunk of the order-4 contraction: as many as _quartic_bytes fits
+    in min(memory_budget, QUARTIC_CHUNK_BYTES), and at least one if memory_budget
+    holds one; BudgetExceededError if it does not."""
+    resident, single = _quartic_bytes(m, dim, 0), _quartic_bytes(m, dim, 1)
+    if single > memory_budget:
+        raise BudgetExceededError(
+            f"order-4 contraction needs {single} bytes > budget "
+            f"{memory_budget}; use qttf_monte_carlo for this measurement"
+        )
+    limit = min(memory_budget, QUARTIC_CHUNK_BYTES)
+    return min(m, max(1, (limit - resident) // (single - resident)))
+
+
 def _quartic_term(model: TomographyMatrices, memory_budget: int) -> float:
     """F4 as in haar_moment_term, within memory_budget bytes or not at all."""
     dim, m = model.dim, model.n_outcomes
-    resident = _quartic_bytes(m, dim, 0)
-    chunk = min(m, (memory_budget - resident) // (_quartic_bytes(m, dim, 1) - resident))
-    if chunk < 1:
-        raise BudgetExceededError(
-            f"order-4 contraction needs {_quartic_bytes(m, dim, 1)} bytes > budget "
-            f"{memory_budget}; use qttf_monte_carlo for this measurement"
-        )
+    chunk = _quartic_chunk(m, dim, memory_budget)
     x, y = model.x_matrix, model.y_matrix
     outcomes = np.ascontiguousarray(model.outcomes)
     flat = outcomes.reshape(m, dim * dim).view(np.float64)
@@ -280,7 +297,8 @@ def qttf_series(
     alpha-weighted groupings documented in the module docstring.  The result
     for alpha < 1 is the alpha-deformed truncation; at alpha = 1 it is the
     plain truncated moment series.  memory_budget bounds the order-4 term
-    only (haar_moment_term).
+    only (haar_moment_term); at max_order 4 params records its d-values per
+    chunk as "quartic_chunk" and their _quartic_bytes as "quartic_bytes".
 
     params records alpha next to the convergence radius alpha0.  The
     untruncated series is certified to converge only for alpha < alpha0; the
@@ -309,7 +327,11 @@ def _series(
     if max_order >= 3:
         f3 = model.f3
         contributions.append(alpha**2 * (f3 - f2) + alpha * f2)
+    quartic = {}
     if max_order >= 4:
+        m, dim = model.n_outcomes, model.dim
+        chunk = _quartic_chunk(m, dim, memory_budget)
+        quartic = {"quartic_chunk": chunk, "quartic_bytes": _quartic_bytes(m, dim, chunk)}
         f4 = _quartic_term(model, memory_budget)
         contributions.append(
             alpha**3 * (f4 - 2 * f3 + f2) + 2 * alpha**2 * (f3 - f2) + alpha * f2
@@ -322,6 +344,7 @@ def _series(
             "alpha": float(alpha),
             "alpha0": model.alpha0,
             "contributions": [float(c) for c in contributions],
+            **quartic,
         },
     )
 

@@ -36,6 +36,7 @@ from qttf.cli import (
 )
 from qttf.errors import SearchTimeoutError
 from qttf.fisher import TomographyMatrices
+from qttf.transfer import _quartic_bytes
 
 DATA = Path(__file__).parent / "data"
 
@@ -296,6 +297,19 @@ def test_qttf_budget_exit_code(tmp_path):
         "--memory-budget", "2000",
     )
     assert code == EXIT_BUDGET
+
+
+def test_qttf_order_four_series_reports_its_quartic_chunk(tmp_path):
+    pom_file = tmp_path / "rand.json"
+    _make(tmp_path, "pom", "random", "--dim", "2", "--m", "8", "--rank", "1",
+          "--seed", "2", "--out", str(pom_file))
+    code, out = _make(tmp_path, "qttf", str(pom_file), "--method", "series", "--order", "4")
+    assert code == EXIT_OK
+    params = json.loads(out)["params"]
+    assert params["quartic_chunk"] == 8  # every d of the 8 outcomes in one chunk
+    assert params["quartic_bytes"] == _quartic_bytes(8, 2, 8)
+    _, lower = _make(tmp_path, "qttf", str(pom_file), "--method", "series", "--order", "3")
+    assert "quartic_chunk" not in json.loads(lower)["params"]
 
 
 def test_qttf_auto_ignores_the_memory_budget(tmp_path):

@@ -1,6 +1,6 @@
 """The public surface: every callable in qttf.__all__ documents itself, every
-tolerance is defined once and read, and every error class is raised where its
-name says."""
+tolerance and work size is defined once and read, and every error class is
+raised where its name says."""
 
 import ast
 import re
@@ -11,6 +11,31 @@ import qttf
 from qttf import errors
 
 TOLERANCE = re.compile(r"^([A-Z_]*(?:TOL|FLOOR|SLACK|RTOL)) =", re.MULTILINE)
+WORK_SIZE = re.compile(r"^([A-Z_]*(?:BLOCK|BATCH|BYTES|GROUPS|BUDGET)) =", re.MULTILINE)
+
+
+def _library_sources():
+    return [
+        path.read_text(encoding="utf-8")
+        for path in sorted(Path(qttf.__file__).parent.glob("*.py"))
+    ]
+
+
+def _assignments(pattern):
+    """How many modules of the library assign each name that pattern matches."""
+    return Counter(name for source in _library_sources() for name in pattern.findall(source))
+
+
+def _unread(pattern):
+    """Names that pattern matches which no module of the library reads."""
+    sources = _library_sources()
+    read = {
+        node.id
+        for source in sources
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(set(_assignments(pattern)) - read)
 
 
 def test_every_public_callable_has_its_own_docstring():
@@ -28,11 +53,7 @@ def test_every_public_callable_has_its_own_docstring():
 def test_every_tolerance_is_assigned_in_one_module_only():
     # a module-level NAME = ... whose name ends in TOL, FLOOR, SLACK or RTOL
     # is a tolerance; other modules import it instead of restating it
-    assignments = Counter(
-        name
-        for path in sorted(Path(qttf.__file__).parent.glob("*.py"))
-        for name in TOLERANCE.findall(path.read_text(encoding="utf-8"))
-    )
+    assignments = _assignments(TOLERANCE)
     required = {
         "RANK_RTOL",
         "CHOLESKY_RTOL",
@@ -53,16 +74,25 @@ def test_every_tolerance_is_assigned_in_one_module_only():
 def test_every_tolerance_is_read_in_the_library():
     # a tolerance that only its assignment names is dead: a refactor that
     # drops its last check must drop the constant too
-    modules = sorted(Path(qttf.__file__).parent.glob("*.py"))
-    sources = [path.read_text(encoding="utf-8") for path in modules]
-    assigned = {name for source in sources for name in TOLERANCE.findall(source)}
-    read = {
-        node.id
-        for source in sources
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    assert _unread(TOLERANCE) == []
+
+
+def test_every_work_size_is_assigned_in_one_module_and_read():
+    # a module-level NAME = ... whose name ends in BLOCK, BATCH, BYTES, GROUPS
+    # or BUDGET sizes a batch or bounds memory; like a tolerance it is set in
+    # one module, imported elsewhere, and dropped with its last reader
+    assignments = _assignments(WORK_SIZE)
+    required = {
+        "CHOLESKY_BLOCK",
+        "MC_BATCH",
+        "MSE_BLOCK",
+        "DESIGN_MIN_GROUPS",
+        "DEFAULT_MEMORY_BUDGET",
+        "QUARTIC_CHUNK_BYTES",
     }
-    assert sorted(assigned - read) == []
+    assert required <= set(assignments)
+    assert [name for name, count in assignments.items() if count > 1] == []
+    assert _unread(WORK_SIZE) == []
 
 
 def _raises():

@@ -45,6 +45,8 @@ from qttf import transfer
 from qttf.fisher import CHOLESKY_BLOCK, CHOLESKY_RTOL
 from qttf.operators import rotated_mub_vectors
 from qttf.transfer import (
+    DEFAULT_MEMORY_BUDGET,
+    QUARTIC_CHUNK_BYTES,
     _closed_minimal_bases,
     _cubic_form,
     _monte_carlo,
@@ -1044,6 +1046,56 @@ def test_third_order_series_holds_no_pair_products():
     finally:
         tracemalloc.stop()
     assert peak < 16 * m * m * dim * dim / 4
+
+
+def _quartic_model(dim, rank=1):
+    # M = 2 dim**2 outcomes, the model's fields computed before any tracing
+    pom = random_pom(dim, 2 * dim * dim, rank, rng=np.random.default_rng(60 + dim))
+    model = measurement_matrices(pom, build_basis(dim))
+    model.f2, model.f3
+    return pom, model
+
+
+@pytest.mark.parametrize("dim", [5, 6])
+def test_quartic_peak_memory_stays_within_the_chunk_cap(dim):
+    # at the default budget one chunk of every d would hold 64 M**2 D**2 bytes
+    # (3.9 MiB at D = 5, 11.6 MiB at D = 6); the cap bounds the working set
+    _, model = _quartic_model(dim)
+    tracemalloc.start()
+    try:
+        _quartic_term(model, DEFAULT_MEMORY_BUDGET)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= QUARTIC_CHUNK_BYTES
+
+
+@pytest.mark.parametrize("dim", [5, 6])
+def test_capped_quartic_matches_the_one_chunk_value(dim, monkeypatch):
+    _, model = _quartic_model(dim)
+    capped = _quartic_term(model, DEFAULT_MEMORY_BUDGET)
+    monkeypatch.setattr(transfer, "QUARTIC_CHUNK_BYTES", DEFAULT_MEMORY_BUDGET)
+    assert transfer._quartic_chunk(model.n_outcomes, dim, DEFAULT_MEMORY_BUDGET) == model.n_outcomes
+    whole = _quartic_term(model, DEFAULT_MEMORY_BUDGET)
+    assert abs(capped - whole) <= 1e-13 * abs(whole)
+
+
+@pytest.mark.parametrize(("dim", "capped"), [(3, False), (5, True)])
+def test_series_params_report_the_quartic_chunk(dim, capped):
+    pom, model = _quartic_model(dim)
+    m = model.n_outcomes
+    for order in range(4):
+        params = qttf_series(pom, build_basis(dim), max_order=order).params
+        assert "quartic_chunk" not in params and "quartic_bytes" not in params
+    for budget in (DEFAULT_MEMORY_BUDGET, _quartic_bytes(m, dim, 2)):
+        params = qttf_series(pom, build_basis(dim), max_order=4, memory_budget=budget).params
+        chunk = params["quartic_chunk"]
+        assert params["quartic_bytes"] == _quartic_bytes(m, dim, chunk)
+        assert params["quartic_bytes"] <= min(budget, QUARTIC_CHUNK_BYTES)
+        if budget == DEFAULT_MEMORY_BUDGET:
+            assert (chunk < m) == capped  # D = 3 holds every d in one chunk
+        else:
+            assert chunk == 2  # a budget below the cap still shrinks the chunk
 
 
 @pytest.mark.parametrize("alpha", [1.0, 0.3])
