@@ -10,18 +10,10 @@ measurements.
 
 import numpy as np
 
-from qttf import (
-    accuracy,
-    build_basis,
-    duplicate_outcome,
-    measurement_matrices,
-    qttf_monte_carlo,
-    random_pom,
-    sic_povm,
-)
+from qttf import accuracy, build_basis, duplicate_outcome, measurement_matrices, sic_povm
+from qttf.cli import search_counterexample_pair
 
 basis = build_basis(2)
-rng = np.random.default_rng(1)
 
 # Failure one: kappa moves while the physics stands still.  Splitting the
 # last SIC outcome into two equal halves changes no probability content;
@@ -39,29 +31,14 @@ print(f"\naccuracy at a test state: {accuracy(rho, sic, basis):.12f} (original)"
 print(f"accuracy at a test state: {accuracy(rho, split, basis):.12f} (after split)")
 
 # Failure two: between genuinely different measurements, the ordering by
-# kappa can oppose the ordering by accuracy.  Draw random rank-one
-# measurements until two of them disagree.
-candidates = []
-for index in range(40):
-    pom = random_pom(2, 6 + 2 * (index % 2), 1, rng, label=f"draw {index}")
-    kappa = measurement_matrices(pom, basis).kappa_c_tilde
-    est = qttf_monte_carlo(pom, basis, 20000, rng)
-    candidates.append((kappa, est, pom.label))
-
-candidates.sort(key=lambda entry: entry[0])
-found = False
-for i, (k1, e1, l1) in enumerate(candidates):
-    for k2, e2, l2 in candidates[i + 1 :]:
-        gap = e1.value - e2.value
-        sigma = np.hypot(e1.std_error, e2.std_error)
-        if gap > 5 * sigma:  # better conditioned, decisively less accurate
-            print(f"\n{l1}: kappa {k1:.3f}, qttf {e1.value:.3f} +- {e1.std_error:.3f}")
-            print(f"{l2}: kappa {k2:.3f}, qttf {e2.value:.3f} +- {e2.std_error:.3f}")
-            print(f"kappa prefers '{l1}' yet its average error is {gap:.3f} higher "
-                  f"({gap / sigma:.0f} standard errors)")
-            found = True
-            break
-    if found:
-        break
-
-assert found, "no discordant pair in 40 draws, rerun with a new seed"
+# kappa can oppose the ordering by accuracy.  The library's search draws
+# random rank-one measurements until two of them disagree by at least five
+# combined standard errors, a kappa tie ordering no pair.
+low, high, info = search_counterexample_pair(
+    dim=2, m_choices=[6, 8], rank=1, attempts=40, n_samples=20000, seed=1
+)
+gap, sigma = info["qttf_gap"], info["combined_stderr"]
+print(f"\n{low.label}: kappa {info['kappa_1']:.3f}, qttf {info['qttf_1']:.3f}")
+print(f"{high.label}: kappa {info['kappa_2']:.3f}, qttf {info['qttf_2']:.3f}")
+print(f"kappa prefers the first yet its average error is {gap:.3f} higher "
+      f"({gap / sigma:.0f} standard errors, found after {info['attempts_used']} draws)")

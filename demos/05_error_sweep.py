@@ -4,9 +4,10 @@ How good is the order-2 value across random measurements?
 
 Sweep random rank-one measurements with M = mu * D * D outcomes and measure
 the halved relative error of the order-2 series against Monte Carlo ground
-truth.  Two regularities emerge: the error stays under the covariant ceiling
-D / (2(D+2)), and admixing white noise into the outcomes shrinks it, since
-noise pulls every probability toward its mean and the expansion point.
+truth.  Two regularities emerge: the error stays under each row's limit,
+half the covariant limiting relative error D/(D+2) of reference_values, and
+admixing white noise into the outcomes shrinks it, since noise pulls every
+probability toward its mean and the expansion point.
 """
 
 import numpy as np
@@ -34,7 +35,7 @@ for mu in (1.25, 2.0, 3.0):
     verdict = "shrinks" if lo > 0 else "inconclusive"
     print(f"mu={mu}: paired error drop at eps=0.05 is [{lo:+.4f}, {hi:+.4f}], {verdict}")
 
-ceiling = 2 / (2.0 * (2 + 2))
+ceiling = min(row["limit"] for row in rows.values())
 worst = max(row["halved_rel_err"] for row in rows.values())
 print(f"\nworst cell {worst:.4f} stays below the ceiling {ceiling}")
 assert worst < ceiling

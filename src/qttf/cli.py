@@ -22,6 +22,7 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 from dataclasses import asdict
 
@@ -41,11 +42,11 @@ from .fisher import measurement_matrices
 from .operators import HermitianBasis, build_basis
 from .pom import (
     Pom,
+    _pom_text,
     admix_white_noise,
     duplicate_outcome,
     load_pom,
     mub_povm,
-    pom_to_dict,
     random_pom,
     save_pom,
     sic_povm,
@@ -57,6 +58,7 @@ from .transfer import (
     _closed_form,
     _monte_carlo,
     _series,
+    reference_values,
 )
 
 EXIT_OK = 0
@@ -73,9 +75,9 @@ BOOTSTRAP_RESAMPLES = 1000  # resampled means behind each bootstrap interval
 BOOTSTRAP_LEVEL = 0.95  # coverage of each bootstrap interval
 
 MEMORY_BUDGET_HELP = (
-    "bytes the order-4 moment term may hold at once: 40 M**2 resident plus about "
-    "64 M dim**2 per d-value of a chunk, which holds as many d-values as fit in this "
-    f"and in {QUARTIC_CHUNK_BYTES // 2**20} MiB (exit code 3 if even one d-value does not fit)"
+    "bytes the order-4 moment term may hold at once: it contracts chunks of as many "
+    f"d-values as fit in this and in {QUARTIC_CHUNK_BYTES // 2**20} MiB "
+    "(exit code 3 if even one d-value does not fit)"
 )
 
 BUILTINS = {
@@ -98,7 +100,7 @@ class _AtLeast(argparse.Action):
         self.low = low
 
     def __call__(self, parser, namespace, value, option_string=None):
-        if value < self.low:
+        if not value >= self.low:  # NaN fails it too
             raise _UsageError(f"{option_string} must be >= {self.low}, got {value}")
         setattr(namespace, self.dest, value)
 
@@ -154,13 +156,6 @@ def _emit_json(payload, out_path=None) -> None:
     _write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", out_path)
 
 
-def _output_pom(pom: Pom, out_path=None) -> None:
-    if out_path:
-        save_pom(pom, out_path)
-    else:
-        _emit_json(pom_to_dict(pom))
-
-
 def _number_list(text: str, kind: type) -> list:
     try:
         values = [kind(part) for part in text.split(",") if part]
@@ -206,18 +201,25 @@ def run_fig1(
 ) -> list[dict]:
     """Halved relative error of the order-2 series against Monte Carlo.
 
-    One row per (dim, mu, rank) cell at the given noise admixture.  Base
+    One row per (dim, mu, rank) cell at the given noise admixture; its limit
+    is the order-2 ceiling reference_values(dim).limit_rel_error halved.  Base
     measurements and Monte-Carlo states are keyed by (seed, dim, mu, rank,
-    index) only, so runs at different epsilon are paired draw for draw.
+    index) only, so runs at different epsilon are paired draw for draw.  A
+    non-finite mu, or one whose mu dim**2 is no outcome count, is refused
+    with ValueError.
     """
+    for mu in mus:
+        if not math.isfinite(mu):
+            raise ValueError(f"mu must be finite, got {mu}")
     rows = []
     for dim in dims:
         basis = build_basis(dim)
+        limit = reference_values(dim).limit_rel_error / 2
         for mu in mus:
             m_float = mu * dim * dim
             n_outcomes = int(round(m_float))
             if abs(m_float - n_outcomes) > OUTCOME_COUNT_TOL:
-                raise _UsageError(
+                raise ValueError(
                     f"mu={mu} gives non-integral outcome count for dim={dim} "
                     f"(mu dim**2 is more than {OUTCOME_COUNT_TOL:g} from an integer)"
                 )
@@ -243,7 +245,7 @@ def run_fig1(
                         "mu": float(mu),
                         "rank": rank,
                         "epsilon": float(epsilon),
-                        "limit": dim / (2.0 * (dim + 2)),
+                        "limit": limit,
                         # Per-measurement samples, for paired analyses; not a CSV column.
                         "values": [float(v) for v in values],
                         "halved_rel_err": float(np.mean(values)),
@@ -289,11 +291,14 @@ def search_counterexample_pair(
     least five combined standard errors: the better-conditioned measurement
     is tomographically worse.  Each pair is checked once, ordered by kappa
     under the tie rule of compare (_by_conditioning).
-    An outcome count below dim**2, which no informationally complete
-    measurement has, is refused with ValueError before the first attempt.
+    An empty m_choices, or an outcome count below dim**2, which no
+    informationally complete measurement has, is refused with ValueError
+    before the first attempt.
     """
     basis = build_basis(dim)
     m_choices = list(m_choices)
+    if not m_choices:
+        raise ValueError("the search needs at least one outcome count")
     too_few = [m for m in m_choices if m < dim * dim]
     if too_few:
         raise ValueError(
@@ -378,12 +383,20 @@ def run_fig2_rows(
 
 def _cmd_pom(args) -> int:
     if args.pom_command == "builtin":
-        _output_pom(BUILTINS[args.name](), args.out)
-        return EXIT_OK
-    if args.pom_command == "random":
+        pom = BUILTINS[args.name]()
+    elif args.pom_command == "random":
         pom = random_pom(args.dim, args.m, args.rank, args.seed)
-        _output_pom(pom, args.out)
-        return EXIT_OK
+    else:
+        pom = _transformed(args)
+    if args.out:
+        save_pom(pom, args.out)
+    else:
+        sys.stdout.write(_pom_text(pom))
+    return EXIT_OK
+
+
+def _transformed(args) -> Pom:
+    """The input measurement of pom transform with its outcome split and noise applied."""
     pom = _load(args.input)
     if args.duplicate is None and args.epsilon is None:
         raise _UsageError("transform needs --duplicate and/or --epsilon")
@@ -399,8 +412,7 @@ def _cmd_pom(args) -> int:
             pom = duplicate_outcome(pom, args.duplicate - 1, weights)
     if args.epsilon is not None:
         pom = admix_white_noise(pom, args.epsilon)
-    _output_pom(pom, args.out)
-    return EXIT_OK
+    return pom
 
 
 def _cmd_qttf(args) -> int:
@@ -495,15 +507,16 @@ def _table_cell(value) -> str:
 
 
 def _cmd_fig1(args) -> int:
-    rows = run_fig1(
-        dims=_number_list(args.dims, int),
-        mus=_number_list(args.mus, float),
-        ranks=_number_list(args.ranks, int),
-        epsilon=args.epsilon,
-        n_poms=args.n_poms,
-        n_haar=args.n_haar,
-        seed=args.seed,
-    )
+    with _argument_errors():
+        rows = run_fig1(
+            dims=_number_list(args.dims, int),
+            mus=_number_list(args.mus, float),
+            ranks=_number_list(args.ranks, int),
+            epsilon=args.epsilon,
+            n_poms=args.n_poms,
+            n_haar=args.n_haar,
+            seed=args.seed,
+        )
     columns = ["D", "mu", "rank", "epsilon", "halved_rel_err", "ci_lo", "ci_hi", "limit"]
     _write_csv(rows, columns, _config(args), args.out)
     return EXIT_OK

@@ -326,8 +326,8 @@ def _sweep(
     n_states: int,
     n_shots: int,
     n_trials: int,
-    rng=None,
-    n_qttf_samples: int = 10000,
+    rng,
+    n_qttf_samples: int,
 ) -> HaarSweepResult:
     """haar_mse_sweep on the measurement model."""
     _require_count("n_states", n_states, 1)

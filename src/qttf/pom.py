@@ -10,6 +10,7 @@ recipe Pi_j = S^{-1/2} B_j S^{-1/2} with S = sum_j B_j.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 from itertools import product
@@ -201,10 +202,10 @@ def admix_white_noise(pom: Pom, epsilon: float = 0.05) -> Pom:
     the added noise sums to epsilon * identity, so the S^{-1/2} sandwich with
     S = sum_j B_j = (1 + epsilon) * identity is that division.  epsilon = 0
     reproduces the input and epsilon -> inf drives each outcome to
-    Tr(Pi_j)/dim times the identity.
+    Tr(Pi_j)/dim times the identity; a NaN or infinite epsilon is refused.
     """
-    if epsilon < 0:
-        raise PomValidationError(f"epsilon must be >= 0, got {epsilon}")
+    if not 0 <= epsilon < math.inf:
+        raise PomValidationError(f"epsilon must be finite and >= 0, got {epsilon}")
     noise = epsilon * pom.traces[:, None, None] * np.eye(pom.dim) / pom.dim
     return Pom((pom.outcomes + noise) / (1 + epsilon), label=f"{pom.label}+noise({epsilon:g})")
 
@@ -212,7 +213,7 @@ def admix_white_noise(pom: Pom, epsilon: float = 0.05) -> Pom:
 def duplicate_outcome(pom: Pom, index: int, weights) -> Pom:
     """Split outcome `index` (0-based) into copies scaled by `weights`.
 
-    Weights must be positive and sum to 1 within SPLIT_WEIGHT_TOL.  The physical
+    Weights must be finite, positive and sum to 1 within SPLIT_WEIGHT_TOL.  The physical
     content of the measurement (its Fisher information at every state) is
     unchanged; only the outcome count and conditioning change.
     """
@@ -223,7 +224,9 @@ def duplicate_outcome(pom: Pom, index: int, weights) -> Pom:
     weights = np.asarray(weights, dtype=float)
     if weights.ndim != 1 or weights.size < 2:
         raise PomValidationError("need at least two split weights")
-    if weights.min() <= 0:
+    if not np.isfinite(weights).all():
+        raise PomValidationError(f"split weights must be finite, got {weights.tolist()}")
+    if not weights.min() > 0:
         raise PomValidationError("split weights must be strictly positive")
     if abs(weights.sum() - 1.0) > SPLIT_WEIGHT_TOL:
         raise PomValidationError(
@@ -299,11 +302,16 @@ def _outcome_pairs(j: int, outcome, dim: int) -> np.ndarray:
     return pairs
 
 
+def _pom_text(pom: Pom) -> str:
+    """The measurement file text: pom_to_dict as JSON indented by 2, its keys in
+    pom_to_dict order, and a trailing newline."""
+    return json.dumps(pom_to_dict(pom), indent=2) + "\n"
+
+
 def save_pom(pom: Pom, path) -> None:
-    """Write pom to path as indented JSON in the pom_to_dict form."""
+    """Write pom to path as the measurement file text (_pom_text)."""
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(pom_to_dict(pom), handle, indent=2)
-        handle.write("\n")
+        handle.write(_pom_text(pom))
 
 
 def load_pom(path) -> Pom:

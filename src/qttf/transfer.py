@@ -213,12 +213,11 @@ def haar_moment_term(
 
     A and B are Hermitian, so each trace is an elementwise sum of two half-products
     (a stack times one outcome), e.g. Tr(A Pi_b Pi_d B) = sum (A Pi_b) o conj(B Pi_d);
-    no pair product Pi_a Pi_b is formed.  Time is O(M**3 D**2).  Memory is 40 M**2
-    bytes plus about 64 M D**2 per d-value of a chunk: a chunk takes as many d-values
-    as _quartic_bytes fits in min(memory_budget, QUARTIC_CHUNK_BYTES), at least one,
-    so about 2 MiB where one chunk of every d (64 M**2 D**2 bytes) would not fit.
-    BudgetExceededError is raised only when one d-value exceeds memory_budget, and
-    the chunking changes the value only by rounding.  Orders 2 and 3 build no
+    no pair product Pi_a Pi_b is formed.  Time is O(M**3 D**2).  Memory is the
+    working set that _quartic_bytes states: the d-values are contracted in chunks of
+    as many as fit in min(memory_budget, QUARTIC_CHUNK_BYTES), at least one.
+    BudgetExceededError is raised only when one d-value does not fit in memory_budget,
+    and the chunking changes the value only by rounding.  Orders 2 and 3 build no
     operator stacks, hold O(M**2 + K**3) with K = dim**2 - 1, and ignore the budget.
     """
     if order not in (2, 3, 4):
@@ -310,8 +309,8 @@ def qttf_series(
 
 def _series(
     model: TomographyMatrices,
-    alpha: float = 1.0,
-    max_order: int = 2,
+    alpha: float,
+    max_order: int,
     memory_budget: int = DEFAULT_MEMORY_BUDGET,
 ) -> QttfEstimate:
     """qttf_series on the measurement model."""
@@ -573,7 +572,7 @@ def qttf_monte_carlo(
     return _monte_carlo(measurement_matrices(pom, basis), n_samples, rng)
 
 
-def _monte_carlo(model: TomographyMatrices, n_samples: int, rng=None) -> QttfEstimate:
+def _monte_carlo(model: TomographyMatrices, n_samples: int, rng) -> QttfEstimate:
     """qttf_monte_carlo on the measurement model."""
     _require_count("n_samples", n_samples, 2)
     seed = rng if isinstance(rng, (int, np.integer)) else None
@@ -697,7 +696,7 @@ def qttf_auto(
     return _auto(measurement_matrices(pom, basis), n_samples, rng)
 
 
-def _auto(model: TomographyMatrices, n_samples: int = 10000, rng=None) -> QttfEstimate:
+def _auto(model: TomographyMatrices, n_samples: int, rng) -> QttfEstimate:
     """qttf_auto on the measurement model."""
     _require_count("n_samples", n_samples, 2)
     try:

@@ -1,11 +1,13 @@
 """Command-line interface: subcommands, formats, determinism, exit codes."""
 
+import argparse
 import csv
 import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -130,6 +132,29 @@ def test_pom_transform_validates_flags(tmp_path):
     assert (
         _make(tmp_path, "pom", "transform", str(src), "--epsilon", "-0.2")[0] == EXIT_USAGE
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["builtin", "sic2"],
+        ["builtin", "sic3"],
+        ["builtin", "mub2"],
+        ["builtin", "mub3"],
+        ["random", "--dim", "3", "--m", "18", "--seed", "7"],
+        ["transform", "{src}", "--duplicate", "2", "--weights", "0.25,0.75", "--epsilon", "0.1"],
+    ],
+    ids=["sic2", "sic3", "mub2", "mub3", "random", "transform"],
+)
+def test_pom_prints_the_text_it_writes(tmp_path, argv):
+    src = _builtin_file(tmp_path, "mub2")
+    argv = ["pom", *(arg.format(src=src) for arg in argv)]
+    out = tmp_path / "out.json"
+    code, printed = _make(tmp_path, *argv)
+    assert code == EXIT_OK
+    assert _make(tmp_path, *argv, "--out", str(out)) == (EXIT_OK, "")
+    assert printed.encode("utf-8") == out.read_bytes()
+    assert list(json.loads(printed)) == ["dim", "outcomes", "label"]
 
 
 def test_pom_transform_noise(tmp_path):
@@ -406,7 +431,7 @@ def test_compare_usage_errors(tmp_path):
 
 def test_fig1_csv_is_deterministic(tmp_path):
     args = (
-        "fig1", "--dims", "2", "--mus", "2", "--ranks", "1", "--epsilon", "0",
+        "fig1", "--dims", "2,3", "--mus", "2", "--ranks", "1", "--epsilon", "0",
         "--n-poms", "3", "--n-haar", "100", "--seed", "3",
     )
     first = tmp_path / "a.csv"
@@ -416,11 +441,12 @@ def test_fig1_csv_is_deterministic(tmp_path):
     assert first.read_bytes() == second.read_bytes()
     config, rows = _csv_rows(first.read_text(encoding="utf-8"))
     assert config["command"] == "fig1"
-    assert len(rows) == 1
-    row = rows[0]
-    assert set(row) == {"D", "mu", "rank", "epsilon", "halved_rel_err", "ci_lo", "ci_hi", "limit"}
-    assert float(row["limit"]) == pytest.approx(0.25)
-    assert float(row["ci_lo"]) <= float(row["halved_rel_err"]) <= float(row["ci_hi"])
+    assert [row["D"] for row in rows] == ["2", "3"]
+    columns = {"D", "mu", "rank", "epsilon", "halved_rel_err", "ci_lo", "ci_hi", "limit"}
+    for row, limit in zip(rows, (0.25, 0.3)):
+        assert set(row) == columns
+        assert float(row["limit"]) == pytest.approx(limit)
+        assert float(row["ci_lo"]) <= float(row["halved_rel_err"]) <= float(row["ci_hi"])
 
 
 def test_fig1_empty_run_emits_header_only(tmp_path):
@@ -446,6 +472,9 @@ def test_fig1_rejects_fractional_outcome_counts(tmp_path):
         ("--dims", "2,x", "expected a comma-separated integer list, got '2,x'"),
         ("--dims", "", "expected a comma-separated integer list, got ''"),
         ("--mus", ",", "expected a comma-separated number list, got ','"),
+        ("--mus", "1.5,nan", "mu must be finite, got nan"),
+        ("--mus", "inf", "mu must be finite, got inf"),
+        ("--epsilon", "nan", "--epsilon must be >= 0, got nan"),
     ],
 )
 def test_fig1_refuses_bad_flags(tmp_path, capsys, flag, value, message):
@@ -453,6 +482,12 @@ def test_fig1_refuses_bad_flags(tmp_path, capsys, flag, value, message):
     assert code == EXIT_USAGE
     assert out == ""
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("mu", [np.nan, np.inf, -np.inf])
+def test_run_fig1_refuses_a_non_finite_mu(mu):
+    with pytest.raises(ValueError, match=f"mu must be finite, got {mu}"):
+        run_fig1([2], [1.5, mu], [1], 0.0, n_poms=1, n_haar=20, seed=0)
 
 
 def test_fig1_takes_no_memory_budget(tmp_path):
@@ -574,6 +609,8 @@ def test_fig2_search_refuses_outcome_counts_below_dim_squared(tmp_path, capsys, 
     assert not first.exists() and not second.exists()
     with pytest.raises(ValueError, match="below dim\\*\\*2 = 9"):
         search_counterexample_pair(3, [12, 8], 1, attempts=5, n_samples=100, seed=0)
+    with pytest.raises(ValueError, match="needs at least one outcome count"):
+        search_counterexample_pair(2, [], 1, 3, 100, 0)
 
 
 def _no_attempt(*args, **kwargs):
@@ -625,6 +662,50 @@ def test_library_refusals_of_flag_values_are_usage_errors(
     assert code == EXIT_USAGE
     assert out == ""
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _float_flags(parser, path=()):
+    """(command path, flag) of every type=float argument of parser and its subcommands."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _float_flags(sub, (*path, name))
+        elif action.type is float:
+            yield (*path, action.option_strings[0])
+
+
+# argv templates for every float argument, "{v}" standing for its value and
+# "{pom}" for a measurement file; --mus and --weights are float lists
+FLOAT_ARGUMENTS = {
+    ("pom", "transform", "--epsilon"): ["pom", "transform", "{pom}", "--epsilon", "{v}"],
+    ("pom", "transform", "--weights"): [
+        "pom", "transform", "{pom}", "--duplicate", "1", "--weights", "{v},{v}",
+    ],
+    ("qttf", "--alpha"): ["qttf", "{pom}", "--method", "series", "--alpha", "{v}"],
+    ("fig1", "--epsilon"): [
+        "fig1", "--mus", "2", "--n-poms", "1", "--n-haar", "20", "--epsilon", "{v}",
+    ],
+    ("fig1", "--mus"): ["fig1", "--mus", "{v}", "--n-poms", "1", "--n-haar", "20"],
+    ("fig2", "--purity"): [
+        "fig2", "{pom}", "{pom}", "--purity", "{v}", "--states", "2", "--trials", "4",
+        "--shots", "200", "--samples", "100",
+    ],
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("argument", sorted(FLOAT_ARGUMENTS), ids=" ".join)
+def test_no_float_argument_ends_in_a_traceback(tmp_path, capsys, argument, value):
+    float_lists = {("pom", "transform", "--weights"), ("fig1", "--mus")}
+    assert set(_float_flags(_build_parser())) | float_lists == set(FLOAT_ARGUMENTS)
+    pom = _builtin_file(tmp_path, "sic2")
+    argv = [arg.format(v=value, pom=pom) for arg in FLOAT_ARGUMENTS[argument]]
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = _make(tmp_path, *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_fig2_mixed_dimensions_rejected(tmp_path):

@@ -343,6 +343,9 @@ def test_admix_white_noise_formula_and_invariants():
     np.testing.assert_allclose(unchanged.outcomes, pom.outcomes, atol=0)
     with pytest.raises(PomValidationError):
         admix_white_noise(pom, -0.1)
+    for epsilon in (np.nan, np.inf):  # refused by its own check, before any arithmetic warns
+        with pytest.raises(PomValidationError, match=f"must be finite and >= 0, got {epsilon}"):
+            admix_white_noise(pom, epsilon)
 
 
 def test_duplicate_outcome_splits_and_labels():
@@ -366,3 +369,6 @@ def test_duplicate_outcome_validates_weights_and_index():
         duplicate_outcome(pom, 0, [1.3, -0.3])  # negative weight
     with pytest.raises(PomValidationError):
         duplicate_outcome(pom, 9, [0.5, 0.5])  # index out of range
+    for weights in ([np.nan, np.nan], [0.5, np.inf]):  # not let through to the Pom check
+        with pytest.raises(PomValidationError, match="split weights must be finite"):
+            duplicate_outcome(pom, 0, weights)
