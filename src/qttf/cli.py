@@ -43,6 +43,7 @@ from .operators import HermitianBasis, build_basis
 from .pom import (
     Pom,
     _pom_text,
+    _random_pom_shape,
     admix_white_noise,
     duplicate_outcome,
     load_pom,
@@ -206,15 +207,14 @@ def run_fig1(
     measurements and Monte-Carlo states are keyed by (seed, dim, mu, rank,
     index) only, so runs at different epsilon are paired draw for draw.  A
     non-finite mu, or one whose mu dim**2 is no outcome count, is refused
-    with ValueError.
+    with ValueError, and a cell that random_pom would refuse (a rank outside
+    [1, dim]) with its error, all before the first cell runs.
     """
     for mu in mus:
         if not math.isfinite(mu):
             raise ValueError(f"mu must be finite, got {mu}")
-    rows = []
+    cells = []
     for dim in dims:
-        basis = build_basis(dim)
-        limit = reference_values(dim).limit_rel_error / 2
         for mu in mus:
             m_float = mu * dim * dim
             n_outcomes = int(round(m_float))
@@ -224,35 +224,36 @@ def run_fig1(
                     f"(mu dim**2 is more than {OUTCOME_COUNT_TOL:g} from an integer)"
                 )
             for rank in ranks:
-                if n_poms == 0:
-                    continue
-                mu_key = int(round(mu * 1000))
-                values = []
-                for index in range(n_poms):
-                    base = random_pom(
-                        dim, n_outcomes, rank, _cell_rng(seed, dim, mu_key, rank, index)
-                    )
-                    model = measurement_matrices(admix_white_noise(base, epsilon), basis)
-                    aq = _series(model, alpha=1.0, max_order=2).value
-                    mc = _monte_carlo(
-                        model, n_haar, _cell_rng(seed, dim, mu_key, rank, index, 1)
-                    )
-                    values.append((aq - mc.value) / (2.0 * mc.value))
-                lo, hi = bootstrap_ci(values, _cell_rng(seed, dim, mu_key, rank, 999983))
-                rows.append(
-                    {
-                        "D": dim,
-                        "mu": float(mu),
-                        "rank": rank,
-                        "epsilon": float(epsilon),
-                        "limit": limit,
-                        # Per-measurement samples, for paired analyses; not a CSV column.
-                        "values": [float(v) for v in values],
-                        "halved_rel_err": float(np.mean(values)),
-                        "ci_lo": lo,
-                        "ci_hi": hi,
-                    }
-                )
+                _random_pom_shape(dim, n_outcomes, rank)
+                cells.append((dim, mu, n_outcomes, rank))
+    if n_poms == 0:
+        return []
+    bases = {dim: build_basis(dim) for dim in dims}
+    rows = []
+    for dim, mu, n_outcomes, rank in cells:
+        mu_key = int(round(mu * 1000))
+        values = []
+        for index in range(n_poms):
+            base = random_pom(dim, n_outcomes, rank, _cell_rng(seed, dim, mu_key, rank, index))
+            model = measurement_matrices(admix_white_noise(base, epsilon), bases[dim])
+            aq = _series(model, alpha=1.0, max_order=2).value
+            mc = _monte_carlo(model, n_haar, _cell_rng(seed, dim, mu_key, rank, index, 1))
+            values.append((aq - mc.value) / (2.0 * mc.value))
+        lo, hi = bootstrap_ci(values, _cell_rng(seed, dim, mu_key, rank, 999983))
+        rows.append(
+            {
+                "D": dim,
+                "mu": float(mu),
+                "rank": rank,
+                "epsilon": float(epsilon),
+                "limit": reference_values(dim).limit_rel_error / 2,
+                # Per-measurement samples, for paired analyses; not a CSV column.
+                "values": [float(v) for v in values],
+                "halved_rel_err": float(np.mean(values)),
+                "ci_lo": lo,
+                "ci_hi": hi,
+            }
+        )
     return rows
 
 
@@ -600,6 +601,8 @@ def _build_parser() -> _Parser:
         "--memory-budget",
         type=int,
         default=DEFAULT_MEMORY_BUDGET,
+        action=_AtLeast,
+        low=1,
         help=MEMORY_BUDGET_HELP,
     )
     qttf_parser.add_argument("--out", default=None)

@@ -7,10 +7,11 @@ ladder.  With identity/sqrt(dim) it spans the full Hermitian operator space,
 so every unit-trace Hermitian matrix decomposes as
 rho = identity/dim + sum_k t_k B_k with real t_k.
 
-Haar pure states come one at a time (haar_state_vectors) or in groups
-(rotated_mub_vectors): a complete set of dim+1 mutually unbiased bases
-(mub_vectors, tabulated for dim 4 and every prime dim) rotated by one Haar
-unitary per group.
+Haar pure states come from one sampler, rotated_vectors: a fixed rule of
+unit vectors rotated by one Haar unitary per group.  Its rules are the one
+point [[1.0]] (haar_state_vectors, independent states) and the complete set
+of dim+1 mutually unbiased bases (mub_vectors, tabulated for dim 4 and every
+prime dim).
 """
 
 from __future__ import annotations
@@ -162,17 +163,10 @@ def state_from_bloch(coords, basis: HermitianBasis) -> np.ndarray:
 
 
 def haar_state_vectors(dim: int, n_states: int, rng=None) -> np.ndarray:
-    """Stack of n_states unit vectors drawn from the Haar (unitarily invariant) measure."""
-    dim = _require_dim(dim)
-    _require_count("n_states", n_states, 0)
-    rng = np.random.default_rng(rng)
-    # the two draws go straight into the real and imaginary parts: the same
-    # stream and values as a + 1j * b, without the complex temporaries of 1j * b
-    raw = np.empty((n_states, dim), dtype=complex)
-    raw.real = rng.standard_normal((n_states, dim))
-    raw.imag = rng.standard_normal((n_states, dim))
-    raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-    return raw
+    """Stack of n_states unit vectors drawn from the Haar (unitarily invariant) measure:
+    rotated_vectors of the one-point rule [[1.0]], so row s is the normalised
+    complex Gaussian row a_s + 1j b_s, all the a drawn before all the b."""
+    return rotated_vectors(np.ones((1, 1)), dim, n_states, rng)
 
 
 # The four bases of dim 4 beside the computational one, as exponents e of the
@@ -238,27 +232,31 @@ def _mub_table(dim: int) -> np.ndarray:
     return table
 
 
-def rotated_mub_vectors(dim: int, n_states: int, rng=None) -> np.ndarray:
-    """Stack of n_states unit vectors: the complete set mub_vectors(dim), of
-    S = dim (dim+1) vectors, rotated by ceil(n_states / S) independent Haar
-    unitaries, S rows per unitary, the last group cut at n_states.
+def rotated_vectors(table, dim: int, n_states: int, rng=None) -> np.ndarray:
+    """Stack of n_states unit vectors: a fixed rule of S unit vectors, the rows
+    of the (S, r) `table` placed in the first r <= dim coordinates, rotated by
+    ceil(n_states / S) independent Haar unitaries, S rows per unitary, the last
+    group cut at n_states.  The one sampler of Haar states in the library.
 
-    Every vector is Haar distributed and the groups are independent; within a
-    group the rotated set stays a 2-design, so the group average of any
-    polynomial of degree 2 in v v^dag is its Haar mean exactly.  A
+    Every vector is Haar distributed and the groups are independent; a rule
+    that is a t-design stays one under each rotation, so the group average of
+    any polynomial of degree t in v v^dag is its Haar mean exactly (the
+    complete set of mutually unbiased bases, mub_vectors, is a 2-design).  A
     unitary's rows are the Gram-Schmidt orthonormalised rows of a complex
-    Ginibre matrix, which is a QR with the positive diagonal that makes it
-    Haar (Mezzadri, Notices AMS 2007), in about two thirds of the time of a
-    batched np.linalg.qr with its phase fix (dim 2..5, 34 to 100 groups).
+    Ginibre matrix, real parts drawn first, which is a QR with the positive
+    diagonal that makes it Haar (Mezzadri, Notices AMS 2007), in about two
+    thirds of the time of a batched np.linalg.qr with its phase fix (dim 2..5,
+    34 to 100 groups).  Only the r rows that the table reads are drawn, so the
+    one-point rule [[1.0]] draws one Gaussian row per state and normalises it.
     """
-    table = mub_vectors(dim)
+    dim = _require_dim(dim)
     _require_count("n_states", n_states, 0)
     rng = np.random.default_rng(rng)
-    groups = -(-n_states // len(table))
-    unitaries = np.empty((groups, dim, dim), dtype=complex)
-    unitaries.real = rng.standard_normal((groups, dim, dim))
-    unitaries.imag = rng.standard_normal((groups, dim, dim))
-    for j in range(dim):
+    groups, rows = -(-n_states // len(table)), len(table[0])
+    unitaries = np.empty((groups, rows, dim), dtype=complex)
+    unitaries.real = rng.standard_normal((groups, rows, dim))
+    unitaries.imag = rng.standard_normal((groups, rows, dim))
+    for j in range(rows):
         row = unitaries[:, j]
         if j:
             previous = unitaries[:, :j]

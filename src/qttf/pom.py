@@ -157,6 +157,19 @@ def mub_povm(dim: int) -> Pom:
     return Pom(outcomes, label=f"mub{dim}")
 
 
+def _random_pom_shape(dim, n_outcomes: int, rank: int) -> int:
+    """The checks random_pom makes of its shape before any draw: a valid dim,
+    1 <= rank <= dim and n_outcomes * rank >= dim.  Returns dim as an int."""
+    dim = _require_dim(dim)
+    if not 1 <= rank <= dim:
+        raise InvalidDimensionError(f"rank must lie in [1, {dim}], got {rank}")
+    if n_outcomes * rank < dim:
+        raise PomValidationError(
+            f"need n_outcomes * rank >= dim to span the space, got {n_outcomes}*{rank} < {dim}"
+        )
+    return dim
+
+
 def random_pom(dim: int, n_outcomes: int, rank: int, rng=None, label: str | None = None) -> Pom:
     """Random measurement with outcomes of rank at most `rank`.
 
@@ -165,13 +178,7 @@ def random_pom(dim: int, n_outcomes: int, rank: int, rng=None, label: str | None
     through Pi_j = S^{-1/2} B_j S^{-1/2} with S = sum_j B_j.  Draws are
     retried (up to 10 times) when S is numerically singular.
     """
-    dim = _require_dim(dim)
-    if not 1 <= rank <= dim:
-        raise InvalidDimensionError(f"rank must lie in [1, {dim}], got {rank}")
-    if n_outcomes * rank < dim:
-        raise PomValidationError(
-            f"need n_outcomes * rank >= dim to span the space, got {n_outcomes}*{rank} < {dim}"
-        )
+    dim = _random_pom_shape(dim, n_outcomes, rank)
     seed = rng if isinstance(rng, (int, np.integer)) else None
     rng = np.random.default_rng(rng)
     for _ in range(10):

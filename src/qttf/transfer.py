@@ -102,8 +102,8 @@ from .operators import (
     _mub_tabulated,
     _require_count,
     _require_dim,
-    haar_state_vectors,
-    rotated_mub_vectors,
+    mub_vectors,
+    rotated_vectors,
 )
 from .pom import Pom
 
@@ -218,10 +218,12 @@ def haar_moment_term(
     as many as fit in min(memory_budget, QUARTIC_CHUNK_BYTES), at least one.
     BudgetExceededError is raised only when one d-value does not fit in memory_budget,
     and the chunking changes the value only by rounding.  Orders 2 and 3 build no
-    operator stacks, hold O(M**2 + K**3) with K = dim**2 - 1, and ignore the budget.
+    operator stacks, hold O(M**2 + K**3) with K = dim**2 - 1, and are not bound by
+    the budget; at every order it must be an integer of at least 1 (ValueError).
     """
     if order not in (2, 3, 4):
         raise UnsupportedOrderError(f"moment term order must be 2, 3, or 4, got {order}")
+    _require_count("memory_budget", memory_budget, 1)
     model = measurement_matrices(pom, basis)
     if order == 2:
         return model.f2
@@ -295,9 +297,10 @@ def qttf_series(
     Orders 0 and 1 collapse to Tr(Fbar^{-1}); orders 2 through 4 add the
     alpha-weighted groupings documented in the module docstring.  The result
     for alpha < 1 is the alpha-deformed truncation; at alpha = 1 it is the
-    plain truncated moment series.  memory_budget bounds the order-4 term
-    only (haar_moment_term); at max_order 4 params records its d-values per
-    chunk as "quartic_chunk" and their _quartic_bytes as "quartic_bytes".
+    plain truncated moment series.  memory_budget, an integer of at least 1
+    at every order (ValueError), bounds the order-4 term only
+    (haar_moment_term); at max_order 4 params records its d-values per chunk
+    as "quartic_chunk" and their _quartic_bytes as "quartic_bytes".
 
     params records alpha next to the convergence radius alpha0.  The
     untruncated series is certified to converge only for alpha < alpha0; the
@@ -315,7 +318,9 @@ def _series(
 ) -> QttfEstimate:
     """qttf_series on the measurement model."""
     if not 0 < alpha < math.inf:
-        raise ValueError(f"alpha must be {'finite' if alpha > 0 else 'positive'}, got {alpha}")
+        bound = "finite" if alpha > 0 else "positive" if alpha <= 0 else "a number"
+        raise ValueError(f"alpha must be {bound}, got {alpha}")
+    _require_count("memory_budget", memory_budget, 1)
     integral = isinstance(max_order, (int, np.integer)) and not isinstance(max_order, bool)
     if not (integral and 0 <= max_order <= 4):
         raise UnsupportedOrderError(f"max_order must be an integer in [0, 4], got {max_order!r}")
@@ -489,21 +494,21 @@ def qttf_monte_carlo(
     * h4 = sum_m X_mm x_m**2 - (sum_m X_mm) e(2);
     * h5 = sum_m X_mm x_m**3 - (sum_m X_mm) e(3).
 
-    The states are independent Haar draws (operators.haar_state_vectors),
-    except in a run of n >= DESIGN_MIN_GROUPS * S samples at a dim above 2
-    that operators.mub_vectors tabulates (4 and every odd prime), with
-    S = dim (dim+1).  Such a run draws G = ceil(n / S) groups
-    (operators.rotated_mub_vectors): a complete set of mutually unbiased
-    bases, a complex-projective 2-design, rotated by an independent Haar
-    unitary per group, the last group cut at n.  Every state is still Haar
-    distributed, so the estimate stays unbiased, and a whole group averages
-    every polynomial of degree 2 in rho exactly: the terms of Tr(F^{-1}) up
-    to second order about the maximally mixed state, and the linear and
-    quadratic controls.  The groups never straddle a batch, and 30 groups
-    are the fewest that the bar below is left to rest on.  params["design"]
-    is S, or 1 for independent states, and params["groups"] is G, or n for
-    independent states.  The module docstring has the measured gain, and
-    why dim 2 draws independent states.
+    The states come from operators.rotated_vectors, which rotates a fixed
+    rule of S states by an independent Haar unitary per group of S, the last
+    group cut at n.  The rule is the one point, S = 1, giving independent Haar
+    states, except in a run of n >= DESIGN_MIN_GROUPS * S samples at a dim
+    above 2 that operators.mub_vectors tabulates (4 and every odd prime), with
+    S = dim (dim+1).  Such a run draws G = ceil(n / S) groups of a complete
+    set of mutually unbiased bases, a complex-projective 2-design.  Every
+    state is still Haar distributed, so the estimate stays unbiased, and a
+    whole group averages every polynomial of degree 2 in rho exactly: the
+    terms of Tr(F^{-1}) up to second order about the maximally mixed state,
+    and the linear and quadratic controls.  The groups never straddle a
+    batch, and 30 groups are the fewest that the bar below is left to rest
+    on.  params["design"] is S, or 1 for independent states, and
+    params["groups"] is G, or n for independent states.  The module
+    docstring has the measured gain, and why dim 2 draws independent states.
 
     The value is the mean of v - c . beta over the rows c of the controls,
     with beta the least-squares fit of the centred samples on the centred
@@ -591,22 +596,19 @@ def _monte_carlo(model: TomographyMatrices, n_samples: int, rng) -> QttfEstimate
         power_weights = [x_diag * root_weights**3, x_diag * weights**2, x_diag * weights**3]
         control_means += [m * _beta_moment(dim, 0.5)]
         control_means += [x_diag.sum() * _beta_moment(dim, a) for a in (0.5, 1.5, 2, 3)]
-    design = dim * (dim + 1)
     # not at dim 2, where the rotated set is an octahedron of Bloch vectors: it
     # sums the degree-4 harmonic of the samples coherently, at 3.5 times its
     # variance under independent states, and over 24 qubit measurements the
     # variance of the estimate moved by x0.38 to x2.24, median x1.0
-    if not (dim > 2 and _mub_tabulated(dim) and n_samples >= DESIGN_MIN_GROUPS * design):
-        design = 1
+    bases = dim > 2 and _mub_tabulated(dim) and n_samples >= DESIGN_MIN_GROUPS * dim * (dim + 1)
+    rule = mub_vectors(dim) if bases else np.ones((1, 1))  # else one point: independent states
+    design = len(rule)
     batch = MC_BATCH - MC_BATCH % design  # no group straddles two batches
     values = np.empty(n_samples)
     controls = np.empty((n_samples, len(control_means)))
     for start in range(0, n_samples, batch):
         rows = slice(start, min(start + batch, n_samples))
-        if design > 1:
-            vectors = rotated_mub_vectors(dim, rows.stop - start, rng)
-        else:
-            vectors = haar_state_vectors(dim, rows.stop - start, rng)
+        vectors = rotated_vectors(rule, dim, rows.stop - start, rng)
         born = _pure_state_born(vectors, model.born_table)
         probs, coords = born[:, :m], born[:, m:]
         values[rows] = model.trace_inverse(probs)

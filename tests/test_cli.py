@@ -324,6 +324,30 @@ def test_qttf_budget_exit_code(tmp_path):
     assert code == EXIT_BUDGET
 
 
+@pytest.mark.parametrize("order", ["2", "4"])
+@pytest.mark.parametrize(
+    "budget, message",
+    [
+        ("-1", "--memory-budget must be >= 1, got -1"),
+        ("0", "--memory-budget must be >= 1, got 0"),
+        ("1.5e6", "argument --memory-budget: invalid int value: '1.5e6'"),
+    ],
+    ids=["negative", "zero", "float"],
+)
+def test_qttf_refuses_a_memory_budget_below_one_at_parse_time(
+    tmp_path, capsys, order, budget, message
+):
+    # a budget below 1 used to exit 3 at order 4 and pass without a word below it
+    pom_file = _builtin_file(tmp_path, "sic2")
+    capsys.readouterr()
+    code, out = _make(
+        tmp_path, "qttf", str(pom_file), "--method", "series", "--order", order,
+        "--memory-budget", budget,
+    )
+    assert (code, out) == (EXIT_USAGE, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_qttf_order_four_series_reports_its_quartic_chunk(tmp_path):
     pom_file = tmp_path / "rand.json"
     _make(tmp_path, "pom", "random", "--dim", "2", "--m", "8", "--rank", "1",
@@ -482,6 +506,33 @@ def test_fig1_refuses_bad_flags(tmp_path, capsys, flag, value, message):
     assert code == EXIT_USAGE
     assert out == ""
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["--dims", "2,3", "--mus", "2,1.25"],
+            "mu=1.25 gives non-integral outcome count for dim=3 "
+            "(mu dim**2 is more than 1e-09 from an integer)",
+        ),
+        (["--dims", "2", "--ranks", "1,3", "--mus", "1.5,2"], "rank must lie in [1, 2], got 3"),
+    ],
+    ids=["mu", "rank"],
+)
+def test_fig1_refuses_a_bad_cell_before_any_cell_runs(tmp_path, capsys, monkeypatch, argv, message):
+    # the cells before the bad one used to run first and be thrown away
+    drawn = []
+
+    def counted(*args, **kwargs):
+        drawn.append(args)
+        return random_pom(*args, **kwargs)
+
+    monkeypatch.setattr(qttf.cli, "random_pom", counted)
+    code, out = _make(tmp_path, "fig1", *argv, "--n-poms", "2", "--n-haar", "20")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert len(drawn) == 0
 
 
 @pytest.mark.parametrize("mu", [np.nan, np.inf, -np.inf])

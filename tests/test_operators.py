@@ -23,7 +23,7 @@ from qttf import (
     sic_povm,
     state_from_bloch,
 )
-from qttf.operators import mub_vectors, rotated_mub_vectors
+from qttf.operators import mub_vectors, rotated_vectors
 
 PAULI = [
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -281,7 +281,7 @@ def test_rotated_mub_vectors_are_the_table_under_haar_unitaries(dim, n, seed):
     diagonal = np.diagonal(r, axis1=1, axis2=2)
     unitaries = (q * (diagonal / np.abs(diagonal))[:, None, :]).conj().transpose(0, 2, 1)
     want = (table @ unitaries).reshape(-1, dim)[:n]
-    got = rotated_mub_vectors(dim, n, seed)
+    got = rotated_vectors(table, dim, n, seed)
     assert got.shape == (n, dim)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
@@ -291,7 +291,7 @@ def test_rotated_mub_groups_average_degree_two_terms_exactly(dim):
     # a rotated 2-design: over each whole group, the mean of v v^dag (x) v v^dag
     # is the Haar mean (I + SWAP) / (dim (dim+1))
     size = dim * (dim + 1)
-    vectors = rotated_mub_vectors(dim, 3 * size, 6).reshape(3, size, dim)
+    vectors = rotated_vectors(mub_vectors(dim), dim, 3 * size, 6).reshape(3, size, dim)
     projectors = vectors[:, :, :, None] * vectors[:, :, None, :].conj()
     second = np.einsum("gsij,gskl->gikjl", projectors, projectors).reshape(3, dim**2, dim**2)
     swap = np.eye(dim**2).reshape(dim, dim, dim, dim).transpose(0, 1, 3, 2).reshape(dim**2, -1)

@@ -95,20 +95,27 @@ def test_every_work_size_is_assigned_in_one_module_and_read():
     assert _unread(WORK_SIZE) == []
 
 
+def _function_nodes():
+    """(module, enclosing function, node) of every node inside a function in
+    src/qttf; a node in a nested function counts for every function around it
+    too."""
+    for path in sorted(Path(qttf.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for function in ast.walk(tree):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(function):
+                    yield path.stem, function.name, node
+
+
 def _raises():
     """(module, enclosing function, exception name) of every raise of a bare
     name or a call of one in src/qttf."""
     found = []
-    for path in sorted(Path(qttf.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for function in ast.walk(tree):
-            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            for node in ast.walk(function):
-                if isinstance(node, ast.Raise) and node.exc is not None:
-                    target = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-                    if isinstance(target, ast.Name):
-                        found.append((path.stem, function.name, target.id))
+    for module, function, node in _function_nodes():
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            target = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(target, ast.Name):
+                found.append((module, function, target.id))
     return found
 
 
@@ -122,6 +129,20 @@ def test_incompleteness_is_refused_only_where_the_model_is_built():
         if name == "NotInformationallyCompleteError"
     }
     assert places == {("fisher", "measurement_matrices")}
+
+
+def test_haar_states_are_drawn_only_by_the_one_sampler():
+    # every sampled state comes from a rule rotated by Haar unitaries, so the
+    # Gaussian draws behind them are made in one function; random_pom draws
+    # its own for the outcome operators, which are no states
+    places = {
+        (module, function)
+        for module, function, node in _function_nodes()
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "standard_normal"
+    }
+    assert places == {("operators", "rotated_vectors"), ("pom", "random_pom")}
 
 
 def test_every_leaf_error_class_is_raised_in_the_library():

@@ -43,7 +43,7 @@ from qttf import (
 )
 from qttf import transfer
 from qttf.fisher import CHOLESKY_BLOCK, CHOLESKY_RTOL
-from qttf.operators import rotated_mub_vectors
+from qttf.operators import mub_vectors, rotated_vectors
 from qttf.transfer import (
     DEFAULT_MEMORY_BUDGET,
     QUARTIC_CHUNK_BYTES,
@@ -268,13 +268,43 @@ def test_series_rejects_bad_order():
 
 def test_series_rejects_a_boolean_order_and_a_non_finite_alpha():
     # True is an int to isinstance, and an infinite alpha used to fail only
-    # when the result came out as -inf
+    # when the result came out as -inf; NaN is refused as no number, not as
+    # a non-positive one
     with pytest.raises(UnsupportedOrderError) as order_error:
         qttf_series(qubit_sic(), BASIS2, max_order=True)
     assert str(order_error.value) == "max_order must be an integer in [0, 4], got True"
-    with pytest.raises(ValueError) as alpha_error:
-        qttf_series(qubit_sic(), BASIS2, alpha=float("inf"))
-    assert str(alpha_error.value) == "alpha must be finite, got inf"
+    for alpha, message in [
+        (float("inf"), "alpha must be finite, got inf"),
+        (float("nan"), "alpha must be a number, got nan"),
+        (0.0, "alpha must be positive, got 0.0"),
+        (-1, "alpha must be positive, got -1"),
+    ]:
+        with pytest.raises(ValueError) as alpha_error:
+            qttf_series(qubit_sic(), BASIS2, alpha=alpha)
+        assert str(alpha_error.value) == message
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize(
+    "budget, message",
+    [
+        (1.5e6, "memory_budget must be an integer, got 1500000.0"),
+        (0, "memory_budget must be >= 1, got 0"),
+        (-1, "memory_budget must be >= 1, got -1"),
+        (True, "memory_budget must be an integer, got True"),
+    ],
+    ids=["float", "zero", "negative", "bool"],
+)
+def test_series_refuses_a_memory_budget_that_is_no_count(order, budget, message):
+    # a float budget used to end in a TypeError inside the order-4 term, a
+    # budget below 1 in BudgetExceededError, and every one passed below order 4
+    pom, basis = random_pom(5, 50, 1, rng=1), build_basis(5)
+    with pytest.raises(ValueError) as series_error:
+        qttf_series(pom, basis, max_order=order, memory_budget=budget)
+    assert str(series_error.value) == message
+    with pytest.raises(ValueError) as term_error:
+        haar_moment_term(pom, basis, order, memory_budget=budget)
+    assert str(term_error.value) == message
 
 
 def test_closed_minimal_anchors():
@@ -450,7 +480,7 @@ SAME_STREAM_CASES = (
 )
 def test_monte_carlo_equals_accuracy_average_on_the_same_stream(dim, m, rank, seed, n):
     # the first batch is exactly haar_state_vectors(dim, n, rng), or at dim > 2
-    # from n = 30 dim (dim+1) on rotated_mub_vectors(dim, n, rng), so replaying
+    # from n = 30 dim (dim+1) on rotated_vectors(mub_vectors(dim), dim, n, rng), so replaying
     # that stream through Tr(F^{-1}) from eigenvalues, with the three
     # control variates built in outcome space (the first three expansion terms
     # Tr(X D), Tr(X D Y D) and Tr(X D Y D Y D) minus their exact Haar means,
@@ -476,8 +506,8 @@ def test_monte_carlo_equals_accuracy_average_on_the_same_stream(dim, m, rank, se
     size = dim * (dim + 1)
     design = size if dim > 2 and n >= 30 * size else 1
     assert (est.params["design"], est.params["groups"]) == (design, -(-n // design))
-    draw = rotated_mub_vectors if design > 1 else haar_state_vectors
-    vectors = draw(dim, n, np.random.default_rng(seed))
+    rule = mub_vectors(dim) if design > 1 else [[1.0]]
+    vectors = rotated_vectors(rule, dim, n, np.random.default_rng(seed))
     states = [np.outer(v, v.conj()) for v in vectors]
     probs = np.array([probabilities(rho, pom) for rho in states])
     c = aux.c_matrix
