@@ -8,9 +8,12 @@ F = C^T diag(p)^{-1} C, and Tr(F^{-1}) is the optimal (Cramer-Rao) scaled
 mean squared Hilbert-Schmidt error of unbiased estimation.  F sums the outer
 products c_m c_m^T of the rows of C: fisher() reads all K**2 of them batch-first
 for the LAPACK solves, the trace-inverse kernel reads TomographyMatrices.
-outer_table, their lower triangle j <= i packed row by row, and assembles it
-batch-last into one reused block (fresh ones cost it 10 %), since its Cholesky
-reads nothing else.
+outer_table, their lower triangle j <= i packed row by row, since its Cholesky
+reads nothing else.  It works one block of rows at a time, in a packed Fisher
+buffer and a (K, K, block) buffer of L^{-1} that its caller allocates once and
+every block reuses (fresh ones cost it 10 %): trace_inverse allocates them per
+call, Monte Carlo per run, and both walk their blocks through the one
+per-block step, so Monte Carlo forms each Born row and 1/p for one block only.
 TomographyMatrices.trace_inverse is the one evaluation of Tr(F^{-1}): accuracy,
 the MSE experiments and Monte Carlo all call it, and it alone decides about a
 vanishing probability.  Tr(F^{-1}) is analytic where an outcome never clicks,
@@ -155,9 +158,12 @@ class TomographyMatrices:
     def trace_inverse(self, probs: np.ndarray) -> np.ndarray:
         """Tr(F^{-1}) for every row p of probs (n, M), with F = C^T diag(p)^{-1} C.
 
-        The rows go in blocks of CHOLESKY_BLOCK.  A block's Fisher matrices A are
-        one matmul of outer_table against 1/p, which writes their lower triangles
-        batch-last into a (K (K+1) / 2, s) buffer, row i of A up to its diagonal
+        The rows go in blocks of CHOLESKY_BLOCK, each through one step
+        (_block_trace_inverse): its input check, its assembly, its
+        factor-and-invert loop and its rescue, so 1/p is formed for one block at
+        a time.  A block's Fisher matrices A are one matmul of outer_table
+        against 1/p, which writes their lower triangles batch-last into the
+        packed (K (K+1) / 2, s) buffer, row i of A up to its diagonal
         the contiguous rows [i (i+1) / 2, (i+1) (i+2) / 2).  One loop over i then
         factors A = L L^T row by row (up-looking Cholesky) and builds Z = L^{-1}
         alongside,
@@ -173,8 +179,11 @@ class TomographyMatrices:
         zero, for 3 i**2 / 2; on a smaller band the two extra einsum calls cost
         more than the band saves.  The skipped terms are zeros that a sum in
         index order adds after or before the others, so every value is that of
-        the dense steps.  Z's (K, K, s) buffer serves every block; its upper
-        triangle is never written, so it stays zero.  The per-step vectors are
+        the dense steps.  The packed buffer and Z's (K, K, block) buffer are
+        allocated once per call (_kernel_buffers) and serve every block, as they
+        do every block of a Monte Carlo run, which walks its own blocks through
+        the same step; Z's upper triangle is never written, so it stays zero
+        with no fill per block.  The per-step vectors are
         the einsums' own outputs, which measured faster than writing into reused
         buffers.  A pivot that is not positive leaves its row NaN.
 
@@ -205,50 +214,67 @@ class TomographyMatrices:
         all-zero row, or for an outcome split in two (pom.duplicate_outcome)
         where it never clicks; the rows are tested by the model's rank test
         (RANK_RTOL), since LU with partial pivoting need not meet an exact zero
-        pivot in a singular matrix and would return a wrong value instead.
+        pivot in a singular matrix and would return a wrong value instead.  It
+        comes from the first block that holds such a row.
         """
+        n = probs.shape[0]
+        buffers = self._kernel_buffers(min(CHOLESKY_BLOCK, n))
+        traces = np.empty(n)
+        for start in range(0, n, CHOLESKY_BLOCK):
+            block = probs[start : start + CHOLESKY_BLOCK]
+            traces[start : start + len(block)] = self._block_trace_inverse(block, start, buffers)
+        return traces
+
+    def _kernel_buffers(self, block: int) -> tuple[np.ndarray, np.ndarray]:
+        """The packed Fisher (K (K+1) / 2, block) and Z (K, K, block) buffers of
+        _block_trace_inverse, for blocks of up to block rows.  Z is zeroed here
+        once: the kernel never writes its upper triangle, so every block that
+        reuses it finds that triangle zero."""
+        k = self.c_matrix.shape[1]
+        return np.empty((k * (k + 1) // 2, block)), np.zeros((k, k, block))
+
+    def _block_trace_inverse(
+        self, probs: np.ndarray, first_row: int, buffers: tuple[np.ndarray, np.ndarray]
+    ) -> np.ndarray:
+        """Tr(F^{-1}) for the s rows of probs (s, M), s at most the block of
+        buffers (_kernel_buffers): the input check, the assembly, the
+        factor-and-invert loop and the augmented rescue of trace_inverse for one
+        block.  first_row is the index of the block's first row in the caller's
+        input, which a refusal names."""
         # two whole-array reductions; a per-row test (axis=1) took 45 % of the
         # kernel's time on a 2000-row block at dim = 2
         if probs.size and not (probs.min() >= 0 and probs.max() < np.inf):
             invalid = np.flatnonzero(~((probs >= 0) & (probs < np.inf)).all(axis=1))
             raise ValueError(
-                f"Tr(F^-1) cannot be evaluated at row {invalid[0]}: "
+                f"Tr(F^-1) cannot be evaluated at row {first_row + invalid[0]}: "
                 f"a probability is negative or not finite"
             )
-        n, k = probs.shape[0], self.c_matrix.shape[1]
-        block = min(CHOLESKY_BLOCK, n)
-        fisher, inverse = np.empty((k * (k + 1) // 2, block)), np.zeros((k, k, block))
-        traces, estimates = np.empty(n), np.empty(n)
-        diagonal = _packed_layout(k)[2]
+        s, k = probs.shape[0], self.c_matrix.shape[1]
         with np.errstate(divide="ignore", invalid="ignore"):
-            weights = 1.0 / probs
-            for start in range(0, n, CHOLESKY_BLOCK):
-                rows = weights[start : start + CHOLESKY_BLOCK]
-                s = rows.shape[0]
-                a = np.matmul(self.outer_table.T, rows.T, out=fisher[:, :s])
-                z = inverse[:, :, :s]
-                z[0, 0] = 1.0 / np.sqrt(a[0])
-                for i in range(1, k):
-                    row = a[i * (i + 1) // 2 : (i + 1) * (i + 2) // 2]  # A[i, :i + 1]
-                    h = i // 2 if i * i * s >= 1 << 17 else 0
-                    if h:
-                        lower = np.empty((i, s))
-                        np.einsum("jks,ks->js", z[:h, :h], row[:h], out=lower[:h])
-                        np.einsum("jks,ks->js", z[h:i, :i], row[:i], out=lower[h:])
-                    else:
-                        lower = np.einsum("jks,ks->js", z[:i, :i], row[:i])
-                    scale = -1.0 / np.sqrt(row[i] - np.einsum("js,js->s", lower, lower))
-                    lower *= scale
-                    if h:
-                        np.einsum("js,jks->ks", lower, z[:i, :h], out=z[i, :h])
-                    np.einsum("js,jks->ks", lower[h:], z[h:i, h:i], out=z[i, h:i])
-                    z[i, i] = -scale
-                traces[start : start + s] = np.einsum("jks,jks->s", z, z)
-                np.max(a[diagonal], axis=0, out=estimates[start : start + s])
+            a = np.matmul(self.outer_table.T, (1.0 / probs).T, out=buffers[0][:, :s])
+            z = buffers[1][:, :, :s]
+            z[0, 0] = 1.0 / np.sqrt(a[0])
+            for i in range(1, k):
+                row = a[i * (i + 1) // 2 : (i + 1) * (i + 2) // 2]  # A[i, :i + 1]
+                h = i // 2 if i * i * s >= 1 << 17 else 0
+                if h:
+                    lower = np.empty((i, s))
+                    np.einsum("jks,ks->js", z[:h, :h], row[:h], out=lower[:h])
+                    np.einsum("jks,ks->js", z[h:i, :i], row[:i], out=lower[h:])
+                else:
+                    lower = np.einsum("jks,ks->js", z[:i, :i], row[:i])
+                scale = -1.0 / np.sqrt(row[i] - np.einsum("js,js->s", lower, lower))
+                lower *= scale
+                if h:
+                    np.einsum("js,jks->ks", lower, z[:i, :h], out=z[i, :h])
+                np.einsum("js,jks->ks", lower[h:], z[h:i, h:i], out=z[i, h:i])
+                z[i, i] = -scale
+            traces = np.einsum("jks,jks->s", z, z)
+            estimates = np.max(a[_packed_layout(k)[2]], axis=0)
             estimates *= traces
             rescue = np.flatnonzero(~(np.finfo(float).eps * estimates <= CHOLESKY_RTOL))
         if rescue.size:
-            traces[rescue] = self._augmented_trace_inverse(probs[rescue], rescue)
+            traces[rescue] = self._augmented_trace_inverse(probs[rescue], first_row + rescue)
         return traces
 
     def _augmented_trace_inverse(self, probs: np.ndarray, rows: np.ndarray) -> np.ndarray:

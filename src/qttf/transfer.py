@@ -96,7 +96,13 @@ from .errors import (
     NotMinimallyCompleteError,
     UnsupportedOrderError,
 )
-from .fisher import STRUCTURE_TOL, TomographyMatrices, _pure_state_born, measurement_matrices
+from .fisher import (
+    CHOLESKY_BLOCK,
+    STRUCTURE_TOL,
+    TomographyMatrices,
+    _pure_state_born,
+    measurement_matrices,
+)
 from .operators import (
     HermitianBasis,
     _mub_tabulated,
@@ -111,7 +117,10 @@ DEFAULT_MEMORY_BUDGET = 2**30  # bytes
 # the order-4 contraction takes as many d-values per chunk as fit in this many
 # bytes (and in the caller's memory_budget), so its operator stacks stay in cache
 QUARTIC_CHUNK_BYTES = 2 * 2**20
-MC_BATCH = 20000  # Haar states per Monte Carlo batch
+# Haar states per Monte Carlo draw; it fixes the random stream and bounds the
+# per-sample records of a batch (state vectors, Bloch coordinates), while the
+# Born rows are held for one fisher.CHOLESKY_BLOCK at a time
+MC_BATCH = 20000
 # Monte Carlo draws rotated sets of mutually unbiased bases only when the run
 # holds this many groups, so that its cluster bar rests on as many independent
 # group sums; shorter runs draw independent states
@@ -544,27 +553,25 @@ def qttf_monte_carlo(
     not in a warning.
 
     States are drawn in batches of up to MC_BATCH, a multiple of S with
-    rotated bases.  With the products c_mi c_mj of the rows of C over the
-    lower triangle j <= i tabulated once per model as an (M, K (K+1) / 2)
-    matrix (TomographyMatrices.outer_table), a batch of s states costs
+    rotated bases, and each batch is walked in blocks of fisher.CHOLESKY_BLOCK
+    states.  With the products c_mi c_mj of the rows of C over the lower
+    triangle j <= i tabulated once per model as an (M, K (K+1) / 2) matrix
+    (TomographyMatrices.outer_table), a block of s states costs
 
     * one real (s, 2 dim**2) @ (2 dim**2, M + K) matmul for the Born
       probabilities p_m = Re sum_ij rho_ij conj(Pi_m)_ij and the Bloch
       coordinates t_k = Re sum_ij rho_ij conj(B_k)_ij over the float64
       views of rho = v v^dag, of the outcomes and of the traceless basis
       (fisher._pure_state_born),
-    * per block of fisher.CHOLESKY_BLOCK states, one (K (K+1) / 2, M) @
-      (M, s) matmul that writes the lower triangles of the Fisher matrices
-      F = sum_m c_m c_m^T / p_m batch-last, then one loop of K vectorised
-      steps that factors F = L L^T and inverts L together, for Tr(F^{-1})
-      (about 2 K**3 / 3 multiply-adds per state, K**3 / 2 at dim = 5, where
-      the steps skip the zero band of L^{-1}); a state whose F is too ill
-      conditioned for that is evaluated again by a solve of the augmented
-      system [[alpha P, C], [C^T, 0]] (fisher.TomographyMatrices.trace_inverse),
-    * for the polynomial controls, one (s, K) @ (K,) matvec, one (s, K) @
-      (K, K) matmul against Q and, for the cubic one, one (s, K - j) @
-      (K - j, K - j) matmul per upper tail W_j of the symmetrised cubic form
-      (TomographyMatrices.cubic_tails), about K**3 / 3 multiply-adds per state,
+    * one (K (K+1) / 2, M) @ (M, s) matmul that writes the lower triangles
+      of the Fisher matrices F = sum_m c_m c_m^T / p_m batch-last, then one
+      loop of K vectorised steps that factors F = L L^T and inverts L
+      together, for Tr(F^{-1}) (about 2 K**3 / 3 multiply-adds per state,
+      K**3 / 2 at dim = 5, where the steps skip the zero band of L^{-1}); a
+      state whose F is too ill conditioned for that is evaluated again by a
+      solve of the augmented system [[alpha P, C], [C^T, 0]]: the one
+      per-block step of fisher.TomographyMatrices.trace_inverse, in two
+      buffers allocated once per call,
     * for rank-one outcomes, four passes over one (s, M) buffer: the square
       root of the probabilities and one (s, M) @ (M, 2) matmul against
       [w**(1/2), X_mm w**(1/2)] with w_m = 1 / Tr Pi_m, then p**(3/2), p**2
@@ -572,7 +579,16 @@ def qttf_monte_carlo(
       passes for a = 2 and 3 take 4-6 % of a call on wide measurements
       (M = 20 at dim = 2, M = 40 at dim = 3) and under 2 % at dim >= 4,
 
-    so each sample costs O(dim**2 (M + K) + M K**2 + K**3).
+    and a batch of s states then costs, on the Bloch coordinates of all its
+    blocks, one (s, K) @ (K,) matvec for the linear control, one (s, K) @
+    (K, K) matmul against Q for the quadratic one and, for the cubic one, one
+    (s, K - j) @ (K - j, K - j) matmul per upper tail W_j of the symmetrised
+    cubic form (TomographyMatrices.cubic_tails), about K**3 / 3 multiply-adds
+    per state; these run on the whole batch, where their matmuls are fastest.
+    So each sample costs O(dim**2 (M + K) + M K**2 + K**3).  A run holds per
+    sample its value and its controls, per state of a batch its vector and
+    its K Bloch coordinates, and per block the Born rows, 1/p and the power
+    buffer: no Born row outlives its block.
     """
     return _monte_carlo(measurement_matrices(pom, basis), n_samples, rng)
 
@@ -606,25 +622,33 @@ def _monte_carlo(model: TomographyMatrices, n_samples: int, rng) -> QttfEstimate
     batch = MC_BATCH - MC_BATCH % design  # no group straddles two batches
     values = np.empty(n_samples)
     controls = np.empty((n_samples, len(control_means)))
+    coords = np.empty((min(batch, n_samples), model.c_matrix.shape[1]))
+    buffers = model._kernel_buffers(min(CHOLESKY_BLOCK, n_samples))
     for start in range(0, n_samples, batch):
-        rows = slice(start, min(start + batch, n_samples))
-        vectors = rotated_vectors(rule, dim, rows.stop - start, rng)
-        born = _pure_state_born(vectors, model.born_table)
-        probs, coords = born[:, :m], born[:, m:]
-        values[rows] = model.trace_inverse(probs)
-        if rank_one:
-            # one (s, M) buffer holds p**(1/2), p**(3/2), p**2 and p**3 in turn
-            powers = np.sqrt(probs)
-            controls[rows, 3:5] = powers @ root_table
-            powers *= probs
-            controls[rows, 5] = powers @ power_weights[0]
-            np.square(probs, out=powers)
-            controls[rows, 6] = powers @ power_weights[1]
-            powers *= probs
-            controls[rows, 7] = powers @ power_weights[2]
-        controls[rows, 0] = coords @ linear
-        controls[rows, 1] = np.sum((coords @ quadratic) * coords, axis=1)
-        controls[rows, 2] = _cubic_form(coords, tails)
+        stop = min(start + batch, n_samples)
+        vectors = rotated_vectors(rule, dim, stop - start, rng)
+        for first in range(start, stop, CHOLESKY_BLOCK):
+            rows = slice(first, min(first + CHOLESKY_BLOCK, stop))
+            local = slice(first - start, rows.stop - start)  # the block's rows in the batch
+            born = _pure_state_born(vectors[local], model.born_table)
+            probs = born[:, :m]
+            coords[local] = born[:, m:]
+            values[rows] = model._block_trace_inverse(probs, first, buffers)
+            if rank_one:
+                # one (s, M) buffer holds p**(1/2), p**(3/2), p**2 and p**3 in turn
+                powers = np.sqrt(probs)
+                controls[rows, 3:5] = powers @ root_table
+                powers *= probs
+                controls[rows, 5] = powers @ power_weights[0]
+                np.square(probs, out=powers)
+                controls[rows, 6] = powers @ power_weights[1]
+                powers *= probs
+                controls[rows, 7] = powers @ power_weights[2]
+        # the polynomial controls run once per batch, where their matmuls are fastest
+        batch_coords = coords[: stop - start]
+        controls[start:stop, 0] = batch_coords @ linear
+        controls[start:stop, 1] = np.sum((batch_coords @ quadratic) * batch_coords, axis=1)
+        controls[start:stop, 2] = _cubic_form(batch_coords, tails)
     controls -= control_means
     mean = float(values.mean())
     centered = values - mean

@@ -41,7 +41,7 @@ from qttf import (
     reference_values,
     sic_povm,
 )
-from qttf import transfer
+from qttf import fisher, transfer
 from qttf.fisher import CHOLESKY_BLOCK, CHOLESKY_RTOL
 from qttf.operators import mub_vectors, rotated_vectors
 from qttf.transfer import (
@@ -703,6 +703,24 @@ def test_trace_inverse_stack_rows_do_not_depend_on_their_block(dim):
     np.testing.assert_allclose(matrices.trace_inverse(probs), alone, rtol=1e-11, atol=0)
 
 
+
+@pytest.mark.parametrize("block", [64, 100])
+@pytest.mark.parametrize(("dim", "m", "n"), [(2, 8, 1000), (3, 40, 4000), (5, 50, 2000)])
+def test_monte_carlo_does_not_depend_on_its_block(dim, m, n, block, monkeypatch):
+    # Monte Carlo walks each batch in blocks of CHOLESKY_BLOCK through the
+    # kernel and the power controls, with buffers shared by every block, so a
+    # stale row would move the estimate; the D = 3 run draws rotated bases,
+    # whose groups of 12 straddle the blocks.  A block changes the BLAS calls'
+    # shapes, which may move a control's last bits
+    pom = random_pom(dim, m, 1, rng=np.random.default_rng(97 + dim))
+    default = qttf_monte_carlo(pom, build_basis(dim), n, rng=98)
+    for module in (fisher, transfer):
+        monkeypatch.setattr(module, "CHOLESKY_BLOCK", block)
+    blocked = qttf_monte_carlo(pom, build_basis(dim), n, rng=98)
+    assert blocked.params["design"] == default.params["design"]
+    assert abs(blocked.value - default.value) <= 1e-12 * default.value
+    assert abs(blocked.std_error - default.std_error) <= 1e-12 * default.std_error
+
 @pytest.mark.parametrize("weight", [8e-12, 1e-12])
 def test_monte_carlo_on_a_split_sic_is_four_at_every_state(weight):
     # a SIC outcome split off with a tiny weight leaves the SIC's Fisher
@@ -1063,6 +1081,25 @@ def test_quartic_peak_memory_stays_within_its_budget(dim, m, rank, chunk):
         tracemalloc.stop()
     assert peak <= budget
 
+
+
+def test_monte_carlo_peak_memory_grows_by_less_than_a_born_row_per_sample():
+    # the Born rows, 1/p and the power buffer are held for one block of
+    # CHOLESKY_BLOCK states; what grows with n is the per-sample record
+    # (vectors, Bloch coordinates, values, controls) and the batch-wide
+    # polynomial controls, under the M + K doubles of one Born row per sample
+    dim, m = 3, 40
+    model = measurement_matrices(random_pom(dim, m, 1, rng=np.random.default_rng(58)), BASIS3)
+    _monte_carlo(model, 100, 1)  # the model fields are computed before tracing starts
+    peaks = []
+    for n in (4000, 8000):
+        tracemalloc.start()
+        try:
+            _monte_carlo(model, n, 2)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 4000 * 8 * (m + dim * dim - 1)
 
 def test_third_order_series_holds_no_pair_products():
     # F2 and F3 come from the M x M model matrices; stacks of M**2 complex
