@@ -23,6 +23,7 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 
@@ -168,11 +169,11 @@ def _number_list(text: str, kind: type) -> list:
     return values
 
 
-def _load(path) -> Pom:
-    try:
-        return load_pom(path)
-    except FileNotFoundError as exc:
-        raise _UsageError(f"cannot read measurement file {path!r}: {exc}") from exc
+def _require_writable(*paths) -> None:
+    """Refuse, before any work, an output path that is a directory or lies in no directory."""
+    for path in filter(None, paths):
+        if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+            raise _UsageError(f"cannot write {path!r}: not a file in an existing directory")
 
 
 def _cell_rng(*key_parts) -> np.random.Generator:
@@ -398,7 +399,7 @@ def _cmd_pom(args) -> int:
 
 def _transformed(args) -> Pom:
     """The input measurement of pom transform with its outcome split and noise applied."""
-    pom = _load(args.input)
+    pom = load_pom(args.input)
     if args.duplicate is None and args.epsilon is None:
         raise _UsageError("transform needs --duplicate and/or --epsilon")
     if args.duplicate is not None:
@@ -417,7 +418,7 @@ def _transformed(args) -> Pom:
 
 
 def _cmd_qttf(args) -> int:
-    pom = _load(args.pom)
+    pom = load_pom(args.pom)
     model = measurement_matrices(pom, build_basis(pom.dim))
     if args.method == "auto":
         estimate = _auto(model, n_samples=args.samples, rng=args.seed)
@@ -443,7 +444,7 @@ def _cmd_qttf(args) -> int:
 def _cmd_compare(args) -> int:
     if len(args.poms) < 2:
         raise _UsageError("compare needs at least two measurement files")
-    poms = [_load(path) for path in args.poms]
+    poms = [load_pom(path) for path in args.poms]
     basis = _common_basis(poms)
     rows = []
     for pom in poms:
@@ -528,6 +529,7 @@ def _cmd_fig2(args) -> int:
     if args.search:
         if args.dim is None:
             raise _UsageError("--search requires --dim")
+        _require_writable(args.pom1, args.pom2)
         with _argument_errors():  # the purity before the search, which writes the pair files
             mixing_weight_for_purity(args.purity, args.dim)
             pom1, pom2, info = search_counterexample_pair(
@@ -549,7 +551,7 @@ def _cmd_fig2(args) -> int:
             file=sys.stderr,
         )
     else:
-        pom1, pom2 = _load(args.pom1), _load(args.pom2)
+        pom1, pom2 = load_pom(args.pom1), load_pom(args.pom2)
     with _argument_errors():
         rows = run_fig2_rows(
             [pom1, pom2],
@@ -579,7 +581,7 @@ def _build_parser() -> _Parser:
     rand.add_argument("--dim", type=int, required=True)
     rand.add_argument("--m", type=int, required=True, help="number of outcomes")
     rand.add_argument("--rank", type=int, default=1)
-    rand.add_argument("--seed", type=int, default=0)
+    rand.add_argument("--seed", type=int, default=0, action=_AtLeast, low=0)
     rand.add_argument("--out", default=None)
     trans = pom_sub.add_parser("transform", help="duplicate outcomes or admix white noise")
     trans.add_argument("input")
@@ -596,7 +598,7 @@ def _build_parser() -> _Parser:
     qttf_parser.add_argument("--alpha", type=float, default=1.0)
     qttf_parser.add_argument("--order", type=int, default=2)
     qttf_parser.add_argument("--samples", type=int, default=10000, action=_AtLeast, low=2)
-    qttf_parser.add_argument("--seed", type=int, default=0)
+    qttf_parser.add_argument("--seed", type=int, default=0, action=_AtLeast, low=0)
     qttf_parser.add_argument(
         "--memory-budget",
         type=int,
@@ -610,7 +612,7 @@ def _build_parser() -> _Parser:
     cmp_parser = sub.add_parser("compare", help="tabulate conditioning against accuracy")
     cmp_parser.add_argument("poms", nargs="+")
     cmp_parser.add_argument("--samples", type=int, default=10000, action=_AtLeast, low=2)
-    cmp_parser.add_argument("--seed", type=int, default=0)
+    cmp_parser.add_argument("--seed", type=int, default=0, action=_AtLeast, low=0)
     cmp_parser.add_argument("--format", choices=["table", "json", "csv"], default="table")
     cmp_parser.add_argument("--out", default=None)
 
@@ -621,7 +623,7 @@ def _build_parser() -> _Parser:
     fig1_parser.add_argument("--epsilon", type=float, default=0.0, action=_AtLeast, low=0)
     fig1_parser.add_argument("--n-poms", type=int, default=50, action=_AtLeast, low=0)
     fig1_parser.add_argument("--n-haar", type=int, default=500, action=_AtLeast, low=2)
-    fig1_parser.add_argument("--seed", type=int, default=0)
+    fig1_parser.add_argument("--seed", type=int, default=0, action=_AtLeast, low=0)
     fig1_parser.add_argument("--out", default=None)
 
     fig2_parser = sub.add_parser("fig2", help="finite-sample MSE against transfer values")
@@ -637,7 +639,7 @@ def _build_parser() -> _Parser:
     fig2_parser.add_argument("--shots", type=int, default=10000, action=_AtLeast, low=1)
     fig2_parser.add_argument("--trials", type=int, default=50, action=_AtLeast, low=2)
     fig2_parser.add_argument("--samples", type=int, default=4000, action=_AtLeast, low=2)
-    fig2_parser.add_argument("--seed", type=int, default=0)
+    fig2_parser.add_argument("--seed", type=int, default=0, action=_AtLeast, low=0)
     fig2_parser.add_argument("--out", default=None)
 
     return parser
@@ -656,10 +658,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        _require_writable(args.out)
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except PomSchemaError as exc:
         print(f"error: invalid measurement file: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -669,7 +669,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except QttfError as exc:
+    except (_UsageError, QttfError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

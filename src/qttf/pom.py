@@ -310,9 +310,19 @@ def _outcome_pairs(j: int, outcome, dim: int) -> np.ndarray:
 
 
 def _pom_text(pom: Pom) -> str:
-    """The measurement file text: pom_to_dict as JSON indented by 2, its keys in
-    pom_to_dict order, and a trailing newline."""
-    return json.dumps(pom_to_dict(pom), indent=2) + "\n"
+    """The measurement file text: json.dumps(pom_to_dict(pom), indent=2) + "\\n".
+
+    indent makes json run its pure-Python encoder, so the same bytes come from a
+    layout template for (M, dim): each [re, im] entry goes in by %r, the
+    float.__repr__ json writes a finite float with, and the JSON-encoded label
+    by one %s, so a % in it stays text.  A file costs about the repr of its floats."""
+    layout = "%r"
+    for indent, count in ((10, 2), (8, pom.dim), (6, pom.dim), (4, pom.n_outcomes)):
+        line = "\n" + " " * indent
+        layout = "[" + line + ("," + line).join([layout] * count) + line[:-2] + "]"
+    entries = np.stack([pom.outcomes.real, pom.outcomes.imag], -1).ravel().tolist()
+    template = '{\n  "dim": %d,\n  "outcomes": ' + layout + ',\n  "label": %s\n}\n'
+    return template % (pom.dim, *entries, json.dumps(pom.label))
 
 
 def save_pom(pom: Pom, path) -> None:
@@ -323,10 +333,12 @@ def save_pom(pom: Pom, path) -> None:
 
 def load_pom(path) -> Pom:
     """Read and validate a measurement file written by save_pom; PomSchemaError
-    if it is not valid JSON or not a valid measurement."""
+    if it is not valid UTF-8 JSON or not a valid measurement."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)
         except json.JSONDecodeError as exc:
             raise PomSchemaError(f"not valid JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise PomSchemaError(f"not valid UTF-8 JSON: {exc}") from exc
     return pom_from_dict(data)

@@ -181,6 +181,64 @@ def test_corrupt_input_file_is_usage_error(tmp_path):
     assert code == EXIT_USAGE
 
 
+def test_input_file_that_is_not_utf8_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{")
+    assert _make(tmp_path, "qttf", str(bad)) == (EXIT_USAGE, "")
+    assert capsys.readouterr().err.startswith("error: invalid measurement file: not valid UTF-8")
+
+
+# argv templates of commands given a path they cannot read or write: "{dir}"
+# is a directory, "{none}" a directory that does not exist, "{pom}" a
+# measurement file; the search is refused before its first attempt
+PATH_FAILURES = {
+    "pom transform, input a directory": ["pom", "transform", "{dir}", "--epsilon", "0.1"],
+    "qttf, input a directory": ["qttf", "{dir}"],
+    "compare, input a directory": ["compare", "{pom}", "{dir}"],
+    "fig2, input a directory": ["fig2", "{dir}", "{pom}"],
+    "pom --out": ["pom", "builtin", "sic2", "--out", "{none}/out.json"],
+    "qttf --out": ["qttf", "{pom}", "--out", "{none}/out.json"],
+    "compare --out": ["compare", "{pom}", "{pom}", "--out", "{none}/out.txt"],
+    "fig1 --out": [
+        "fig1", "--mus", "2", "--n-poms", "1", "--n-haar", "20", "--out", "{none}/out.csv",
+    ],
+    "fig2 --out": [
+        "fig2", "{pom}", "{pom}", "--states", "2", "--trials", "4", "--shots", "200",
+        "--samples", "100", "--out", "{none}/out.csv",
+    ],
+    "fig2 --search --out": [
+        "fig2", "{dir}/p1.json", "{dir}/p2.json", "--search", "--dim", "2",
+        "--out", "{none}/out.csv",
+    ],
+    "fig2 --search, first pair path": [
+        "fig2", "{none}/p1.json", "{dir}/p2.json", "--search", "--dim", "2",
+    ],
+    "fig2 --search, second pair path": [
+        "fig2", "{dir}/p1.json", "{none}/p2.json", "--search", "--dim", "2",
+    ],
+    "fig2 --search, pair path a directory": [
+        "fig2", "{dir}", "{dir}/p2.json", "--search", "--dim", "2",
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(PATH_FAILURES))
+def test_unreadable_or_unwritable_path_is_usage_error(tmp_path, capsys, monkeypatch, case):
+    monkeypatch.setattr(qttf.cli, "random_pom", _no_attempt)
+    pom = _builtin_file(tmp_path, "sic2")
+    folder, missing = tmp_path / "folder", tmp_path / "missing"
+    folder.mkdir()
+    template = PATH_FAILURES[case]
+    bad = next(arg for arg in template if arg.startswith("{none}") or arg == "{dir}")
+    argv = [arg.format(dir=folder, none=missing, pom=pom) for arg in template]
+    capsys.readouterr()
+    assert _make(tmp_path, *argv) == (EXIT_USAGE, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert repr(bad.format(dir=folder, none=missing)) in err
+    assert sorted(os.listdir(folder)) == [] and not missing.exists()
+
+
 # ---------------------------------------------------------------- qttf
 
 
@@ -715,13 +773,20 @@ def test_library_refusals_of_flag_values_are_usage_errors(
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def _float_flags(parser, path=()):
-    """(command path, flag) of every type=float argument of parser and its subcommands."""
+def _arguments(parser, path=()):
+    """(command path, action) of every argument of parser and its subcommands."""
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
             for name, sub in action.choices.items():
-                yield from _float_flags(sub, (*path, name))
-        elif action.type is float:
+                yield from _arguments(sub, (*path, name))
+        else:
+            yield path, action
+
+
+def _float_flags(parser):
+    """(command path, flag) of every type=float argument of parser and its subcommands."""
+    for path, action in _arguments(parser):
+        if action.type is float:
             yield (*path, action.option_strings[0])
 
 
@@ -757,6 +822,32 @@ def test_no_float_argument_ends_in_a_traceback(tmp_path, capsys, argument, value
         code, out = _make(tmp_path, *argv)
     assert (code, out) == (EXIT_USAGE, "")
     assert capsys.readouterr().err.startswith("error:")
+
+
+# argv templates for every command with a --seed, "{pom}" standing for a
+# measurement file; each command would draw from its seed
+SEED_COMMANDS = {
+    ("pom", "random"): ["pom", "random", "--dim", "2", "--m", "4"],
+    ("qttf",): ["qttf", "{pom}", "--method", "mc", "--samples", "100"],
+    ("compare",): ["compare", "{pom}", "{pom}", "--samples", "100"],
+    ("fig1",): ["fig1", "--mus", "2", "--n-poms", "1", "--n-haar", "20"],
+    ("fig2",): [
+        "fig2", "{pom}", "{pom}", "--states", "2", "--trials", "4", "--shots", "200",
+        "--samples", "100",
+    ],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SEED_COMMANDS), ids=" ".join)
+def test_negative_seed_is_refused_when_parsed(tmp_path, capsys, command):
+    seeded = {path for path, action in _arguments(_build_parser()) if action.dest == "seed"}
+    assert seeded == set(SEED_COMMANDS)
+    pom = tmp_path / "rand.json"  # M > 4 D**2: compare takes the Monte Carlo route
+    _make(tmp_path, "pom", "random", "--dim", "2", "--m", "20", "--out", str(pom))
+    argv = [arg.format(pom=pom) for arg in SEED_COMMANDS[command]]
+    capsys.readouterr()
+    assert _make(tmp_path, *argv, "--seed", "-1") == (EXIT_USAGE, "")
+    assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
 
 
 def test_fig2_mixed_dimensions_rejected(tmp_path):

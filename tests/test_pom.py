@@ -1,5 +1,7 @@
 """Measurement container validation and JSON serialization."""
 
+import json
+import json.encoder
 import warnings
 
 import numpy as np
@@ -13,6 +15,7 @@ from qttf import (
     load_pom,
     measurement_matrices,
     build_basis,
+    duplicate_outcome,
     mub_povm,
     pom_from_dict,
     pom_to_dict,
@@ -21,6 +24,8 @@ from qttf import (
     save_pom,
     sic_povm,
 )
+from qttf.cli import main
+from qttf.pom import _pom_text
 
 
 def test_pom_exposes_metadata():
@@ -132,6 +137,61 @@ def test_json_round_trip_is_byte_identical(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+def _negative_zeros() -> Pom:
+    """mub2 with every zero real and imaginary part written as -0.0."""
+    outcomes = mub_povm(2).outcomes.copy()
+    outcomes.real[outcomes.real == 0] = -0.0
+    outcomes.imag[outcomes.imag == 0] = -0.0
+    return Pom(outcomes, label="mub2 -0.0")
+
+
+def _subnormal() -> Pom:
+    """sic2 with an outcome split at weight 1e-300 and that copy split again
+    at 1e-13: exponent-form entries, some of them subnormal."""
+    tiny = duplicate_outcome(qubit_sic(), 0, weights=(1e-300, 1.0))
+    return duplicate_outcome(tiny, 0, weights=(1e-13, 1.0 - 1e-13))
+
+
+def _text_oracle_pool():
+    yield from (qubit_sic(), sic_povm(3), *(mub_povm(dim) for dim in range(2, 6)))
+    for dim in range(2, 7):
+        for rank in range(1, dim + 1):
+            for n_outcomes in (dim * dim, 2 * dim * dim + 1, 4 * dim * dim):
+                yield random_pom(dim, n_outcomes, rank, rng=100 * dim + 10 * rank + n_outcomes)
+    yield from (_subnormal(), _negative_zeros())
+    for label in ["", 'a"b\\c', "%s %% %d", "é😀\n"]:
+        yield Pom(qubit_sic().outcomes, label=label)
+
+
+def test_file_text_is_the_indented_json_of_the_dict():
+    # the stdlib encoder is the oracle: the file text is its indent=2 output
+    for pom in _text_oracle_pool():
+        assert _pom_text(pom) == json.dumps(pom_to_dict(pom), indent=2) + "\n", pom.label
+    # the pool holds the rarer reprs: subnormal entries and signed zeros
+    entries = np.abs(_subnormal().outcomes.real)
+    smallest = entries[entries > 0].min()
+    assert smallest < np.finfo(float).tiny
+    assert repr(float(smallest)) in _pom_text(_subnormal())
+    assert "-0.0,\n" in _pom_text(_negative_zeros()) and "-0.0\n" in _pom_text(_negative_zeros())
+
+
+def test_file_text_does_not_use_the_python_json_encoder(tmp_path, monkeypatch, capsys):
+    # json runs its pure-Python encoder for indented text; the file text must not
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pure-Python JSON encoder ran")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    with pytest.raises(AssertionError, match="pure-Python"):
+        json.dumps([0.5], indent=2)
+    pom = sic_povm(3)
+    text = _pom_text(pom)
+    save_pom(pom, tmp_path / "sic3.json")
+    assert (tmp_path / "sic3.json").read_text(encoding="utf-8") == text
+    capsys.readouterr()
+    assert main(["pom", "builtin", "sic3"]) == 0
+    assert capsys.readouterr().out == text
+
+
 def test_dict_round_trip():
     pom = mub_povm(3)
     again = pom_from_dict(pom_to_dict(pom))
@@ -188,4 +248,11 @@ def test_load_rejects_invalid_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")
     with pytest.raises(PomSchemaError, match="not valid JSON"):
+        load_pom(path)
+
+
+def test_load_rejects_text_that_is_not_utf8(tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{")
+    with pytest.raises(PomSchemaError, match="not valid UTF-8 JSON"):
         load_pom(path)
