@@ -1,10 +1,11 @@
 """Command-line front end: measurement files, transfer values, comparisons, sweeps.
 
 Exit codes: 0 success, 1 usage or input problems, 2 measurement not
-informationally complete, 3 memory budget exceeded.  Every emitted file
-embeds the run configuration (JSON field, or a leading ``# config:`` comment
-line in CSV): every parsed argument except ``--out``, the seed included, so
-runs can be reproduced exactly.  Execution is sequential and single
+informationally complete, 3 one d-value of the order-4 series term does not
+fit in transfer.DEFAULT_MEMORY_BUDGET, which takes thousands of outcomes.
+Every emitted file embeds the run configuration (JSON field, or a leading
+``# config:`` comment line in CSV): every parsed argument except ``--out``,
+the seed included, so runs can be reproduced exactly.  Execution is sequential and single
 threaded; results depend only on the seed and the cell or sample index,
 never on scheduling.
 
@@ -53,15 +54,7 @@ from .pom import (
     save_pom,
     sic_povm,
 )
-from .transfer import (
-    DEFAULT_MEMORY_BUDGET,
-    QUARTIC_CHUNK_BYTES,
-    _auto,
-    _closed_form,
-    _monte_carlo,
-    _series,
-    reference_values,
-)
+from .transfer import _auto, _closed_form, _monte_carlo, _series, reference_values
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -75,12 +68,6 @@ KAPPA_TIE_TOL = 1e-9
 COMPARE_SIGMA_FLOOR = 1e-6  # compare calls qttf values this close equal, however small their bars
 BOOTSTRAP_RESAMPLES = 1000  # resampled means behind each bootstrap interval
 BOOTSTRAP_LEVEL = 0.95  # coverage of each bootstrap interval
-
-MEMORY_BUDGET_HELP = (
-    "bytes the order-4 moment term may hold at once: it contracts chunks of as many "
-    f"d-values as fit in this and in {QUARTIC_CHUNK_BYTES // 2**20} MiB "
-    "(exit code 3 if even one d-value does not fit)"
-)
 
 BUILTINS = {
     "sic2": lambda: sic_povm(2),
@@ -387,7 +374,8 @@ def _cmd_pom(args) -> int:
     if args.pom_command == "builtin":
         pom = BUILTINS[args.name]()
     elif args.pom_command == "random":
-        pom = random_pom(args.dim, args.m, args.rank, args.seed)
+        with _argument_errors():
+            pom = random_pom(args.dim, args.m, args.rank, args.seed)
     else:
         pom = _transformed(args)
     if args.out:
@@ -429,9 +417,7 @@ def _cmd_qttf(args) -> int:
             raise _UsageError(f"no closed form applies: {exc}") from exc
     elif args.method == "series":
         with _argument_errors():
-            estimate = _series(
-                model, alpha=args.alpha, max_order=args.order, memory_budget=args.memory_budget
-            )
+            estimate = _series(model, alpha=args.alpha, max_order=args.order)
     else:
         estimate = _monte_carlo(model, args.samples, args.seed)
     payload = asdict(estimate)
@@ -599,14 +585,6 @@ def _build_parser() -> _Parser:
     qttf_parser.add_argument("--order", type=int, default=2)
     qttf_parser.add_argument("--samples", type=int, default=10000, action=_AtLeast, low=2)
     qttf_parser.add_argument("--seed", type=int, default=0, action=_AtLeast, low=0)
-    qttf_parser.add_argument(
-        "--memory-budget",
-        type=int,
-        default=DEFAULT_MEMORY_BUDGET,
-        action=_AtLeast,
-        low=1,
-        help=MEMORY_BUDGET_HELP,
-    )
     qttf_parser.add_argument("--out", default=None)
 
     cmp_parser = sub.add_parser("compare", help="tabulate conditioning against accuracy")

@@ -65,6 +65,7 @@ from .operators import (
     HermitianBasis,
     _density_matrix,
     _require_count,
+    _require_dim,
     bloch_coords,
     haar_state_vectors,
     state_from_bloch,
@@ -89,6 +90,8 @@ class ClickRecord:
         counts = np.asarray(self.counts)
         if counts.ndim != 1 or counts.size == 0:
             raise ValueError("counts must be a non-empty 1-D array")
+        if counts.dtype == bool:
+            raise ValueError("counts must be integers, got booleans")
         if not np.isfinite(counts).all():
             raise ValueError("counts must be finite")
         if (counts != np.round(counts)).any():
@@ -284,7 +287,7 @@ def mse_experiment(
 
 def mixing_weight_for_purity(purity: float, dim: int) -> float:
     """Pure-state weight w with Tr(rho^2) = purity for rho = w psi + (1-w) identity/dim."""
-    low = 1.0 / dim
+    low = 1.0 / _require_dim(dim)
     if not low <= purity < 1.0:
         raise ValueError(f"target purity must lie in [1/dim, 1) = [{low}, 1), got {purity}")
     return float(np.sqrt((purity - low) / (1.0 - low)))

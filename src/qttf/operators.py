@@ -36,11 +36,15 @@ def _require_dim(dim) -> int:
     return int(dim)
 
 
+def _is_integer(value) -> bool:
+    """A Python or numpy integer; a bool or a float is not, even an integral one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _require_count(name: str, value, least: int) -> None:
     """Refuse a count (of shots, trials, states or samples) that is not an
-    integer of at least `least`; Python and numpy integers pass, a bool or a
-    float does not, even an integral one."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+    integer (_is_integer) of at least `least`."""
+    if not _is_integer(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")

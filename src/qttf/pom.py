@@ -24,7 +24,14 @@ from .errors import (
     PomValidationError,
     UnsupportedDimensionError,
 )
-from .operators import EIGENVALUE_SLACK, HERMITIAN_TOL, _require_dim, mub_vectors
+from .operators import (
+    EIGENVALUE_SLACK,
+    HERMITIAN_TOL,
+    _is_integer,
+    _require_count,
+    _require_dim,
+    mub_vectors,
+)
 
 COMPLETENESS_TOL = 1e-10
 SPLIT_WEIGHT_TOL = 1e-12  # accepted deviation of duplicate_outcome's weights from a unit sum
@@ -159,9 +166,12 @@ def mub_povm(dim: int) -> Pom:
 
 def _random_pom_shape(dim, n_outcomes: int, rank: int) -> int:
     """The checks random_pom makes of its shape before any draw: a valid dim,
-    1 <= rank <= dim and n_outcomes * rank >= dim.  Returns dim as an int."""
+    integer counts with 1 <= rank <= dim and n_outcomes * rank >= dim.  Returns
+    dim as an int."""
     dim = _require_dim(dim)
-    if not 1 <= rank <= dim:
+    _require_count("n_outcomes", n_outcomes, 1)
+    _require_count("rank", rank, 1)
+    if rank > dim:
         raise InvalidDimensionError(f"rank must lie in [1, {dim}], got {rank}")
     if n_outcomes * rank < dim:
         raise PomValidationError(
@@ -224,6 +234,8 @@ def duplicate_outcome(pom: Pom, index: int, weights) -> Pom:
     content of the measurement (its Fisher information at every state) is
     unchanged; only the outcome count and conditioning change.
     """
+    if not _is_integer(index):
+        raise PomValidationError(f"outcome index must be an integer, got {index!r}")
     if not 0 <= index < pom.n_outcomes:
         raise PomValidationError(
             f"outcome index {index} out of range for {pom.n_outcomes} outcomes"

@@ -66,9 +66,9 @@ fisher.TomographyMatrices.  F2 and F3 come from the expansion terms written
 in Bloch coordinates, the quadratic form Q and the cubic form T, whose Haar
 means are exact; the series and the Monte Carlo controls read the same
 fields.  Only F4 is contracted here, from operator stacks times single
-outcomes ("half-products"), and memory_budget bounds that contraction alone.
-Its chunks of d-values fit in QUARTIC_CHUNK_BYTES too, so its working set
-stays cache-sized whatever M.
+outcomes ("half-products"), and qttf_series's memory_budget bounds that
+contraction alone.  Its chunks of d-values fit in QUARTIC_CHUNK_BYTES too, so
+its working set stays cache-sized whatever M.
 
 Each public route takes (pom, basis), builds the model with
 fisher.measurement_matrices and hands it to a private core that takes the
@@ -105,6 +105,7 @@ from .fisher import (
 )
 from .operators import (
     HermitianBasis,
+    _is_integer,
     _mub_tabulated,
     _require_count,
     _require_dim,
@@ -115,7 +116,7 @@ from .pom import Pom
 
 DEFAULT_MEMORY_BUDGET = 2**30  # bytes
 # the order-4 contraction takes as many d-values per chunk as fit in this many
-# bytes (and in the caller's memory_budget), so its operator stacks stay in cache
+# bytes (and in qttf_series's memory_budget), so its operator stacks stay in cache
 QUARTIC_CHUNK_BYTES = 2 * 2**20
 # Haar states per Monte Carlo draw; it fixes the random stream and bounds the
 # per-sample records of a batch (state vectors, Bloch coordinates), while the
@@ -192,12 +193,15 @@ def _times_outcomes(stack: np.ndarray, outcomes: np.ndarray, out: np.ndarray) ->
     return out
 
 
-def haar_moment_term(
-    pom: Pom,
-    basis: HermitianBasis,
-    order: int,
-    memory_budget: int = DEFAULT_MEMORY_BUDGET,
-) -> float:
+def _require_order(name: str, order, low: int) -> int:
+    """order as an int in [low, 4]; anything else, a bool or an integral float
+    included, is UnsupportedOrderError."""
+    if not (_is_integer(order) and low <= order <= 4):
+        raise UnsupportedOrderError(f"{name} must be an integer in [{low}, 4], got {order!r}")
+    return int(order)
+
+
+def haar_moment_term(pom: Pom, basis: HermitianBasis, order: int) -> float:
     """Central-moment contraction F_k = E[Tr(X d (Y d)^{k-1})], k in {2, 3, 4}.
 
     F2 and F3 are the model's fields (fisher.TomographyMatrices.f2, .f3):
@@ -224,21 +228,18 @@ def haar_moment_term(
     (a stack times one outcome), e.g. Tr(A Pi_b Pi_d B) = sum (A Pi_b) o conj(B Pi_d);
     no pair product Pi_a Pi_b is formed.  Time is O(M**3 D**2).  Memory is the
     working set that _quartic_bytes states: the d-values are contracted in chunks of
-    as many as fit in min(memory_budget, QUARTIC_CHUNK_BYTES), at least one.
-    BudgetExceededError is raised only when one d-value does not fit in memory_budget,
-    and the chunking changes the value only by rounding.  Orders 2 and 3 build no
-    operator stacks, hold O(M**2 + K**3) with K = dim**2 - 1, and are not bound by
-    the budget; at every order it must be an integer of at least 1 (ValueError).
+    as many as fit in QUARTIC_CHUNK_BYTES, at least one, which changes the value only
+    by rounding; BudgetExceededError if one d-value does not fit in
+    DEFAULT_MEMORY_BUDGET (only qttf_series sets another).  Orders 2 and 3 build no
+    operator stacks and hold O(M**2 + K**3) with K = dim**2 - 1.
     """
-    if order not in (2, 3, 4):
-        raise UnsupportedOrderError(f"moment term order must be 2, 3, or 4, got {order}")
-    _require_count("memory_budget", memory_budget, 1)
+    order = _require_order("order", order, 2)
     model = measurement_matrices(pom, basis)
     if order == 2:
         return model.f2
     if order == 3:
         return model.f3
-    return _quartic_term(model, memory_budget)
+    return _quartic_term(model, _quartic_chunk(model.n_outcomes, model.dim, DEFAULT_MEMORY_BUDGET))
 
 
 def _quartic_chunk(m: int, dim: int, memory_budget: int) -> int:
@@ -255,10 +256,9 @@ def _quartic_chunk(m: int, dim: int, memory_budget: int) -> int:
     return min(m, max(1, (limit - resident) // (single - resident)))
 
 
-def _quartic_term(model: TomographyMatrices, memory_budget: int) -> float:
-    """F4 as in haar_moment_term, within memory_budget bytes or not at all."""
+def _quartic_term(model: TomographyMatrices, chunk: int) -> float:
+    """F4 as in haar_moment_term, contracted `chunk` d-values at a time (_quartic_chunk)."""
     dim, m = model.dim, model.n_outcomes
-    chunk = _quartic_chunk(m, dim, memory_budget)
     x, y = model.x_matrix, model.y_matrix
     outcomes = np.ascontiguousarray(model.outcomes)
     flat = outcomes.reshape(m, dim * dim).view(np.float64)
@@ -307,9 +307,11 @@ def qttf_series(
     alpha-weighted groupings documented in the module docstring.  The result
     for alpha < 1 is the alpha-deformed truncation; at alpha = 1 it is the
     plain truncated moment series.  memory_budget, an integer of at least 1
-    at every order (ValueError), bounds the order-4 term only
-    (haar_moment_term); at max_order 4 params records its d-values per chunk
-    as "quartic_chunk" and their _quartic_bytes as "quartic_bytes".
+    at every order (ValueError), is the one setting of the bound on the
+    order-4 term (haar_moment_term).  At max_order 4 that term's chunk of
+    d-values is sized first, so a budget that cannot hold one d-value raises
+    BudgetExceededError before any other work; params records the chunk as
+    "quartic_chunk" and its _quartic_bytes as "quartic_bytes".
 
     params records alpha next to the convergence radius alpha0.  The
     untruncated series is certified to converge only for alpha < alpha0; the
@@ -330,9 +332,12 @@ def _series(
         bound = "finite" if alpha > 0 else "positive" if alpha <= 0 else "a number"
         raise ValueError(f"alpha must be {bound}, got {alpha}")
     _require_count("memory_budget", memory_budget, 1)
-    integral = isinstance(max_order, (int, np.integer)) and not isinstance(max_order, bool)
-    if not (integral and 0 <= max_order <= 4):
-        raise UnsupportedOrderError(f"max_order must be an integer in [0, 4], got {max_order!r}")
+    max_order = _require_order("max_order", max_order, 0)
+    quartic = {}
+    if max_order == 4:
+        m, dim = model.n_outcomes, model.dim
+        chunk = _quartic_chunk(m, dim, memory_budget)
+        quartic = {"quartic_chunk": chunk, "quartic_bytes": _quartic_bytes(m, dim, chunk)}
     contributions = [model.tr_fbar_inv]
     if max_order >= 2:
         f2 = model.f2
@@ -340,12 +345,8 @@ def _series(
     if max_order >= 3:
         f3 = model.f3
         contributions.append(alpha**2 * (f3 - f2) + alpha * f2)
-    quartic = {}
-    if max_order >= 4:
-        m, dim = model.n_outcomes, model.dim
-        chunk = _quartic_chunk(m, dim, memory_budget)
-        quartic = {"quartic_chunk": chunk, "quartic_bytes": _quartic_bytes(m, dim, chunk)}
-        f4 = _quartic_term(model, memory_budget)
+    if quartic:
+        f4 = _quartic_term(model, quartic["quartic_chunk"])
         contributions.append(
             alpha**3 * (f4 - 2 * f3 + f2) + 2 * alpha**2 * (f3 - f2) + alpha * f2
         )
@@ -353,7 +354,7 @@ def _series(
         value=float(sum(contributions)),
         method="series",
         params={
-            "order": int(max_order),
+            "order": max_order,
             "alpha": float(alpha),
             "alpha0": model.alpha0,
             "contributions": [float(c) for c in contributions],

@@ -36,7 +36,7 @@ from qttf.cli import (
     run_fig1,
     search_counterexample_pair,
 )
-from qttf.errors import SearchTimeoutError
+from qttf.errors import BudgetExceededError, SearchTimeoutError
 from qttf.fisher import TomographyMatrices
 from qttf.transfer import _quartic_bytes
 
@@ -371,39 +371,33 @@ def test_qttf_closed_on_an_incomplete_measurement_is_a_non_ic_exit(tmp_path, cap
     assert "rank deficient" in capsys.readouterr().err
 
 
-def test_qttf_budget_exit_code(tmp_path):
-    pom_file = tmp_path / "rand.json"
-    _make(tmp_path, "pom", "random", "--dim", "2", "--m", "8", "--rank", "1",
-          "--seed", "2", "--out", str(pom_file))
-    code, _ = _make(
-        tmp_path, "qttf", str(pom_file), "--method", "series", "--order", "4",
-        "--memory-budget", "2000",
+def test_qttf_budget_exit_code(tmp_path, capsys, monkeypatch):
+    # only thousands of outcomes overflow the default budget; a refusing chunk
+    # sizer stands in for such a file
+    def refuse(m, dim, memory_budget):
+        raise BudgetExceededError(f"needs more than {memory_budget} bytes")
+
+    monkeypatch.setattr(qttf.transfer, "_quartic_chunk", refuse)
+    pom_file = _builtin_file(tmp_path, "sic2")
+    capsys.readouterr()
+    code, out = _make(tmp_path, "qttf", str(pom_file), "--method", "series", "--order", "4")
+    assert (code, out) == (EXIT_BUDGET, "")
+    assert capsys.readouterr().err == "error: needs more than 1073741824 bytes\n"
+
+
+def test_qttf_takes_no_memory_budget(tmp_path, capsys):
+    # qttf_series(memory_budget=) is the one place to set the order-4 budget
+    assert not any(
+        "--memory-budget" in action.option_strings for _, action in _arguments(_build_parser())
     )
-    assert code == EXIT_BUDGET
-
-
-@pytest.mark.parametrize("order", ["2", "4"])
-@pytest.mark.parametrize(
-    "budget, message",
-    [
-        ("-1", "--memory-budget must be >= 1, got -1"),
-        ("0", "--memory-budget must be >= 1, got 0"),
-        ("1.5e6", "argument --memory-budget: invalid int value: '1.5e6'"),
-    ],
-    ids=["negative", "zero", "float"],
-)
-def test_qttf_refuses_a_memory_budget_below_one_at_parse_time(
-    tmp_path, capsys, order, budget, message
-):
-    # a budget below 1 used to exit 3 at order 4 and pass without a word below it
     pom_file = _builtin_file(tmp_path, "sic2")
     capsys.readouterr()
     code, out = _make(
-        tmp_path, "qttf", str(pom_file), "--method", "series", "--order", order,
-        "--memory-budget", budget,
+        tmp_path, "qttf", str(pom_file), "--method", "series", "--order", "4",
+        "--memory-budget", "1",
     )
     assert (code, out) == (EXIT_USAGE, "")
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == "error: unrecognized arguments: --memory-budget 1\n"
 
 
 def test_qttf_order_four_series_reports_its_quartic_chunk(tmp_path):
@@ -417,20 +411,6 @@ def test_qttf_order_four_series_reports_its_quartic_chunk(tmp_path):
     assert params["quartic_bytes"] == _quartic_bytes(8, 2, 8)
     _, lower = _make(tmp_path, "qttf", str(pom_file), "--method", "series", "--order", "3")
     assert "quartic_chunk" not in json.loads(lower)["params"]
-
-
-def test_qttf_auto_ignores_the_memory_budget(tmp_path):
-    # the budget bounds only the order-4 term, which the auto route never runs
-    pom_file = tmp_path / "rand.json"
-    _make(tmp_path, "pom", "random", "--dim", "2", "--m", "8", "--rank", "1",
-          "--seed", "2", "--out", str(pom_file))
-    code, out = _make(tmp_path, "qttf", str(pom_file), "--memory-budget", "1000")
-    assert code == EXIT_OK
-    payload = json.loads(out)
-    assert payload["method"] == "series"
-    assert payload["std_error"] == 0
-    _, unbounded = _make(tmp_path, "qttf", str(pom_file))
-    assert payload["value"] == json.loads(unbounded)["value"]
 
 
 # ---------------------------------------------------------------- compare

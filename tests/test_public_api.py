@@ -3,9 +3,13 @@ tolerance and work size is defined once and read, and every error class is
 raised where its name says."""
 
 import ast
+import inspect
 import re
 from collections import Counter
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 import qttf
 from qttf import errors
@@ -48,6 +52,67 @@ def test_every_public_callable_has_its_own_docstring():
         if callable(obj) and (not doc or doc.startswith(f"{obj.__name__}(")):
             missing.append(name)
     assert not missing
+
+
+def test_only_qttf_series_takes_a_memory_budget():
+    # the one place to set the order-4 budget; haar_moment_term runs at the default
+    takers = [
+        name
+        for name in qttf.__all__
+        if inspect.isfunction(getattr(qttf, name))
+        and "memory_budget" in inspect.signature(getattr(qttf, name)).parameters
+    ]
+    assert takers == ["qttf_series"]
+
+
+# each used to get past the library's checks and end in a numpy error, a
+# wrong value, or a boolean count taken as 0 or 1
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: qttf.random_pom(2, 4.0, 1), ValueError, "n_outcomes must be an integer, got 4.0"),
+        (
+            lambda: qttf.random_pom(2, True, 2),
+            ValueError,
+            "n_outcomes must be an integer, got True",
+        ),
+        (lambda: qttf.random_pom(2, 4, 1.0), ValueError, "rank must be an integer, got 1.0"),
+        (
+            lambda: qttf.duplicate_outcome(qttf.sic_povm(2), True, [0.5, 0.5]),
+            errors.PomValidationError,
+            "outcome index must be an integer, got True",
+        ),
+        (
+            lambda: qttf.duplicate_outcome(qttf.sic_povm(2), 1.0, [0.5, 0.5]),
+            errors.PomValidationError,
+            "outcome index must be an integer, got 1.0",
+        ),
+        (
+            lambda: qttf.mixing_weight_for_purity(0.9, 2.5),
+            errors.InvalidDimensionError,
+            "dimension must be an integer, got 2.5",
+        ),
+        (
+            lambda: qttf.ClickRecord(np.array([True, False, True, True])),
+            ValueError,
+            "counts must be integers, got booleans",
+        ),
+    ],
+    ids=[
+        "random_pom-float-outcomes",
+        "random_pom-bool-outcomes",
+        "random_pom-float-rank",
+        "duplicate_outcome-bool-index",
+        "duplicate_outcome-float-index",
+        "mixing_weight-float-dim",
+        "ClickRecord-bool-counts",
+    ],
+)
+def test_integer_arguments_are_checked_by_the_library(call, error, message):
+    with pytest.raises(error) as refused:
+        call()
+    assert type(refused.value) is error
+    assert str(refused.value) == message
 
 
 def test_every_tolerance_is_assigned_in_one_module_only():

@@ -51,6 +51,7 @@ from qttf.transfer import (
     _cubic_form,
     _monte_carlo,
     _quartic_bytes,
+    _quartic_chunk,
     _quartic_term,
 )
 
@@ -181,9 +182,11 @@ def test_series_terms_match_moment_oracle(dim, m, rank, seed):
     if dim == 3:
         assert abs(lib[1]) > 1e-3  # this draw exercises the odd-order path
     np.testing.assert_allclose(lib, oracle, atol=1e-9)
-    # chunks of three d-values, so the last chunk is short
-    chunked = haar_moment_term(pom, basis, 4, memory_budget=_quartic_bytes(m, dim, 3))
-    np.testing.assert_allclose(chunked, oracle[2], atol=1e-9)
+    # chunks of three d-values, so the last chunk is short; at alpha = 1 the
+    # order-4 contribution is F4
+    params = qttf_series(pom, basis, max_order=4, memory_budget=_quartic_bytes(m, dim, 3)).params
+    assert params["quartic_chunk"] == 3
+    np.testing.assert_allclose(params["contributions"][3], oracle[2], atol=1e-9)
 
 
 def test_series_term_anchors():
@@ -206,6 +209,20 @@ def test_second_order_term_is_never_positive():
 def test_moment_term_rejects_bad_order():
     with pytest.raises(UnsupportedOrderError):
         haar_moment_term(qubit_sic(), BASIS2, 5)
+
+
+@pytest.mark.parametrize(
+    "order", [2.0, np.float64(4.0), True], ids=["float", "numpy-float", "bool"]
+)
+def test_both_routes_refuse_an_order_that_is_no_integer(order):
+    # haar_moment_term used to take 2.0 for F2 and np.float64(4.0) for F4,
+    # values that qttf_series refused as max_order
+    with pytest.raises(UnsupportedOrderError) as term_error:
+        haar_moment_term(qubit_sic(), BASIS2, order)
+    assert str(term_error.value) == f"order must be an integer in [2, 4], got {order!r}"
+    with pytest.raises(UnsupportedOrderError) as series_error:
+        qttf_series(qubit_sic(), BASIS2, max_order=order)
+    assert str(series_error.value) == f"max_order must be an integer in [0, 4], got {order!r}"
 
 
 def test_series_contributions_are_additive_per_order():
@@ -302,9 +319,6 @@ def test_series_refuses_a_memory_budget_that_is_no_count(order, budget, message)
     with pytest.raises(ValueError) as series_error:
         qttf_series(pom, basis, max_order=order, memory_budget=budget)
     assert str(series_error.value) == message
-    with pytest.raises(ValueError) as term_error:
-        haar_moment_term(pom, basis, order, memory_budget=budget)
-    assert str(term_error.value) == message
 
 
 def test_closed_minimal_anchors():
@@ -1028,10 +1042,34 @@ def test_auto_selects_method_by_structure():
 
 def test_budget_failure_names_the_alternative():
     pom = random_pom(2, 8, 1, rng=np.random.default_rng(49))
+    for alpha in (1.0, 0.2):
+        with pytest.raises(BudgetExceededError, match="monte_carlo"):
+            qttf_series(pom, BASIS2, alpha=alpha, max_order=4, memory_budget=1000)
+
+
+def test_refused_series_reads_no_term_before_its_budget():
+    # the chunk is sized right after the argument checks, so a refusal costs
+    # neither Tr Fbar^{-1} nor F2 nor F3
+    model = measurement_matrices(random_pom(3, 18, 1, rng=np.random.default_rng(49)), BASIS3)
     with pytest.raises(BudgetExceededError, match="monte_carlo"):
-        haar_moment_term(pom, build_basis(pom.dim), 4, memory_budget=1000)
-    with pytest.raises(BudgetExceededError, match="monte_carlo"):
-        qttf_series(pom, BASIS2, alpha=0.2, max_order=4, memory_budget=1000)
+        transfer._series(model, 1.0, 4, memory_budget=1000)
+    assert not {"tr_fbar_inv", "f2", "f3"} & set(model.__dict__)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.3])
+def test_order_four_series_sizes_its_chunk_once(alpha, monkeypatch):
+    calls, chunk_rule = [], transfer._quartic_chunk
+
+    def counted(*args):
+        calls.append(args)
+        return chunk_rule(*args)
+
+    monkeypatch.setattr(transfer, "_quartic_chunk", counted)
+    pom = random_pom(3, 18, 1, rng=np.random.default_rng(50))
+    budget = _quartic_bytes(18, 3, 4)
+    params = qttf_series(pom, BASIS3, alpha=alpha, max_order=4, memory_budget=budget).params
+    assert calls == [(18, 3, budget)]
+    assert params["quartic_chunk"] == 4
 
 
 def test_quartic_value_ignores_the_old_g4_budget_trigger():
@@ -1039,29 +1077,29 @@ def test_quartic_value_ignores_the_old_g4_budget_trigger():
     # tensor to streamed einsums; the single contraction fits well below it
     pom = random_pom(3, 18, 1, rng=np.random.default_rng(51))
     m = pom.n_outcomes
-    default = haar_moment_term(pom, BASIS3, 4)
-    assert haar_moment_term(pom, BASIS3, 4, memory_budget=16 * m**4 - 1) == default
+    default = qttf_series(pom, BASIS3, max_order=4).params["contributions"][3]
+    old_trigger = qttf_series(pom, BASIS3, max_order=4, memory_budget=16 * m**4 - 1)
+    assert old_trigger.params["contributions"][3] == default
 
 
 def test_quartic_chunks_to_fit_a_tight_budget():
     pom = random_pom(3, 18, 2, rng=np.random.default_rng(52))
     m, dim = pom.n_outcomes, pom.dim
-    default = haar_moment_term(pom, BASIS3, 4)
+    default = qttf_series(pom, BASIS3, max_order=4).params["contributions"][3]  # F4
     resident = 40 * m * m + 4096  # G2, the pair-pair products, headers and scratch
     per_d = 64 * m * dim * dim + 16 * m  # four complex (M, D, D) slices and two rows
     for chunk in (1, 5):
-        value = haar_moment_term(pom, BASIS3, 4, memory_budget=resident + chunk * per_d)
+        budget = resident + chunk * per_d
+        params = qttf_series(pom, BASIS3, max_order=4, memory_budget=budget).params
+        assert params["quartic_chunk"] == chunk
+        value = params["contributions"][3]
         assert abs(value - default) <= 1e-12 * abs(default)
     with pytest.raises(BudgetExceededError, match="monte_carlo"):
-        haar_moment_term(pom, BASIS3, 4, memory_budget=resident + per_d - 1)
+        qttf_series(pom, BASIS3, max_order=4, memory_budget=resident + per_d - 1)
     # orders 2 and 3 build no operator stacks, so no budget binds them
     for order in (2, 3):
-        tight = haar_moment_term(pom, BASIS3, order, memory_budget=1)
-        assert tight == haar_moment_term(pom, BASIS3, order)
-    tight = qttf_series(pom, BASIS3, max_order=3, memory_budget=1)
-    assert tight == qttf_series(pom, BASIS3, max_order=3)
-    with pytest.raises(BudgetExceededError, match="monte_carlo"):
-        qttf_series(pom, BASIS3, max_order=4, memory_budget=resident + per_d - 1)
+        tight = qttf_series(pom, BASIS3, max_order=order, memory_budget=1)
+        assert tight == qttf_series(pom, BASIS3, max_order=order)
 
 
 @pytest.mark.parametrize(("dim", "m", "rank"), [(3, 18, 1), (3, 18, 2), (4, 32, 1), (4, 32, 2)])
@@ -1072,10 +1110,11 @@ def test_quartic_peak_memory_stays_within_its_budget(dim, m, rank, chunk):
     pom = random_pom(dim, m, rank, rng=np.random.default_rng(54 + rank))
     model = measurement_matrices(pom, build_basis(dim))
     model.f2, model.f3  # the model fields are computed before tracing starts
-    budget = _quartic_bytes(m, dim, m if chunk == "all" else chunk)
+    chunk = m if chunk == "all" else chunk
+    budget = _quartic_bytes(m, dim, chunk)
     tracemalloc.start()
     try:
-        _quartic_term(model, budget)
+        _quartic_term(model, chunk)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1128,9 +1167,10 @@ def test_quartic_peak_memory_stays_within_the_chunk_cap(dim):
     # at the default budget one chunk of every d would hold 64 M**2 D**2 bytes
     # (3.9 MiB at D = 5, 11.6 MiB at D = 6); the cap bounds the working set
     _, model = _quartic_model(dim)
+    chunk = _quartic_chunk(model.n_outcomes, dim, DEFAULT_MEMORY_BUDGET)
     tracemalloc.start()
     try:
-        _quartic_term(model, DEFAULT_MEMORY_BUDGET)
+        _quartic_term(model, chunk)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1140,10 +1180,11 @@ def test_quartic_peak_memory_stays_within_the_chunk_cap(dim):
 @pytest.mark.parametrize("dim", [5, 6])
 def test_capped_quartic_matches_the_one_chunk_value(dim, monkeypatch):
     _, model = _quartic_model(dim)
-    capped = _quartic_term(model, DEFAULT_MEMORY_BUDGET)
+    m = model.n_outcomes
+    capped = _quartic_term(model, _quartic_chunk(m, dim, DEFAULT_MEMORY_BUDGET))
     monkeypatch.setattr(transfer, "QUARTIC_CHUNK_BYTES", DEFAULT_MEMORY_BUDGET)
-    assert transfer._quartic_chunk(model.n_outcomes, dim, DEFAULT_MEMORY_BUDGET) == model.n_outcomes
-    whole = _quartic_term(model, DEFAULT_MEMORY_BUDGET)
+    assert _quartic_chunk(m, dim, DEFAULT_MEMORY_BUDGET) == m
+    whole = _quartic_term(model, m)
     assert abs(capped - whole) <= 1e-13 * abs(whole)
 
 
