@@ -41,7 +41,7 @@ from .errors import (
 )
 from .estimation import _sweep, mixing_weight_for_purity
 from .fisher import measurement_matrices
-from .operators import HermitianBasis, build_basis
+from .operators import HermitianBasis, _require_count, build_basis
 from .pom import (
     Pom,
     _pom_text,
@@ -65,7 +65,9 @@ OUTCOME_COUNT_TOL = 1e-9  # largest distance of fig1's mu dim**2 from an integer
 # a kappa(C-tilde) gap at or below this is a tie, which orders no pair: compare
 # notes no inversion for it and the search takes no pair
 KAPPA_TIE_TOL = 1e-9
-COMPARE_SIGMA_FLOOR = 1e-6  # compare calls qttf values this close equal, however small their bars
+# the least qttf gap that a pair's rule reads as a difference, however small the
+# bars; exact values (bars of 0) this close are equal
+COMPARE_SIGMA_FLOOR = 1e-6
 BOOTSTRAP_RESAMPLES = 1000  # resampled means behind each bootstrap interval
 BOOTSTRAP_LEVEL = 0.95  # coverage of each bootstrap interval
 
@@ -169,10 +171,11 @@ def _cell_rng(*key_parts) -> np.random.Generator:
 
 def bootstrap_ci(values, rng):
     """Percentile bootstrap confidence interval for the mean, at BOOTSTRAP_LEVEL
-    from BOOTSTRAP_RESAMPLES resampled means."""
+    from BOOTSTRAP_RESAMPLES resampled means drawn by rng, a seed or a Generator."""
     values = np.asarray(values, dtype=float)
     if values.size == 1:
         return float(values[0]), float(values[0])
+    rng = np.random.default_rng(rng)
     idx = rng.integers(0, values.size, size=(BOOTSTRAP_RESAMPLES, values.size))
     means = values[idx].mean(axis=1)
     tail = (1.0 - BOOTSTRAP_LEVEL) / 2
@@ -193,11 +196,15 @@ def run_fig1(
     One row per (dim, mu, rank) cell at the given noise admixture; its limit
     is the order-2 ceiling reference_values(dim).limit_rel_error halved.  Base
     measurements and Monte-Carlo states are keyed by (seed, dim, mu, rank,
-    index) only, so runs at different epsilon are paired draw for draw.  A
-    non-finite mu, or one whose mu dim**2 is no outcome count, is refused
-    with ValueError, and a cell that random_pom would refuse (a rank outside
-    [1, dim]) with its error, all before the first cell runs.
+    index) only, so runs at different epsilon are paired draw for draw.
+    n_poms must be an integer of at least 0 and n_haar one of at least 2.  A
+    count that is not, a non-finite mu, or one whose mu dim**2 is no outcome
+    count, is refused with ValueError, and a cell that random_pom would
+    refuse (a rank outside [1, dim]) with its error, all before the first
+    cell runs.
     """
+    _require_count("n_poms", n_poms, 0)
+    _require_count("n_haar", n_haar, 2)
     for mu in mus:
         if not math.isfinite(mu):
             raise ValueError(f"mu must be finite, got {mu}")
@@ -246,15 +253,26 @@ def run_fig1(
 
 
 def _by_conditioning(first: dict, second: dict):
-    """Order two rows by kappa_c_tilde, the one tie rule of compare and the
-    search: None when their kappas are within KAPPA_TIE_TOL, otherwise
-    (better conditioned row, worse conditioned row, its qttf minus the other's,
-    hypot of their qttf_stderr)."""
+    """The one rule of compare and the search for a pair of rows:
+    (verdict, better conditioned row, worse conditioned row, gap, sigma).
+
+    The rows are ordered by kappa_c_tilde, gap is the first's qttf minus the
+    second's and sigma the hypot of their qttf_stderr.  A kappa gap of at
+    most KAPPA_TIE_TOL is a tie, which orders nothing.  Past a tie the
+    verdict is "inversion" when gap exceeds max(5 sigma, COMPARE_SIGMA_FLOOR),
+    and "equal" when both bars are 0 and |gap| is within the floor; a tie and
+    any other pair get None.
+    """
     low, high = sorted((first, second), key=lambda row: row["kappa_c_tilde"])
-    if high["kappa_c_tilde"] - low["kappa_c_tilde"] <= KAPPA_TIE_TOL:
-        return None
-    stderr = float(np.hypot(low["qttf_stderr"], high["qttf_stderr"]))
-    return low, high, low["qttf"] - high["qttf"], stderr
+    gap = low["qttf"] - high["qttf"]
+    sigma = float(np.hypot(low["qttf_stderr"], high["qttf_stderr"]))
+    verdict = None
+    if high["kappa_c_tilde"] - low["kappa_c_tilde"] > KAPPA_TIE_TOL:
+        if gap > max(5.0 * sigma, COMPARE_SIGMA_FLOOR):
+            verdict = "inversion"
+        elif sigma == 0.0 and abs(gap) <= COMPARE_SIGMA_FLOOR:
+            verdict = "equal"
+    return verdict, low, high, gap, sigma
 
 
 def _common_basis(poms) -> HermitianBasis:
@@ -276,14 +294,16 @@ def search_counterexample_pair(
     """Random search for measurements where conditioning and accuracy disagree.
 
     Returns (pom_low_kappa, pom_high_kappa, info) with
-    kappa(first) < kappa(second) while qttf(first) - qttf(second) is at
-    least five combined standard errors: the better-conditioned measurement
-    is tomographically worse.  Each pair is checked once, ordered by kappa
-    under the tie rule of compare (_by_conditioning).
-    An empty m_choices, or an outcome count below dim**2, which no
-    informationally complete measurement has, is refused with ValueError
-    before the first attempt.
+    kappa(first) < kappa(second) while qttf(first) - qttf(second) exceeds
+    five combined standard errors: the better-conditioned measurement is
+    tomographically worse.  Each pair is checked once, under the pair rule
+    of compare (_by_conditioning).
+    An empty m_choices, an outcome count below dim**2, which no
+    informationally complete measurement has, attempts below 1 or n_samples
+    below 2 are refused with ValueError before the first attempt.
     """
+    _require_count("attempts", attempts, 1)
+    _require_count("n_samples", n_samples, 2)
     basis = build_basis(dim)
     m_choices = list(m_choices)
     if not m_choices:
@@ -313,11 +333,8 @@ def search_counterexample_pair(
             "qttf_stderr": estimate.std_error,
         }
         for other in candidates:
-            pair = _by_conditioning(current, other)
-            if pair is None:
-                continue
-            low, high, gap, sigma = pair
-            if gap >= 5.0 * sigma:
+            verdict, low, high, gap, sigma = _by_conditioning(current, other)
+            if verdict == "inversion":
                 info = {
                     "kappa_1": low["kappa_c_tilde"],
                     "kappa_2": high["kappa_c_tilde"],
@@ -454,18 +471,14 @@ def _cmd_compare(args) -> int:
     notes = [f"best by qttf: {best['label']} ({best['qttf']:.4f})"]
     for i in range(len(rows)):
         for j in range(i + 1, len(rows)):
-            pair = _by_conditioning(rows[i], rows[j])
-            if pair is None:
-                continue
-            a, b, dq, stderr = pair  # a has the smaller kappa
-            sigma = max(2.0 * stderr, COMPARE_SIGMA_FLOOR)
-            if dq > sigma:
+            verdict, a, b, _, _ = _by_conditioning(rows[i], rows[j])  # a: the smaller kappa
+            if verdict == "inversion":
                 notes.append(
                     f"inversion: {a['label']} (kappa={a['kappa_c_tilde']:.4f}) is better "
                     f"conditioned than {b['label']} (kappa={b['kappa_c_tilde']:.4f}) but "
                     f"tomographically worse (qttf {a['qttf']:.4f} vs {b['qttf']:.4f})"
                 )
-            elif abs(dq) <= sigma:
+            elif verdict == "equal":
                 notes.append(
                     f"inversion: {a['label']} and {b['label']} have equal qttf "
                     f"({a['qttf']:.4f} vs {b['qttf']:.4f}) despite kappa "
@@ -557,54 +570,57 @@ def _cmd_fig2(args) -> int:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="qttf", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    # the flags that several commands share, each declared once
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None)
+    seeded = argparse.ArgumentParser(add_help=False, parents=[out])
+    seeded.add_argument("--seed", type=int, default=0, action=_AtLeast, low=0)
 
     pom_parser = sub.add_parser("pom", help="create or transform measurement files")
     pom_sub = pom_parser.add_subparsers(dest="pom_command", required=True, parser_class=_Parser)
-    builtin = pom_sub.add_parser("builtin", help="emit a builtin measurement")
+    builtin = pom_sub.add_parser("builtin", help="emit a builtin measurement", parents=[out])
     builtin.add_argument("name", choices=sorted(BUILTINS))
-    builtin.add_argument("--out", default=None)
-    rand = pom_sub.add_parser("random", help="draw a random measurement")
+    rand = pom_sub.add_parser("random", help="draw a random measurement", parents=[seeded])
     rand.add_argument("--dim", type=int, required=True)
     rand.add_argument("--m", type=int, required=True, help="number of outcomes")
     rand.add_argument("--rank", type=int, default=1)
-    rand.add_argument("--seed", type=int, default=0, action=_AtLeast, low=0)
-    rand.add_argument("--out", default=None)
-    trans = pom_sub.add_parser("transform", help="duplicate outcomes or admix white noise")
+    trans = pom_sub.add_parser(
+        "transform", help="duplicate outcomes or admix white noise", parents=[out]
+    )
     trans.add_argument("input")
     trans.add_argument("--duplicate", type=int, default=None, help="outcome number (1-based)")
     trans.add_argument("--weights", default=None, help="comma-separated split weights")
     trans.add_argument(
         "--epsilon", type=float, default=None, action=_AtLeast, low=0, help="white-noise admixture"
     )
-    trans.add_argument("--out", default=None)
 
-    qttf_parser = sub.add_parser("qttf", help="evaluate the transfer function")
+    qttf_parser = sub.add_parser("qttf", help="evaluate the transfer function", parents=[seeded])
     qttf_parser.add_argument("pom")
     qttf_parser.add_argument("--method", choices=["auto", "closed", "series", "mc"], default="auto")
     qttf_parser.add_argument("--alpha", type=float, default=1.0)
     qttf_parser.add_argument("--order", type=int, default=2)
     qttf_parser.add_argument("--samples", type=int, default=10000, action=_AtLeast, low=2)
-    qttf_parser.add_argument("--seed", type=int, default=0, action=_AtLeast, low=0)
-    qttf_parser.add_argument("--out", default=None)
 
-    cmp_parser = sub.add_parser("compare", help="tabulate conditioning against accuracy")
+    cmp_parser = sub.add_parser(
+        "compare", help="tabulate conditioning against accuracy", parents=[seeded]
+    )
     cmp_parser.add_argument("poms", nargs="+")
     cmp_parser.add_argument("--samples", type=int, default=10000, action=_AtLeast, low=2)
-    cmp_parser.add_argument("--seed", type=int, default=0, action=_AtLeast, low=0)
     cmp_parser.add_argument("--format", choices=["table", "json", "csv"], default="table")
-    cmp_parser.add_argument("--out", default=None)
 
-    fig1_parser = sub.add_parser("fig1", help="series error sweep over random measurements")
+    fig1_parser = sub.add_parser(
+        "fig1", help="series error sweep over random measurements", parents=[seeded]
+    )
     fig1_parser.add_argument("--dims", default="2", help="dims whose mu*dim**2 are all integral")
     fig1_parser.add_argument("--mus", default="1.25,1.5,2,3", help="outcome counts as mu*dim**2")
     fig1_parser.add_argument("--ranks", default="1")
     fig1_parser.add_argument("--epsilon", type=float, default=0.0, action=_AtLeast, low=0)
     fig1_parser.add_argument("--n-poms", type=int, default=50, action=_AtLeast, low=0)
     fig1_parser.add_argument("--n-haar", type=int, default=500, action=_AtLeast, low=2)
-    fig1_parser.add_argument("--seed", type=int, default=0, action=_AtLeast, low=0)
-    fig1_parser.add_argument("--out", default=None)
 
-    fig2_parser = sub.add_parser("fig2", help="finite-sample MSE against transfer values")
+    fig2_parser = sub.add_parser(
+        "fig2", help="finite-sample MSE against transfer values", parents=[seeded]
+    )
     fig2_parser.add_argument("pom1")
     fig2_parser.add_argument("pom2")
     fig2_parser.add_argument("--search", action="store_true", help="search for a pair and persist it")
@@ -613,12 +629,10 @@ def _build_parser() -> _Parser:
     fig2_parser.add_argument("--rank", type=int, default=1)
     fig2_parser.add_argument("--attempts", type=int, default=200, action=_AtLeast, low=1)
     fig2_parser.add_argument("--purity", type=float, default=0.99)
-    fig2_parser.add_argument("--states", type=int, default=10, action=_AtLeast, low=1)
+    fig2_parser.add_argument("--states", type=int, default=10, action=_AtLeast, low=2)
     fig2_parser.add_argument("--shots", type=int, default=10000, action=_AtLeast, low=1)
     fig2_parser.add_argument("--trials", type=int, default=50, action=_AtLeast, low=2)
     fig2_parser.add_argument("--samples", type=int, default=4000, action=_AtLeast, low=2)
-    fig2_parser.add_argument("--seed", type=int, default=0, action=_AtLeast, low=0)
-    fig2_parser.add_argument("--out", default=None)
 
     return parser
 

@@ -71,7 +71,7 @@ from .operators import (
     state_from_bloch,
 )
 from .pom import Pom
-from .transfer import QttfEstimate, _monte_carlo, _series
+from .transfer import QttfEstimate, _controlled_mean, _monte_carlo, _series
 
 WEIGHT_FLOOR = 0.5  # clicks: an empty cell is weighted as if half a click had landed in it
 FREQUENCY_SLACK = 1e-12  # accepted negative roundoff of a frequency
@@ -316,6 +316,12 @@ def haar_mse_sweep(
     call per state leaves it; each click run costs one weighted K x K design
     row, one right-hand side and one solve (see the module docstring).  The
     Monte Carlo transfer value then continues the same stream.
+
+    mean_scaled_mse and scaled_mse_stderr come from the estimator that Monte
+    Carlo uses, transfer._controlled_mean, with no controls and groups of one
+    state: the bar is the sample standard deviation of the states over
+    sqrt(n_states).  A mean of one state has no bar, so n_states must be at
+    least 2.
     """
     return _sweep(
         measurement_matrices(pom, basis), purity_mix, n_states, n_shots, n_trials, rng,
@@ -333,7 +339,7 @@ def _sweep(
     n_qttf_samples: int,
 ) -> HaarSweepResult:
     """haar_mse_sweep on the measurement model."""
-    _require_count("n_states", n_states, 1)
+    _require_count("n_states", n_states, 2)
     _require_count("n_qttf_samples", n_qttf_samples, 2)
     _require_count("n_shots", n_shots, 1)
     _require_count("n_trials", n_trials, 2)
@@ -347,10 +353,10 @@ def _sweep(
     per_state = _scaled_mse(
         matrices, probs, weight * born[:, m:], n_shots, n_trials, rng, weighted=True
     )
-    stderr = float(per_state.std(ddof=1) / np.sqrt(n_states)) if n_states > 1 else 0.0
+    mean, stderr, _ = _controlled_mean(per_state, np.empty((n_states, 0)), design=1)
     series2 = _series(matrices, alpha=1.0, max_order=2)
     return HaarSweepResult(
-        mean_scaled_mse=float(per_state.mean()),
+        mean_scaled_mse=mean,
         scaled_mse_stderr=stderr,
         qttf_mc=_monte_carlo(matrices, n_qttf_samples, rng),
         qttf_series2=series2,

@@ -21,8 +21,10 @@ Its evaluation routes:
   from 13.7 / 9.2 / 9.3 with the polynomial controls alone to 29.9 / 16.6 /
   19.3 with the powers 1/2 and 3/2; the powers 2 and 3 cut the residual
   variance by a further median x1.23 / x1.37 / x1.61 (rank-one measurements
-  with 2 dim**2 outcomes, 40000 samples each).  The error bar includes the
-  variance that the fitted coefficients add.  A run of at least
+  with 2 dim**2 outcomes, 40000 samples each).  The value and its error bar
+  come from _controlled_mean, the one estimator of a sampled mean, which the
+  MSE sweep of qttf.estimation uses too; the bar includes the variance that
+  the fitted coefficients add.  A run of at least
   DESIGN_MIN_GROUPS * S states, S = dim (dim+1), at dim 4 or an odd prime
   dim draws them as complete sets of mutually unbiased bases, each rotated
   by its own Haar unitary, and its bar is cluster-robust over these
@@ -520,38 +522,17 @@ def qttf_monte_carlo(
     params["groups"] is G, or n for independent states.  The module
     docstring has the measured gain, and why dim 2 draws independent states.
 
-    The value is the mean of v - c . beta over the rows c of the controls,
-    with beta the least-squares fit of the centred samples on the centred
-    controls (minimum norm, so a constant control gets coefficient 0), per
-    state in either draw.  For q fitted controls (3, or 8 with the rank-one
-    ones) and rss the residual sum of squares of independent states,
-
-        std_error**2 = (n - 2) / (n - q - 2) * rss / ((n - q - 1) n),
-
-    one degree of freedom spent per control and one for the intercept, times
-    the loss factor (n - 2) / (n - q - 2), the variance that the fitted
-    coefficients add to the estimate (Lavenberg & Welch, Management Science
-    1981); without it the bars of small runs fall below their scatter.  With
-    rotated bases the states of a group are correlated, and the bar is
-    cluster-robust (CR1) over the groups, R_g the residual sum of group g:
-
-        std_error**2 = (n - 2) / (n - q - 2) * G / (G - 1)
-                       * (n - 1) / (n - q - 1) * sum_g R_g**2 / n**2,
-
-    the one formula that std_error is computed by: at S = 1 it is the formula
-    above, and without a fit, q = 0, the loss factor is 1 and the residuals
-    are the centred samples, so it is the plain standard error of the mean.
-    std_error adds params["roundoff"] = eps kappa |value| in quadrature, kappa
-    that of the factor of Pbar^{-1/2} C, whose roundoff every control mean
-    shares across the samples, out of the residuals' sight.
-    params["controls"] is q and params["loss_factor"] that factor,
-    params["variance_reduction"] the raw over the residual sum of squares and
-    params["residual_kurtosis"] the kurtosis of the residuals.  The fit runs
-    from n = q + 3 samples on, 6 or 11; below that, or when the samples have
-    no spread (under SPREAD_RTOL times the mean), it is skipped, giving the
-    plain mean, 0 controls and factors of exactly 1.0.  params["kurtosis"]
-    is the kurtosis of the raw samples: a heavy tail shows in the record,
-    not in a warning.
+    The value and its bar come from _controlled_mean, the library's one
+    estimator of a sampled mean, over the samples v, their q controls (3, or
+    8 with the rank-one ones; the fit runs from n = q + 3 samples on, 6 or
+    11) and the groups of S states: a control-variate fit with the variance
+    its coefficients add, and a bar cluster-robust (CR1) over the groups.
+    Its diagnostics are params["kurtosis"], ["variance_reduction"],
+    ["controls"], ["loss_factor"], ["residual_kurtosis"] and ["groups"]; a
+    heavy tail shows in the record, not in a warning.  std_error adds
+    params["roundoff"] = eps kappa |value| in quadrature, kappa that of the
+    factor of Pbar^{-1/2} C, whose roundoff every control mean shares across
+    the samples, out of the residuals' sight.
 
     States are drawn in batches of up to MC_BATCH, a multiple of S with
     rotated bases, and each batch is walked in blocks of fisher.CHOLESKY_BLOCK
@@ -651,45 +632,7 @@ def _monte_carlo(model: TomographyMatrices, n_samples: int, rng) -> QttfEstimate
         controls[start:stop, 1] = np.sum((batch_coords @ quadratic) * batch_coords, axis=1)
         controls[start:stop, 2] = _cubic_form(batch_coords, tails)
     controls -= control_means
-    mean = float(values.mean())
-    centered = values - mean
-    second = float(np.mean(centered**2))
-    # Zero spread (up to roundoff) means a state-independent Tr(F^{-1});
-    # the kurtosis diagnostic and the control fit are meaningless there.
-    spread = second > (SPREAD_RTOL * max(abs(mean), 1.0)) ** 2
-    if spread:
-        # fourth powers as two squarings: x**4 calls libm pow per element
-        kurtosis = float(np.mean(np.square(np.square(centered))) / second**2)
-    else:
-        kurtosis = 0.0
-    q = controls.shape[1]
-    if spread and n_samples >= q + 3:
-        sample_means = controls.mean(axis=0)
-        shifted = controls - sample_means
-        beta = np.linalg.lstsq(shifted, centered, rcond=None)[0]
-        residuals = centered - shifted @ beta
-        residual_ss = float(residuals @ residuals)
-        value = mean - float(sample_means @ beta)
-        # the variance the fitted coefficients add (Lavenberg & Welch 1981)
-        loss_factor = (n_samples - 2) / (n_samples - q - 2)
-        reduction = second * n_samples / residual_ss
-        fitted = q
-        residual_kurtosis = float(
-            np.mean(np.square(np.square(residuals))) / (residual_ss / n_samples) ** 2
-        )
-    else:
-        value = mean
-        residuals = centered
-        reduction = loss_factor = 1.0
-        fitted = 0
-        residual_kurtosis = 0.0
-    # cluster-robust (CR1) over the independent groups, whose residual sums
-    # carry the correlation of the states within a group; independent states
-    # are groups of one
-    groups = -(-n_samples // design)
-    sums = np.add.reduceat(residuals, np.arange(0, n_samples, design))
-    dof = groups / (groups - 1) * (n_samples - 1) / (n_samples - fitted - 1)
-    std_error = float(np.sqrt(loss_factor * dof * float(sums @ sums)) / n_samples)
+    value, std_error, diagnostics = _controlled_mean(values, controls, design)
     sigma = model._factor[1]
     roundoff = float(np.finfo(float).eps * sigma[0] / sigma[-1] * abs(value))
     return QttfEstimate(
@@ -698,17 +641,103 @@ def _monte_carlo(model: TomographyMatrices, n_samples: int, rng) -> QttfEstimate
         params={
             "n_samples": int(n_samples),
             "seed": seed if seed is None else int(seed),
-            "kurtosis": kurtosis,
-            "variance_reduction": reduction,
-            "controls": fitted,
-            "loss_factor": loss_factor,
-            "residual_kurtosis": residual_kurtosis,
             "roundoff": roundoff,
             "design": design,
-            "groups": groups,
+            **diagnostics,
         },
         std_error=math.hypot(std_error, roundoff),
     )
+
+
+def _controlled_mean(
+    values: np.ndarray, controls: np.ndarray, design: int
+) -> tuple[float, float, dict]:
+    """The mean of n sampled values and its standard error: the library's one
+    estimator of a sampled mean, behind qttf_monte_carlo and the scaled MSE
+    of estimation.haar_mse_sweep.
+
+    controls (n, q) holds q control variates per sample, each with exact
+    mean 0 (q = 0: none), and the samples come in consecutive groups of
+    `design`, the last one cut at n, that are independent of each other
+    (design 1: independent samples).  The value is the mean of v - c . beta
+    over the rows c of the controls, with beta the least-squares fit of the
+    centred values on the centred controls (minimum norm, so a constant
+    control gets coefficient 0).  For independent samples and rss the
+    residual sum of squares,
+
+        std_error**2 = (n - 2) / (n - q - 2) * rss / ((n - q - 1) n),
+
+    one degree of freedom spent per control and one for the intercept, times
+    the loss factor (n - 2) / (n - q - 2), the variance that the fitted
+    coefficients add to the estimate (Lavenberg & Welch, Management Science
+    1981); without it the bars of small runs fall below their scatter.  With
+    groups the samples of a group are correlated, and the bar is
+    cluster-robust (CR1) over the G groups, R_g the residual sum of group g:
+
+        std_error**2 = (n - 2) / (n - q - 2) * G / (G - 1)
+                       * (n - 1) / (n - q - 1) * sum_g R_g**2 / n**2,
+
+    the one formula that std_error is computed by: at design 1 it is the
+    formula above, and without a fit, q = 0, the loss factor is 1 and the
+    residuals are the centred values, so it is the plain standard error of
+    the mean, the sample standard deviation over sqrt(n).  So a mean of one
+    sample has no bar; its callers take at least 2.  The fit runs from
+    n = q + 3 samples on; below that, without controls, or when the values
+    have no spread (under SPREAD_RTOL times the mean), it is skipped, giving
+    the plain mean, 0 controls and factors of exactly 1.0.
+
+    diagnostics holds "kurtosis" of the raw values (0.0 without spread),
+    "variance_reduction" the raw over the residual sum of squares,
+    "controls" the q fitted, "loss_factor", "residual_kurtosis" the kurtosis
+    of the residuals (0.0 without a fit) and "groups" G.
+    """
+    n = len(values)
+    mean = float(values.mean())
+    centered = values - mean
+    second = float(np.mean(centered**2))
+    # Zero spread (up to roundoff) means a constant sample, such as a
+    # state-independent Tr(F^{-1}); the kurtosis and the fit are meaningless there.
+    spread = second > (SPREAD_RTOL * max(abs(mean), 1.0)) ** 2
+    if spread:
+        # fourth powers as two squarings: x**4 calls libm pow per element
+        kurtosis = float(np.mean(np.square(np.square(centered))) / second**2)
+    else:
+        kurtosis = 0.0
+    q = controls.shape[1]
+    if spread and q and n >= q + 3:
+        sample_means = controls.mean(axis=0)
+        shifted = controls - sample_means
+        beta = np.linalg.lstsq(shifted, centered, rcond=None)[0]
+        residuals = centered - shifted @ beta
+        residual_ss = float(residuals @ residuals)
+        value = mean - float(sample_means @ beta)
+        # the variance the fitted coefficients add (Lavenberg & Welch 1981)
+        loss_factor = (n - 2) / (n - q - 2)
+        reduction = second * n / residual_ss
+        fitted = q
+        residual_kurtosis = float(
+            np.mean(np.square(np.square(residuals))) / (residual_ss / n) ** 2
+        )
+    else:
+        value = mean
+        residuals = centered
+        reduction = loss_factor = 1.0
+        fitted = 0
+        residual_kurtosis = 0.0
+    # cluster-robust (CR1) over the independent groups, whose residual sums
+    # carry the correlation of the samples within a group
+    groups = -(-n // design)
+    sums = np.add.reduceat(residuals, np.arange(0, n, design))
+    dof = groups / (groups - 1) * (n - 1) / (n - fitted - 1)
+    std_error = float(np.sqrt(loss_factor * dof * float(sums @ sums)) / n)
+    return value, std_error, {
+        "kurtosis": kurtosis,
+        "variance_reduction": reduction,
+        "controls": fitted,
+        "loss_factor": loss_factor,
+        "residual_kurtosis": residual_kurtosis,
+        "groups": groups,
+    }
 
 
 def qttf_auto(

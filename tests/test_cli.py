@@ -2,9 +2,11 @@
 
 import argparse
 import csv
+import importlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -38,7 +40,7 @@ from qttf.cli import (
 )
 from qttf.errors import BudgetExceededError, SearchTimeoutError
 from qttf.fisher import TomographyMatrices
-from qttf.transfer import _quartic_bytes
+from qttf.transfer import QttfEstimate, _quartic_bytes
 
 DATA = Path(__file__).parent / "data"
 
@@ -453,6 +455,42 @@ def test_compare_inversion_names_the_better_conditioned_first(tmp_path):
     ]
 
 
+def test_compare_calls_exact_values_within_the_floor_equal(tmp_path):
+    # splitting an outcome of the MUB worsens its conditioning but keeps its
+    # qttf of 3; both values are exact (bars of 0), so the pair is equal
+    mub = _builtin_file(tmp_path, "mub2")
+    split = tmp_path / "split.json"
+    _make(tmp_path, "pom", "transform", str(mub), "--duplicate", "1",
+          "--weights", "0.5,0.5", "--out", str(split))
+    code, out = _make(tmp_path, "compare", str(split), str(mub), "--format", "json")
+    assert code == EXIT_OK
+    assert json.loads(out)["notes"][1:] == [
+        "inversion: mub2 and mub2+dup(1;0.5,0.5) have equal qttf (3.0000 vs 3.0000) despite "
+        "kappa 1.7321 vs 1.9663; conditioning is not a tomographic ranking"
+    ]
+
+
+@pytest.mark.parametrize("gap,note", [(0.1, "inversion: "), (0.03, None), (0.005, None)])
+def test_compare_notes_a_sampled_pair_only_beyond_five_sigma(tmp_path, monkeypatch, gap, note):
+    # two rows with bars of 0.01: an inversion needs a gap above 5 combined
+    # bars, as the search does, and sampled values are never called equal
+    sic = _builtin_file(tmp_path, "sic2")
+    dup = tmp_path / "dup.json"
+    _make(tmp_path, "pom", "transform", str(sic), "--duplicate", "4",
+          "--weights", "0.5,0.5", "--out", str(dup))
+
+    def sampled(model, n_samples, rng):  # the better conditioned SIC is worse by gap
+        value = 4.0 + (gap if model.n_outcomes == 4 else 0.0)
+        return QttfEstimate(value=value, method="monte_carlo", std_error=0.01)
+
+    monkeypatch.setattr(qttf.cli, "_auto", sampled)
+    code, out = _make(tmp_path, "compare", str(sic), str(dup), "--format", "json")
+    assert code == EXIT_OK
+    notes = json.loads(out)["notes"][1:]
+    assert [text[: len(note)] for text in notes] == ([note] if note else [])
+    assert not any("equal qttf" in text for text in notes)
+
+
 def test_compare_json_format(tmp_path):
     sic = _builtin_file(tmp_path, "sic2")
     mub = _builtin_file(tmp_path, "mub2")
@@ -669,6 +707,7 @@ def test_fig2_search_timeout_writes_no_pair(tmp_path, capsys):
     "flag,value",
     [
         ("--shots", "0"), ("--shots", "-5"), ("--trials", "1"), ("--states", "0"),
+        ("--states", "1"),
         ("--samples", "1"), ("--attempts", "0"), ("--attempts", "-1"),
     ],
 )
@@ -1013,6 +1052,43 @@ def test_fig2_search_builds_one_model_per_attempt_and_per_member(tmp_path, model
 # ---------------------------------------------------------------- helpers
 
 
+# arguments that run each runner through its checks to its first draw
+RUNNER_ARGS = {
+    search_counterexample_pair: dict(
+        dim=2, m_choices=[6], rank=1, attempts=5, n_samples=100, seed=0
+    ),
+    run_fig1: dict(dims=[2], mus=[2.0], ranks=[1], epsilon=0.0, n_poms=1, n_haar=20, seed=0),
+}
+
+
+# each used to get past the runner into a draw, a TypeError from range, a NaN
+# row or a SearchTimeoutError
+@pytest.mark.parametrize(
+    "runner, name, value, message",
+    [
+        (search_counterexample_pair, "attempts", 1.0, "must be an integer, got 1.0"),
+        (search_counterexample_pair, "attempts", 0, "must be >= 1, got 0"),
+        (search_counterexample_pair, "n_samples", 1, "must be >= 2, got 1"),
+        (search_counterexample_pair, "n_samples", True, "must be an integer, got True"),
+        (run_fig1, "n_poms", 1.0, "must be an integer, got 1.0"),
+        (run_fig1, "n_poms", -1, "must be >= 0, got -1"),
+        (run_fig1, "n_haar", True, "must be an integer, got True"),
+        (run_fig1, "n_haar", 1, "must be >= 2, got 1"),
+    ],
+    ids=lambda arg: arg.__name__ if callable(arg) else repr(arg),
+)
+def test_experiment_runners_check_their_counts_before_any_draw(
+    monkeypatch, runner, name, value, message
+):
+    monkeypatch.setattr(qttf.cli, "random_pom", _no_attempt)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as refused:
+            runner(**{**RUNNER_ARGS[runner], name: value})
+    assert type(refused.value) is ValueError
+    assert str(refused.value) == f"{name} {message}"
+
+
 def test_bootstrap_ci_behaviour():
     rng = np.random.default_rng(6)
     values = rng.normal(loc=3.0, scale=0.5, size=400)
@@ -1022,6 +1098,8 @@ def test_bootstrap_ci_behaviour():
     assert (lo, hi) == (lo2, hi2)
     single = bootstrap_ci(np.array([2.5]), np.random.default_rng(8))
     assert single == (2.5, 2.5)
+    # a seed serves as its generator, as everywhere in the library
+    assert bootstrap_ci(values, 0) == bootstrap_ci(values, np.random.default_rng(0))
 
 
 def test_no_arguments_is_usage_error(tmp_path):
@@ -1037,6 +1115,19 @@ def test_console_script_runs_end_to_end(tmp_path):
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["dim"] == 2
+
+
+def test_installed_script_entry_point_resolves():
+    # the qttf command that an install puts on PATH runs this callable;
+    # a regex, since tomllib needs Python 3.11
+    path = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    scripts = path.read_text(encoding="utf-8").split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    entry = re.fullmatch(r'\s*qttf = "([\w.]+):(\w+)"\s*', scripts)
+    assert entry is not None
+    module, name = entry.groups()
+    target = getattr(importlib.import_module(module), name)
+    assert callable(target)
+    assert target is qttf.cli.console_main
 
 
 def test_csv_round_trips_doubles_exactly(tmp_path):

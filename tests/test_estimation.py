@@ -5,6 +5,8 @@ import pytest
 
 from helpers import random_density
 
+import qttf.estimation
+import qttf.transfer
 from qttf import (
     ClickRecord,
     DimensionMismatchError,
@@ -161,6 +163,13 @@ def test_sweep_refuses_non_integer_state_and_sample_counts(name, count):
     sizes = {"n_states": 3, "n_qttf_samples": 200, name: count}
     with pytest.raises(ValueError, match=f"{name} must be an integer"):
         haar_mse_sweep(qubit_sic(), BASIS2, 0.9, n_shots=100, n_trials=5, rng=0, **sizes)
+
+
+def test_sweep_refuses_a_single_state():
+    # a mean of one state has no bar, so a sweep takes two states at least
+    with pytest.raises(ValueError) as refused:
+        haar_mse_sweep(qubit_sic(), BASIS2, 0.9, n_states=1, n_shots=100, n_trials=5, rng=0)
+    assert str(refused.value) == "n_states must be >= 2, got 1"
 
 
 def test_run_sizes_accept_numpy_integers():
@@ -403,6 +412,38 @@ def test_haar_mse_sweep_shapes_and_determinism():
     assert result.qttf_series2.method == "series"
     again = haar_mse_sweep(pom, BASIS2, 0.99, n_states=4, n_shots=4000, n_trials=40, rng=31)
     np.testing.assert_array_equal(result.per_state, again.per_state)
+
+
+@pytest.mark.parametrize("n_states", [2, 3, 12, 48])
+def test_haar_mse_sweep_bar_is_the_standard_error_of_its_states(n_states):
+    pom = random_pom(3, 18, 1, rng=np.random.default_rng(7))
+    result = haar_mse_sweep(
+        pom, build_basis(3), 0.8, n_states, n_shots=500, n_trials=10, rng=3, n_qttf_samples=50
+    )
+    per_state = result.per_state
+    assert result.mean_scaled_mse == float(per_state.mean())
+    expected = per_state.std(ddof=1) / np.sqrt(n_states)
+    assert result.scaled_mse_stderr == pytest.approx(expected, rel=1e-15, abs=0)
+
+
+def test_monte_carlo_and_the_sweep_share_one_estimator(monkeypatch):
+    # the sweep's mean and its Monte Carlo reference each take one call, with
+    # no controls for the scaled MSE and the eight rank-one ones for Monte Carlo
+    original = qttf.transfer._controlled_mean
+    calls = []
+
+    def counted(values, controls, design):
+        calls.append((len(values), controls.shape[1], design))
+        return original(values, controls, design)
+
+    for module in (qttf.transfer, qttf.estimation):
+        monkeypatch.setattr(module, "_controlled_mean", counted)
+    pom = random_pom(2, 8, 1, rng=np.random.default_rng(5))
+    qttf_monte_carlo(pom, BASIS2, 100, rng=0)
+    assert calls == [(100, 8, 1)]
+    calls.clear()
+    haar_mse_sweep(pom, BASIS2, 0.9, 3, n_shots=100, n_trials=4, rng=0, n_qttf_samples=50)
+    assert calls == [(3, 0, 1), (50, 8, 1)]
 
 
 def test_haar_mse_sweep_tracks_transfer_value():

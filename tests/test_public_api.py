@@ -172,6 +172,17 @@ def _function_nodes():
                     yield path.stem, function.name, node
 
 
+def _calls_of(name):
+    """(module, enclosing function) of every call x.name(...) in src/qttf."""
+    return {
+        (module, function)
+        for module, function, node in _function_nodes()
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == name
+    }
+
+
 def _raises():
     """(module, enclosing function, exception name) of every raise of a bare
     name or a call of one in src/qttf."""
@@ -200,14 +211,18 @@ def test_haar_states_are_drawn_only_by_the_one_sampler():
     # every sampled state comes from a rule rotated by Haar unitaries, so the
     # Gaussian draws behind them are made in one function; random_pom draws
     # its own for the outcome operators, which are no states
-    places = {
-        (module, function)
-        for module, function, node in _function_nodes()
-        if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "standard_normal"
-    }
+    places = _calls_of("standard_normal")
     assert places == {("operators", "rotated_vectors"), ("pom", "random_pom")}
+
+
+def test_a_sampled_mean_and_its_bar_have_one_estimator():
+    # the control fit and the cluster bar over groups live in one function,
+    # which Monte Carlo and the MSE sweep both call; no module takes a
+    # standard deviation of its own
+    estimator = {("transfer", "_controlled_mean")}
+    assert _calls_of("lstsq") == estimator
+    assert _calls_of("reduceat") == estimator
+    assert not any(".std(" in source for source in _library_sources())
 
 
 def test_every_leaf_error_class_is_raised_in_the_library():
