@@ -55,7 +55,6 @@ from .pom import (
     load_pom,
     mub_povm,
     pom_from_dict,
-    pom_to_dict,
     qubit_sic,
     random_pom,
     save_pom,
@@ -114,7 +113,6 @@ __all__ = [
     "mse_experiment",
     "mub_povm",
     "pom_from_dict",
-    "pom_to_dict",
     "probabilities",
     "qttf_auto",
     "qttf_closed_minimal",

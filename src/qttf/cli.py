@@ -382,6 +382,7 @@ def run_fig2_rows(
                 "qttf_mc_stderr": sweep.qttf_mc.std_error,
                 "aqttf": sweep.qttf_series2.value,
                 "scaled_mse": sweep.mean_scaled_mse,
+                "scaled_mse_stderr": sweep.scaled_mse_stderr,
             }
         )
     return rows
@@ -480,7 +481,7 @@ def _cmd_compare(args) -> int:
                 )
             elif verdict == "equal":
                 notes.append(
-                    f"inversion: {a['label']} and {b['label']} have equal qttf "
+                    f"equal: {a['label']} and {b['label']} have equal qttf "
                     f"({a['qttf']:.4f} vs {b['qttf']:.4f}) despite kappa "
                     f"{a['kappa_c_tilde']:.4f} vs {b['kappa_c_tilde']:.4f}; conditioning "
                     "is not a tomographic ranking"

@@ -28,13 +28,13 @@ the model once, and a caller that already holds the model (the CLI's fig2)
 passes it in.
 
 Both share one batched path over a stack of S states.  The sweep gets the
-Born probabilities and Bloch coordinates of all its pure states from one real
-matmul on their float64 views (as qttf_monte_carlo does) and mixes them
-towards the maximally mixed state affinely.  There is no floor on the
-probabilities: a cell that never clicks is weighted by WEIGHT_FLOOR like any
-empty cell, and the prediction Tr(F^{-1}) comes from the model's one kernel
-(TomographyMatrices.trace_inverse), which takes its limit value where an
-outcome's probability vanishes.  Clicks are drawn and inverted in blocks of
+Born probabilities and Bloch coordinates of all its mixed states from the
+model's one Born step (TomographyMatrices.born, as qttf_monte_carlo does at
+weight 1.0), one real matmul on the pure states' float64 views.  There is
+no floor on the probabilities: a cell that never clicks is weighted by
+WEIGHT_FLOOR like any empty cell, and the prediction Tr(F^{-1}) comes from
+the model's one kernel (TomographyMatrices.trace_inverse), which takes its
+limit value where an outcome's probability vanishes.  Clicks are drawn and inverted in blocks of
 whole states holding at most MSE_BLOCK = 256 click runs (states x trials; a
 block is one state when n_trials exceeds it), in state order, by one
 `rng.multinomial` call per block.  This consumes the generator exactly as
@@ -55,12 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .fisher import (
-    TomographyMatrices,
-    _pure_state_born,
-    measurement_matrices,
-    probabilities,
-)
+from .fisher import TomographyMatrices, measurement_matrices, probabilities
 from .operators import (
     HermitianBasis,
     _density_matrix,
@@ -81,7 +76,8 @@ MSE_BLOCK = 256  # click runs (states x trials) drawn and inverted at once
 
 @dataclass(frozen=True)
 class ClickRecord:
-    """Outcome counts from one multinomial run; n_total, the shots, is their sum."""
+    """Outcome counts from one multinomial run, held as a read-only int64 copy;
+    n_total, the shots, is their sum."""
 
     counts: np.ndarray
     pom_label: str = ""
@@ -97,6 +93,7 @@ class ClickRecord:
         if (counts != np.round(counts)).any():
             raise ValueError("counts must be integers")
         counts = counts.astype(np.int64)
+        counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
         if counts.min() < 0:
             raise ValueError("counts must be non-negative")
@@ -308,14 +305,15 @@ def haar_mse_sweep(
     series transfer values.
 
     The states rho = w v v^dag + (1 - w) identity/dim are handled as one
-    stack: one real matmul gives the Born probabilities p_pure and Bloch
-    coordinates t_pure of all the pure states v, and then p = w p_pure +
-    (1 - w) pbar and t = w t_pure.  Clicks are drawn and inverted in blocks
-    of at most MSE_BLOCK click runs (states x trials), one multinomial call
-    per block in state order, which leaves the generator exactly where one
-    call per state leaves it; each click run costs one weighted K x K design
-    row, one right-hand side and one solve (see the module docstring).  The
-    Monte Carlo transfer value then continues the same stream.
+    stack: the model's Born step (TomographyMatrices.born) gives their Born
+    probabilities p = w p_pure + (1 - w) pbar and Bloch coordinates
+    t = w t_pure from one real matmul over all the pure states v.  Clicks
+    are drawn and inverted in blocks of at most MSE_BLOCK click runs (states
+    x trials), one multinomial call per block in state order, which leaves
+    the generator exactly where one call per state leaves it; each click run
+    costs one weighted K x K design row, one right-hand side and one solve
+    (see the module docstring).  The Monte Carlo transfer value then
+    continues the same stream.
 
     mean_scaled_mse and scaled_mse_stderr come from the estimator that Monte
     Carlo uses, transfer._controlled_mean, with no controls and groups of one
@@ -345,14 +343,8 @@ def _sweep(
     _require_count("n_trials", n_trials, 2)
     rng = np.random.default_rng(rng)
     weight = mixing_weight_for_purity(purity_mix, matrices.dim)
-    vectors = haar_state_vectors(matrices.dim, n_states, rng)
-    born = _pure_state_born(vectors, matrices.born_table)
-    m = matrices.n_outcomes
-    # Tr(identity Pi_m) / dim = pbar_m and Tr(identity B_k) = 0
-    probs = weight * born[:, :m] + (1.0 - weight) * matrices.p_bar
-    per_state = _scaled_mse(
-        matrices, probs, weight * born[:, m:], n_shots, n_trials, rng, weighted=True
-    )
+    probs, coords = matrices.born(haar_state_vectors(matrices.dim, n_states, rng), weight)
+    per_state = _scaled_mse(matrices, probs, coords, n_shots, n_trials, rng, weighted=True)
     mean, stderr, _ = _controlled_mean(per_state, np.empty((n_states, 0)), design=1)
     series2 = _series(matrices, alpha=1.0, max_order=2)
     return HaarSweepResult(

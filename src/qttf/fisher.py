@@ -73,10 +73,11 @@ class TomographyMatrices:
     * c_tilde, M x dim**2: C with the identity column Tr(Pi_j)/sqrt(dim) =
       sqrt(dim) pbar_j first, and the singular values of C and of C-tilde,
       for conditioning reports;
-    * born_table, for Haar sampling, and the outer products c_m c_m^T of the
-      rows of C, for the weighted designs and Fisher matrices that fisher()
-      assembles; outer_table, their lower triangle packed (M, K (K+1) / 2), is
-      the one that trace_inverse() assembles;
+    * born_table, from which born() gives the Born rows of Haar states, and
+      the outer products c_m c_m^T of the rows of C, for the weighted designs
+      and Fisher matrices that fisher() assembles; outer_table, their lower
+      triangle packed (M, K (K+1) / 2), is the one that trace_inverse()
+      assembles;
     * tr_fbar_inv, x_matrix and y_matrix, the expansion around the maximally
       mixed state (see qttf.transfer), from _factor;
     * alpha0, the convergence radius of the moment series;
@@ -123,10 +124,32 @@ class TomographyMatrices:
     @cached_property
     def born_table(self) -> np.ndarray:
         """The outcomes, then the traceless basis operators, as the rows of one
-        real (M + K, 2 dim**2) matrix of their float64 views (_pure_state_born)."""
+        real (M + K, 2 dim**2) matrix of their float64 views (born)."""
         operators = np.concatenate([self.outcomes, self.basis.traceless_ops])
         table = operators.reshape(len(operators), self.dim * self.dim).view(np.float64)
         return _read_only(table)
+
+    def born(self, vectors: np.ndarray, weight: float) -> tuple[np.ndarray, np.ndarray]:
+        """Born probabilities (s, M) and Bloch coordinates (s, K) of the states
+        rho = w v v^dag + (1 - w) identity/dim, one per row v of vectors (s, dim).
+
+        One real (s, 2 dim**2) @ (2 dim**2, M + K) matmul against born_table
+        gives the rows [p_pure | t_pure] of the pure states: over the float64
+        views, Re sum_ij rho_ij conj(O)_ij = Tr(rho O) for every Hermitian
+        operator O.  They are mixed in place, to p = w p_pure + (1 - w) pbar
+        and t = w t_pure, which at w = 1.0 are p_pure and t_pure exactly, and
+        returned as the two column blocks of that one (s, M + K) array.
+        """
+        states = vectors[:, :, None] * vectors[:, None, :].conj()
+        rows = states.reshape(len(vectors), -1).view(np.float64) @ self.born_table.T
+        # freed before the strided add below takes its transient buffers, which
+        # would otherwise raise a Monte Carlo run's traced peak (192 KiB at dim 5, M = 50)
+        del states
+        m = self.n_outcomes
+        rows *= weight
+        # Tr(identity Pi_m) / dim = pbar_m and Tr(identity B_k) = 0
+        rows[:, :m] += (1.0 - weight) * self.p_bar
+        return rows[:, :m], rows[:, m:]
 
     @cached_property
     def _outer_products(self) -> np.ndarray:
@@ -473,17 +496,6 @@ def probabilities(rho, pom: Pom) -> np.ndarray:
     if mat.shape[0] != pom.dim:
         raise DimensionMismatchError(f"state dimension {mat.shape[0]} != pom dimension {pom.dim}")
     return np.maximum(np.einsum("ij,mji->m", mat, pom.outcomes).real, 0.0)
-
-
-def _pure_state_born(vectors: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Born probabilities and Bloch coordinates (s, M + K) of the pure states
-    v v^dag, one per row v of vectors (s, dim), given the model's born_table.
-
-    One real (s, 2 dim**2) @ (2 dim**2, M + K) matmul: over the float64 views,
-    Re sum_ij rho_ij conj(O)_ij = Tr(rho O) for every Hermitian operator O.
-    """
-    states = vectors[:, :, None] * vectors[:, None, :].conj()
-    return states.reshape(len(vectors), -1).view(np.float64) @ table.T
 
 
 def accuracy(rho, pom: Pom, basis: HermitianBasis) -> float:

@@ -29,7 +29,7 @@ EIGENVALUE_SLACK = 1e-10
 
 
 def _require_dim(dim) -> int:
-    if not isinstance(dim, (int, np.integer)):
+    if not _is_integer(dim):
         raise InvalidDimensionError(f"dimension must be an integer, got {dim!r}")
     if dim < 2:
         raise InvalidDimensionError(f"dimension must be >= 2, got {dim}")
@@ -59,11 +59,20 @@ def _as_matrix(rho) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HermitianBasis:
-    """Trace-orthonormal traceless Hermitian operators; identity/sqrt(dim)
-    completes them to a basis of the Hermitian operators and is not stored."""
+    """The traceless basis of dimension dim, a value of dim alone: equal and
+    hashed by dim, its operators the one read-only generalized Gell-Mann stack
+    of that dim (_gell_mann).  identity/sqrt(dim) completes them to a basis of
+    the Hermitian operators and is not stored."""
 
     dim: int
-    traceless_ops: np.ndarray  # (dim**2 - 1, dim, dim)
+
+    def __post_init__(self):
+        object.__setattr__(self, "dim", _require_dim(self.dim))
+
+    @property
+    def traceless_ops(self) -> np.ndarray:
+        """The (dim**2 - 1, dim, dim) trace-orthonormal traceless operators."""
+        return _gell_mann(self.dim)
 
     @property
     def n_traceless(self) -> int:
@@ -75,7 +84,7 @@ class HermitianBasis:
 
         One real (K**2, 2 dim**2) @ (2 dim**2, K) matmul over the float64 views
         of the pair products B_i B_j and of the B_k.  Symmetric in all three
-        indices, and computed once per basis.
+        indices, and computed once per instance, so it is freed with it.
         """
         ops = self.traceless_ops
         k, dim = ops.shape[0], self.dim
@@ -88,12 +97,14 @@ class HermitianBasis:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite matrix."""
+    """Hermitian, unit-trace, positive-semidefinite matrix, held as a
+    read-only copy of the array it was made from."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
+        mat = np.array(self.matrix, dtype=complex)
+        mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise InvalidDimensionError(f"state must be a square matrix, got shape {mat.shape}")
@@ -121,8 +132,14 @@ def _density_matrix(rho) -> DensityMatrix:
 
 
 def build_basis(dim: int) -> HermitianBasis:
-    """Generalized Gell-Mann basis: symmetric pairs, antisymmetric pairs, diagonal ladder."""
-    dim = _require_dim(dim)
+    """The traceless basis of dimension dim (HermitianBasis)."""
+    return HermitianBasis(dim)
+
+
+@cache
+def _gell_mann(dim: int) -> np.ndarray:
+    """Generalized Gell-Mann basis: symmetric pairs, antisymmetric pairs,
+    diagonal ladder, computed on the first call for a valid dim."""
     ops = []
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
     for j in range(dim):
@@ -142,7 +159,9 @@ def build_basis(dim: int) -> HermitianBasis:
         diag[:level] = 1.0
         diag[level] = -level
         ops.append(np.diag(diag).astype(complex) / np.sqrt(level * (level + 1)))
-    return HermitianBasis(dim=dim, traceless_ops=np.stack(ops))
+    table = np.stack(ops)
+    table.setflags(write=False)  # shared by every basis of this dim
+    return table
 
 
 def bloch_coords(rho, basis: HermitianBasis) -> np.ndarray:

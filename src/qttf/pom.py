@@ -259,12 +259,6 @@ def duplicate_outcome(pom: Pom, index: int, weights) -> Pom:
     return Pom(np.concatenate(pieces), label=f"{pom.label}+dup({index + 1};{wtxt})")
 
 
-def pom_to_dict(pom: Pom) -> dict:
-    """JSON-ready form: {"dim", "outcomes", "label"} with [re, im] entry pairs."""
-    outcomes = np.stack([pom.outcomes.real, pom.outcomes.imag], axis=-1).tolist()
-    return {"dim": pom.dim, "outcomes": outcomes, "label": pom.label}
-
-
 def pom_from_dict(data) -> Pom:
     """Parse and validate the JSON form, reporting the failing outcome and invariant."""
     if not isinstance(data, dict):
@@ -322,7 +316,9 @@ def _outcome_pairs(j: int, outcome, dim: int) -> np.ndarray:
 
 
 def _pom_text(pom: Pom) -> str:
-    """The measurement file text: json.dumps(pom_to_dict(pom), indent=2) + "\\n".
+    """The measurement file text: the JSON object {"dim", "outcomes", "label"},
+    each outcome as rows of [re, im] entry pairs, indented by 2 as
+    json.dumps(..., indent=2) writes it, and a final newline.
 
     indent makes json run its pure-Python encoder, so the same bytes come from a
     layout template for (M, dim): each [re, im] entry goes in by %r, the

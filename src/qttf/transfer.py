@@ -102,7 +102,6 @@ from .fisher import (
     CHOLESKY_BLOCK,
     STRUCTURE_TOL,
     TomographyMatrices,
-    _pure_state_born,
     measurement_matrices,
 )
 from .operators import (
@@ -544,7 +543,7 @@ def qttf_monte_carlo(
       probabilities p_m = Re sum_ij rho_ij conj(Pi_m)_ij and the Bloch
       coordinates t_k = Re sum_ij rho_ij conj(B_k)_ij over the float64
       views of rho = v v^dag, of the outcomes and of the traceless basis
-      (fisher._pure_state_born),
+      (fisher.TomographyMatrices.born at weight 1.0),
     * one (K (K+1) / 2, M) @ (M, s) matmul that writes the lower triangles
       of the Fisher matrices F = sum_m c_m c_m^T / p_m batch-last, then one
       loop of K vectorised steps that factors F = L L^T and inverts L
@@ -612,9 +611,7 @@ def _monte_carlo(model: TomographyMatrices, n_samples: int, rng) -> QttfEstimate
         for first in range(start, stop, CHOLESKY_BLOCK):
             rows = slice(first, min(first + CHOLESKY_BLOCK, stop))
             local = slice(first - start, rows.stop - start)  # the block's rows in the batch
-            born = _pure_state_born(vectors[local], model.born_table)
-            probs = born[:, :m]
-            coords[local] = born[:, m:]
+            probs, coords[local] = model.born(vectors[local], 1.0)
             values[rows] = model._block_trace_inverse(probs, first, buffers)
             if rank_one:
                 # one (s, M) buffer holds p**(1/2), p**(3/2), p**2 and p**3 in turn

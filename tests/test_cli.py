@@ -433,7 +433,10 @@ def test_compare_flags_conditioning_inversion(tmp_path):
           "--weights", "0.5,0.5", "--out", str(dup))
     code, out = _make(tmp_path, "compare", str(sic), str(dup))
     assert code == EXIT_OK
-    assert "inversion" in out
+    # the split worsens the conditioning but keeps the exact qttf of 4: the
+    # note calls the pair equal, not an inversion
+    assert "equal: sic2 and sic2+dup(4;0.5,0.5) have equal qttf (4.0000 vs 4.0000)" in out
+    assert "inversion" not in out
     assert "conditioning is not a tomographic ranking" in out
 
 
@@ -465,7 +468,7 @@ def test_compare_calls_exact_values_within_the_floor_equal(tmp_path):
     code, out = _make(tmp_path, "compare", str(split), str(mub), "--format", "json")
     assert code == EXIT_OK
     assert json.loads(out)["notes"][1:] == [
-        "inversion: mub2 and mub2+dup(1;0.5,0.5) have equal qttf (3.0000 vs 3.0000) despite "
+        "equal: mub2 and mub2+dup(1;0.5,0.5) have equal qttf (3.0000 vs 3.0000) despite "
         "kappa 1.7321 vs 1.9663; conditioning is not a tomographic ranking"
     ]
 
@@ -648,11 +651,21 @@ def test_fig2_reports_stored_pair(tmp_path):
     assert code == EXIT_OK
     config, rows = _csv_rows(out.read_text(encoding="utf-8"))
     assert len(rows) == 2
-    assert set(rows[0]) == {
+    assert list(rows[0]) == [
         "label", "m", "kappa_c_tilde", "qttf_mc", "qttf_mc_stderr", "aqttf", "scaled_mse",
-    }
+        "scaled_mse_stderr",
+    ]
     assert float(rows[0]["kappa_c_tilde"]) < float(rows[1]["kappa_c_tilde"])
     assert float(rows[0]["qttf_mc"]) > float(rows[1]["qttf_mc"])
+    # the MSE and its bar are the sweep's own, row i drawn from the seed [4, 71, i]
+    for index, name in enumerate(("discordant_a", "discordant_b")):
+        pom = load_pom(DATA / f"{name}.json")
+        sweep = haar_mse_sweep(
+            pom, build_basis(pom.dim), 0.99, 4, 2000, 12, np.random.default_rng([4, 71, index]),
+            n_qttf_samples=1500,
+        )
+        assert float(rows[index]["scaled_mse"]) == sweep.mean_scaled_mse
+        assert float(rows[index]["scaled_mse_stderr"]) == sweep.scaled_mse_stderr > 0
 
 
 def test_fig2_search_requires_dim(tmp_path):

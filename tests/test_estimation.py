@@ -6,6 +6,7 @@ import pytest
 from helpers import random_density
 
 import qttf.estimation
+import qttf.fisher
 import qttf.transfer
 from qttf import (
     ClickRecord,
@@ -124,6 +125,33 @@ def test_click_record_accepts_integral_float_counts():
     assert record.counts.dtype == np.int64
     assert record.n_total == 3 and type(record.n_total) is int
     np.testing.assert_array_equal(record.counts, [1, 2, 0, 0])
+
+
+def test_click_record_holds_a_read_only_copy():
+    # counts checked once stay valid: neither the caller's array nor the
+    # record's own can take a negative count past the check
+    source = np.array([3, 1, 0, 2])
+    record = ClickRecord(source)
+    source[0] = -7
+    assert record.n_total == 6
+    with pytest.raises(ValueError, match="read-only"):
+        record.counts[0] = -7
+    np.testing.assert_array_equal(record.counts, [3, 1, 0, 2])
+
+
+def test_sweep_takes_its_born_rows_from_the_model(monkeypatch):
+    # one Born step for all the sweep's mixed states, at its mixing weight,
+    # then one per block of the Monte Carlo run at weight 1.0
+    calls = []
+    born = qttf.fisher.TomographyMatrices.born
+
+    def counting(self, vectors, weight):
+        calls.append((len(vectors), weight))
+        return born(self, vectors, weight)
+
+    monkeypatch.setattr(qttf.fisher.TomographyMatrices, "born", counting)
+    haar_mse_sweep(mub_povm(3), build_basis(3), 0.8, 5, 100, 3, rng=2, n_qttf_samples=50)
+    assert calls == [(5, mixing_weight_for_purity(0.8, 3)), (50, 1.0)]
 
 
 @pytest.mark.parametrize(

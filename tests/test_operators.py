@@ -7,9 +7,11 @@ from helpers import MomentOracle, centered_moments_23, haar_probability_moment
 
 from qttf import (
     DensityMatrix,
+    HermitianBasis,
     InvalidDimensionError,
     PomValidationError,
     UnsupportedDimensionError,
+    accuracy,
     admix_white_noise,
     bloch_coords,
     build_basis,
@@ -66,6 +68,32 @@ def test_basis_rejects_bad_dimension():
         build_basis(2.5)
 
 
+def test_basis_is_a_value_of_its_dimension():
+    # no stack of the caller's can be passed in: every basis of a dim reads
+    # that dim's one read-only Gell-Mann stack, and compares and hashes by dim
+    with pytest.raises(TypeError):
+        HermitianBasis(2, build_basis(2).traceless_ops)
+    first, second = build_basis(3), build_basis(3)
+    assert first == second and hash(first) == hash(second)
+    assert first != build_basis(2) and len({first, second, build_basis(2)}) == 2
+    assert first.traceless_ops is second.traceless_ops
+    with pytest.raises(ValueError, match="read-only"):
+        first.traceless_ops[0, 0, 1] = 1.0
+    # the instances are not cached, so each frees its own triple traces
+    assert first is not second
+    assert first.triple_traces is not second.triple_traces
+    numpy_dim = HermitianBasis(np.int64(3))
+    assert numpy_dim == first and type(numpy_dim.dim) is int
+
+
+@pytest.mark.parametrize(
+    "dim, message", [(1, "must be >= 2"), (2.0, "must be an integer"), (True, "must be an integer")]
+)
+def test_basis_refuses_a_dimension_that_is_not_an_integer_of_at_least_two(dim, message):
+    with pytest.raises(InvalidDimensionError, match=message):
+        HermitianBasis(dim)
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_bloch_round_trip(dim):
     rng = np.random.default_rng(5)
@@ -106,6 +134,20 @@ def test_density_matrix_validation():
     rho = DensityMatrix(np.diag([0.25, 0.75]))
     assert rho.dim == 2
     assert abs(rho.purity - (0.25**2 + 0.75**2)) < 1e-14
+
+
+def test_density_matrix_holds_a_read_only_copy():
+    # a state checked once stays valid: writing to the caller's array does not
+    # reach it, and its own array refuses writes
+    source = np.diag([0.25, 0.75]).astype(complex)
+    rho = DensityMatrix(source)
+    before = accuracy(rho, sic_povm(2), build_basis(2))
+    source[:] = np.diag([2.0, -1.0])
+    np.testing.assert_array_equal(rho.matrix, np.diag([0.25, 0.75]))
+    assert rho.purity == 0.25**2 + 0.75**2
+    assert accuracy(rho, sic_povm(2), build_basis(2)) == before
+    with pytest.raises(ValueError, match="read-only"):
+        rho.matrix[0, 0] = 2.0
 
 
 @pytest.mark.parametrize("dim", [2, 4])

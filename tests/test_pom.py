@@ -18,7 +18,6 @@ from qttf import (
     duplicate_outcome,
     mub_povm,
     pom_from_dict,
-    pom_to_dict,
     qubit_sic,
     random_pom,
     save_pom,
@@ -163,10 +162,16 @@ def _text_oracle_pool():
         yield Pom(qubit_sic().outcomes, label=label)
 
 
+def _file_dict(pom):
+    """The JSON object of a measurement file, built here and not by the library."""
+    outcomes = np.stack([pom.outcomes.real, pom.outcomes.imag], axis=-1).tolist()
+    return {"dim": pom.dim, "outcomes": outcomes, "label": pom.label}
+
+
 def test_file_text_is_the_indented_json_of_the_dict():
     # the stdlib encoder is the oracle: the file text is its indent=2 output
     for pom in _text_oracle_pool():
-        assert _pom_text(pom) == json.dumps(pom_to_dict(pom), indent=2) + "\n", pom.label
+        assert _pom_text(pom) == json.dumps(_file_dict(pom), indent=2) + "\n", pom.label
     # the pool holds the rarer reprs: subnormal entries and signed zeros
     entries = np.abs(_subnormal().outcomes.real)
     smallest = entries[entries > 0].min()
@@ -194,7 +199,7 @@ def test_file_text_does_not_use_the_python_json_encoder(tmp_path, monkeypatch, c
 
 def test_dict_round_trip():
     pom = mub_povm(3)
-    again = pom_from_dict(pom_to_dict(pom))
+    again = pom_from_dict(_file_dict(pom))
     np.testing.assert_allclose(again.outcomes, pom.outcomes, atol=1e-16)
     assert again.label == pom.label
 
@@ -207,7 +212,7 @@ def test_schema_missing_keys():
 
 
 def test_schema_bad_fields():
-    base = pom_to_dict(qubit_sic())
+    base = _file_dict(qubit_sic())
     with pytest.raises(PomSchemaError, match="'dim'"):
         pom_from_dict({**base, "dim": "two"})
     with pytest.raises(PomSchemaError, match="'label'"):
@@ -216,7 +221,7 @@ def test_schema_bad_fields():
         pom_from_dict({**base, "outcomes": [[[0.5, 0.0]]]})
 
 
-_SIC_ENTRY = pom_to_dict(qubit_sic())["outcomes"][2][1][0]
+_SIC_ENTRY = _file_dict(qubit_sic())["outcomes"][2][1][0]
 
 
 @pytest.mark.parametrize(
@@ -231,14 +236,14 @@ _SIC_ENTRY = pom_to_dict(qubit_sic())["outcomes"][2][1][0]
 def test_schema_names_a_malformed_entry(entry):
     # a non-numeric or ragged [re, im] entry of outcome 2 is a schema error
     # naming that outcome, not a bare numpy error or a failed physics check
-    data = pom_to_dict(qubit_sic())
+    data = _file_dict(qubit_sic())
     data["outcomes"][2][1][0] = entry
     with pytest.raises(PomSchemaError, match="outcome 2:"):
         pom_from_dict(data)
 
 
 def test_schema_propagates_physics_violations():
-    base = pom_to_dict(qubit_sic())
+    base = _file_dict(qubit_sic())
     base["outcomes"] = base["outcomes"][:3]  # no longer sums to identity
     with pytest.raises(PomSchemaError):
         pom_from_dict(base)

@@ -225,6 +225,20 @@ def test_a_sampled_mean_and_its_bar_have_one_estimator():
     assert not any(".std(" in source for source in _library_sources())
 
 
+def test_only_the_model_reads_its_born_table():
+    # the layout [p | t] of born_table and the mixing towards identity/dim
+    # live in TomographyMatrices.born, which Monte Carlo and the MSE sweep
+    # call; no other module slices a Born row into probabilities and coordinates
+    sources = {
+        path.stem: path.read_text(encoding="utf-8")
+        for path in sorted(Path(qttf.__file__).parent.glob("*.py"))
+    }
+    assert {name for name, source in sources.items() if "born_table" in source} == {"fisher"}
+    born_slice = re.compile(r"\[:, *(?::m|m:)\]")
+    assert [name for name, source in sources.items() if born_slice.search(source)] == ["fisher"]
+    assert _calls_of("born") == {("transfer", "_monte_carlo"), ("estimation", "_sweep")}
+
+
 def test_every_leaf_error_class_is_raised_in_the_library():
     # a class that no module raises is dead surface; a base class such as
     # QttfError is caught, not raised, so only the classes without a subclass

@@ -884,6 +884,20 @@ def test_monte_carlo_reports_the_controls_it_fitted():
     assert sic.std_error >= sic.params["roundoff"]
 
 
+def test_monte_carlo_takes_its_born_rows_from_the_model_once_per_block(monkeypatch):
+    # the model owns the Born step: one call per kernel block, for pure states
+    calls = []
+    born = fisher.TomographyMatrices.born
+
+    def counting(self, vectors, weight):
+        calls.append((len(vectors), weight))
+        return born(self, vectors, weight)
+
+    monkeypatch.setattr(fisher.TomographyMatrices, "born", counting)
+    qttf_monte_carlo(random_pom(3, 18, 1, rng=7), BASIS3, 2 * CHOLESKY_BLOCK + 37, rng=1)
+    assert calls == [(CHOLESKY_BLOCK, 1.0), (CHOLESKY_BLOCK, 1.0), (37, 1.0)]
+
+
 def test_rank_one_test_runs_once_per_model(monkeypatch):
     # the model reads its rank-one flag from the eigenvalues the Pom computed
     # when it checked its outcomes, so no eigvalsh runs while the models are
