@@ -41,7 +41,7 @@ from .errors import (
 )
 from .estimation import _sweep, mixing_weight_for_purity
 from .fisher import measurement_matrices
-from .operators import HermitianBasis, _require_count, build_basis
+from .operators import HermitianBasis, _random_source, _require_count, build_basis
 from .pom import (
     Pom,
     _pom_text,
@@ -173,9 +173,9 @@ def bootstrap_ci(values, rng):
     """Percentile bootstrap confidence interval for the mean, at BOOTSTRAP_LEVEL
     from BOOTSTRAP_RESAMPLES resampled means drawn by rng, a seed or a Generator."""
     values = np.asarray(values, dtype=float)
+    rng, _ = _random_source(rng)
     if values.size == 1:
         return float(values[0]), float(values[0])
-    rng = np.random.default_rng(rng)
     idx = rng.integers(0, values.size, size=(BOOTSTRAP_RESAMPLES, values.size))
     means = values[idx].mean(axis=1)
     tail = (1.0 - BOOTSTRAP_LEVEL) / 2
@@ -223,14 +223,13 @@ def run_fig1(
                 cells.append((dim, mu, n_outcomes, rank))
     if n_poms == 0:
         return []
-    bases = {dim: build_basis(dim) for dim in dims}
     rows = []
     for dim, mu, n_outcomes, rank in cells:
         mu_key = int(round(mu * 1000))
         values = []
         for index in range(n_poms):
             base = random_pom(dim, n_outcomes, rank, _cell_rng(seed, dim, mu_key, rank, index))
-            model = measurement_matrices(admix_white_noise(base, epsilon), bases[dim])
+            model = measurement_matrices(admix_white_noise(base, epsilon), build_basis(dim))
             aq = _series(model, alpha=1.0, max_order=2).value
             mc = _monte_carlo(model, n_haar, _cell_rng(seed, dim, mu_key, rank, index, 1))
             values.append((aq - mc.value) / (2.0 * mc.value))

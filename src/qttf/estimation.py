@@ -59,6 +59,7 @@ from .fisher import TomographyMatrices, measurement_matrices, probabilities
 from .operators import (
     HermitianBasis,
     _density_matrix,
+    _random_source,
     _require_count,
     _require_dim,
     bloch_coords,
@@ -135,7 +136,7 @@ def sample_clicks(rho, pom: Pom, n_shots: int, rng=None) -> ClickRecord:
     """One multinomial draw of n_shots clicks over the outcome probabilities."""
     rho = _density_matrix(rho)
     _require_count("n_shots", n_shots, 1)
-    rng = np.random.default_rng(rng)
+    rng, _ = _random_source(rng)
     probs = probabilities(rho, pom)
     probs = probs / probs.sum()
     counts = rng.multinomial(n_shots, probs)
@@ -263,7 +264,7 @@ def mse_experiment(
     matrices = measurement_matrices(pom, basis)
     _require_count("n_shots", n_shots, 1)
     _require_count("n_trials", n_trials, 2)
-    rng = np.random.default_rng(rng)
+    rng, _ = _random_source(rng)
     probs = probabilities(rho, pom)
     target = bloch_coords(rho, basis)
     scaled_mse = float(
@@ -341,7 +342,7 @@ def _sweep(
     _require_count("n_qttf_samples", n_qttf_samples, 2)
     _require_count("n_shots", n_shots, 1)
     _require_count("n_trials", n_trials, 2)
-    rng = np.random.default_rng(rng)
+    rng, _ = _random_source(rng)
     weight = mixing_weight_for_purity(purity_mix, matrices.dim)
     probs, coords = matrices.born(haar_state_vectors(matrices.dim, n_states, rng), weight)
     per_state = _scaled_mse(matrices, probs, coords, n_shots, n_trials, rng, weighted=True)

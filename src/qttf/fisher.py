@@ -37,7 +37,7 @@ from .errors import (
     NotInformationallyCompleteError,
     PomValidationError,
 )
-from .operators import HermitianBasis, _density_matrix
+from .operators import HermitianBasis, _density_matrix, _gell_mann, _triple_traces
 from .pom import Pom
 
 RANK_RTOL = 1e-6  # smallest singular value of Pbar^{-1/2} C accepted, relative to the largest
@@ -48,15 +48,18 @@ CHOLESKY_BLOCK = 512  # Fisher matrices assembled, factored and inverted in one 
 
 @dataclass(frozen=True)
 class TomographyMatrices:
-    """The per-measurement model: everything derived from a measurement and a
-    basis alone, each quantity computed once per instance.
+    """The per-measurement model: everything derived from a measurement alone,
+    each quantity computed once per instance.  The basis is that of the
+    measurement's dimension, so the model holds no basis of its own: it reads
+    the Gell-Mann stack and the triple traces of its dim (operators._gell_mann,
+    operators._triple_traces), tables shared by every model of that dim.
 
     Set by measurement_matrices:
 
     * c_matrix, M x K with K = dim**2 - 1: C_jk = Tr(Pi_j B_k) over the
       traceless basis operators;
     * p_bar: the outcome probabilities at the maximally mixed state;
-    * outcomes and basis: the outcome operators and the basis C was built from;
+    * outcomes: the outcome operators C was built from;
     * all_rank_one, the one rank test of the outcomes (all eigenvalues but the
       largest within STRUCTURE_TOL of zero), read from the eigenvalues the Pom
       computed when it checked them and read by the bases closed form and the
@@ -92,7 +95,9 @@ class TomographyMatrices:
     Tr(X d Y d) = t^T Q t and Tr(X d Y d Y d) = sum_ijk T_ijk t_i t_j t_k.
     For Haar pure states E[t t^T] = I / (dim (dim+1)) and E[t_i t_j t_k] =
     2 Re Tr(B_i B_j B_k) / (dim (dim+1) (dim+2)), so F2 and F3 need no
-    products of outcome operators and hold O(M**2 + K**3).
+    products of outcome operators: F2 holds O(M**2), and F3 O(M**2 + K**3)
+    for the cubic form alone, since it reads the triple traces as a sparse
+    table of about 5 dim**3 entries.
 
     The expansion needs an informationally complete measurement, and
     measurement_matrices builds no model of any other, so every instance is one.
@@ -102,7 +107,6 @@ class TomographyMatrices:
     c_matrix: np.ndarray
     p_bar: np.ndarray
     outcomes: np.ndarray
-    basis: HermitianBasis
     all_rank_one: bool
     _factor: tuple[np.ndarray, np.ndarray] = field(repr=False)
 
@@ -125,7 +129,7 @@ class TomographyMatrices:
     def born_table(self) -> np.ndarray:
         """The outcomes, then the traceless basis operators, as the rows of one
         real (M + K, 2 dim**2) matrix of their float64 views (born)."""
-        operators = np.concatenate([self.outcomes, self.basis.traceless_ops])
+        operators = np.concatenate([self.outcomes, _gell_mann(self.dim)])
         table = operators.reshape(len(operators), self.dim * self.dim).view(np.float64)
         return _read_only(table)
 
@@ -404,9 +408,11 @@ class TomographyMatrices:
     def f3(self) -> float:
         """F3 = E[Tr(X d Y d Y d)]
         = 2 sum_ijk T_ijk Re Tr(B_i B_j B_k) / (dim (dim+1) (dim+2))."""
-        # the triple traces are symmetric in all three indices, so their layout
-        # need not match the cubic form's
-        contraction = float(np.sum(self.cubic_form.ravel() * self.basis.triple_traces.ravel()))
+        # one gather of the cubic form at the nonzero triple traces; those are
+        # symmetric in all three indices, so their layout need not match the
+        # cubic form's, and no K**3 product is formed
+        indices, values = _triple_traces(self.dim)
+        contraction = float(self.cubic_form.ravel()[indices] @ values)
         return 2 * contraction / (self.dim * (self.dim + 1) * (self.dim + 2))
 
     @property
@@ -481,7 +487,6 @@ def measurement_matrices(pom: Pom, basis: HermitianBasis) -> TomographyMatrices:
         c_matrix=c_matrix,
         p_bar=p_bar,
         outcomes=pom.outcomes,
-        basis=basis,
         all_rank_one=bool(pom._eigenvalues[:, :-1].max() <= STRUCTURE_TOL),
         _factor=(_read_only(u / root), _read_only(sigma)),
     )

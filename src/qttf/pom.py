@@ -28,6 +28,7 @@ from .operators import (
     EIGENVALUE_SLACK,
     HERMITIAN_TOL,
     _is_integer,
+    _random_source,
     _require_count,
     _require_dim,
     mub_vectors,
@@ -65,7 +66,9 @@ class Pom:
     The eigenvalues of every outcome, ascending, are kept read-only as well:
     the positivity check computes them, and fisher.measurement_matrices reads
     its rank test from them.  Equality and hashing go by identity, which the
-    immutable outcomes make sound, so a Pom can key a dict.
+    immutable outcomes make sound, so a Pom can key a dict.  The label is a
+    string, as a measurement file stores it, so save_pom writes no label that
+    load_pom refuses.
     """
 
     outcomes: np.ndarray
@@ -73,6 +76,8 @@ class Pom:
     _eigenvalues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        if not isinstance(self.label, str):
+            raise PomValidationError(f"'label' must be a string, got {type(self.label).__name__}")
         arr = np.array(self.outcomes, dtype=complex)
         arr.setflags(write=False)
         object.__setattr__(self, "outcomes", arr)
@@ -189,8 +194,7 @@ def random_pom(dim: int, n_outcomes: int, rank: int, rng=None, label: str | None
     retried (up to 10 times) when S is numerically singular.
     """
     dim = _random_pom_shape(dim, n_outcomes, rank)
-    seed = rng if isinstance(rng, (int, np.integer)) else None
-    rng = np.random.default_rng(rng)
+    rng, seed = _random_source(rng)
     for _ in range(10):
         raw = rng.standard_normal((n_outcomes, rank, dim)) + 1j * rng.standard_normal(
             (n_outcomes, rank, dim)
@@ -270,8 +274,6 @@ def pom_from_dict(data) -> Pom:
     if not isinstance(dim, int) or dim < 2:
         raise PomSchemaError(f"'dim' must be an integer >= 2, got {dim!r}")
     label = data.get("label", "")
-    if not isinstance(label, str):
-        raise PomSchemaError(f"'label' must be a string, got {type(label).__name__}")
     raw = data["outcomes"]
     if not isinstance(raw, list) or not raw:
         raise PomSchemaError("'outcomes' must be a non-empty list")

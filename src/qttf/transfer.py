@@ -108,6 +108,7 @@ from .operators import (
     HermitianBasis,
     _is_integer,
     _mub_tabulated,
+    _random_source,
     _require_count,
     _require_dim,
     mub_vectors,
@@ -232,7 +233,9 @@ def haar_moment_term(pom: Pom, basis: HermitianBasis, order: int) -> float:
     as many as fit in QUARTIC_CHUNK_BYTES, at least one, which changes the value only
     by rounding; BudgetExceededError if one d-value does not fit in
     DEFAULT_MEMORY_BUDGET (only qttf_series sets another).  Orders 2 and 3 build no
-    operator stacks and hold O(M**2 + K**3) with K = dim**2 - 1.
+    operator stacks: order 2 holds O(M**2), and order 3 O(M**2 + K**3) with
+    K = dim**2 - 1 for the cubic form alone, since F3 reads it at the nonzero
+    entries of the sparse triple-trace table of its dim.
     """
     order = _require_order("order", order, 2)
     model = measurement_matrices(pom, basis)
@@ -577,8 +580,7 @@ def qttf_monte_carlo(
 def _monte_carlo(model: TomographyMatrices, n_samples: int, rng) -> QttfEstimate:
     """qttf_monte_carlo on the measurement model."""
     _require_count("n_samples", n_samples, 2)
-    seed = rng if isinstance(rng, (int, np.integer)) else None
-    rng = np.random.default_rng(rng)
+    rng, seed = _random_source(rng)
     dim, m = model.dim, model.n_outcomes
     linear = model.c_matrix.T @ np.diag(model.x_matrix)
     quadratic, tails = model.quadratic_form, model.cubic_tails

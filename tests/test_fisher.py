@@ -1,5 +1,8 @@
 """Measurement matrices, Fisher information, and the mixed-state trace bound."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from helpers import chain_fisher_trace_inverse, random_density
 
 from qttf import (
     DimensionMismatchError,
+    HermitianBasis,
     NotInformationallyCompleteError,
     Pom,
     PomValidationError,
@@ -22,6 +26,7 @@ from qttf import (
     random_pom,
     sic_povm,
 )
+from qttf.operators import _triple_traces
 
 BASIS2 = build_basis(2)
 BASIS3 = build_basis(3)
@@ -384,3 +389,31 @@ def test_every_array_of_the_model_is_read_only():
         assert isinstance(array, np.ndarray), name
         with pytest.raises(ValueError, match="read-only"):
             array.flat[0] = 0.0
+
+
+def test_neither_model_nor_basis_holds_a_table_of_its_own():
+    # the Gell-Mann stack and the triple traces are per-dim tables, so a basis
+    # stays its dim after a model built on it has read F3 and its Born table
+    basis = build_basis(3)
+    model = measurement_matrices(random_pom(3, 18, 1, rng=141), basis)
+    model.f3, model.born_table
+    assert vars(basis) == {"dim": 3}
+    assert "basis" not in {field.name for field in dataclasses.fields(model)}
+    assert not hasattr(HermitianBasis, "triple_traces")
+
+
+def test_f3_gathers_the_cubic_form_without_a_dense_product():
+    # with the cubic form built, F3 reads it at the nonzero triple traces
+    # only, building the sparse table of its dim on the way: no K**3 product
+    # (2 MiB at dim 8) and no dense table
+    dim = 8
+    model = measurement_matrices(random_pom(dim, 65, 1, rng=142), build_basis(dim))
+    model.cubic_form
+    _triple_traces.cache_clear()
+    tracemalloc.start()
+    try:
+        model.f3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

@@ -1,5 +1,7 @@
 """Basis construction, state parametrization, Haar sampling and moments."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,7 @@ from qttf import (
     sic_povm,
     state_from_bloch,
 )
-from qttf.operators import mub_vectors, rotated_vectors
+from qttf.operators import _gell_mann, _triple_traces, mub_vectors, rotated_vectors
 
 PAULI = [
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -79,11 +81,45 @@ def test_basis_is_a_value_of_its_dimension():
     assert first.traceless_ops is second.traceless_ops
     with pytest.raises(ValueError, match="read-only"):
         first.traceless_ops[0, 0, 1] = 1.0
-    # the instances are not cached, so each frees its own triple traces
+    # the instances are not cached, and the triple traces are one shared,
+    # read-only table per dim, as the operators are
     assert first is not second
-    assert first.triple_traces is not second.triple_traces
+    assert _triple_traces(first.dim) is _triple_traces(second.dim)
+    for array in _triple_traces(3):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
     numpy_dim = HermitianBasis(np.int64(3))
     assert numpy_dim == first and type(numpy_dim.dim) is int
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_triple_traces_list_every_nonzero_entry_of_the_dense_table(dim):
+    # oracle: the dense (K, K, K) table of Re Tr(B_a B_b B_c), built here
+    ops = _gell_mann(dim)
+    dense = np.einsum("aij,bjk,cki->abc", ops, ops, ops).real.ravel()
+    indices, values = _triple_traces(dim)
+    assert np.all(np.diff(indices) > 0)
+    assert np.abs(dense[indices] - values).max() < 1e-15
+    unlisted = np.ones(dense.size, dtype=bool)
+    unlisted[indices] = False
+    assert np.abs(dense[unlisted]).max() < 1e-15
+
+
+def test_triple_traces_are_sparse_and_built_without_a_dense_table():
+    # the symmetric structure constants of su(dim) have about 5 dim**3 nonzero
+    # entries of the K**3; the build holds one (K, K) slab at a time, where
+    # the dense table at dim 12 would take 22 MiB
+    for dim in range(2, 15):
+        assert len(_triple_traces(dim)[0]) <= 6 * dim**3
+    _triple_traces.cache_clear()
+    _gell_mann(12)
+    tracemalloc.start()
+    try:
+        _triple_traces(12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize(

@@ -101,6 +101,15 @@ def test_pom_rejects_bad_shapes():
         Pom(np.eye(2))
 
 
+@pytest.mark.parametrize("label", [None, 5, ("a",)], ids=["None", "int", "tuple"])
+def test_pom_refuses_a_label_that_is_not_a_string(label):
+    # a file stores the label as a string, and load_pom refuses any other, so
+    # a measurement that save_pom writes is one that load_pom reads
+    message = f"'label' must be a string, got {type(label).__name__}"
+    with pytest.raises(PomValidationError, match=message):
+        Pom(qubit_sic().outcomes, label=label)
+
+
 def test_single_outcome_identity_is_valid_but_not_complete():
     # a valid Pom, but C is one zero row: Pbar^{-1/2} C has a single singular
     # value, 0, so no model of it exists

@@ -13,6 +13,7 @@ import pytest
 
 import qttf
 from qttf import errors
+from qttf.cli import bootstrap_ci
 
 TOLERANCE = re.compile(r"^([A-Z_]*(?:TOL|FLOOR|SLACK|RTOL)) =", re.MULTILINE)
 WORK_SIZE = re.compile(r"^([A-Z_]*(?:BLOCK|BATCH|BYTES|GROUPS|BUDGET)) =", re.MULTILINE)
@@ -113,6 +114,31 @@ def test_integer_arguments_are_checked_by_the_library(call, error, message):
         call()
     assert type(refused.value) is error
     assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("seed", [True, np.True_, False], ids=["True", "numpy-True", "False"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda rng: qttf.random_pom(2, 4, 1, rng),
+        lambda rng: qttf.haar_state_vectors(2, 3, rng),
+        lambda rng: qttf.qttf_monte_carlo(qttf.sic_povm(2), qttf.build_basis(2), 20, rng),
+        lambda rng: qttf.sample_clicks(np.eye(2) / 2, qttf.sic_povm(2), 10, rng),
+        lambda rng: bootstrap_ci([1.0], rng),
+    ],
+    ids=["random_pom", "haar_state_vectors", "qttf_monte_carlo", "sample_clicks", "bootstrap_ci"],
+)
+def test_a_bool_is_refused_as_a_random_source(call, seed):
+    # a bool used to be seed 0 or 1 (recorded as seed=True in a random_pom
+    # label), or, as a numpy bool, to end in numpy's own TypeError
+    with pytest.raises(ValueError, match="rng must be None, an integer seed or a Generator"):
+        call(seed)
+
+
+def test_every_random_source_is_taken_in_one_place():
+    # every public rng argument becomes a generator, and the seed it records,
+    # in operators._random_source; the CLI keys its own cell generators
+    assert _calls_of("default_rng") == {("operators", "_random_source"), ("cli", "_cell_rng")}
 
 
 def test_every_tolerance_is_assigned_in_one_module_only():

@@ -411,6 +411,15 @@ def test_minimal_measurements_have_exact_expansion_means(dim, seed, tol):
     assert abs(model.f3) <= 1e-10
 
 
+@pytest.mark.parametrize("rank", [1, 2])
+def test_qubit_third_order_mean_vanishes(rank):
+    # su(2) has no symmetric structure constants: Re Tr(B_i B_j B_k) = 0 for
+    # the qubit basis, so F3 = 0 for every qubit measurement, not only minimal ones
+    for m in range(5, 21):
+        model = measurement_matrices(random_pom(2, m, rank, rng=600 + 10 * m + rank), BASIS2)
+        assert abs(model.f3) <= 1e-14 * np.abs(model.cubic_form).max()
+
+
 def test_auto_refuses_incomplete_measurements_with_structured_counts():
     # dim**2 and dim (dim + 1) rank-one outcomes that see no coherences
     z_basis = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
