@@ -41,7 +41,7 @@ from .errors import (
 )
 from .estimation import _sweep, mixing_weight_for_purity
 from .fisher import measurement_matrices
-from .operators import HermitianBasis, _random_source, _require_count, build_basis
+from .operators import HermitianBasis, _require_count, build_basis
 from .pom import (
     Pom,
     _pom_text,
@@ -54,7 +54,7 @@ from .pom import (
     save_pom,
     sic_povm,
 )
-from .transfer import _auto, _closed_form, _monte_carlo, _series, reference_values
+from .transfer import _auto, _closed_form, _controlled_mean, _monte_carlo, _series, reference_values
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -68,8 +68,6 @@ KAPPA_TIE_TOL = 1e-9
 # the least qttf gap that a pair's rule reads as a difference, however small the
 # bars; exact values (bars of 0) this close are equal
 COMPARE_SIGMA_FLOOR = 1e-6
-BOOTSTRAP_RESAMPLES = 1000  # resampled means behind each bootstrap interval
-BOOTSTRAP_LEVEL = 0.95  # coverage of each bootstrap interval
 
 BUILTINS = {
     "sic2": lambda: sic_povm(2),
@@ -169,19 +167,6 @@ def _cell_rng(*key_parts) -> np.random.Generator:
     return np.random.default_rng([int(part) for part in key_parts])
 
 
-def bootstrap_ci(values, rng):
-    """Percentile bootstrap confidence interval for the mean, at BOOTSTRAP_LEVEL
-    from BOOTSTRAP_RESAMPLES resampled means drawn by rng, a seed or a Generator."""
-    values = np.asarray(values, dtype=float)
-    rng, _ = _random_source(rng)
-    if values.size == 1:
-        return float(values[0]), float(values[0])
-    idx = rng.integers(0, values.size, size=(BOOTSTRAP_RESAMPLES, values.size))
-    means = values[idx].mean(axis=1)
-    tail = (1.0 - BOOTSTRAP_LEVEL) / 2
-    return float(np.quantile(means, tail)), float(np.quantile(means, 1.0 - tail))
-
-
 def run_fig1(
     dims,
     mus,
@@ -194,16 +179,20 @@ def run_fig1(
     """Halved relative error of the order-2 series against Monte Carlo.
 
     One row per (dim, mu, rank) cell at the given noise admixture; its limit
-    is the order-2 ceiling reference_values(dim).limit_rel_error halved.  Base
-    measurements and Monte-Carlo states are keyed by (seed, dim, mu, rank,
-    index) only, so runs at different epsilon are paired draw for draw.
-    n_poms must be an integer of at least 0 and n_haar one of at least 2.  A
-    count that is not, a non-finite mu, or one whose mu dim**2 is no outcome
-    count, is refused with ValueError, and a cell that random_pom would
-    refuse (a rank outside [1, dim]) with its error, all before the first
-    cell runs.
+    is the order-2 ceiling reference_values(dim).limit_rel_error halved.  The
+    cell's halved_rel_err and halved_rel_err_stderr are the mean of its
+    n_poms per-measurement values and that mean's bar, from the estimator of
+    every sampled mean, transfer._controlled_mean, without controls: the
+    sample standard deviation over sqrt(n_poms).  Base measurements and
+    Monte-Carlo states are keyed by (seed, dim, mu, rank, index) only, so
+    runs at different epsilon are paired draw for draw.
+    A mean of one value has no bar, so n_poms must be an integer of at least
+    2, and n_haar one of at least 2.  A count that is not, a non-finite mu,
+    or one whose mu dim**2 is no outcome count, is refused with ValueError,
+    and a cell that random_pom would refuse (a rank outside [1, dim]) with
+    its error, all before the first cell runs.
     """
-    _require_count("n_poms", n_poms, 0)
+    _require_count("n_poms", n_poms, 2)
     _require_count("n_haar", n_haar, 2)
     for mu in mus:
         if not math.isfinite(mu):
@@ -221,19 +210,17 @@ def run_fig1(
             for rank in ranks:
                 _random_pom_shape(dim, n_outcomes, rank)
                 cells.append((dim, mu, n_outcomes, rank))
-    if n_poms == 0:
-        return []
     rows = []
     for dim, mu, n_outcomes, rank in cells:
         mu_key = int(round(mu * 1000))
-        values = []
+        values = np.empty(n_poms)
         for index in range(n_poms):
             base = random_pom(dim, n_outcomes, rank, _cell_rng(seed, dim, mu_key, rank, index))
             model = measurement_matrices(admix_white_noise(base, epsilon), build_basis(dim))
             aq = _series(model, alpha=1.0, max_order=2).value
             mc = _monte_carlo(model, n_haar, _cell_rng(seed, dim, mu_key, rank, index, 1))
-            values.append((aq - mc.value) / (2.0 * mc.value))
-        lo, hi = bootstrap_ci(values, _cell_rng(seed, dim, mu_key, rank, 999983))
+            values[index] = (aq - mc.value) / (2.0 * mc.value)
+        mean, stderr, _ = _controlled_mean(values, np.empty((n_poms, 0)), design=1)
         rows.append(
             {
                 "D": dim,
@@ -242,32 +229,43 @@ def run_fig1(
                 "epsilon": float(epsilon),
                 "limit": reference_values(dim).limit_rel_error / 2,
                 # Per-measurement samples, for paired analyses; not a CSV column.
-                "values": [float(v) for v in values],
-                "halved_rel_err": float(np.mean(values)),
-                "ci_lo": lo,
-                "ci_hi": hi,
+                "values": values.tolist(),
+                "halved_rel_err": mean,
+                "halved_rel_err_stderr": stderr,
             }
         )
     return rows
+
+
+def _qttf_gap(better: dict, worse: dict):
+    """The pair rule's reading of two rows' qttf: (gap, sigma, resolved).
+
+    gap is worse's qttf minus better's and sigma the hypot of their
+    qttf_stderr; resolved says the gap is a difference, one beyond
+    max(5 sigma, COMPARE_SIGMA_FLOOR), so better is the better measurement.
+    """
+    gap = worse["qttf"] - better["qttf"]
+    sigma = float(np.hypot(worse["qttf_stderr"], better["qttf_stderr"]))
+    return gap, sigma, gap > max(5.0 * sigma, COMPARE_SIGMA_FLOOR)
 
 
 def _by_conditioning(first: dict, second: dict):
     """The one rule of compare and the search for a pair of rows:
     (verdict, better conditioned row, worse conditioned row, gap, sigma).
 
-    The rows are ordered by kappa_c_tilde, gap is the first's qttf minus the
-    second's and sigma the hypot of their qttf_stderr.  A kappa gap of at
-    most KAPPA_TIE_TOL is a tie, which orders nothing.  Past a tie the
-    verdict is "inversion" when gap exceeds max(5 sigma, COMPARE_SIGMA_FLOOR),
-    and "equal" when both bars are 0 and |gap| is within the floor; a tie and
-    any other pair get None.
+    The rows are ordered by kappa_c_tilde; gap is the better conditioned
+    row's qttf minus the other's and sigma the hypot of their bars, as
+    _qttf_gap reads them.  A kappa gap of at most KAPPA_TIE_TOL is a tie,
+    which orders nothing.  Past a tie the verdict is "inversion" when the
+    worse conditioned row is resolved as the better measurement, and
+    "equal" when both bars are 0 and |gap| is within COMPARE_SIGMA_FLOOR; a
+    tie and any other pair get None.
     """
     low, high = sorted((first, second), key=lambda row: row["kappa_c_tilde"])
-    gap = low["qttf"] - high["qttf"]
-    sigma = float(np.hypot(low["qttf_stderr"], high["qttf_stderr"]))
+    gap, sigma, inverted = _qttf_gap(high, low)
     verdict = None
     if high["kappa_c_tilde"] - low["kappa_c_tilde"] > KAPPA_TIE_TOL:
-        if gap > max(5.0 * sigma, COMPARE_SIGMA_FLOOR):
+        if inverted:
             verdict = "inversion"
         elif sigma == 0.0 and abs(gap) <= COMPARE_SIGMA_FLOOR:
             verdict = "equal"
@@ -467,8 +465,16 @@ def _cmd_compare(args) -> int:
                 "aqttf": aq.value,
             }
         )
+    # the least qttf is the best only when the pair rule resolves it from every other row
     best = min(rows, key=lambda row: row["qttf"])
-    notes = [f"best by qttf: {best['label']} ({best['qttf']:.4f})"]
+    tied = [row for row in rows if row is not best and not _qttf_gap(best, row)[2]]
+    if tied:
+        notes = ["best not resolved: " + ", ".join(
+            f"{row['label']} ({row['qttf']:.4f} +/- {row['qttf_stderr']:.4f})"
+            for row in [best, *tied]
+        )]
+    else:
+        notes = [f"best by qttf: {best['label']} ({best['qttf']:.4f})"]
     for i in range(len(rows)):
         for j in range(i + 1, len(rows)):
             verdict, a, b, _, _ = _by_conditioning(rows[i], rows[j])  # a: the smaller kappa
@@ -518,7 +524,7 @@ def _cmd_fig1(args) -> int:
             n_haar=args.n_haar,
             seed=args.seed,
         )
-    columns = ["D", "mu", "rank", "epsilon", "halved_rel_err", "ci_lo", "ci_hi", "limit"]
+    columns = ["D", "mu", "rank", "epsilon", "halved_rel_err", "halved_rel_err_stderr", "limit"]
     _write_csv(rows, columns, _config(args), args.out)
     return EXIT_OK
 
@@ -615,7 +621,7 @@ def _build_parser() -> _Parser:
     fig1_parser.add_argument("--mus", default="1.25,1.5,2,3", help="outcome counts as mu*dim**2")
     fig1_parser.add_argument("--ranks", default="1")
     fig1_parser.add_argument("--epsilon", type=float, default=0.0, action=_AtLeast, low=0)
-    fig1_parser.add_argument("--n-poms", type=int, default=50, action=_AtLeast, low=0)
+    fig1_parser.add_argument("--n-poms", type=int, default=50, action=_AtLeast, low=2)
     fig1_parser.add_argument("--n-haar", type=int, default=500, action=_AtLeast, low=2)
 
     fig2_parser = sub.add_parser(

@@ -188,11 +188,15 @@ def _triple_traces(dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def bloch_coords(rho, basis: HermitianBasis) -> np.ndarray:
-    """Real coordinates t_k = Tr(rho B_k) over the traceless basis operators."""
+    """Real coordinates t_k = Tr(rho B_k) over the traceless basis operators.
+
+    rho may be any (dim, dim) matrix, a non-positive estimate included; an
+    array of another shape is refused with DimensionMismatchError.
+    """
     mat = _as_matrix(rho)
-    if mat.shape[0] != basis.dim:
+    if mat.shape != (basis.dim, basis.dim):
         raise DimensionMismatchError(
-            f"state dimension {mat.shape[0]} != basis dimension {basis.dim}"
+            f"expected a matrix of shape {(basis.dim, basis.dim)}, got shape {mat.shape}"
         )
     coords = np.einsum("ij,kji->k", mat, basis.traceless_ops)
     return coords.real

@@ -23,8 +23,8 @@ Its evaluation routes:
   variance by a further median x1.23 / x1.37 / x1.61 (rank-one measurements
   with 2 dim**2 outcomes, 40000 samples each).  The value and its error bar
   come from _controlled_mean, the one estimator of a sampled mean, which the
-  MSE sweep of qttf.estimation uses too; the bar includes the variance that
-  the fitted coefficients add.  A run of at least
+  MSE sweep of qttf.estimation and fig1 of qttf.cli use too; the bar
+  includes the variance that the fitted coefficients add.  A run of at least
   DESIGN_MIN_GROUPS * S states, S = dim (dim+1), at dim 4 or an odd prime
   dim draws them as complete sets of mutually unbiased bases, each rotated
   by its own Haar unitary, and its bar is cluster-robust over these
@@ -652,8 +652,8 @@ def _controlled_mean(
     values: np.ndarray, controls: np.ndarray, design: int
 ) -> tuple[float, float, dict]:
     """The mean of n sampled values and its standard error: the library's one
-    estimator of a sampled mean, behind qttf_monte_carlo and the scaled MSE
-    of estimation.haar_mse_sweep.
+    estimator of a sampled mean, behind qttf_monte_carlo, the scaled MSE of
+    estimation.haar_mse_sweep and the cells of cli.run_fig1.
 
     controls (n, q) holds q control variates per sample, each with exact
     mean 0 (q = 0: none), and the samples come in consecutive groups of

@@ -33,7 +33,6 @@ from qttf.cli import (
     EXIT_USAGE,
     KAPPA_TIE_TOL,
     _build_parser,
-    bootstrap_ci,
     main,
     run_fig1,
     search_counterexample_pair,
@@ -202,7 +201,7 @@ PATH_FAILURES = {
     "qttf --out": ["qttf", "{pom}", "--out", "{none}/out.json"],
     "compare --out": ["compare", "{pom}", "{pom}", "--out", "{none}/out.txt"],
     "fig1 --out": [
-        "fig1", "--mus", "2", "--n-poms", "1", "--n-haar", "20", "--out", "{none}/out.csv",
+        "fig1", "--mus", "2", "--n-poms", "2", "--n-haar", "20", "--out", "{none}/out.csv",
     ],
     "fig2 --out": [
         "fig2", "{pom}", "{pom}", "--states", "2", "--trials", "4", "--shots", "200",
@@ -426,6 +425,37 @@ def test_compare_flags_better_measurement(tmp_path):
     assert "best by qttf: mub2 (3.0000)" in out
 
 
+@pytest.mark.parametrize("order", [1, -1], ids=["given", "reversed"])
+def test_compare_names_no_best_that_the_bars_do_not_resolve(tmp_path, order):
+    # a random measurement and the same with one outcome split in halves: equal
+    # in truth, and sampled by Monte Carlo to within a bar of each other
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    _make(tmp_path, "pom", "random", "--dim", "2", "--m", "17", "--rank", "1",
+          "--seed", "3", "--out", str(first))
+    _make(tmp_path, "pom", "transform", str(first), "--duplicate", "1",
+          "--weights", "0.5,0.5", "--out", str(second))
+    pair = [str(first), str(second)][::order]
+    code, out = _make(tmp_path, "compare", *pair, "--samples", "200", "--format", "json")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert [row["qttf_stderr"] > 0 for row in payload["rows"]] == [True, True]
+    best = payload["notes"][0]
+    assert best.startswith("best not resolved: ")
+    assert all(row["label"] in best for row in payload["rows"])
+
+
+def test_compare_names_no_best_between_exactly_equal_values(tmp_path):
+    sic = _builtin_file(tmp_path, "sic2")
+    split = tmp_path / "split.json"
+    _make(tmp_path, "pom", "transform", str(sic), "--duplicate", "1",
+          "--weights", "0.5,0.5", "--out", str(split))
+    code, out = _make(tmp_path, "compare", str(sic), str(split), "--format", "json")
+    assert code == EXIT_OK
+    assert json.loads(out)["notes"][0] == (
+        "best not resolved: sic2 (4.0000 +/- 0.0000), sic2+dup(1;0.5,0.5) (4.0000 +/- 0.0000)"
+    )
+
+
 def test_compare_flags_conditioning_inversion(tmp_path):
     sic = _builtin_file(tmp_path, "sic2")
     dup = tmp_path / "dup.json"
@@ -545,24 +575,27 @@ def test_fig1_csv_is_deterministic(tmp_path):
     config, rows = _csv_rows(first.read_text(encoding="utf-8"))
     assert config["command"] == "fig1"
     assert [row["D"] for row in rows] == ["2", "3"]
-    columns = {"D", "mu", "rank", "epsilon", "halved_rel_err", "ci_lo", "ci_hi", "limit"}
+    columns = {"D", "mu", "rank", "epsilon", "halved_rel_err", "halved_rel_err_stderr", "limit"}
     for row, limit in zip(rows, (0.25, 0.3)):
         assert set(row) == columns
         assert float(row["limit"]) == pytest.approx(limit)
-        assert float(row["ci_lo"]) <= float(row["halved_rel_err"]) <= float(row["ci_hi"])
+        assert float(row["halved_rel_err_stderr"]) > 0.0
 
 
-def test_fig1_empty_run_emits_header_only(tmp_path):
-    code, out = _make(tmp_path, "fig1", "--n-poms", "0")
-    assert code == EXIT_OK
-    lines = out.splitlines()
-    assert len(lines) == 2
-    assert lines[0].startswith("# config:")
-    assert lines[1].split(",")[0] == "D"
+def test_fig1_reports_the_mean_and_its_plain_standard_error():
+    # the estimator of every sampled mean, without controls: the mean of the
+    # per-measurement values bit for bit, and their sample standard deviation
+    # over sqrt(n)
+    rows = run_fig1([2, 3], [2.0], [1], 0.05, n_poms=5, n_haar=60, seed=4)
+    for row in rows:
+        values = np.array(row["values"])
+        assert row["halved_rel_err"] == float(np.mean(values))
+        oracle = np.std(values, ddof=1) / np.sqrt(len(values))
+        assert row["halved_rel_err_stderr"] == pytest.approx(oracle, rel=1e-14, abs=0)
 
 
 def test_fig1_rejects_fractional_outcome_counts(tmp_path):
-    code, _ = _make(tmp_path, "fig1", "--dims", "2", "--mus", "1.3", "--n-poms", "1")
+    code, _ = _make(tmp_path, "fig1", "--dims", "2", "--mus", "1.3", "--n-poms", "2")
     assert code == EXIT_USAGE
 
 
@@ -570,7 +603,7 @@ def test_fig1_rejects_fractional_outcome_counts(tmp_path):
     "flag,value,message",
     [
         ("--n-haar", "1", "--n-haar must be >= 2, got 1"),
-        ("--n-poms", "-1", "--n-poms must be >= 0, got -1"),
+        ("--n-poms", "1", "--n-poms must be >= 2, got 1"),
         ("--epsilon", "-0.1", "--epsilon must be >= 0, got -0.1"),
         ("--dims", "2,x", "expected a comma-separated integer list, got '2,x'"),
         ("--dims", "", "expected a comma-separated integer list, got ''"),
@@ -617,12 +650,12 @@ def test_fig1_refuses_a_bad_cell_before_any_cell_runs(tmp_path, capsys, monkeypa
 @pytest.mark.parametrize("mu", [np.nan, np.inf, -np.inf])
 def test_run_fig1_refuses_a_non_finite_mu(mu):
     with pytest.raises(ValueError, match=f"mu must be finite, got {mu}"):
-        run_fig1([2], [1.5, mu], [1], 0.0, n_poms=1, n_haar=20, seed=0)
+        run_fig1([2], [1.5, mu], [1], 0.0, n_poms=2, n_haar=20, seed=0)
 
 
 def test_fig1_takes_no_memory_budget(tmp_path):
     # fig1 runs only the order-2 series, which no memory budget bounds
-    code, out = _make(tmp_path, "fig1", "--n-poms", "1", "--memory-budget", "1")
+    code, out = _make(tmp_path, "fig1", "--n-poms", "2", "--memory-budget", "1")
     assert code == EXIT_USAGE
     assert out == ""
 
@@ -831,9 +864,9 @@ FLOAT_ARGUMENTS = {
     ],
     ("qttf", "--alpha"): ["qttf", "{pom}", "--method", "series", "--alpha", "{v}"],
     ("fig1", "--epsilon"): [
-        "fig1", "--mus", "2", "--n-poms", "1", "--n-haar", "20", "--epsilon", "{v}",
+        "fig1", "--mus", "2", "--n-poms", "2", "--n-haar", "20", "--epsilon", "{v}",
     ],
-    ("fig1", "--mus"): ["fig1", "--mus", "{v}", "--n-poms", "1", "--n-haar", "20"],
+    ("fig1", "--mus"): ["fig1", "--mus", "{v}", "--n-poms", "2", "--n-haar", "20"],
     ("fig2", "--purity"): [
         "fig2", "{pom}", "{pom}", "--purity", "{v}", "--states", "2", "--trials", "4",
         "--shots", "200", "--samples", "100",
@@ -862,7 +895,7 @@ SEED_COMMANDS = {
     ("pom", "random"): ["pom", "random", "--dim", "2", "--m", "4"],
     ("qttf",): ["qttf", "{pom}", "--method", "mc", "--samples", "100"],
     ("compare",): ["compare", "{pom}", "{pom}", "--samples", "100"],
-    ("fig1",): ["fig1", "--mus", "2", "--n-poms", "1", "--n-haar", "20"],
+    ("fig1",): ["fig1", "--mus", "2", "--n-poms", "2", "--n-haar", "20"],
     ("fig2",): [
         "fig2", "{pom}", "{pom}", "--states", "2", "--trials", "4", "--shots", "200",
         "--samples", "100",
@@ -952,7 +985,7 @@ def test_config_holds_every_parsed_argument_but_out(tmp_path, command):
     argv = {
         "qttf": ["qttf", sic, "--method", "series", "--seed", "3"],
         "compare": ["compare", sic, mub, "--format", "json", "--samples", "500"],
-        "fig1": ["fig1", "--mus", "2", "--n-poms", "1", "--n-haar", "20"],
+        "fig1": ["fig1", "--mus", "2", "--n-poms", "2", "--n-haar", "20"],
         "fig2 --search": [
             "fig2", str(tmp_path / "p1.json"), str(tmp_path / "p2.json"), "--search",
             "--dim", "2", "--attempts", "60", "--samples", "500", "--states", "2",
@@ -1070,7 +1103,7 @@ RUNNER_ARGS = {
     search_counterexample_pair: dict(
         dim=2, m_choices=[6], rank=1, attempts=5, n_samples=100, seed=0
     ),
-    run_fig1: dict(dims=[2], mus=[2.0], ranks=[1], epsilon=0.0, n_poms=1, n_haar=20, seed=0),
+    run_fig1: dict(dims=[2], mus=[2.0], ranks=[1], epsilon=0.0, n_poms=2, n_haar=20, seed=0),
 }
 
 
@@ -1084,7 +1117,7 @@ RUNNER_ARGS = {
         (search_counterexample_pair, "n_samples", 1, "must be >= 2, got 1"),
         (search_counterexample_pair, "n_samples", True, "must be an integer, got True"),
         (run_fig1, "n_poms", 1.0, "must be an integer, got 1.0"),
-        (run_fig1, "n_poms", -1, "must be >= 0, got -1"),
+        (run_fig1, "n_poms", 1, "must be >= 2, got 1"),
         (run_fig1, "n_haar", True, "must be an integer, got True"),
         (run_fig1, "n_haar", 1, "must be >= 2, got 1"),
     ],
@@ -1100,19 +1133,6 @@ def test_experiment_runners_check_their_counts_before_any_draw(
             runner(**{**RUNNER_ARGS[runner], name: value})
     assert type(refused.value) is ValueError
     assert str(refused.value) == f"{name} {message}"
-
-
-def test_bootstrap_ci_behaviour():
-    rng = np.random.default_rng(6)
-    values = rng.normal(loc=3.0, scale=0.5, size=400)
-    lo, hi = bootstrap_ci(values, np.random.default_rng(7))
-    assert lo < values.mean() < hi
-    lo2, hi2 = bootstrap_ci(values, np.random.default_rng(7))
-    assert (lo, hi) == (lo2, hi2)
-    single = bootstrap_ci(np.array([2.5]), np.random.default_rng(8))
-    assert single == (2.5, 2.5)
-    # a seed serves as its generator, as everywhere in the library
-    assert bootstrap_ci(values, 0) == bootstrap_ci(values, np.random.default_rng(0))
 
 
 def test_no_arguments_is_usage_error(tmp_path):

@@ -9,6 +9,7 @@ from helpers import MomentOracle, centered_moments_23, haar_probability_moment
 
 from qttf import (
     DensityMatrix,
+    DimensionMismatchError,
     HermitianBasis,
     InvalidDimensionError,
     PomValidationError,
@@ -152,12 +153,25 @@ def test_bloch_coords_of_maximally_mixed_vanish():
     assert np.abs(coords).max() < 1e-14
 
 
+@pytest.mark.parametrize(
+    "array",
+    [np.ones((2, 3)), np.ones(2), np.ones(4), np.ones((3, 3)), np.ones((2, 2, 2)), np.ones(())],
+    ids=["2x3", "1-d", "flat 2x2", "3x3", "3-d", "scalar"],
+)
+def test_bloch_coords_refuses_an_array_of_another_shape(array):
+    with pytest.raises(DimensionMismatchError) as info:
+        bloch_coords(array, build_basis(2))
+    assert str(info.value) == f"expected a matrix of shape (2, 2), got shape {array.shape}"
+
+
 def test_state_from_bloch_allows_nonpositive_output():
     basis = build_basis(2)
     rho = state_from_bloch(np.array([2.0, 0.0, 0.0]), basis)
     assert abs(np.trace(rho) - 1.0) < 1e-12
     assert np.abs(rho - rho.conj().T).max() < 1e-12
     assert np.linalg.eigvalsh(rho)[0] < -0.5  # far outside the state space
+    # and bloch_coords takes it back, as it takes any estimate that is no state
+    np.testing.assert_allclose(bloch_coords(rho, basis), [2.0, 0.0, 0.0])
 
 
 def test_density_matrix_validation():

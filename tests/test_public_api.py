@@ -13,7 +13,6 @@ import pytest
 
 import qttf
 from qttf import errors
-from qttf.cli import bootstrap_ci
 
 TOLERANCE = re.compile(r"^([A-Z_]*(?:TOL|FLOOR|SLACK|RTOL)) =", re.MULTILINE)
 WORK_SIZE = re.compile(r"^([A-Z_]*(?:BLOCK|BATCH|BYTES|GROUPS|BUDGET)) =", re.MULTILINE)
@@ -124,9 +123,8 @@ def test_integer_arguments_are_checked_by_the_library(call, error, message):
         lambda rng: qttf.haar_state_vectors(2, 3, rng),
         lambda rng: qttf.qttf_monte_carlo(qttf.sic_povm(2), qttf.build_basis(2), 20, rng),
         lambda rng: qttf.sample_clicks(np.eye(2) / 2, qttf.sic_povm(2), 10, rng),
-        lambda rng: bootstrap_ci([1.0], rng),
     ],
-    ids=["random_pom", "haar_state_vectors", "qttf_monte_carlo", "sample_clicks", "bootstrap_ci"],
+    ids=["random_pom", "haar_state_vectors", "qttf_monte_carlo", "sample_clicks"],
 )
 def test_a_bool_is_refused_as_a_random_source(call, seed):
     # a bool used to be seed 0 or 1 (recorded as seed=True in a random_pom
@@ -243,11 +241,12 @@ def test_haar_states_are_drawn_only_by_the_one_sampler():
 
 def test_a_sampled_mean_and_its_bar_have_one_estimator():
     # the control fit and the cluster bar over groups live in one function,
-    # which Monte Carlo and the MSE sweep both call; no module takes a
-    # standard deviation of its own
+    # which Monte Carlo, the MSE sweep and fig1 call; no module takes a
+    # standard deviation or an interval of its own
     estimator = {("transfer", "_controlled_mean")}
     assert _calls_of("lstsq") == estimator
     assert _calls_of("reduceat") == estimator
+    assert _calls_of("quantile") == set()
     assert not any(".std(" in source for source in _library_sources())
 
 
