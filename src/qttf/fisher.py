@@ -19,7 +19,13 @@ the MSE experiments and Monte Carlo all call it, and it alone decides about a
 vanishing probability.  Tr(F^{-1}) is analytic where an outcome never clicks,
 so there is no floor on p: a row the Cholesky pass cannot resolve, such as one
 with a zero, is solved again as an augmented system that needs no p > 0.  The
-expansion at the maximally mixed state reads one thin SVD of Pbar^{-1/2} C.
+step runs in the dtype of its buffers.  trace_inverse, and so accuracy and the
+MSE experiments, run it at float64.  Monte Carlo from dim 4 on runs it at
+float32, from a float32 copy of outer_table, where it halves the bytes each
+step moves; there it leaves NaN every row it would rescue, those whose
+estimated roundoff passes REDUCED_RTOL, and the caller evaluates them again
+at float64 (transfer.qttf_monte_carlo).  The expansion at the maximally
+mixed state reads one thin SVD of Pbar^{-1/2} C.
 measurement_matrices takes that SVD and refuses a measurement that is not
 informationally complete, so every TomographyMatrices is complete and no
 reader checks it again.
@@ -43,6 +49,9 @@ from .pom import Pom
 RANK_RTOL = 1e-6  # smallest singular value of Pbar^{-1/2} C accepted, relative to the largest
 STRUCTURE_TOL = 1e-8  # absolute deviation accepted in a structure check of the outcomes
 CHOLESKY_RTOL = 1e-10  # relative roundoff accepted from the Cholesky kernel
+# relative roundoff accepted from the kernel's float32 level; a row past it is
+# left NaN there, for its caller to evaluate again at float64
+REDUCED_RTOL = 1e-3
 CHOLESKY_BLOCK = 512  # Fisher matrices assembled, factored and inverted in one batch-last pass
 
 
@@ -243,49 +252,80 @@ class TomographyMatrices:
         (RANK_RTOL), since LU with partial pivoting need not meet an exact zero
         pivot in a singular matrix and would return a wrong value instead.  It
         comes from the first block that holds such a row.
+
+        trace_inverse runs every step at float64, so accuracy and
+        mse_experiment's predicted value are float64 values.  The step has a
+        second level, float32, which only Monte Carlo takes, from dim 4 on
+        (transfer.qttf_monte_carlo): the same assembly, from a float32 copy of
+        outer_table, and the same loop in float32 buffers, with the rescue test
+        eps32 Tr(F^{-1}) max_i F_ii against REDUCED_RTOL.  A row past it, or
+        NaN, is not rescued there but left NaN, and the caller evaluates it
+        again at float64, its augmented rescue included.  On 4000 pure states
+        of each of 24 / 12 random rank-one measurements with 2 dim**2 outcomes
+        at dim 4 / 5, 0.7 % / 1.5 % of the rows were flagged, and the others
+        were within 9.6e-5 / 5.3e-5 relative of float64 (median 3e-7).
         """
+        return self._trace_inverse(probs, np.arange(probs.shape[0]))
+
+    def _trace_inverse(self, probs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """trace_inverse, at float64; rows are the indices of the rows of probs
+        in the caller's input, which a refusal names."""
         n = probs.shape[0]
-        buffers = self._kernel_buffers(min(CHOLESKY_BLOCK, n))
+        buffers = self._kernel_buffers(min(CHOLESKY_BLOCK, n), np.float64)
         traces = np.empty(n)
         for start in range(0, n, CHOLESKY_BLOCK):
-            block = probs[start : start + CHOLESKY_BLOCK]
-            traces[start : start + len(block)] = self._block_trace_inverse(block, start, buffers)
+            block = slice(start, start + CHOLESKY_BLOCK)
+            traces[block] = self._block_trace_inverse(probs[block], rows[block], buffers)
         return traces
 
-    def _kernel_buffers(self, block: int) -> tuple[np.ndarray, np.ndarray]:
+    def _kernel_buffers(self, block: int, dtype: type) -> tuple[np.ndarray, np.ndarray]:
         """The packed Fisher (K (K+1) / 2, block) and Z (K, K, block) buffers of
-        _block_trace_inverse, for blocks of up to block rows.  Z is zeroed here
-        once: the kernel never writes its upper triangle, so every block that
-        reuses it finds that triangle zero."""
+        _block_trace_inverse, for blocks of up to block rows, in dtype, float64
+        or float32, which sets the precision of every step that runs in them.
+        Z is zeroed here once: the kernel never writes its upper triangle, so
+        every block that reuses it finds that triangle zero."""
         k = self.c_matrix.shape[1]
-        return np.empty((k * (k + 1) // 2, block)), np.zeros((k, k, block))
+        return np.empty((k * (k + 1) // 2, block), dtype), np.zeros((k, k, block), dtype)
+
+    @cached_property
+    def _outer_table_single(self) -> np.ndarray:
+        """outer_table rounded to float32, which the kernel's float32 level assembles."""
+        return _read_only(self.outer_table.astype(np.float32))
 
     def _block_trace_inverse(
-        self, probs: np.ndarray, first_row: int, buffers: tuple[np.ndarray, np.ndarray]
+        self, probs: np.ndarray, rows: np.ndarray, buffers: tuple[np.ndarray, np.ndarray]
     ) -> np.ndarray:
         """Tr(F^{-1}) for the s rows of probs (s, M), s at most the block of
         buffers (_kernel_buffers): the input check, the assembly, the
-        factor-and-invert loop and the augmented rescue of trace_inverse for one
-        block.  first_row is the index of the block's first row in the caller's
-        input, which a refusal names."""
+        factor-and-invert loop and the rescue of trace_inverse for one block.
+        rows are the rows' indices in the caller's input, which a refusal names.
+
+        The assembly, the loop and the rescue test run in the buffers' dtype.
+        At float64 a flagged row is solved again by the augmented system; at
+        float32 it is flagged past REDUCED_RTOL instead of CHOLESKY_RTOL, with
+        float32's eps, and left NaN for the caller to evaluate at float64
+        (transfer.qttf_monte_carlo)."""
         # two whole-array reductions; a per-row test (axis=1) took 45 % of the
         # kernel's time on a 2000-row block at dim = 2
         if probs.size and not (probs.min() >= 0 and probs.max() < np.inf):
             invalid = np.flatnonzero(~((probs >= 0) & (probs < np.inf)).all(axis=1))
             raise ValueError(
-                f"Tr(F^-1) cannot be evaluated at row {first_row + invalid[0]}: "
+                f"Tr(F^-1) cannot be evaluated at row {rows[invalid[0]]}: "
                 f"a probability is negative or not finite"
             )
         s, k = probs.shape[0], self.c_matrix.shape[1]
+        dtype = buffers[0].dtype
+        single = dtype == np.float32
+        table = self._outer_table_single if single else self.outer_table
         with np.errstate(divide="ignore", invalid="ignore"):
-            a = np.matmul(self.outer_table.T, (1.0 / probs).T, out=buffers[0][:, :s])
+            a = np.matmul(table.T, np.divide(1.0, probs.T, dtype=dtype), out=buffers[0][:, :s])
             z = buffers[1][:, :, :s]
             z[0, 0] = 1.0 / np.sqrt(a[0])
             for i in range(1, k):
                 row = a[i * (i + 1) // 2 : (i + 1) * (i + 2) // 2]  # A[i, :i + 1]
                 h = i // 2 if i * i * s >= 1 << 17 else 0
                 if h:
-                    lower = np.empty((i, s))
+                    lower = np.empty((i, s), dtype)
                     np.einsum("jks,ks->js", z[:h, :h], row[:h], out=lower[:h])
                     np.einsum("jks,ks->js", z[h:i, :i], row[:i], out=lower[h:])
                 else:
@@ -299,9 +339,12 @@ class TomographyMatrices:
             traces = np.einsum("jks,jks->s", z, z)
             estimates = np.max(a[_packed_layout(k)[2]], axis=0)
             estimates *= traces
-            rescue = np.flatnonzero(~(np.finfo(float).eps * estimates <= CHOLESKY_RTOL))
-        if rescue.size:
-            traces[rescue] = self._augmented_trace_inverse(probs[rescue], first_row + rescue)
+            tolerance = REDUCED_RTOL if single else CHOLESKY_RTOL
+            rescue = np.flatnonzero(~(np.finfo(dtype).eps * estimates <= tolerance))
+        if single:
+            traces[rescue] = np.nan
+        elif rescue.size:
+            traces[rescue] = self._augmented_trace_inverse(probs[rescue], rows[rescue])
         return traces
 
     def _augmented_trace_inverse(self, probs: np.ndarray, rows: np.ndarray) -> np.ndarray:

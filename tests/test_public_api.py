@@ -146,6 +146,7 @@ def test_every_tolerance_is_assigned_in_one_module_only():
     required = {
         "RANK_RTOL",
         "CHOLESKY_RTOL",
+        "REDUCED_RTOL",
         "STRUCTURE_TOL",
         "WEIGHT_FLOOR",
         "SPLIT_WEIGHT_TOL",
@@ -178,6 +179,7 @@ def test_every_work_size_is_assigned_in_one_module_and_read():
         "DESIGN_MIN_GROUPS",
         "DEFAULT_MEMORY_BUDGET",
         "QUARTIC_CHUNK_BYTES",
+        "CORRECTION_BLOCK",
     }
     assert required <= set(assignments)
     assert [name for name, count in assignments.items() if count > 1] == []

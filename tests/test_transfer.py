@@ -42,7 +42,7 @@ from qttf import (
     sic_povm,
 )
 from qttf import fisher, transfer
-from qttf.fisher import CHOLESKY_BLOCK, CHOLESKY_RTOL
+from qttf.fisher import CHOLESKY_BLOCK, CHOLESKY_RTOL, REDUCED_RTOL
 from qttf.operators import mub_vectors, rotated_vectors
 from qttf.transfer import (
     DEFAULT_MEMORY_BUDGET,
@@ -479,6 +479,63 @@ def test_monte_carlo_agrees_with_accuracy_average():
     assert abs(est.value - direct.mean()) < 4 * stderr
 
 
+def _replayed_stream(pom, basis, n, seed, design):
+    """Tr(F^{-1}) from eigenvalues and the controls built in outcome space, on
+    the n states that a Monte Carlo run of that seed and design draws first;
+    see test_monte_carlo_equals_accuracy_average_on_the_same_stream."""
+    dim, m = pom.dim, pom.n_outcomes
+    aux = measurement_matrices(pom, basis)
+    x, y = aux.x_matrix, aux.y_matrix
+    centered2, centered3 = centered_moments_23(pom)
+    f2 = np.einsum("ab,ba,ab->", x, y, centered2)
+    f3 = np.einsum("ab,bc,ca,abc->", x, y, y, centered3)
+    rule = mub_vectors(dim) if design > 1 else [[1.0]]
+    vectors = rotated_vectors(rule, dim, n, np.random.default_rng(seed))
+    states = [np.outer(v, v.conj()) for v in vectors]
+    probs = np.array([probabilities(rho, pom) for rho in states])
+    c = aux.c_matrix
+    values = np.array([np.sum(1.0 / np.linalg.eigvalsh(c.T @ np.diag(1.0 / p) @ c)) for p in probs])
+    deltas = probs - aux.p_bar
+    dx = deltas[:, :, None] * x  # D X per sample
+    dy = deltas[:, :, None] * y  # D Y per sample
+    columns = [
+        deltas @ np.diag(x),
+        np.einsum("sa,ab,sb->s", deltas, x * y, deltas) - f2,
+        # Tr(X D Y D Y D) = Tr(D X D Y D Y)
+        np.einsum("sab,sba->s", dx @ dy, dy) - f3,
+    ]
+    if aux.all_rank_one:
+        overlaps = probs / np.trace(pom.outcomes, axis1=1, axis2=2).real
+        half = rank_one_overlap_moment(dim, 0.5)
+        three_halves = rank_one_overlap_moment(dim, 1.5)
+        columns += [
+            np.sqrt(overlaps).sum(axis=1) - m * half,
+            np.sqrt(overlaps) @ np.diag(x) - np.trace(x) * half,
+            overlaps**1.5 @ np.diag(x) - np.trace(x) * three_halves,
+            overlaps**2 @ np.diag(x) - np.trace(x) * rank_one_overlap_moment(dim, 2),
+            overlaps**3 @ np.diag(x) - np.trace(x) * rank_one_overlap_moment(dim, 3),
+        ]
+    return values, np.column_stack(columns)
+
+
+def _fitted_oracle(values, controls, design):
+    """The least-squares control-variate mean of values, its bar (without the
+    roundoff term) and the residuals: independent states for design 1, else
+    the cluster-robust (CR1) bar over the groups of design consecutive states."""
+    n, q = controls.shape
+    centered = values - values.mean()
+    beta = np.linalg.lstsq(controls - controls.mean(axis=0), centered, rcond=None)[0]
+    oracle = np.mean(values - controls @ beta)
+    residuals = centered - (controls - controls.mean(axis=0)) @ beta
+    factor = (n - 2) / (n - q - 2)
+    if design > 1:
+        groups = -(-n // design)
+        sums = np.array([residuals[g * design : (g + 1) * design].sum() for g in range(groups)])
+        dof = groups / (groups - 1) * (n - 1) / (n - q - 1)
+        return oracle, np.sqrt(factor * dof * np.sum(sums**2)) / n, residuals
+    return oracle, np.sqrt(factor * np.sum(residuals**2) / ((n - q - 1) * n)), residuals
+
+
 SAME_STREAM_CASES = (
     (2, 6, 1, 60), (2, 20, 2, 61), (3, 11, 2, 62), (3, 45, 1, 63), (4, 18, 1, 64), (4, 80, 2, 65)
 )
@@ -501,7 +558,7 @@ SAME_STREAM_CASES = (
         for case in SAME_STREAM_CASES
     ],
 )
-def test_monte_carlo_equals_accuracy_average_on_the_same_stream(dim, m, rank, seed, n):
+def test_monte_carlo_equals_accuracy_average_on_the_same_stream(dim, m, rank, seed, n, monkeypatch):
     # the first batch is exactly haar_state_vectors(dim, n, rng), or at dim > 2
     # from n = 30 dim (dim+1) on rotated_vectors(mub_vectors(dim), dim, n, rng), so replaying
     # that stream through Tr(F^{-1}) from eigenvalues, with the three
@@ -517,45 +574,20 @@ def test_monte_carlo_equals_accuracy_average_on_the_same_stream(dim, m, rank, se
     # the cluster-robust (CR1) variance of the residual sums of the G groups of
     # S = dim (dim+1) consecutive states, with the same loss factor.  A run too
     # short to fit its controls is the plain mean with the standard error of
-    # the mean.  Every bar adds params["roundoff"] in quadrature.
+    # the mean.  Every bar adds params["roundoff"] in quadrature.  The kernel
+    # runs at float64 throughout: the float32 level that dim >= 4 takes is
+    # switched off here, and replayed against this oracle in
+    # test_reduced_monte_carlo_targets_the_float64_average_on_the_same_stream.
+    monkeypatch.setattr(transfer, "REDUCED_MIN_DIM", dim + 1)
     basis = build_basis(dim)
     pom = random_pom(dim, m, rank, rng=np.random.default_rng(seed))
     est = qttf_monte_carlo(pom, basis, n, rng=seed)
-    aux = measurement_matrices(pom, basis)
-    x, y = aux.x_matrix, aux.y_matrix
-    centered2, centered3 = centered_moments_23(pom)
-    f2 = np.einsum("ab,ba,ab->", x, y, centered2)
-    f3 = np.einsum("ab,bc,ca,abc->", x, y, y, centered3)
+    assert (est.params["reduced_rows"], est.params["rescued_rows"]) == (0, 0)
+    assert (est.params["correction"], est.params["correction_stderr"]) == (0.0, 0.0)
     size = dim * (dim + 1)
     design = size if dim > 2 and n >= 30 * size else 1
     assert (est.params["design"], est.params["groups"]) == (design, -(-n // design))
-    rule = mub_vectors(dim) if design > 1 else [[1.0]]
-    vectors = rotated_vectors(rule, dim, n, np.random.default_rng(seed))
-    states = [np.outer(v, v.conj()) for v in vectors]
-    probs = np.array([probabilities(rho, pom) for rho in states])
-    c = aux.c_matrix
-    values = np.array([np.sum(1.0 / np.linalg.eigvalsh(c.T @ np.diag(1.0 / p) @ c)) for p in probs])
-    deltas = probs - aux.p_bar
-    dx = deltas[:, :, None] * x  # D X per sample
-    dy = deltas[:, :, None] * y  # D Y per sample
-    columns = [
-        deltas @ np.diag(x),
-        np.einsum("sa,ab,sb->s", deltas, x * y, deltas) - f2,
-        # Tr(X D Y D Y D) = Tr(D X D Y D Y)
-        np.einsum("sab,sba->s", dx @ dy, dy) - f3,
-    ]
-    if rank == 1:
-        overlaps = probs / np.trace(pom.outcomes, axis1=1, axis2=2).real
-        half = rank_one_overlap_moment(dim, 0.5)
-        three_halves = rank_one_overlap_moment(dim, 1.5)
-        columns += [
-            np.sqrt(overlaps).sum(axis=1) - m * half,
-            np.sqrt(overlaps) @ np.diag(x) - np.trace(x) * half,
-            overlaps**1.5 @ np.diag(x) - np.trace(x) * three_halves,
-            overlaps**2 @ np.diag(x) - np.trace(x) * rank_one_overlap_moment(dim, 2),
-            overlaps**3 @ np.diag(x) - np.trace(x) * rank_one_overlap_moment(dim, 3),
-        ]
-    controls = np.column_stack(columns)
+    values, controls = _replayed_stream(pom, basis, n, seed, design)
     q = controls.shape[1]
     assert q == (8 if rank == 1 else 3)
     centered = values - values.mean()
@@ -568,25 +600,55 @@ def test_monte_carlo_equals_accuracy_average_on_the_same_stream(dim, m, rank, se
         assert abs(est.params["kurtosis"] - want) <= 1e-9 * want
         return
     assert est.params["controls"] == q
-    beta = np.linalg.lstsq(controls - controls.mean(axis=0), centered, rcond=None)[0]
-    oracle = np.mean(values - controls @ beta)
+    oracle, bar, residuals = _fitted_oracle(values, controls, design)
     assert abs(est.value - oracle) <= 1e-12 * oracle
-    residuals = centered - (controls - controls.mean(axis=0)) @ beta
-    factor = (n - 2) / (n - q - 2)
-    assert est.params["loss_factor"] == factor
-    if design > 1:
-        groups = -(-n // design)
-        sums = np.array([residuals[g * design : (g + 1) * design].sum() for g in range(groups)])
-        dof = groups / (groups - 1) * (n - 1) / (n - q - 1)
-        bar = np.sqrt(factor * dof * np.sum(sums**2)) / n
-    else:
-        bar = np.sqrt(factor * np.sum(residuals**2) / ((n - q - 1) * n))
+    assert est.params["loss_factor"] == (n - 2) / (n - q - 2)
     bar = np.hypot(bar, est.params["roundoff"])
     assert abs(est.std_error - bar) <= 1e-9 * bar
     # both kurtoses from the fourth-moment formula m4 / m2**2, with pow
     for name, sample in (("kurtosis", centered), ("residual_kurtosis", residuals)):
         want = np.mean(sample**4) / np.mean(sample**2) ** 2
         assert abs(est.params[name] - want) <= 1e-9 * want
+
+
+REDUCED_CASES = ((4, 18, 1, 64), (4, 80, 2, 65), (5, 50, 1, 66))
+
+
+@pytest.mark.parametrize(
+    "dim, m, rank, seed, n",
+    # independent states, in a run just past one kernel block
+    [
+        pytest.param(*case, CHOLESKY_BLOCK + 37, id="-".join(map(str, case)))
+        for case in REDUCED_CASES
+    ]
+    + [
+        pytest.param(*case, 30 * case[0] * (case[0] + 1), id="-".join(map(str, case)) + "-design")
+        for case in REDUCED_CASES
+    ],
+)
+def test_reduced_monte_carlo_targets_the_float64_average_on_the_same_stream(dim, m, rank, seed, n):
+    # from dim 4 on, in a run of more than one kernel block, the kernel runs
+    # at float32 and the estimate adds the mean float64 - float32 difference
+    # over its first states, so it replays the float64 eigenvalue oracle of
+    # the same stream up to that correction's own noise.  Its bar adds the
+    # correction's bar in quadrature to the fit's, which is taken over the
+    # float32 values: rows that err by up to about REDUCED_RTOL relative
+    # before they are flagged.  The fit's bar was measured within 3.1e-5
+    # relative of the oracle's on members with 2 dim**2 outcomes and within
+    # 1.8e-3 on the 18-outcome one, where a float32 Fisher matrix is the
+    # least well conditioned
+    basis = build_basis(dim)
+    pom = random_pom(dim, m, rank, rng=np.random.default_rng(seed))
+    est = qttf_monte_carlo(pom, basis, n, rng=seed)
+    params = est.params
+    assert params["reduced_rows"] > 0
+    assert params["reduced_rows"] + params["rescued_rows"] == n
+    assert params["correction_stderr"] > 0
+    values, controls = _replayed_stream(pom, basis, n, seed, params["design"])
+    oracle, bar, _ = _fitted_oracle(values, controls, params["design"])
+    assert abs(est.value - oracle) <= 5 * params["correction_stderr"]
+    bar = np.hypot(np.hypot(bar, params["correction_stderr"]), params["roundoff"])
+    assert abs(est.std_error - bar) <= 10 * REDUCED_RTOL * bar
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])
@@ -613,12 +675,13 @@ def test_cubic_tails_give_the_cubic_form(dim):
 
 
 # qttf_monte_carlo on bench-pool members random_pom(D, 2 D**2, 1, seed) at fixed
-# seeds, every run long enough for rotated bases (n >= 30 D (D+1)):
+# seeds, every run long enough for rotated bases (n >= 30 D (D+1)); the D = 4
+# and D = 5 runs take the kernel's float32 level with its float64 correction:
 # (dim, pool seed, n_samples, rng seed, value, std_error)
 FROZEN_MONTE_CARLO = [
     (3, 3_018_003, 1000, 31, 8.817030320257631, 0.004050375172816528),
-    (4, 4_032_003, 2000, 41, 30.341614835030168, 0.01565348559911172),
-    (5, 5_050_003, 2000, 51, 30.903572490869298, 0.011069592416045626),
+    (4, 4_032_003, 2000, 41, 30.34160176641745, 0.015653556131809975),
+    (5, 5_050_003, 2000, 51, 30.903577627944284, 0.011069755976173924),
 ]
 
 
@@ -781,6 +844,55 @@ def test_monte_carlo_through_the_augmented_path_matches_the_closed_form():
     est = qttf_monte_carlo(pom, basis, 20000, rng=40083)
     assert est.params["design"] == 20
     assert abs(est.value - exact) <= 4 * est.std_error
+
+
+def test_reduced_level_starts_past_one_kernel_block(monkeypatch):
+    # within one kernel block the correction's float64 call would cost more
+    # than the float32 level saves, so such a run is the float64 level's,
+    # bit for bit; one state more takes the float32 level
+    model = measurement_matrices(random_pom(4, 32, 1, rng=4_032_007), build_basis(4))
+    short = _monte_carlo(model, CHOLESKY_BLOCK, 5)
+    longer = _monte_carlo(model, CHOLESKY_BLOCK + 1, 5)
+    assert short.params["reduced_rows"] == 0 and longer.params["reduced_rows"] > 0
+    monkeypatch.setattr(transfer, "REDUCED_MIN_DIM", 5)
+    full = _monte_carlo(model, CHOLESKY_BLOCK, 5)
+    assert (short.value, short.std_error) == (full.value, full.std_error)
+
+
+def test_reduced_monte_carlo_sends_every_flagged_row_to_float64(monkeypatch):
+    # kappa(C) = 1.6e4 flags every row of this minimal measurement at float32,
+    # so every value, the correction block's included, is the float64 step's:
+    # the correction is exactly 0 and the estimate that of the float64 level
+    model = measurement_matrices(random_pom(4, 16, 1, rng=40082), build_basis(4))
+    reduced = _monte_carlo(model, 1000, 40084)
+    assert reduced.params["rescued_rows"] == 1000 and reduced.params["reduced_rows"] == 0
+    assert reduced.params["correction"] == 0.0 and reduced.params["correction_stderr"] == 0.0
+    monkeypatch.setattr(transfer, "REDUCED_MIN_DIM", 5)
+    full = _monte_carlo(model, 1000, 40084)
+    assert full.params["rescued_rows"] == 0
+    assert abs(reduced.value - full.value) <= 1e-12 * full.value
+    assert abs(reduced.std_error - full.std_error) <= 1e-12 * full.std_error
+
+
+@pytest.mark.parametrize("row", [30, 700])
+def test_reduced_monte_carlo_names_the_run_row_that_float64_refuses(row, monkeypatch):
+    # an outcome split in two whose copies never click at one state makes that
+    # state's augmented system singular; the float32 level leaves the row NaN
+    # and the batch's float64 pass refuses it, naming its index in the run:
+    # row 30 lies in the correction block, row 700 in the second kernel block
+    pom = duplicate_outcome(random_pom(4, 32, 1, rng=4_032_006), 0, [0.5, 0.5])
+    born, seen = fisher.TomographyMatrices.born, [0]
+
+    def zeroing(self, vectors, weight):
+        probs, coords = born(self, vectors, weight)
+        if seen[0] <= row < seen[0] + len(vectors):
+            probs[row - seen[0], :2] = 0.0
+        seen[0] += len(vectors)
+        return probs, coords
+
+    monkeypatch.setattr(fisher.TomographyMatrices, "born", zeroing)
+    with pytest.raises(ValueError, match=f"at row {row}: the rows of C of its 2 zero-probability"):
+        qttf_monte_carlo(pom, build_basis(4), 1000, rng=1)
 
 
 # Tr(F^{-1}) of random_pom(4, 16, 1, rng=40082) at the 32 rows of
@@ -1037,6 +1149,27 @@ def test_rotated_bases_error_bars_cover_the_reference():
     assert 0.915 <= covered / 600 <= 0.975
 
 
+def test_reduced_monte_carlo_error_bars_cover_the_float64_reference(monkeypatch):
+    # at n = 600 a D = 4 run draws 30 groups of 20 rotated basis states through
+    # the float32 kernel, with the float64 correction of its first 80 states;
+    # its 2-sigma intervals must cover a 2e5-state float64-level reference as
+    # often as the rotated-bases bars do (the bounds of
+    # test_rotated_bases_error_bars_cover_the_reference), and the correction's
+    # bar must stay under 1 % of the whole bar on this bench-pool member
+    model = measurement_matrices(random_pom(4, 32, 1, rng=4_032_005), build_basis(4))
+    with monkeypatch.context() as patch:
+        patch.setattr(transfer, "REDUCED_MIN_DIM", 5)
+        reference = _monte_carlo(model, 200_000, 90)
+    assert reference.params["reduced_rows"] == 0
+    covered = 0
+    for seed in range(200):
+        est = _monte_carlo(model, 600, 30_000 + seed)
+        assert est.params["design"] == 20 and est.params["reduced_rows"] > 0
+        assert est.params["correction_stderr"] < 0.01 * est.std_error
+        covered += abs(est.value - reference.value) <= 2 * est.std_error
+    assert 0.915 <= covered / 200 <= 0.975
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_monte_carlo_matches_closed_forms_on_random_structured_measurements(dim):
     # unlike the SIC/MUB anchors, Tr(F^{-1}) varies from state to state on
@@ -1149,19 +1282,27 @@ def test_monte_carlo_peak_memory_grows_by_less_than_a_born_row_per_sample():
     # the Born rows, 1/p and the power buffer are held for one block of
     # CHOLESKY_BLOCK states; what grows with n is the per-sample record
     # (vectors, Bloch coordinates, values, controls) and the batch-wide
-    # polynomial controls, under the M + K doubles of one Born row per sample
-    dim, m = 3, 40
-    model = measurement_matrices(random_pom(dim, m, 1, rng=np.random.default_rng(58)), BASIS3)
-    _monte_carlo(model, 100, 1)  # the model fields are computed before tracing starts
-    peaks = []
-    for n in (4000, 8000):
-        tracemalloc.start()
-        try:
-            _monte_carlo(model, n, 2)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] - peaks[0] < 4000 * 8 * (m + dim * dim - 1)
+    # polynomial controls, under the M + K doubles of one Born row per sample.
+    # At dim 4 the float32 level also keeps, until its batch's float64 pass,
+    # the Born rows of the states it flags and of the correction block.  The
+    # dim 4 member has 3 dim**2 outcomes: at 2 dim**2 a Born row, 47 doubles,
+    # is as long as the per-sample record, which grew by 47.0 doubles per
+    # sample there at float64 as at float32
+    for dim, m in ((3, 40), (4, 48)):
+        pom = random_pom(dim, m, 1, rng=np.random.default_rng(58))
+        model = measurement_matrices(pom, build_basis(dim))
+        _monte_carlo(model, 100, 1)  # the model fields are computed before tracing starts
+        peaks = []
+        for n in (4000, 8000):
+            tracemalloc.start()
+            try:
+                estimate = _monte_carlo(model, n, 2)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            params = estimate.params
+            assert params["reduced_rows"] == (n - params["rescued_rows"]) * (dim == 4)
+        assert peaks[1] - peaks[0] < 4000 * 8 * (m + dim * dim - 1)
 
 def test_third_order_series_holds_no_pair_products():
     # F2 and F3 come from the M x M model matrices; stacks of M**2 complex
